@@ -25,11 +25,9 @@ from .fields import (
     ReducedField,
     critical_weights,
     full_rhs,
-    layer_rhs,
     pair_correction,
     pair_differences,
     phase_rhs,
-    reduced_rhs,
     triplet_interaction,
     weight_correction,
     weight_rhs,
@@ -99,7 +97,6 @@ __all__ = [
     "full_rhs",
     "integrate_full",
     "integrate_reduced",
-    "layer_rhs",
     "make_kuramoto",
     "mixed_second_derivative_fd",
     "node_respecting_transform",
@@ -108,7 +105,6 @@ __all__ = [
     "phase_distance",
     "phase_rhs",
     "pushforward_certificate_invariance",
-    "reduced_rhs",
     "rk4_step",
     "scan_mixed_derivatives",
     "trajectory_csv_string",

@@ -311,14 +311,17 @@ class PushforwardField:
     def n_nodes(self) -> int:
         return self.base.n_nodes
 
+    @property
+    def inverse(self) -> np.ndarray:
+        """Inverse permutation, with inverse[permutation[i]] == i."""
+        return np.argsort(self.permutation)
+
     def __call__(self, y) -> FloatArray:
         y = np.asarray(y, dtype=float)
-        perm = np.asarray(self.permutation, dtype=int)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
+        inv = self.inverse
         shifts = np.asarray(self.shifts, dtype=float)
         theta = y[inv] - shifts[inv]
-        return self.base(theta)[perm]
+        return self.base(theta)[np.asarray(self.permutation, dtype=int)]
 
 
 def pushforward_certificate_invariance(field, permutation, shifts, point,
@@ -335,9 +338,7 @@ def pushforward_certificate_invariance(field, permutation, shifts, point,
     before = mixed_second_derivative_fd(field, i, j, k, point, fd_step)
     pushed = PushforwardField(base=field, permutation=tuple(permutation),
                               shifts=tuple(shifts))
-    perm = np.asarray(pushed.permutation, dtype=int)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
+    inv = pushed.inverse
     moved_point = node_respecting_transform(point, permutation, shifts)
     after = mixed_second_derivative_fd(
         pushed, int(inv[i]), int(inv[j]), int(inv[k]), moved_point, fd_step)

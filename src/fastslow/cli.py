@@ -14,6 +14,7 @@ with 17 significant digits so a report round-trips the exact doubles.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import io
 import json
@@ -34,12 +35,7 @@ from .certificate import (
     scan_mixed_derivatives,
 )
 from .fields import ReducedField, critical_weights, weight_correction
-from .integrate import (
-    MAX_DEFAULT_SAMPLES,
-    IntegrationConfig,
-    integrate_full,
-    trajectory_to_csv,
-)
+from .integrate import default_config, integrate_full, trajectory_to_csv
 from .model import (
     ContractError,
     ExperimentError,
@@ -243,8 +239,8 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_integration(cfg: dict, epsilon: float, default_t_end: float,
-                         max_samples: int = MAX_DEFAULT_SAMPLES):
+def _resolve_integration(cfg: dict, epsilon: float, default_t_end: float):
+    """Return (dt_factor, t_end, IntegrationConfig at this epsilon)."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
@@ -253,14 +249,13 @@ def _resolve_integration(cfg: dict, epsilon: float, default_t_end: float,
             "must lie in (0, 0.1] (integrator stability guard)")
     t_end = _as_float(block.get("t_end", default_t_end), "integration.t_end")
     _expect(t_end > 0, "integration.t_end", "must be > 0")
+    config = default_config(epsilon, t_end, dt_factor)
     sample_every = block.get("sample_every")
     if sample_every is not None:
         sample_every = _as_int(sample_every, "integration.sample_every")
         _expect(sample_every >= 1, "integration.sample_every", "must be >= 1")
-    else:
-        n_steps = int(round(t_end / (epsilon * dt_factor)))
-        sample_every = max(1, int(np.ceil(n_steps / max_samples)))
-    return dt_factor, t_end, sample_every
+        config = dataclasses.replace(config, sample_every=sample_every)
+    return dt_factor, t_end, config
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
@@ -368,10 +363,8 @@ def cmd_simulate(raw_config, args, seeds: SeedBook) -> int:
             noise = rng.standard_normal((params.n_nodes, params.n_nodes))
             weights = weights + noise * (norm / np.linalg.norm(noise))
 
-    dt_factor, t_end, sample_every = _resolve_integration(
-        raw_config, params.epsilon, DEFAULT_T_END)
-    config = IntegrationConfig(dt=params.epsilon * dt_factor, t_end=t_end,
-                               sample_every=sample_every)
+    _, _, config = _resolve_integration(raw_config, params.epsilon,
+                                        DEFAULT_T_END)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=weights), config)
 
@@ -451,6 +444,9 @@ def cmd_converge(raw_config, args, seeds: SeedBook) -> int:
     params_base, epsilon_list, coupling = _resolve_model(
         raw_config, "converge", seeds)
     theta0 = _resolve_theta0(raw_config, params_base.n_nodes, seeds)
+    # convergence_study picks its own stride (at most 2000 samples per run)
+    _expect("sample_every" not in _get_block(raw_config, "integration"),
+            "integration.sample_every", "is not used by converge; remove it")
     dt_factor, t_end, _ = _resolve_integration(
         raw_config, float(epsilon_list[-1]), DEFAULT_T_END)
 
@@ -505,11 +501,9 @@ def cmd_attract(raw_config, args, seeds: SeedBook) -> int:
         + params.epsilon * weight_correction(params, coupling, theta0)
     weights = surface + noise * (norm / np.linalg.norm(noise))
 
-    default_t_end = DEFAULT_ATTRACT_FAST_HORIZON * params.epsilon
-    dt_factor, t_end, sample_every = _resolve_integration(
-        raw_config, params.epsilon, default_t_end)
-    config = IntegrationConfig(dt=params.epsilon * dt_factor, t_end=t_end,
-                               sample_every=sample_every)
+    _, _, config = _resolve_integration(
+        raw_config, params.epsilon,
+        DEFAULT_ATTRACT_FAST_HORIZON * params.epsilon)
 
     result = attraction_study(params, coupling,
                               FullState(theta=theta0, weights=weights), config)

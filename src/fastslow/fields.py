@@ -73,15 +73,6 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
     return -weights + coupling.target(theta[:, None], theta[None, :])
 
 
-def layer_rhs(coupling, theta_frozen, weights) -> FloatArray:
-    """Fast-time weight field with the phases held fixed.
-
-    Identical to :func:`weight_rhs`; the separate name marks the frozen-phase
-    reading where this is the full right-hand side in fast time.
-    """
-    return weight_rhs(coupling, theta_frozen, weights)
-
-
 def full_rhs(params: ModelParams, coupling, state: FullState):
     """Both time derivatives of the full system in slow time.
 
@@ -196,20 +187,17 @@ class ReducedField:
         w0 = critical_weights(c, theta)
         diffs = pair_differences(theta)
         g = np.asarray(c.gamma(diffs), dtype=float)
-        base = self.params.omega + (w0 * g).sum(axis=1) / n
+        # s_i = sum_k target(theta_i, theta_k) gamma(theta_k - theta_i) is the
+        # coupling sum of the order-0 field and the inner sum shared by both
+        # triplet summands
+        s = (w0 * g).sum(axis=1)
+        base = self.params.omega + s / n
         if self.order == 0:
             return base
         du = c.target_du(theta[:, None], theta[None, :])
         dv = c.target_dv(theta[:, None], theta[None, :])
         om = self.params.omega
         pair_sum = (-g * (du * om[:, None] + dv * om[None, :])).sum(axis=1)
-        # s_i = sum_k target(theta_i, theta_k) gamma(theta_k - theta_i) is the
-        # inner sum shared by both triplet summands
-        s = (w0 * g).sum(axis=1)
         triplet_sum = (-g * (du * s[:, None] + dv * s[None, :])).sum(axis=1)
         return base + (eps / n) * pair_sum + (eps / n ** 2) * triplet_sum
 
-
-def reduced_rhs(field: ReducedField, theta) -> FloatArray:
-    """Evaluate a reduced field, mirroring the call syntax of phase_rhs."""
-    return field(theta)

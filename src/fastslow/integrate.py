@@ -14,7 +14,7 @@ left unwrapped so that stage arithmetic never crosses the branch cut.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,8 @@ MAX_DEFAULT_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon and sampling stride, all in slow time."""
+    """Step size, horizon and sampling stride, all in slow time.  The
+    horizon t_end must be a whole number of steps dt."""
 
     dt: float
     t_end: float
@@ -51,6 +52,10 @@ class IntegrationConfig:
         if int(self.sample_every) != self.sample_every or self.sample_every < 1:
             raise ContractError(
                 f"sample_every must be a positive integer, got {self.sample_every}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ContractError(
+                f"t_end={self.t_end} is not a whole number of steps of "
+                f"dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -60,10 +65,9 @@ class IntegrationConfig:
 def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
                    max_samples: int = MAX_DEFAULT_SAMPLES) -> IntegrationConfig:
     """Config with dt = epsilon * dt_factor and at most max_samples stored rows."""
-    dt = epsilon * dt_factor
-    n_steps = int(round(t_end / dt))
-    sample_every = max(1, int(np.ceil(n_steps / max_samples)))
-    return IntegrationConfig(dt=dt, t_end=t_end, sample_every=sample_every)
+    config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
+    sample_every = max(1, int(np.ceil(config.n_steps / max_samples)))
+    return replace(config, sample_every=sample_every)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +128,23 @@ def rk4_step(rhs, state: FloatArray, dt: float) -> FloatArray:
     return out
 
 
-def _sample_times(config: IntegrationConfig) -> FloatArray:
-    n_steps = config.n_steps
-    stored = np.arange(0, n_steps + 1, config.sample_every)
-    return stored, stored * config.dt
+def _integrate(rhs, state: FloatArray, config: IntegrationConfig, what: str):
+    """Step a flat state with rk4_step; return (times, rows) with one row per
+    stored state, the initial one first.  ``what`` names the system in the
+    error raised when a step fails."""
+    times = np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
+    rows = np.empty((times.size, state.size))
+    rows[0] = state
+    for step in range(1, config.n_steps + 1):
+        try:
+            state = rk4_step(rhs, state, config.dt)
+        except IntegrationError as exc:
+            raise IntegrationError(
+                f"{what} integration failed at t={step * config.dt:.6g} "
+                f"(step {step}): {exc}") from exc
+        if step % config.sample_every == 0:
+            rows[step // config.sample_every] = state
+    return times, rows
 
 
 def integrate_full(params: ModelParams, coupling, initial: FullState,
@@ -148,37 +165,19 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
             f"dt={config.dt} exceeds the stability guard epsilon/10 = "
             f"{params.epsilon / 10.0}")
 
-    omega = params.omega
-    eps = params.epsilon
-
+    # not full_rhs: it would build and re-validate a FullState every stage
     def rhs(flat):
         theta = flat[:n]
         w = flat[n:].reshape(n, n)
-        g = coupling.gamma(theta[None, :] - theta[:, None])
-        dtheta = omega + (w * g).sum(axis=1) / n
-        dw = (-w + coupling.target(theta[:, None], theta[None, :])) / eps
-        return np.concatenate([dtheta, dw.ravel()])
+        dw = weight_rhs(coupling, theta, w) / params.epsilon
+        return np.concatenate([phase_rhs(params, coupling, theta, w),
+                               dw.ravel()])
 
     state = np.concatenate([np.asarray(initial.theta, dtype=float),
                             np.asarray(initial.weights, dtype=float).ravel()])
-    stored_steps, times = _sample_times(config)
-    thetas = np.empty((times.size, n))
-    weights = np.empty((times.size, n, n))
-    thetas[0] = wrap_phase(state[:n])
-    weights[0] = state[n:].reshape(n, n)
-    out = 1
-    for step in range(1, config.n_steps + 1):
-        try:
-            state = rk4_step(rhs, state, config.dt)
-        except IntegrationError as exc:
-            raise IntegrationError(
-                f"full-system integration failed at t={step * config.dt:.6g} "
-                f"(step {step}): {exc}") from exc
-        if out < times.size and step == stored_steps[out]:
-            thetas[out] = wrap_phase(state[:n])
-            weights[out] = state[n:].reshape(n, n)
-            out += 1
-    return Trajectory(times=times, thetas=thetas, weights=weights)
+    times, rows = _integrate(rhs, state, config, "full-system")
+    return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
+                      weights=rows[:, n:].reshape(-1, n, n))
 
 
 def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:
@@ -189,23 +188,8 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     if theta0.shape != (n,):
         raise ContractError(
             f"initial theta must have shape ({n},), got {theta0.shape}")
-
-    state = theta0.copy()
-    stored_steps, times = _sample_times(config)
-    thetas = np.empty((times.size, n))
-    thetas[0] = wrap_phase(state)
-    out = 1
-    for step in range(1, config.n_steps + 1):
-        try:
-            state = rk4_step(field, state, config.dt)
-        except IntegrationError as exc:
-            raise IntegrationError(
-                f"reduced integration failed at t={step * config.dt:.6g} "
-                f"(step {step}): {exc}") from exc
-        if out < times.size and step == stored_steps[out]:
-            thetas[out] = wrap_phase(state)
-            out += 1
-    return Trajectory(times=times, thetas=thetas)
+    times, rows = _integrate(field, theta0, config, "reduced")
+    return Trajectory(times=times, thetas=wrap_phase(rows))
 
 
 def trajectory_to_csv(traj: Trajectory, stream) -> None:

@@ -179,8 +179,8 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     (suppressing the initial fast transient up to its own higher-order
     error) and the error is the largest phase distance over the sampled
     window [0, t_end].  Requires at least 3 epsilon values, strictly
-    decreasing, and dt_factor <= 0.1 so every run clears the integrator
-    guard before any integration starts.
+    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at every
+    epsilon, all checked before any integration starts.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -191,12 +191,13 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         raise ContractError(
             f"dt_factor={dt_factor} violates the dt <= epsilon/10 guard")
     theta0 = np.asarray(theta0, dtype=float)
+    configs = [default_config(float(e), t_end, dt_factor, max_samples)
+               for e in eps]
 
     errs0 = np.empty(eps.size)
     errs1 = np.empty(eps.size)
-    for m, e in enumerate(eps):
+    for m, (e, config) in enumerate(zip(eps, configs)):
         params = replace(params_base, epsilon=float(e))
-        config = default_config(float(e), t_end, dt_factor, max_samples)
         w0 = critical_weights(coupling, theta0) \
             + float(e) * weight_correction(params, coupling, theta0)
         try:

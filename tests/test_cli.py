@@ -248,6 +248,21 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
     assert "dt_factor" in err
 
 
+def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(SIMULATE)
+    # dt = 0.02 * 0.03 = 6e-4 does not divide t_end = 0.5
+    cfg["integration"] = {"t_end": 0.5, "dt_factor": 0.03}
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert "t_end" in err
+
+
+def test_sample_every_on_converge_is_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(CONVERGE)
+    cfg["integration"]["sample_every"] = 5
+    err = expect_config_error(tmp_path, capsys, "converge", cfg)
+    assert "integration.sample_every" in err
+
+
 def test_missing_seed_is_config_error(tmp_path, capsys):
     cfg = copy.deepcopy(SIMULATE)
     del cfg["model"]["omega"]["seed"]

@@ -34,6 +34,9 @@ def test_config_validation():
         IntegrationConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ContractError):
         IntegrationConfig(dt=0.1, t_end=1.0, sample_every=0)
+    # 1.0 / 0.3 is not a whole number of steps; rounding would stop at 0.9
+    with pytest.raises(ContractError, match="whole number of steps"):
+        IntegrationConfig(dt=0.3, t_end=1.0)
     cfg = IntegrationConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
 
@@ -187,8 +190,11 @@ def test_full_reports_failure_location():
     exploding = Coupling(gamma=lambda d: np.exp(0.0 * d + 800.0),
                          target=lambda u, v: u * 0.0 + v * 0.0)
     cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=1.0)
-    with pytest.raises(IntegrationError, match="step 1"):
+    with pytest.raises(IntegrationError, match=r"^full-system .*\(step 1\)"):
         integrate_full(params, exploding, state, cfg)
+    field = ReducedField(order=0, params=params, coupling=exploding)
+    with pytest.raises(IntegrationError, match=r"^reduced .*\(step 1\)"):
+        integrate_reduced(field, state.theta, cfg)
 
 
 def test_reduced_rigid_rotation():

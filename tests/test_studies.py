@@ -160,6 +160,9 @@ def test_convergence_validation():
     with pytest.raises(ContractError):
         convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
                           dt_factor=0.2)
+    # t_end = 0.3 is 300 and 600 steps at 0.02 and 0.01, but not whole at 0.014
+    with pytest.raises(ContractError, match="whole number of steps"):
+        convergence_study(params, c, theta0, [0.02, 0.014, 0.01], t_end=0.3)
 
 
 def test_convergence_degenerate_for_synchronized_start():
