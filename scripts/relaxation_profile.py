@@ -16,9 +16,8 @@ from fastslow import (
     IntegrationConfig,
     ModelParams,
     attraction_study,
-    critical_weights,
     make_kuramoto,
-    weight_correction,
+    slow_manifold,
 )
 
 
@@ -38,8 +37,7 @@ def main():
     params = ModelParams(n_nodes=args.nodes, omega=omega, epsilon=args.epsilon)
     coupling = make_kuramoto(args.alpha)
 
-    surface = critical_weights(coupling, theta0) \
-        + args.epsilon * weight_correction(params, coupling, theta0)
+    surface = slow_manifold(params, coupling, theta0)
     noise = rng.standard_normal((args.nodes, args.nodes))
     noise /= np.linalg.norm(noise)
     state = FullState(theta=theta0, weights=surface + noise)

@@ -28,6 +28,7 @@ from .fields import (
     pair_correction,
     pair_differences,
     phase_rhs,
+    slow_manifold,
     triplet_interaction,
     weight_correction,
     weight_rhs,
@@ -107,6 +108,7 @@ __all__ = [
     "pushforward_certificate_invariance",
     "rk4_step",
     "scan_mixed_derivatives",
+    "slow_manifold",
     "trajectory_csv_string",
     "trajectory_to_csv",
     "triplet_interaction",

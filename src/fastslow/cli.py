@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import io
 import json
 import platform
 import sys
@@ -34,7 +33,7 @@ from .certificate import (
     default_scan_points,
     scan_mixed_derivatives,
 )
-from .fields import ReducedField, critical_weights, weight_correction
+from .fields import ReducedField, critical_weights, slow_manifold
 from .integrate import default_config, integrate_full, trajectory_to_csv
 from .model import (
     ContractError,
@@ -142,6 +141,13 @@ def _as_int(value, path: str) -> int:
     return int(value)
 
 
+def _as_seed(value, path: str) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0, path,
+            f"must be a non-negative integer seed, got {value!r}")
+    return value
+
+
 def _as_float_list(value, path: str, length=None):
     _expect(isinstance(value, list), path, "must be a list of numbers")
     out = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -161,20 +167,19 @@ class SeedBook:
     """
 
     def __init__(self, override, top_seed):
-        self.override = override
-        self.top_seed = top_seed
+        self.override = None if override is None else _as_seed(override, "--seed")
+        self.top_seed = None if top_seed is None else _as_seed(top_seed, "seed")
         self.resolved: dict = {}
 
     def rng(self, purpose: str, tag: int, local_seed, path: str):
-        if local_seed is not None and not (isinstance(local_seed, int)
-                                           and not isinstance(local_seed, bool)):
-            raise ConfigError(f"{path}: seed must be an integer")
+        if local_seed is not None:
+            _as_seed(local_seed, path)
         if self.override is not None:
-            key = [int(self.override), tag]
+            key = [self.override, tag]
         elif local_seed is not None:
-            key = int(local_seed)
+            key = local_seed
         elif self.top_seed is not None:
-            key = [int(self.top_seed), tag]
+            key = [self.top_seed, tag]
         else:
             raise ConfigError(
                 f"{path}: randomized field needs a seed (field seed, "
@@ -290,13 +295,12 @@ def _resolve_output(cfg: dict, out_flag):
 
 
 def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
-                   seeds: SeedBook, report: dict, csv_text: str,
-                   quiet: bool) -> None:
+                   seeds: SeedBook, report: dict, write_csv) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": raw_config,
-        "seed_override": None if seeds.override is None else int(seeds.override),
+        "seed_override": seeds.override,
         "resolved_seeds": seeds.resolved,
         "versions": {
             "fastslow": __version__,
@@ -310,27 +314,26 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
     if "json" in formats:
         write_json(out_dir / "report.json", report)
     if "csv" in formats:
-        (out_dir / "raw.csv").write_text(csv_text, encoding="utf-8")
-    if not quiet:
-        print(f"wrote {out_dir}/manifest.json"
-              + (", report.json" if "json" in formats else "")
-              + (", raw.csv" if "csv" in formats else ""))
+        with (out_dir / "raw.csv").open("w", encoding="utf-8") as stream:
+            write_csv(stream)
 
 
-def _csv_rows(header_comment: str, columns: list, rows) -> str:
+def _csv_rows(header_comment: str, columns: list, rows):
     lines = ["# " + header_comment, ",".join(columns)]
     for row in rows:
         lines.append(",".join(
             str(int(v)) if isinstance(v, (int, np.integer))
             else format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return lambda stream: stream.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each validates its config blocks, runs, and returns
+# (report, write_csv, summary_line); main writes raw.csv with
+# write_csv(stream), so a long trajectory is never one string in memory
 
 
-def cmd_simulate(raw_config, args, seeds: SeedBook) -> int:
+def cmd_simulate(raw_config, seeds: SeedBook):
     params, _, coupling = _resolve_model(raw_config, "simulate", seeds)
     theta0 = _resolve_theta0(raw_config, params.n_nodes, seeds)
     initial_block = _get_block(raw_config, "initial", required=True)
@@ -339,8 +342,7 @@ def cmd_simulate(raw_config, args, seeds: SeedBook) -> int:
     if weights_cfg == "critical":
         weights = critical_weights(coupling, theta0)
     elif weights_cfg == "slow_manifold":
-        weights = critical_weights(coupling, theta0) \
-            + params.epsilon * weight_correction(params, coupling, theta0)
+        weights = slow_manifold(params, coupling, theta0)
     elif isinstance(weights_cfg, list):
         weights = np.asarray(
             [_as_float_list(r, f"initial.weights[{i}]", params.n_nodes)
@@ -376,22 +378,20 @@ def cmd_simulate(raw_config, args, seeds: SeedBook) -> int:
         "final_theta": traj.thetas[-1].tolist(),
         "final_weights": traj.weights[-1].tolist(),
     }
-    buf = io.StringIO()
-    buf.write("# full-system trajectory; phases canonical in [0, 2pi), "
-              "weights row-major\n")
-    trajectory_to_csv(traj, buf)
-    out_dir, formats = _resolve_output(raw_config, args.out)
-    _write_outputs(out_dir, formats, "simulate", raw_config, seeds, report,
-                   buf.getvalue(), args.quiet)
-    if not args.quiet:
-        print(f"simulate: {traj.n_samples} samples to t={traj.times[-1]:g}")
-    return EXIT_OK
+
+    def write_csv(stream):
+        stream.write("# full-system trajectory; phases canonical in "
+                     "[0, 2pi), weights row-major\n")
+        trajectory_to_csv(traj, stream)
+
+    return report, write_csv, \
+        f"simulate: {traj.n_samples} samples to t={traj.times[-1]:g}"
 
 
-def cmd_certify(raw_config, args, seeds: SeedBook) -> int:
+def cmd_certify(raw_config, seeds: SeedBook):
     params, _, coupling = _resolve_model(raw_config, "certify", seeds)
     block = _get_block(raw_config, "certify")
-    order = block.get("order", 1)
+    order = _as_int(block.get("order", 1), "certify.order")
     _expect(order in (0, 1), "certify.order", "must be 0 or 1")
     fd_step = _as_float(block.get("fd_step", DEFAULT_FD_STEP), "certify.fd_step")
     _expect(fd_step > 0, "certify.fd_step", "must be > 0")
@@ -422,25 +422,20 @@ def cmd_certify(raw_config, args, seeds: SeedBook) -> int:
         "grid_seed": grid_seed,
     }
     n = params.n_nodes
-    csv_text = _csv_rows(
+    write_csv = _csv_rows(
         "mixed-derivative scan over node triples and phase points",
         ["i", "j", "k", "point_index"]
         + [f"theta_{m + 1}" for m in range(n)] + ["fd_value"],
         [(i, j, k, g, *points[g], v) for (i, j, k, g, v) in rows])
-    out_dir, formats = _resolve_output(raw_config, args.out)
-    _write_outputs(out_dir, formats, "certify", raw_config, seeds, report,
-                   csv_text, args.quiet)
-    if not args.quiet:
-        if result.decision == DECISION_CERTIFIED:
-            theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
-            print(f"NONPAIRWISE-CERTIFIED at (i,j,k)={result.index_triple} "
-                  f"theta={theta_txt} value={format_float(result.fd_value)}")
-        else:
-            print("NO-EVIDENCE")
-    return EXIT_OK
+    if result.decision != DECISION_CERTIFIED:
+        return report, write_csv, "NO-EVIDENCE"
+    theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
+    return report, write_csv, (
+        f"NONPAIRWISE-CERTIFIED at (i,j,k)={result.index_triple} "
+        f"theta={theta_txt} value={format_float(result.fd_value)}")
 
 
-def cmd_converge(raw_config, args, seeds: SeedBook) -> int:
+def cmd_converge(raw_config, seeds: SeedBook):
     params_base, epsilon_list, coupling = _resolve_model(
         raw_config, "converge", seeds)
     theta0 = _resolve_theta0(raw_config, params_base.n_nodes, seeds)
@@ -470,23 +465,18 @@ def cmd_converge(raw_config, args, seeds: SeedBook) -> int:
         "t_end": t_end,
         "dt_factor": dt_factor,
     }
-    csv_text = _csv_rows(
+    write_csv = _csv_rows(
         "reduction errors against epsilon",
         ["epsilon", "error_order0", "error_order1"],
         zip(result.epsilons, result.errors_order0, result.errors_order1))
-    out_dir, formats = _resolve_output(raw_config, args.out)
-    _write_outputs(out_dir, formats, "converge", raw_config, seeds, report,
-                   csv_text, args.quiet)
-    if not args.quiet:
-        if result.degenerate:
-            print("degenerate case: errors at machine precision, no slopes fitted")
-        else:
-            print(f"slope0={format_float(result.fit_order0.slope)} "
-                  f"slope1={format_float(result.fit_order1.slope)}")
-    return EXIT_OK
+    if result.degenerate:
+        return report, write_csv, \
+            "degenerate case: errors at machine precision, no slopes fitted"
+    return report, write_csv, (f"slope0={format_float(result.fit_order0.slope)} "
+                              f"slope1={format_float(result.fit_order1.slope)}")
 
 
-def cmd_attract(raw_config, args, seeds: SeedBook) -> int:
+def cmd_attract(raw_config, seeds: SeedBook):
     params, _, coupling = _resolve_model(raw_config, "attract", seeds)
     theta0 = _resolve_theta0(raw_config, params.n_nodes, seeds)
     block = _get_block(raw_config, "attract")
@@ -497,9 +487,8 @@ def cmd_attract(raw_config, args, seeds: SeedBook) -> int:
     rng = seeds.rng("perturbation", SEED_TAG_PERTURBATION,
                     block.get("perturbation_seed"), "attract.perturbation_seed")
     noise = rng.standard_normal((params.n_nodes, params.n_nodes))
-    surface = critical_weights(coupling, theta0) \
-        + params.epsilon * weight_correction(params, coupling, theta0)
-    weights = surface + noise * (norm / np.linalg.norm(noise))
+    weights = slow_manifold(params, coupling, theta0) \
+        + noise * (norm / np.linalg.norm(noise))
 
     _, _, config = _resolve_integration(
         raw_config, params.epsilon,
@@ -517,16 +506,12 @@ def cmd_attract(raw_config, args, seeds: SeedBook) -> int:
         "residual": result.residual,
         "n_points": result.n_points,
     }
-    csv_text = _csv_rows(
+    write_csv = _csv_rows(
         "order-1 manifold distance against fast time t/epsilon",
         ["fast_time", "distance"],
         zip(result.fast_times, result.distances))
-    out_dir, formats = _resolve_output(raw_config, args.out)
-    _write_outputs(out_dir, formats, "attract", raw_config, seeds, report,
-                   csv_text, args.quiet)
-    if not args.quiet:
-        print(f"rate={format_float(result.fitted_rate_per_fast_time)}")
-    return EXIT_OK
+    return report, write_csv, \
+        f"rate={format_float(result.fitted_rate_per_fast_time)}"
 
 
 COMMANDS = {
@@ -591,14 +576,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    top_seed = raw_config.get("seed")
-    if top_seed is not None and not isinstance(top_seed, int):
-        print("config error: seed: must be an integer", file=sys.stderr)
-        return EXIT_CONFIG
-    seeds = SeedBook(override=args.seed, top_seed=top_seed)
-
     try:
-        return COMMANDS[args.command](raw_config, args, seeds)
+        seeds = SeedBook(override=args.seed, top_seed=raw_config.get("seed"))
+        out_dir, formats = _resolve_output(raw_config, args.out)
+        report, write_csv, summary = COMMANDS[args.command](raw_config, seeds)
+        _write_outputs(out_dir, formats, args.command, raw_config, seeds,
+                       report, write_csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -611,6 +594,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep the exit-code contract even for bugs
         print(f"unexpected failure: {exc!r}", file=sys.stderr)
         return EXIT_RUNTIME
+    if not args.quiet:
+        print(f"wrote {out_dir}/manifest.json"
+              + (", report.json" if "json" in formats else "")
+              + (", raw.csv" if "csv" in formats else ""))
+        print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ The full system in slow time is
 The weight equation relaxes each a_ij toward ``target(theta_i, theta_j)``
 on the fast time scale.  Freezing the phases gives the layer dynamics,
 whose equilibrium surface is the matrix ``critical_weights(theta)``.
-Substituting that surface (plus its first-order correction in epsilon)
-into the phase equation produces closed phase-only fields, implemented
-here as :class:`ReducedField`.
+That surface plus its first-order correction in epsilon is the slow
+manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
+closed phase-only field :class:`ReducedField`.
 """
 
 from __future__ import annotations
@@ -99,12 +99,32 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     accounts for the slow drift of the phases pulling the weights slightly
     off the instantaneous equilibrium.
     """
-    require_first_order(coupling)
     theta = _check_shapes(params, theta)
-    f = phase_rhs(params, coupling, theta, critical_weights(coupling, theta))
+    return _correction(params, coupling, theta, critical_weights(coupling, theta))
+
+
+def _correction(params: ModelParams, coupling, theta, w0) -> FloatArray:
+    """weight_correction at checked phases whose critical weights are w0."""
+    require_first_order(coupling)
+    f = phase_rhs(params, coupling, theta, w0)
     du = coupling.target_du(theta[:, None], theta[None, :])
     dv = coupling.target_dv(theta[:, None], theta[None, :])
     return -(du * f[:, None] + dv * f[None, :])
+
+
+def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:
+    """Weight surface of the reduction, truncated at ``order`` in epsilon.
+
+    order 0: critical_weights(theta), the equilibrium of the layer dynamics.
+    order 1: critical_weights(theta) + epsilon * weight_correction(theta).
+    """
+    if order not in (0, 1):
+        raise ContractError(f"order must be 0 or 1, got {order}")
+    theta = _check_shapes(params, theta)
+    w0 = critical_weights(coupling, theta)
+    if order == 0:
+        return w0
+    return w0 + params.epsilon * _correction(params, coupling, theta, w0)
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -153,13 +173,16 @@ def triplet_interaction(coupling, i: int, j: int, k: int, theta) -> float:
 
 @dataclass(frozen=True)
 class ReducedField:
-    """Phase-only vector field obtained by substituting the (corrected)
-    equilibrium weight surface into the phase equation.
+    """Phase-only vector field: the phase equation evaluated on the slow
+    manifold, phase_rhs(theta, slow_manifold(theta, order)).
 
-    order 0: component i = omega_i + (1/N) sum_j target(theta_i, theta_j)
-             * gamma(theta_j - theta_i).
-    order 1: order-0 value plus epsilon/N times the pair-correction sum and
-             epsilon/N^2 times the triplet-interaction double sum.
+    Expanded, component i is
+    order 0: omega_i + (1/N) sum_j target(theta_i, theta_j)
+             * gamma(theta_j - theta_i);
+    order 1: the order-0 value plus epsilon/N times the sum over j of
+             pair_correction(i, j) and epsilon/N^2 times the double sum over
+             (j, k) of triplet_interaction(i, j, k).
+    The tests check this expansion against those two functions.
 
     The field is an explicit truncation; terms beyond first order in epsilon
     are dropped by definition.
@@ -180,24 +203,5 @@ class ReducedField:
         return self.params.n_nodes
 
     def __call__(self, theta) -> FloatArray:
-        theta = _check_shapes(self.params, theta)
-        c = self.coupling
-        n = self.params.n_nodes
-        eps = self.params.epsilon
-        w0 = critical_weights(c, theta)
-        diffs = pair_differences(theta)
-        g = np.asarray(c.gamma(diffs), dtype=float)
-        # s_i = sum_k target(theta_i, theta_k) gamma(theta_k - theta_i) is the
-        # coupling sum of the order-0 field and the inner sum shared by both
-        # triplet summands
-        s = (w0 * g).sum(axis=1)
-        base = self.params.omega + s / n
-        if self.order == 0:
-            return base
-        du = c.target_du(theta[:, None], theta[None, :])
-        dv = c.target_dv(theta[:, None], theta[None, :])
-        om = self.params.omega
-        pair_sum = (-g * (du * om[:, None] + dv * om[None, :])).sum(axis=1)
-        triplet_sum = (-g * (du * s[:, None] + dv * s[None, :])).sum(axis=1)
-        return base + (eps / n) * pair_sum + (eps / n ** 2) * triplet_sum
-
+        p, c = self.params, self.coupling
+        return phase_rhs(p, c, theta, slow_manifold(p, c, theta, self.order))

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ReducedField, critical_weights, weight_correction
+from .fields import ReducedField, slow_manifold
 from .integrate import IntegrationConfig, default_config, integrate_full, \
     integrate_reduced
 from .model import (
@@ -79,15 +79,10 @@ def fit_loglog(xs, ys) -> SlopeFit:
 
 def distance_to_slow_manifold(params: ModelParams, coupling, state: FullState,
                               order: int) -> float:
-    """Frobenius distance from the weight matrix to the equilibrium surface
-    (order 0) or to the surface plus its first-order correction (order 1)."""
-    if order not in (0, 1):
-        raise ContractError(f"order must be 0 or 1, got {order}")
-    surface = critical_weights(coupling, state.theta)
-    if order == 1:
-        surface = surface + params.epsilon * weight_correction(
-            params, coupling, state.theta)
-    return float(np.linalg.norm(state.weights - surface))
+    """Frobenius distance from the weight matrix to the slow manifold of
+    the given order."""
+    return float(np.linalg.norm(
+        state.weights - slow_manifold(params, coupling, state.theta, order)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +193,7 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     errs1 = np.empty(eps.size)
     for m, (e, config) in enumerate(zip(eps, configs)):
         params = replace(params_base, epsilon=float(e))
-        w0 = critical_weights(coupling, theta0) \
-            + float(e) * weight_correction(params, coupling, theta0)
+        w0 = slow_manifold(params, coupling, theta0)
         try:
             full = integrate_full(params, coupling,
                                   FullState(theta=theta0, weights=w0), config)

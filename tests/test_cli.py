@@ -70,6 +70,8 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     lines = (out / "raw.csv").read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split(",")[:2] == ["time", "theta_1"]
+    # the trajectory is streamed into raw.csv: every sample, header first
+    assert len(lines) == 2 + report["n_samples"]
     assert "simulate: " in capsys.readouterr().out
 
 
@@ -320,3 +322,43 @@ def test_empty_window_is_runtime_error(tmp_path, capsys):
     code, _ = run(tmp_path, "attract", cfg)
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_output_block_is_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("convergence_study ran before output was checked")
+    monkeypatch.setattr("fastslow.cli.convergence_study", never)
+    cfg = copy.deepcopy(CONVERGE)
+    cfg["output"] = {"formats": ["yaml"]}
+    err = expect_config_error(tmp_path, capsys, "converge", cfg)
+    assert "output.formats" in err
+
+
+@pytest.mark.parametrize("order", [True, 1.0, 2])
+def test_bad_certify_order_is_config_error(tmp_path, capsys, order):
+    cfg = copy.deepcopy(CERTIFY)
+    cfg["certify"]["order"] = order
+    err = expect_config_error(tmp_path, capsys, "certify", cfg)
+    assert "certify.order" in err
+
+
+@pytest.mark.parametrize("where, value, extra, named", [
+    ("top", True, (), "seed:"),
+    ("top", -3, (), "seed:"),
+    ("omega", -5, (), "model.omega"),
+    ("omega", False, (), "model.omega"),
+    (None, None, ("--seed", "-1"), "--seed"),
+], ids=["top-bool", "top-negative", "field-negative", "field-bool",
+        "flag-negative"])
+def test_unusable_seed_is_config_error(tmp_path, capsys, where, value, extra,
+                                       named):
+    cfg = copy.deepcopy(SIMULATE)
+    if where == "top":
+        del cfg["model"]["omega"]["seed"]
+        cfg["seed"] = value
+    elif where == "omega":
+        cfg["model"]["omega"]["seed"] = value
+    code, _ = run(tmp_path, "simulate", cfg, extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + named)

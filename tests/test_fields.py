@@ -14,6 +14,7 @@ from fastslow import (
     pair_correction,
     pair_differences,
     phase_rhs,
+    slow_manifold,
     triplet_interaction,
     weight_correction,
     weight_rhs,
@@ -22,11 +23,22 @@ from fastslow import (
 TWO_PI = 2 * np.pi
 
 
-def random_setup(seed, n=4, alpha=0.7, epsilon=0.01):
+def skewed_coupling(a=0.4, b=0.6, lag=0.3):
+    """Non-Kuramoto coupling with closed-form first derivatives: a phase-lag
+    gamma and a target that is not symmetric in its two slots."""
+    return Coupling(
+        gamma=lambda phi: np.sin(phi + lag),
+        gamma_d1=lambda phi: np.cos(phi + lag),
+        target=lambda u, v: a + np.cos(u - v) + b * np.sin(u),
+        target_du=lambda u, v: -np.sin(u - v) + b * np.cos(u),
+        target_dv=lambda u, v: np.sin(u - v))
+
+
+def random_setup(seed, n=4, alpha=0.7, epsilon=0.01, coupling=None):
     rng = np.random.default_rng(seed)
     params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
                          epsilon=epsilon)
-    coupling = make_kuramoto(alpha)
+    coupling = make_kuramoto(alpha) if coupling is None else coupling
     theta = rng.uniform(0.0, TWO_PI, n)
     weights = rng.normal(size=(n, n))
     return params, coupling, theta, weights
@@ -99,11 +111,17 @@ def test_weight_rhs_matches_naive(seed):
 @pytest.mark.parametrize("order", [0, 1])
 @pytest.mark.parametrize("seed", [3, 4])
 def test_reduced_field_matches_naive(order, seed):
-    params, coupling, theta, _ = random_setup(seed, n=5)
-    field = ReducedField(order=order, params=params, coupling=coupling)
-    got = field(theta)
-    want = naive_reduced(field, theta)
-    assert np.max(np.abs(got - want)) < 1e-13
+    """The field, phase_rhs on the slow manifold, equals its expansion into
+    pair and triplet terms, for Kuramoto and for a coupling whose target is
+    not symmetric."""
+    for n in (3, 5, 8):
+        for coupling in (make_kuramoto(0.7), skewed_coupling()):
+            params, coupling, theta, _ = random_setup(seed, n=n,
+                                                      coupling=coupling)
+            field = ReducedField(order=order, params=params, coupling=coupling)
+            got = field(theta)
+            want = naive_reduced(field, theta)
+            assert np.max(np.abs(got - want)) < 1e-13, (n, coupling)
 
 
 def test_phase_rhs_two_node_by_hand():
@@ -231,6 +249,7 @@ def test_order0_equals_surface_drift():
     params, coupling, theta, _ = random_setup(8, n=5)
     field = ReducedField(order=0, params=params, coupling=coupling)
     w0 = critical_weights(coupling, theta)
+    assert np.array_equal(slow_manifold(params, coupling, theta, order=0), w0)
     assert np.array_equal(field(theta),
                           phase_rhs(params, coupling, theta, w0))
 
@@ -255,6 +274,7 @@ def test_order1_equals_substitution():
         field = ReducedField(order=1, params=params, coupling=coupling)
         w = critical_weights(coupling, theta) \
             + params.epsilon * weight_correction(params, coupling, theta)
+        assert np.array_equal(slow_manifold(params, coupling, theta), w)
         direct = field(theta)
         substituted = phase_rhs(params, coupling, theta, w)
         scale = max(1.0, np.max(np.abs(direct)))
@@ -275,6 +295,8 @@ def test_order1_requires_first_order_coupling():
     bare = Coupling(gamma=np.sin, target=lambda u, v: np.cos(u - v))
     with pytest.raises(CapabilityError):
         ReducedField(order=1, params=params, coupling=bare)
+    with pytest.raises(CapabilityError):
+        slow_manifold(params, bare, np.zeros(3), order=1)
     # order 0 never needs derivatives
     field = ReducedField(order=0, params=params, coupling=bare)
     assert field(np.zeros(3)).shape == (3,)
@@ -284,6 +306,8 @@ def test_reduced_field_rejects_bad_order():
     params = ModelParams(n_nodes=3, omega=np.zeros(3), epsilon=0.01)
     with pytest.raises(ContractError):
         ReducedField(order=2, params=params, coupling=make_kuramoto(0.1))
+    with pytest.raises(ContractError):
+        slow_manifold(params, make_kuramoto(0.1), np.zeros(3), order=2)
 
 
 def test_field_rejects_wrong_shape():
