@@ -24,7 +24,6 @@ from .model import (
 from .fields import (
     ReducedField,
     critical_weights,
-    full_rhs,
     pair_correction,
     pair_differences,
     phase_rhs,
@@ -40,7 +39,6 @@ from .integrate import (
     integrate_full,
     integrate_reduced,
     rk4_step,
-    trajectory_csv_string,
     trajectory_to_csv,
 )
 from .certificate import (
@@ -95,7 +93,6 @@ __all__ = [
     "default_scan_points",
     "distance_to_slow_manifold",
     "fit_loglog",
-    "full_rhs",
     "integrate_full",
     "integrate_reduced",
     "make_kuramoto",
@@ -109,7 +106,6 @@ __all__ = [
     "rk4_step",
     "scan_mixed_derivatives",
     "slow_manifold",
-    "trajectory_csv_string",
     "trajectory_to_csv",
     "triplet_interaction",
     "triplet_mixed_derivative",

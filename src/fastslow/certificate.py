@@ -62,27 +62,33 @@ class CertificateReport:
 
 
 def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
-                               step: float = DEFAULT_FD_STEP) -> float:
+                               step: float = DEFAULT_FD_STEP):
     """Central 4-point estimate of d^2 field_i / (d theta_j d theta_k).
 
-    Truncation error is O(step^2).  The indices must be pairwise distinct;
-    the pairwise-vanishing statement this certificate rests on says nothing
-    about repeated indices.
+    ``theta`` is one point (N,), giving a float, or a stack of points
+    (P, N), giving one value per row; the field is called once per stencil
+    offset with the whole stack.  Truncation error is O(step^2).  The
+    indices must be pairwise distinct node indices; the pairwise-vanishing
+    statement this certificate rests on says nothing about repeated
+    indices.
     """
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
     if not (np.isfinite(step) and step > 0):
         raise ContractError(f"step must be > 0, got {step}")
     theta = np.asarray(theta, dtype=float)
-    ej = np.zeros_like(theta)
-    ek = np.zeros_like(theta)
+    n = theta.shape[-1]
+    if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+        raise ContractError(f"indices ({i}, {j}, {k}) out of range for {n} nodes")
+    ej = np.zeros(n)
+    ek = np.zeros(n)
     ej[j] = step
     ek[k] = step
-    val = (field(theta + ej + ek)[i]
-           - field(theta + ej - ek)[i]
-           - field(theta - ej + ek)[i]
-           + field(theta - ej - ek)[i])
-    return float(val) / (4.0 * step * step)
+    val = (field(theta + ej + ek)[..., i]
+           - field(theta + ej - ek)[..., i]
+           - field(theta - ej + ek)[..., i]
+           + field(theta - ej - ek)[..., i])
+    return val / (4.0 * step * step)
 
 
 def _mixed_derivative_of_triplet(coupling, a: float, b: float, d: float) -> float:
@@ -168,16 +174,18 @@ def scan_mixed_derivatives(field, points: Sequence, triples=None,
 
     Returns a list of rows (i, j, k, point_index, value), ordered
     lexicographically in (i, j, k, point_index).  That fixed order makes
-    the downstream argmax tie-breaking deterministic.
+    the downstream argmax tie-breaking deterministic.  Each triple is one
+    stencil over the whole stack of points, so the field must accept a
+    stack (P, N).
     """
     n = field.n_nodes
     if triples is None:
         triples = list(itertools.permutations(range(n), 3))
+    points = np.asarray(points, dtype=float)
     rows = []
     for (i, j, k) in triples:
-        for g, theta in enumerate(points):
-            value = mixed_second_derivative_fd(field, i, j, k, theta, fd_step)
-            rows.append((i, j, k, g, value))
+        values = mixed_second_derivative_fd(field, i, j, k, points, fd_step)
+        rows.extend((i, j, k, g, v) for g, v in enumerate(values.tolist()))
     return rows
 
 
@@ -199,10 +207,7 @@ def _pairwise_reference(field):
 
 def certify_nonpairwise(field, points=None, triples=None,
                         fd_step: float = DEFAULT_FD_STEP,
-                        noise_field=None,
-                        scan_seed: int = DEFAULT_SCAN_SEED,
-                        n_random_points: int = DEFAULT_RANDOM_POINTS
-                        ) -> CertificateReport:
+                        noise_field=None) -> CertificateReport:
     """Scan (triple, point) candidates and decide whether the field is
     certified nonpairwise.
 
@@ -220,16 +225,13 @@ def certify_nonpairwise(field, points=None, triples=None,
         raise ContractError(
             f"certification needs at least 3 nodes, got {n}")
     if points is None:
-        points = default_scan_points(n, seed=scan_seed, n_random=n_random_points)
+        points = default_scan_points(n)
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         raise ContractError("scan needs at least one point")
 
     rows = scan_mixed_derivatives(field, points, triples, fd_step)
-    best = rows[0]
-    for row in rows[1:]:
-        if abs(row[4]) > abs(best[4]):
-            best = row
+    best = max(rows, key=lambda row: abs(row[4]))
 
     reference = noise_field if noise_field is not None else _pairwise_reference(field)
     if reference is not None and reference is not field:
@@ -320,8 +322,8 @@ class PushforwardField:
         y = np.asarray(y, dtype=float)
         inv = self.inverse
         shifts = np.asarray(self.shifts, dtype=float)
-        theta = y[inv] - shifts[inv]
-        return self.base(theta)[np.asarray(self.permutation, dtype=int)]
+        theta = y[..., inv] - shifts[inv]
+        return self.base(theta)[..., np.asarray(self.permutation, dtype=int)]
 
 
 def pushforward_certificate_invariance(field, permutation, shifts, point,

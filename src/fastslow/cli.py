@@ -398,8 +398,8 @@ def cmd_certify(raw_config, seeds: SeedBook):
     n_random = _as_int(block.get("n_random_points", DEFAULT_RANDOM_POINTS),
                        "certify.n_random_points")
     _expect(n_random >= 0, "certify.n_random_points", "must be >= 0")
-    grid_seed = _as_int(block.get("grid_seed", DEFAULT_SCAN_SEED),
-                        "certify.grid_seed")
+    grid_seed = _as_seed(block.get("grid_seed", DEFAULT_SCAN_SEED),
+                         "certify.grid_seed")
 
     field = ReducedField(order=order, params=params, coupling=coupling)
     points = default_scan_points(params.n_nodes, seed=grid_seed,
@@ -539,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.directory)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override every seed in the config")
+                       help="override every seed in the config except "
+                            "certify.grid_seed")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary lines")
     return parser

@@ -11,6 +11,11 @@ whose equilibrium surface is the matrix ``critical_weights(theta)``.
 That surface plus its first-order correction in epsilon is the slow
 manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
 closed phase-only field :class:`ReducedField`.
+
+The model equations broadcast over leading axes: phases of shape (..., N)
+and weights of shape (..., N, N) give one result per leading index, equal
+to the result for that phase vector alone.  The scalar oracles
+pair_correction and triplet_interaction take one phase vector.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from .model import (
     ContractError,
     FloatArray,
-    FullState,
     ModelParams,
     require_first_order,
 )
@@ -31,21 +35,22 @@ from .model import (
 def _check_shapes(params: ModelParams, theta, weights=None):
     n = params.n_nodes
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,):
-        raise ContractError(f"theta must have shape ({n},), got {theta.shape}")
+    if theta.shape[-1:] != (n,):
+        raise ContractError(
+            f"theta must have shape (..., {n}), got {theta.shape}")
     if weights is None:
         return theta
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n, n):
+    if weights.shape[-2:] != (n, n):
         raise ContractError(
-            f"weights must have shape ({n}, {n}), got {weights.shape}")
+            f"weights must have shape (..., {n}, {n}), got {weights.shape}")
     return theta, weights
 
 
 def pair_differences(theta: FloatArray) -> FloatArray:
     """Matrix of phase differences with entry (i, j) = theta_j - theta_i."""
     theta = np.asarray(theta, dtype=float)
-    return theta[None, :] - theta[:, None]
+    return theta[..., None, :] - theta[..., :, None]
 
 
 def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
@@ -56,7 +61,7 @@ def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
     """
     theta, weights = _check_shapes(params, theta, weights)
     g = coupling.gamma(pair_differences(theta))
-    return params.omega + (weights * g).sum(axis=1) / params.n_nodes
+    return params.omega + (weights * g).sum(axis=-1) / params.n_nodes
 
 
 def weight_rhs(coupling, theta, weights) -> FloatArray:
@@ -66,28 +71,19 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
     """
     theta = np.asarray(theta, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    n = theta.shape[0]
-    if weights.shape != (n, n):
+    n = theta.shape[-1]
+    if weights.shape[-2:] != (n, n):
         raise ContractError(
-            f"weights must have shape ({n}, {n}), got {weights.shape}")
-    return -weights + coupling.target(theta[:, None], theta[None, :])
-
-
-def full_rhs(params: ModelParams, coupling, state: FullState):
-    """Both time derivatives of the full system in slow time.
-
-    Returns (dtheta, dweights) with dweights = weight_rhs / epsilon.
-    """
-    dtheta = phase_rhs(params, coupling, state.theta, state.weights)
-    dweights = weight_rhs(coupling, state.theta, state.weights) / params.epsilon
-    return dtheta, dweights
+            f"weights must have shape (..., {n}, {n}), got {weights.shape}")
+    return -weights + coupling.target(theta[..., :, None], theta[..., None, :])
 
 
 def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
     target(theta_i, theta_j)."""
     theta = np.asarray(theta, dtype=float)
-    return np.asarray(coupling.target(theta[:, None], theta[None, :]), dtype=float)
+    return np.asarray(coupling.target(theta[..., :, None], theta[..., None, :]),
+                      dtype=float)
 
 
 def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
@@ -107,9 +103,10 @@ def _correction(params: ModelParams, coupling, theta, w0) -> FloatArray:
     """weight_correction at checked phases whose critical weights are w0."""
     require_first_order(coupling)
     f = phase_rhs(params, coupling, theta, w0)
-    du = coupling.target_du(theta[:, None], theta[None, :])
-    dv = coupling.target_dv(theta[:, None], theta[None, :])
-    return -(du * f[:, None] + dv * f[None, :])
+    u, v = theta[..., :, None], theta[..., None, :]
+    du = coupling.target_du(u, v)
+    dv = coupling.target_dv(u, v)
+    return -(du * f[..., :, None] + dv * f[..., None, :])
 
 
 def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:

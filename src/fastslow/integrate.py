@@ -13,7 +13,6 @@ left unwrapped so that stage arithmetic never crosses the branch cut.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -107,11 +106,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def final_state(self) -> FullState:
-        if self.weights is None:
-            raise ContractError("phase-only trajectory has no weight matrix")
-        return FullState(theta=self.thetas[-1], weights=self.weights[-1])
-
 
 def rk4_step(rhs, state: FloatArray, dt: float) -> FloatArray:
     """One classical Runge-Kutta step on a flat state array.
@@ -165,7 +159,6 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
             f"dt={config.dt} exceeds the stability guard epsilon/10 = "
             f"{params.epsilon / 10.0}")
 
-    # not full_rhs: it would build and re-validate a FullState every stage
     def rhs(flat):
         theta = flat[:n]
         w = flat[n:].reshape(n, n)
@@ -208,9 +201,3 @@ def trajectory_to_csv(traj: Trajectory, stream) -> None:
         if traj.weights is not None:
             vals += list(traj.weights[row].ravel())
         stream.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-
-
-def trajectory_csv_string(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    return buf.getvalue()

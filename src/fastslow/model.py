@@ -58,7 +58,8 @@ def phase_distance(a, b) -> float:
 
     Component distance is min(|a-b| mod 2pi, 2pi - |a-b| mod 2pi); the
     vector distance is the maximum over components.  This is a metric on
-    the torus.
+    the torus.  On stacks of phase vectors it is the maximum over every
+    sample and component.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -77,12 +77,17 @@ def fit_loglog(xs, ys) -> SlopeFit:
                     r_squared=r_squared, poor_fit=r_squared < MIN_R_SQUARED)
 
 
-def distance_to_slow_manifold(params: ModelParams, coupling, state: FullState,
-                              order: int) -> float:
-    """Frobenius distance from the weight matrix to the slow manifold of
-    the given order."""
-    return float(np.linalg.norm(
-        state.weights - slow_manifold(params, coupling, state.theta, order)))
+def distance_to_slow_manifold(params: ModelParams, coupling, theta, weights,
+                              order: int):
+    """Frobenius distance from the weights (..., N, N) to the slow manifold
+    of the given order at the phases (..., N): a float for one state, one
+    value per leading index for a stack."""
+    gap = np.asarray(weights, dtype=float) \
+        - slow_manifold(params, coupling, theta, order)
+    # the dot product of the flattened gap with itself, as np.linalg.norm
+    # takes it, so a stack reproduces the one-state values bit for bit
+    g = gap.reshape(gap.shape[:-2] + (-1,))
+    return np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +119,15 @@ def attraction_study(params: ModelParams, coupling, initial: FullState,
     in [1e-8, half the initial distance].  An empty window is an
     experiment error.
     """
-    d0 = distance_to_slow_manifold(params, coupling, initial, order=1)
+    d0 = distance_to_slow_manifold(params, coupling, initial.theta,
+                                   initial.weights, order=1)
     if d0 < 0.1:
         raise ContractError(
             f"initial state must start off the surface (distance >= 0.1), "
             f"got {d0:.3g}")
     traj = integrate_full(params, coupling, initial, config)
-    dists = np.empty(traj.n_samples)
-    for row in range(traj.n_samples):
-        state = FullState(theta=traj.thetas[row], weights=traj.weights[row])
-        dists[row] = distance_to_slow_manifold(params, coupling, state, order=1)
+    dists = distance_to_slow_manifold(params, coupling, traj.thetas,
+                                      traj.weights, order=1)
     fast_times = traj.times / params.epsilon
     ceil = ATTRACTION_WINDOW_CEIL_FRACTION * d0
     mask = (dists >= ATTRACTION_WINDOW_FLOOR) & (dists <= ceil)
@@ -206,10 +210,8 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         except IntegrationError as exc:
             raise ExperimentError(
                 f"integration failed at epsilon={e}: {exc}") from exc
-        errs0[m] = max(phase_distance(full.thetas[r], red0.thetas[r])
-                       for r in range(full.n_samples))
-        errs1[m] = max(phase_distance(full.thetas[r], red1.thetas[r])
-                       for r in range(full.n_samples))
+        errs0[m] = phase_distance(full.thetas, red0.thetas)
+        errs1[m] = phase_distance(full.thetas, red1.thetas)
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     if degenerate:

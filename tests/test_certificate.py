@@ -59,6 +59,26 @@ def test_stencil_rejects_repeated_indices():
         mixed_second_derivative_fd(probe, 0, 1, 1, np.zeros(3))
     with pytest.raises(ContractError):
         mixed_second_derivative_fd(probe, 0, 1, 2, np.zeros(3), step=0.0)
+    # distinct but not node indices: (0, 4, -1) would be d^2 F_0 / d theta_4^2
+    with pytest.raises(ContractError):
+        mixed_second_derivative_fd(order1_field(n=5), 0, 4, -1, np.zeros(5))
+
+
+def test_stack_equals_per_point():
+    """A stack (P, N) of points gives, row by row, exactly the one-point
+    values, for the FD stencil and for a pushed-forward field."""
+    rng = np.random.default_rng(11)
+    field = order1_field(n=5, omega=rng.uniform(-1.0, 1.0, 5))
+    pushed = PushforwardField(base=field, permutation=(3, 0, 4, 1, 2),
+                              shifts=tuple(rng.uniform(0.0, TWO_PI, 5)))
+    points = rng.uniform(0.0, TWO_PI, (6, 5))
+    assert np.array_equal(pushed(points), [pushed(p) for p in points])
+    for f in (field, pushed):
+        stacked = mixed_second_derivative_fd(f, 0, 2, 4, points)
+        per_point = [mixed_second_derivative_fd(f, 0, 2, 4, p) for p in points]
+        assert all(isinstance(v, float) for v in per_point)
+        assert stacked.shape == (6,)
+        assert np.array_equal(stacked, per_point)
 
 
 def test_triplet_mixed_derivative_star_value():

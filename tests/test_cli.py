@@ -348,17 +348,21 @@ def test_bad_certify_order_is_config_error(tmp_path, capsys, order):
     ("omega", -5, (), "model.omega"),
     ("omega", False, (), "model.omega"),
     (None, None, ("--seed", "-1"), "--seed"),
+    ("grid", -1, (), "certify.grid_seed"),
 ], ids=["top-bool", "top-negative", "field-negative", "field-bool",
-        "flag-negative"])
+        "flag-negative", "grid-negative"])
 def test_unusable_seed_is_config_error(tmp_path, capsys, where, value, extra,
                                        named):
-    cfg = copy.deepcopy(SIMULATE)
+    command = "certify" if where == "grid" else "simulate"
+    cfg = copy.deepcopy(CERTIFY if where == "grid" else SIMULATE)
     if where == "top":
         del cfg["model"]["omega"]["seed"]
         cfg["seed"] = value
     elif where == "omega":
         cfg["model"]["omega"]["seed"] = value
-    code, _ = run(tmp_path, "simulate", cfg, extra=extra)
+    elif where == "grid":
+        cfg["certify"]["grid_seed"] = value
+    code, _ = run(tmp_path, command, cfg, extra=extra)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + named)

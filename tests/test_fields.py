@@ -1,15 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fastslow import (
     CapabilityError,
     ContractError,
     Coupling,
-    FullState,
     ModelParams,
     ReducedField,
     critical_weights,
-    full_rhs,
     make_kuramoto,
     pair_correction,
     pair_differences,
@@ -143,13 +145,35 @@ def test_pair_differences_orientation():
     assert d[0, 2] == pytest.approx(3.0)
 
 
-def test_full_rhs_scaling_and_consistency():
-    params, coupling, theta, weights = random_setup(5)
-    state = FullState(theta=theta, weights=weights)
-    dtheta, dweights = full_rhs(params, coupling, state)
-    assert np.allclose(dtheta, phase_rhs(params, coupling, theta, weights))
-    assert np.allclose(dweights * params.epsilon,
-                       weight_rhs(coupling, theta, weights), atol=1e-14)
+@st.composite
+def phase_stacks(draw):
+    """Params plus a stack of 1-6 phase vectors and matching weights."""
+    n = draw(st.integers(3, 8))
+    p = draw(st.integers(1, 6))
+    omega = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    thetas = draw(hnp.arrays(float, (p, n), elements=st.floats(0.0, TWO_PI)))
+    weights = draw(hnp.arrays(float, (p, n, n), elements=st.floats(-2.0, 2.0)))
+    return ModelParams(n_nodes=n, omega=omega, epsilon=0.01), thetas, weights
+
+
+@settings(max_examples=30, deadline=None)
+@given(phase_stacks())
+def test_stack_equals_per_point(stack):
+    """On a stack (P, N) every field function returns, row by row, exactly
+    what it returns for that row alone."""
+    params, thetas, weights = stack
+    for coupling in (make_kuramoto(0.7), skewed_coupling()):
+        cases = [(partial(phase_rhs, params, coupling), (thetas, weights)),
+                 (partial(weight_rhs, coupling), (thetas, weights)),
+                 (partial(critical_weights, coupling), (thetas,))]
+        for order in (0, 1):
+            cases.append((partial(slow_manifold, params, coupling, order=order),
+                          (thetas,)))
+            cases.append((ReducedField(order=order, params=params,
+                                       coupling=coupling), (thetas,)))
+        for fn, args in cases:
+            per_point = np.array([fn(*row) for row in zip(*args)])
+            assert np.array_equal(fn(*args), per_point), (fn, coupling)
 
 
 # ---------------------------------------------------------------------------

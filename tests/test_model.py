@@ -15,6 +15,13 @@ from fastslow import (
 
 TWO_PI = 2 * np.pi
 
+
+def test_public_names_resolve():
+    import fastslow
+    assert len(set(fastslow.__all__)) == len(fastslow.__all__)
+    for name in fastslow.__all__:
+        assert hasattr(fastslow, name), name
+
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
 

@@ -15,6 +15,7 @@ from fastslow import (
     distance_to_slow_manifold,
     fit_loglog,
     make_kuramoto,
+    slow_manifold,
     weight_correction,
 )
 
@@ -60,14 +61,13 @@ def test_distance_vanishes_on_each_surface():
     c = make_kuramoto(0.5)
     rng = np.random.default_rng(1)
     theta = rng.uniform(0.0, TWO_PI, 3)
-    on0 = FullState(theta=theta, weights=critical_weights(c, theta))
-    assert distance_to_slow_manifold(params, c, on0, order=0) == 0.0
-    corrected = critical_weights(c, theta) \
+    on0 = critical_weights(c, theta)
+    assert distance_to_slow_manifold(params, c, theta, on0, order=0) == 0.0
+    on1 = critical_weights(c, theta) \
         + params.epsilon * weight_correction(params, c, theta)
-    on1 = FullState(theta=theta, weights=corrected)
-    assert distance_to_slow_manifold(params, c, on1, order=1) == 0.0
+    assert distance_to_slow_manifold(params, c, theta, on1, order=1) == 0.0
     # the two surfaces differ at order epsilon
-    gap = distance_to_slow_manifold(params, c, on0, order=1)
+    gap = distance_to_slow_manifold(params, c, theta, on0, order=1)
     assert 0.0 < gap < 10.0 * params.epsilon
 
 
@@ -76,11 +76,20 @@ def test_distance_is_frobenius():
     c = make_kuramoto(0.5)
     theta = np.zeros(3)
     w = critical_weights(c, theta) + np.ones((3, 3))
-    state = FullState(theta=theta, weights=w)
-    assert distance_to_slow_manifold(params, c, state, order=0) == \
+    assert distance_to_slow_manifold(params, c, theta, w, order=0) == \
         pytest.approx(3.0, abs=1e-14)
     with pytest.raises(ContractError):
-        distance_to_slow_manifold(params, c, state, order=2)
+        distance_to_slow_manifold(params, c, theta, w, order=2)
+    # on a stack (P, N), (P, N, N): each state's np.linalg.norm, bit for bit
+    rng = np.random.default_rng(3)
+    for n in (3, 7, 16):
+        params = make_params(n=n)
+        thetas = rng.uniform(0.0, TWO_PI, (5, n))
+        weights = rng.normal(size=(5, n, n))
+        got = distance_to_slow_manifold(params, c, thetas, weights, order=1)
+        want = [np.linalg.norm(w - slow_manifold(params, c, t))
+                for t, w in zip(thetas, weights)]
+        assert np.array_equal(got, want)
 
 
 def frozen_phase_coupling(alpha=0.3):
