@@ -319,12 +319,15 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
 
 
 def _csv_rows(header_comment: str, columns: list, rows):
-    lines = ["# " + header_comment, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
+    """Writer of a commented CSV table; ``rows`` is iterated and formatted
+    only when the writer is called, so a run without csv output never
+    formats its table."""
+    def write_csv(stream):
+        stream.write("# " + header_comment + "\n" + ",".join(columns) + "\n")
+        stream.writelines(",".join(
             str(int(v)) if isinstance(v, (int, np.integer))
-            else format_float(v) for v in row))
-    return lambda stream: stream.write("\n".join(lines) + "\n")
+            else format_float(v) for v in row) + "\n" for row in rows)
+    return write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +429,7 @@ def cmd_certify(raw_config, seeds: SeedBook):
         "mixed-derivative scan over node triples and phase points",
         ["i", "j", "k", "point_index"]
         + [f"theta_{m + 1}" for m in range(n)] + ["fd_value"],
-        [(i, j, k, g, *points[g], v) for (i, j, k, g, v) in rows])
+        ((i, j, k, g, *points[g], v) for (i, j, k, g, v) in rows))
     if result.decision != DECISION_CERTIFIED:
         return report, write_csv, "NO-EVIDENCE"
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"

@@ -60,7 +60,11 @@ def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
     The sum runs over every j including j = i.
     """
     theta, weights = _check_shapes(params, theta, weights)
-    g = coupling.gamma(pair_differences(theta))
+    return _phase_rhs(params, weights, coupling.gamma(pair_differences(theta)))
+
+
+def _phase_rhs(params: ModelParams, weights, g) -> FloatArray:
+    """phase_rhs with g = gamma(pair_differences(theta)) already evaluated."""
     return params.omega + (weights * g).sum(axis=-1) / params.n_nodes
 
 
@@ -96,13 +100,15 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     off the instantaneous equilibrium.
     """
     theta = _check_shapes(params, theta)
-    return _correction(params, coupling, theta, critical_weights(coupling, theta))
+    return _correction(params, coupling, theta, critical_weights(coupling, theta),
+                       coupling.gamma(pair_differences(theta)))
 
 
-def _correction(params: ModelParams, coupling, theta, w0) -> FloatArray:
-    """weight_correction at checked phases whose critical weights are w0."""
+def _correction(params: ModelParams, coupling, theta, w0, g) -> FloatArray:
+    """weight_correction at checked phases whose critical weights are w0 and
+    whose gamma(pair_differences(theta)) is g."""
     require_first_order(coupling)
-    f = phase_rhs(params, coupling, theta, w0)
+    f = _phase_rhs(params, w0, g)
     u, v = theta[..., :, None], theta[..., None, :]
     du = coupling.target_du(u, v)
     dv = coupling.target_dv(u, v)
@@ -117,11 +123,19 @@ def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> Float
     """
     if order not in (0, 1):
         raise ContractError(f"order must be 0 or 1, got {order}")
-    theta = _check_shapes(params, theta)
+    return _slow_manifold(params, coupling, _check_shapes(params, theta), order)
+
+
+def _slow_manifold(params: ModelParams, coupling, theta, order: int,
+                   g=None) -> FloatArray:
+    """slow_manifold at checked phases; g is gamma(pair_differences(theta))
+    when the caller has already evaluated it."""
     w0 = critical_weights(coupling, theta)
     if order == 0:
         return w0
-    return w0 + params.epsilon * _correction(params, coupling, theta, w0)
+    if g is None:
+        g = coupling.gamma(pair_differences(theta))
+    return w0 + params.epsilon * _correction(params, coupling, theta, w0, g)
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -200,5 +214,9 @@ class ReducedField:
         return self.params.n_nodes
 
     def __call__(self, theta) -> FloatArray:
+        # gamma(theta_j - theta_i) enters both the surface and the phase
+        # equation on it; evaluate it once
         p, c = self.params, self.coupling
-        return phase_rhs(p, c, theta, slow_manifold(p, c, theta, self.order))
+        theta = _check_shapes(p, theta)
+        g = c.gamma(pair_differences(theta))
+        return _phase_rhs(p, _slow_manifold(p, c, theta, self.order, g), g)

@@ -7,6 +7,12 @@ the much stricter dt <= epsilon / 10 as a hard error and default to
 epsilon / 20, which keeps the fast transient accurately resolved rather
 than merely stable.
 
+The reduced fields carry no fast scale, so no guard ties their step to
+epsilon.  The convergence study steps them at the full run's sample
+spacing, in equal substeps of at most 0.01, so that their samples fall on
+the full run's sample times, and it integrates the epsilon-free order-0
+field once per shared sample grid.
+
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
 """

@@ -39,6 +39,10 @@ ATTRACTION_WINDOW_CEIL_FRACTION = 0.5
 # slope is fitted
 DEGENERATE_ERROR_FLOOR = 1e-12
 
+# longest step for a reduced field in the convergence study; the reduced
+# fields carry no fast scale, so their step is not tied to epsilon
+MAX_REDUCED_DT = 0.01
+
 
 @dataclass(frozen=True, eq=False)
 class SlopeFit:
@@ -167,6 +171,18 @@ class ConvergenceReport:
     degenerate: bool
 
 
+def _sample_grid(config: IntegrationConfig) -> IntegrationConfig:
+    """Config that steps a reduced field onto the sample times of a full
+    run with ``config``: one sample per sample spacing dt * sample_every,
+    reached in the fewest equal substeps no longer than MAX_REDUCED_DT."""
+    spacing = config.dt * config.sample_every
+    n_samples = config.n_steps // config.sample_every + 1
+    substeps = max(1, int(np.ceil(spacing / MAX_REDUCED_DT)))
+    return IntegrationConfig(dt=spacing / substeps,
+                             t_end=(n_samples - 1) * spacing,
+                             sample_every=substeps)
+
+
 def convergence_study(params_base: ModelParams, coupling, theta0,
                       epsilons: Sequence[float], t_end: float = 2.0,
                       dt_factor: float = 0.05,
@@ -176,10 +192,15 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
 
     For each epsilon the full system starts on the corrected weight surface
     (suppressing the initial fast transient up to its own higher-order
-    error) and the error is the largest phase distance over the sampled
-    window [0, t_end].  Requires at least 3 epsilon values, strictly
-    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at every
-    epsilon, all checked before any integration starts.
+    error) and is stepped by RK4 at dt = epsilon * dt_factor, the
+    reference.  The reduced fields carry no fast scale: they are stepped
+    at the full run's sample spacing, split into substeps of at most
+    MAX_REDUCED_DT = 0.01, so their samples fall on the full run's sample
+    times.  The order-0 field does not depend on epsilon and is integrated
+    once per distinct sample grid.  The error is the largest phase distance
+    over the sampled window [0, t_end].  Requires at least 3 epsilon
+    values, strictly decreasing, dt_factor <= 0.1 and t_end a whole number
+    of steps at every epsilon, all checked before any integration starts.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -192,25 +213,27 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     theta0 = np.asarray(theta0, dtype=float)
     configs = [default_config(float(e), t_end, dt_factor, max_samples)
                for e in eps]
+    grids = [_sample_grid(config) for config in configs]
 
+    field0 = ReducedField(order=0, params=params_base, coupling=coupling)
+    red0_on = {}
     errs0 = np.empty(eps.size)
     errs1 = np.empty(eps.size)
-    for m, (e, config) in enumerate(zip(eps, configs)):
+    for m, (e, config, grid) in enumerate(zip(eps, configs, grids)):
         params = replace(params_base, epsilon=float(e))
         w0 = slow_manifold(params, coupling, theta0)
         try:
             full = integrate_full(params, coupling,
                                   FullState(theta=theta0, weights=w0), config)
-            red0 = integrate_reduced(
-                ReducedField(order=0, params=params, coupling=coupling),
-                theta0, config)
+            if grid not in red0_on:
+                red0_on[grid] = integrate_reduced(field0, theta0, grid)
             red1 = integrate_reduced(
                 ReducedField(order=1, params=params, coupling=coupling),
-                theta0, config)
+                theta0, grid)
         except IntegrationError as exc:
             raise ExperimentError(
                 f"integration failed at epsilon={e}: {exc}") from exc
-        errs0[m] = phase_distance(full.thetas, red0.thetas)
+        errs0[m] = phase_distance(full.thetas, red0_on[grid].thetas)
         errs1[m] = phase_distance(full.thetas, red1.thetas)
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fastslow.certificate import scan_mixed_derivatives
 from fastslow.cli import main
 
 SIMULATE = {
@@ -133,6 +134,32 @@ def test_csv_only_format(tmp_path):
     assert (out / "raw.csv").is_file()
     assert (out / "manifest.json").is_file()
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("formats", [["json"], ["csv", "json"]])
+def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats):
+    read = []
+
+    def tracked_scan(*args, **kwargs):
+        rows = scan_mixed_derivatives(*args, **kwargs)
+
+        def rows_read():  # runs only once the table is iterated
+            read.append(len(rows))
+            yield from rows
+        return rows_read()
+
+    monkeypatch.setattr("fastslow.cli.scan_mixed_derivatives", tracked_scan)
+    cfg = copy.deepcopy(CERTIFY)
+    cfg["output"] = {"formats": formats}
+    code, out = run(tmp_path, "certify", cfg)
+    assert code == 0
+    assert (out / "report.json").is_file()
+    if "csv" in formats:
+        assert read and read[0] > 0
+        assert len((out / "raw.csv").read_text().splitlines()) == 2 + read[0]
+    else:
+        assert not (out / "raw.csv").exists()
+        assert read == []
 
 
 def test_certify_prints_decision_line(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Each golden file under tests/golden/ is the report.json that
 ``fastslow <cmd> --config configs/<cmd>.json`` wrote before the integrator
-refactor that introduced this test.  Strings, integers, booleans and list
+refactor that introduced this test; the converge report was regenerated
+when the reduced fields moved from the full system's step to its sample
+grid, which moved its floats by at most 2.5e-8 relative.  Strings, integers, booleans and list
 lengths must match exactly; floats must agree to a relative 1e-12, which
 leaves room for last-bit BLAS/SIMD differences between machines.
 """

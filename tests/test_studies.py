@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fastslow import studies
 from fastslow import (
     ContractError,
     Coupling,
@@ -8,13 +11,16 @@ from fastslow import (
     FullState,
     IntegrationConfig,
     ModelParams,
+    ReducedField,
     attraction_study,
     convergence_study,
     critical_weights,
     default_config,
     distance_to_slow_manifold,
     fit_loglog,
+    integrate_reduced,
     make_kuramoto,
+    phase_distance,
     slow_manifold,
     weight_correction,
 )
@@ -217,3 +223,94 @@ def test_convergence_wraps_integration_failure():
     with pytest.raises(ExperimentError, match="epsilon"):
         convergence_study(params, exploding, np.zeros(3),
                           [0.02, 0.01, 0.005], t_end=0.1)
+
+
+def record_runs(monkeypatch):
+    """Record every (order, trajectory, config) the convergence study
+    integrates: order None for the full system, the field's order for a
+    reduced run."""
+    runs = []
+
+    def recording(name, order_of):
+        real = getattr(studies, name)
+
+        def run(*args):
+            traj = real(*args)
+            runs.append((order_of(args[0]), traj, args[-1]))
+            return traj
+        monkeypatch.setattr(studies, name, run)
+
+    recording("integrate_full", lambda params: None)
+    recording("integrate_reduced", lambda field: field.order)
+    return runs
+
+
+def check_sample_times(runs):
+    """Each full run is followed by its reduced runs, which sample at the
+    full run's sample times."""
+    full = None
+    for order, traj, _ in runs:
+        if order is None:
+            full = traj
+        else:
+            np.testing.assert_allclose(traj.times, full.times,
+                                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("epsilons, max_samples, n_reduced", [
+    # every full run samples every 0.001 (201 samples): order 0 runs once
+    ([0.02, 0.01, 0.005, 0.0025], 200, 5),
+    # spacings 0.001/0.0005/0.00025: order 0 runs on each grid
+    ([0.02, 0.01, 0.005], 2000, 6),
+    # every full run samples every 0.025: 3 reduced substeps per sample
+    ([0.02, 0.01, 0.005], 8, 4),
+])
+def test_convergence_integrates_order0_once_per_grid(monkeypatch, epsilons,
+                                                     max_samples, n_reduced):
+    runs = record_runs(monkeypatch)
+    params = make_params(n=3, seed=7)
+    theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
+    report = convergence_study(params, make_kuramoto(0.6), theta0, epsilons,
+                               t_end=0.2, max_samples=max_samples)
+    orders = [order for order, _, _ in runs]
+    assert orders.count(None) == orders.count(1) == len(epsilons)
+    assert orders.count(0) + orders.count(1) == n_reduced
+    check_sample_times(runs)
+    # the fewest equal substeps no longer than MAX_REDUCED_DT per sample
+    for order, _, config in runs:
+        if order is not None:
+            substeps = config.sample_every
+            assert config.dt <= studies.MAX_REDUCED_DT
+            assert substeps == 1 or config.dt * substeps / (substeps - 1) \
+                > studies.MAX_REDUCED_DT
+    assert not report.degenerate
+
+
+def test_reduced_step_error_budget(monkeypatch):
+    """On the criterion-3 sweep the reduced fields stepped on the sample
+    grid stay within 1e-3 of the smallest order-1 reduction error of the
+    same fields stepped at the full system's dt = epsilon / 20."""
+    runs = record_runs(monkeypatch)
+    rng = np.random.default_rng(42)
+    omega = rng.uniform(-1.0, 1.0, 5)
+    theta0 = rng.uniform(0.0, TWO_PI, 5)
+    params = ModelParams(n_nodes=5, omega=omega, epsilon=0.02)
+    c = make_kuramoto(0.8)
+    epsilons = [0.02, 0.01, 0.005, 0.0025]
+    report = convergence_study(params, c, theta0, epsilons, t_end=2.0,
+                               dt_factor=0.05, max_samples=2000)
+    # all four full runs sample every 0.001, so order 0 runs once
+    assert [order for order, _, _ in runs] == [None, 0, 1, None, 1, None, 1,
+                                               None, 1]
+    check_sample_times(runs)
+    budget = 1e-3 * report.errors_order1.min()
+    on_grid = [traj for order, traj, _ in runs if order is not None]
+    stiff = [default_config(e, 2.0, 0.05, 2000) for e in epsilons]
+    # the order-0 field is the same at every epsilon; its finest stiff run
+    # is the reference
+    fields = [ReducedField(order=0, params=params, coupling=c)] + [
+        ReducedField(order=1, params=replace(params, epsilon=e), coupling=c)
+        for e in epsilons]
+    for traj, field, config in zip(on_grid, fields, stiff[-1:] + stiff):
+        ref = integrate_reduced(field, theta0, config)
+        assert phase_distance(traj.thetas, ref.thetas) <= budget
