@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ReducedField
+from .fields import ReducedField, _check_indices
 from .model import (
     ContractError,
     FloatArray,
@@ -76,10 +76,8 @@ def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
     if not (np.isfinite(step) and step > 0):
         raise ContractError(f"step must be > 0, got {step}")
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_indices(theta, (i, j, k), stack=True)
     n = theta.shape[-1]
-    if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-        raise ContractError(f"indices ({i}, {j}, {k}) out of range for {n} nodes")
     ej = np.zeros(n)
     ek = np.zeros(n)
     ej[j] = step
@@ -135,10 +133,7 @@ def triplet_mixed_derivative(coupling, i: int, j: int, k: int, theta) -> float:
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
     require_second_order(coupling)
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-        raise ContractError(f"indices ({i}, {j}, {k}) out of range for {n} nodes")
+    theta = _check_indices(theta, (i, j, k))
     direct = _mixed_derivative_of_triplet(coupling, theta[i], theta[j], theta[k])
     swapped = _mixed_derivative_of_triplet(coupling, theta[i], theta[k], theta[j])
     return direct + swapped

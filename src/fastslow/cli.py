@@ -258,7 +258,9 @@ def _resolve_integration(cfg: dict, epsilon: float, default_t_end: float):
     sample_every = block.get("sample_every")
     if sample_every is not None:
         sample_every = _as_int(sample_every, "integration.sample_every")
-        _expect(sample_every >= 1, "integration.sample_every", "must be >= 1")
+        _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
+                "integration.sample_every",
+                f"must be >= 1 and divide the {config.n_steps} steps")
         config = dataclasses.replace(config, sample_every=sample_every)
     return dt_factor, t_end, config
 

@@ -10,12 +10,15 @@ on the fast time scale.  Freezing the phases gives the layer dynamics,
 whose equilibrium surface is the matrix ``critical_weights(theta)``.
 That surface plus its first-order correction in epsilon is the slow
 manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
-closed phase-only field :class:`ReducedField`.
+closed phase-only field :class:`ReducedField`.  These fields and the
+full-system rhs of ``integrate_full`` are all built from one private
+evaluation, ``_Terms``, which evaluates gamma and target once per point.
 
 The model equations broadcast over leading axes: phases of shape (..., N)
 and weights of shape (..., N, N) give one result per leading index, equal
 to the result for that phase vector alone.  The scalar oracles
-pair_correction and triplet_interaction take one phase vector.
+pair_correction and triplet_interaction take one phase vector (N,) and
+evaluate the coupling on their own, independently of ``_Terms``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .model import (
 )
 
 
-def _check_shapes(params: ModelParams, theta, weights=None):
-    n = params.n_nodes
+def _check_shapes(n: int, theta, weights=None):
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (n,):
         raise ContractError(
@@ -47,10 +49,52 @@ def _check_shapes(params: ModelParams, theta, weights=None):
     return theta, weights
 
 
+def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
+    """theta as floats, one phase vector (N,), or any (..., N) with
+    ``stack``; every index must be a node index in range(N)."""
+    theta = np.asarray(theta, dtype=float)
+    if not (stack or theta.ndim == 1):
+        raise ContractError(f"theta must have shape (N,), got {theta.shape}")
+    n = theta.shape[-1]
+    if not all(0 <= i < n for i in indices):
+        raise ContractError(f"indices {indices} out of range for {n} nodes")
+    return theta
+
+
 def pair_differences(theta: FloatArray) -> FloatArray:
     """Matrix of phase differences with entry (i, j) = theta_j - theta_i."""
     theta = np.asarray(theta, dtype=float)
     return theta[..., None, :] - theta[..., :, None]
+
+
+class _Terms:
+    """g = gamma(theta_j - theta_i) and w0 = critical_weights(theta), each
+    evaluated once at checked phases (..., N), and what is built from them:
+    the phase equation at any weights, h1 and the surface of order 0 or 1.
+    """
+
+    __slots__ = ("params", "coupling", "theta", "g", "w0")
+
+    def __init__(self, params: ModelParams, coupling, theta):
+        self.params, self.coupling, self.theta = params, coupling, theta
+        self.g = coupling.gamma(pair_differences(theta))
+        self.w0 = critical_weights(coupling, theta)
+
+    def phase_rhs(self, weights) -> FloatArray:
+        p = self.params
+        return p.omega + (weights * self.g).sum(axis=-1) / p.n_nodes
+
+    def correction(self) -> FloatArray:
+        require_first_order(self.coupling)
+        f = self.phase_rhs(self.w0)
+        u, v = self.theta[..., :, None], self.theta[..., None, :]
+        return -(self.coupling.target_du(u, v) * f[..., :, None]
+                 + self.coupling.target_dv(u, v) * f[..., None, :])
+
+    def surface(self, order: int) -> FloatArray:
+        if order == 0:
+            return self.w0
+        return self.w0 + self.params.epsilon * self.correction()
 
 
 def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
@@ -59,13 +103,8 @@ def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
     Component i is omega_i + (1/N) sum_j weights[i, j] * gamma(theta_j - theta_i).
     The sum runs over every j including j = i.
     """
-    theta, weights = _check_shapes(params, theta, weights)
-    return _phase_rhs(params, weights, coupling.gamma(pair_differences(theta)))
-
-
-def _phase_rhs(params: ModelParams, weights, g) -> FloatArray:
-    """phase_rhs with g = gamma(pair_differences(theta)) already evaluated."""
-    return params.omega + (weights * g).sum(axis=-1) / params.n_nodes
+    theta, weights = _check_shapes(params.n_nodes, theta, weights)
+    return _Terms(params, coupling, theta).phase_rhs(weights)
 
 
 def weight_rhs(coupling, theta, weights) -> FloatArray:
@@ -73,13 +112,8 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
 
     This is the raw adaptation field, not divided by epsilon.
     """
-    theta = np.asarray(theta, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n = theta.shape[-1]
-    if weights.shape[-2:] != (n, n):
-        raise ContractError(
-            f"weights must have shape (..., {n}, {n}), got {weights.shape}")
-    return -weights + coupling.target(theta[..., :, None], theta[..., None, :])
+    theta, weights = _check_shapes(np.shape(theta)[-1], theta, weights)
+    return -weights + critical_weights(coupling, theta)
 
 
 def critical_weights(coupling, theta) -> FloatArray:
@@ -99,20 +133,8 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     accounts for the slow drift of the phases pulling the weights slightly
     off the instantaneous equilibrium.
     """
-    theta = _check_shapes(params, theta)
-    return _correction(params, coupling, theta, critical_weights(coupling, theta),
-                       coupling.gamma(pair_differences(theta)))
-
-
-def _correction(params: ModelParams, coupling, theta, w0, g) -> FloatArray:
-    """weight_correction at checked phases whose critical weights are w0 and
-    whose gamma(pair_differences(theta)) is g."""
-    require_first_order(coupling)
-    f = _phase_rhs(params, w0, g)
-    u, v = theta[..., :, None], theta[..., None, :]
-    du = coupling.target_du(u, v)
-    dv = coupling.target_dv(u, v)
-    return -(du * f[..., :, None] + dv * f[..., None, :])
+    theta = _check_shapes(params.n_nodes, theta)
+    return _Terms(params, coupling, theta).correction()
 
 
 def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:
@@ -123,19 +145,8 @@ def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> Float
     """
     if order not in (0, 1):
         raise ContractError(f"order must be 0 or 1, got {order}")
-    return _slow_manifold(params, coupling, _check_shapes(params, theta), order)
-
-
-def _slow_manifold(params: ModelParams, coupling, theta, order: int,
-                   g=None) -> FloatArray:
-    """slow_manifold at checked phases; g is gamma(pair_differences(theta))
-    when the caller has already evaluated it."""
-    w0 = critical_weights(coupling, theta)
-    if order == 0:
-        return w0
-    if g is None:
-        g = coupling.gamma(pair_differences(theta))
-    return w0 + params.epsilon * _correction(params, coupling, theta, w0, g)
+    theta = _check_shapes(params.n_nodes, theta)
+    return _Terms(params, coupling, theta).surface(order)
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -146,10 +157,7 @@ def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> flo
     into the field.
     """
     require_first_order(coupling)
-    theta = _check_shapes(params, theta)
-    n = params.n_nodes
-    if not (0 <= i < n and 0 <= j < n):
-        raise ContractError(f"indices ({i}, {j}) out of range for {n} nodes")
+    theta = _check_indices(_check_shapes(params.n_nodes, theta), (i, j))
     ti, tj = theta[i], theta[j]
     return float(-coupling.gamma(tj - ti)
                  * (coupling.target_du(ti, tj) * params.omega[i]
@@ -169,10 +177,7 @@ def triplet_interaction(coupling, i: int, j: int, k: int, theta) -> float:
     over all pairs (j, k) and the diagonal terms are kept as written.
     """
     require_first_order(coupling)
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-        raise ContractError(f"indices ({i}, {j}, {k}) out of range for {n} nodes")
+    theta = _check_indices(theta, (i, j, k))
     ti, tj, tk = theta[i], theta[j], theta[k]
     g_ji = coupling.gamma(tj - ti)
     first = g_ji * coupling.target_du(ti, tj) * coupling.target(ti, tk) \
@@ -214,9 +219,6 @@ class ReducedField:
         return self.params.n_nodes
 
     def __call__(self, theta) -> FloatArray:
-        # gamma(theta_j - theta_i) enters both the surface and the phase
-        # equation on it; evaluate it once
-        p, c = self.params, self.coupling
-        theta = _check_shapes(p, theta)
-        g = c.gamma(pair_differences(theta))
-        return _phase_rhs(p, _slow_manifold(p, c, theta, self.order, g), g)
+        terms = _Terms(self.params, self.coupling,
+                       _check_shapes(self.params.n_nodes, theta))
+        return terms.phase_rhs(terms.surface(self.order))

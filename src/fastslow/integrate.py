@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import phase_rhs, weight_rhs
+from .fields import _Terms
 from .model import (
     ContractError,
     FloatArray,
@@ -40,7 +40,8 @@ MAX_DEFAULT_SAMPLES = 10_000
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Step size, horizon and sampling stride, all in slow time.  The
-    horizon t_end must be a whole number of steps dt."""
+    horizon t_end must be a whole number of steps dt, and sample_every
+    must divide that number, so that the last sample is at t_end."""
 
     dt: float
     t_end: float
@@ -54,13 +55,15 @@ class IntegrationConfig:
         if self.dt > self.t_end:
             raise ContractError(
                 f"dt={self.dt} exceeds t_end={self.t_end}")
-        if int(self.sample_every) != self.sample_every or self.sample_every < 1:
-            raise ContractError(
-                f"sample_every must be a positive integer, got {self.sample_every}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ContractError(
                 f"t_end={self.t_end} is not a whole number of steps of "
                 f"dt={self.dt}")
+        if int(self.sample_every) != self.sample_every or self.sample_every < 1 \
+                or self.n_steps % self.sample_every:
+            raise ContractError(
+                f"sample_every must be a positive integer dividing the "
+                f"{self.n_steps} steps, got {self.sample_every}")
 
     @property
     def n_steps(self) -> int:
@@ -69,9 +72,13 @@ class IntegrationConfig:
 
 def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
                    max_samples: int = MAX_DEFAULT_SAMPLES) -> IntegrationConfig:
-    """Config with dt = epsilon * dt_factor and at most max_samples stored rows."""
+    """Config with dt = epsilon * dt_factor, sampled at the smallest stride
+    that divides the step count and stores at most max_samples rows after
+    the initial one."""
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
-    sample_every = max(1, int(np.ceil(config.n_steps / max_samples)))
+    sample_every = max(1, -(-config.n_steps // max_samples))
+    while config.n_steps % sample_every:
+        sample_every += 1
     return replace(config, sample_every=sample_every)
 
 
@@ -165,15 +172,16 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
             f"dt={config.dt} exceeds the stability guard epsilon/10 = "
             f"{params.epsilon / 10.0}")
 
+    # phase_rhs and weight_rhs / epsilon at one evaluation of the coupling
     def rhs(flat):
-        theta = flat[:n]
         w = flat[n:].reshape(n, n)
-        dw = weight_rhs(coupling, theta, w) / params.epsilon
-        return np.concatenate([phase_rhs(params, coupling, theta, w),
-                               dw.ravel()])
+        terms = _Terms(params, coupling, flat[:n])
+        out = np.empty_like(flat)
+        out[:n] = terms.phase_rhs(w)
+        out[n:] = ((-w + terms.w0) / params.epsilon).ravel()
+        return out
 
-    state = np.concatenate([np.asarray(initial.theta, dtype=float),
-                            np.asarray(initial.weights, dtype=float).ravel()])
+    state = np.concatenate([initial.theta, initial.weights.ravel()])
     times, rows = _integrate(rhs, state, config, "full-system")
     return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
                       weights=rows[:, n:].reshape(-1, n, n))

@@ -113,14 +113,14 @@ class FullState:
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        n = th.shape[0] if th.ndim == 1 else -1
         if th.ndim != 1:
             raise ContractError("theta must be a 1-d array")
+        n = th.shape[0]
         if w.shape != (n, n):
             raise ContractError(
                 f"weights must have shape ({n}, {n}), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ContractError("weights must be finite")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(w))):
+            raise ContractError("theta and weights must be finite")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "weights", w)
 
@@ -130,7 +130,6 @@ class FullState:
 
 
 PhaseFn = Callable[..., object]
-PairFn = Callable[..., object]
 
 
 @dataclass(frozen=True)
@@ -152,14 +151,14 @@ class Coupling:
     """
 
     gamma: PhaseFn
-    target: PairFn
+    target: PhaseFn
     gamma_d1: Optional[PhaseFn] = None
     gamma_d2: Optional[PhaseFn] = None
-    target_du: Optional[PairFn] = None
-    target_dv: Optional[PairFn] = None
-    target_duu: Optional[PairFn] = None
-    target_duv: Optional[PairFn] = None
-    target_dvv: Optional[PairFn] = None
+    target_du: Optional[PhaseFn] = None
+    target_dv: Optional[PhaseFn] = None
+    target_duu: Optional[PhaseFn] = None
+    target_duv: Optional[PhaseFn] = None
+    target_dvv: Optional[PhaseFn] = None
 
     def has_first_order(self) -> bool:
         return self.gamma_d1 is not None and self.target_du is not None \

@@ -237,15 +237,8 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         errs1[m] = phase_distance(full.thetas, red1.thetas)
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
-    if degenerate:
-        return ConvergenceReport(epsilons=eps, errors_order0=errs0,
-                                 errors_order1=errs1, fit_order0=None,
-                                 fit_order1=None, degenerate=True)
-    return ConvergenceReport(
-        epsilons=eps,
-        errors_order0=errs0,
-        errors_order1=errs1,
-        fit_order0=fit_loglog(eps, errs0),
-        fit_order1=fit_loglog(eps, errs1),
-        degenerate=False,
-    )
+    fit0, fit1 = (None, None) if degenerate else \
+        (fit_loglog(eps, errs0), fit_loglog(eps, errs1))
+    return ConvergenceReport(epsilons=eps, errors_order0=errs0,
+                             errors_order1=errs1, fit_order0=fit0,
+                             fit_order1=fit1, degenerate=degenerate)

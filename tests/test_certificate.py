@@ -109,6 +109,11 @@ def test_triplet_mixed_derivative_requires_second_order():
         triplet_mixed_derivative(first_only, 0, 1, 2, np.zeros(3))
     with pytest.raises(ContractError):
         triplet_mixed_derivative(make_kuramoto(0.1), 0, 1, 1, np.zeros(3))
+    # one phase vector only, and node indices only
+    with pytest.raises(ContractError, match="shape"):
+        triplet_mixed_derivative(make_kuramoto(0.1), 0, 1, 2, np.zeros((2, 3)))
+    with pytest.raises(ContractError, match="out of range"):
+        triplet_mixed_derivative(make_kuramoto(0.1), 0, 1, 3, np.zeros(3))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -292,6 +292,14 @@ def test_sample_every_on_converge_is_config_error(tmp_path, capsys):
     assert "integration.sample_every" in err
 
 
+def test_sample_every_must_divide_the_steps(tmp_path, capsys):
+    cfg = copy.deepcopy(SIMULATE)
+    # 500 steps of dt = 0.001: a stride of 3 would end the samples at 0.498
+    cfg["integration"]["sample_every"] = 3
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert "integration.sample_every" in err
+
+
 def test_missing_seed_is_config_error(tmp_path, capsys):
     cfg = copy.deepcopy(SIMULATE)
     del cfg["model"]["omega"]["seed"]

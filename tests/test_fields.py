@@ -9,9 +9,12 @@ from fastslow import (
     CapabilityError,
     ContractError,
     Coupling,
+    FullState,
+    IntegrationConfig,
     ModelParams,
     ReducedField,
     critical_weights,
+    integrate_full,
     make_kuramoto,
     pair_correction,
     pair_differences,
@@ -249,6 +252,22 @@ def test_correction_term_decomposition():
             assert h1[i, j] * g[i, j] == pytest.approx(want, abs=1e-13)
 
 
+def test_oracles_take_one_phase_vector():
+    """The scalar oracles reject a stack of phase vectors and indices that
+    are not node indices."""
+    params, coupling, theta, _ = random_setup(12, n=4)
+    stack = np.stack([theta, theta + 0.5])
+    for bad in (stack, theta[0]):
+        with pytest.raises(ContractError, match="shape"):
+            pair_correction(params, coupling, 0, 1, bad)
+        with pytest.raises(ContractError, match="shape"):
+            triplet_interaction(coupling, 0, 1, 2, bad)
+    with pytest.raises(ContractError, match="out of range"):
+        pair_correction(params, coupling, 0, 4, theta)
+    with pytest.raises(ContractError, match="out of range"):
+        triplet_interaction(coupling, -1, 1, 2, theta)
+
+
 def test_triplet_interaction_star_value():
     # theta = (0, pi/2, 0), alpha = 0.7, indices (0, 1, 2): the first
     # summand dies because gamma(theta_k - theta_i) = sin(0) = 0 and the
@@ -303,6 +322,48 @@ def test_order1_equals_substitution():
         substituted = phase_rhs(params, coupling, theta, w)
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(direct - substituted)) < 1e-13 * scale
+
+
+def counting_coupling(base, counts):
+    """A Coupling whose slots call those of ``base`` and tally each call,
+    by slot name, in ``counts``."""
+    def counted(name):
+        fn = getattr(base, name)
+
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return call
+    return Coupling(**{name: counted(name) for name in
+                       ("gamma", "gamma_d1", "target", "target_du",
+                        "target_dv")})
+
+
+@pytest.mark.parametrize("case, want", [
+    ("full", {"gamma": 1, "target": 1}),
+    ("order0", {"gamma": 1, "target": 1}),
+    ("order1", {"gamma": 1, "target": 1, "target_du": 1, "target_dv": 1}),
+])
+def test_one_coupling_evaluation_per_call(case, want):
+    """The full-system rhs and the reduced fields evaluate each coupling
+    slot they need once per call: gamma and target are shared between the
+    phase equation, the weight equation and the surface."""
+    params, base, theta, _ = random_setup(13, n=5)
+    counts = {}
+    coupling = counting_coupling(base, counts)
+    if case == "full":
+        state = FullState(theta=theta, weights=critical_weights(base, theta))
+        dt = params.epsilon / 20
+        # one RK4 step calls the rhs four times
+        integrate_full(params, coupling, state,
+                       IntegrationConfig(dt=dt, t_end=dt))
+        calls = 4
+    else:
+        field = ReducedField(order=int(case[-1]), params=params,
+                             coupling=coupling)
+        field(theta)
+        calls = 1
+    assert {k: v / calls for k, v in counts.items()} == want
 
 
 def test_rotational_equivariance():

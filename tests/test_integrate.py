@@ -18,8 +18,11 @@ from fastslow import (
     integrate_reduced,
     make_kuramoto,
     phase_distance,
+    phase_rhs,
     rk4_step,
     trajectory_to_csv,
+    weight_rhs,
+    wrap_phase,
 )
 
 TWO_PI = 2 * np.pi
@@ -37,6 +40,9 @@ def test_config_validation():
     # 1.0 / 0.3 is not a whole number of steps; rounding would stop at 0.9
     with pytest.raises(ContractError, match="whole number of steps"):
         IntegrationConfig(dt=0.3, t_end=1.0)
+    # 3 does not divide 10 steps; the last sample would be at 0.9
+    with pytest.raises(ContractError, match="dividing the 10 steps"):
+        IntegrationConfig(dt=0.1, t_end=1.0, sample_every=3)
     cfg = IntegrationConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
 
@@ -46,6 +52,11 @@ def test_default_config_caps_samples():
     assert cfg.dt == pytest.approx(5e-4)
     assert cfg.n_steps == 4000
     assert cfg.n_steps / cfg.sample_every <= 100
+    # 10 001 = 73 * 137 steps: stride 2 would drop the last one, so the
+    # stride is the smallest divisor >= 2
+    cfg = default_config(epsilon=0.01, t_end=5.0005)
+    assert cfg.n_steps == 10_001
+    assert cfg.sample_every == 73
 
 
 def test_rk4_scalar_decay():
@@ -221,6 +232,28 @@ def test_reduced_step_halving():
     fine = integrate_reduced(field, theta0,
                              IntegrationConfig(dt=0.01, t_end=2.0))
     assert phase_distance(coarse.thetas[-1], fine.thetas[-1]) < 1e-8
+
+
+def test_full_rhs_matches_public_fields():
+    """integrate_full steps exactly the rhs made of the public phase_rhs
+    and weight_rhs / epsilon, to the last bit."""
+    params, coupling, state = setup_full(seed=9, n=4)
+    n = params.n_nodes
+
+    def rhs(flat):
+        theta, w = flat[:n], flat[n:].reshape(n, n)
+        dw = weight_rhs(coupling, theta, w) / params.epsilon
+        return np.concatenate([phase_rhs(params, coupling, theta, w),
+                               dw.ravel()])
+
+    dt = params.epsilon / 20
+    traj = integrate_full(params, coupling, state,
+                          IntegrationConfig(dt=dt, t_end=3 * dt))
+    flat = np.concatenate([state.theta, state.weights.ravel()])
+    for step in range(1, 4):
+        flat = rk4_step(rhs, flat, dt)
+        assert np.array_equal(traj.thetas[step], wrap_phase(flat[:n]))
+        assert np.array_equal(traj.weights[step], flat[n:].reshape(n, n))
 
 
 def test_integration_is_deterministic():
