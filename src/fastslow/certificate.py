@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ReducedField, _check_indices
+from .fields import ReducedField, _check_indices, _check_shapes
 from .model import (
     ContractError,
     FloatArray,
@@ -314,7 +314,7 @@ class PushforwardField:
         return np.argsort(self.permutation)
 
     def __call__(self, y) -> FloatArray:
-        y = np.asarray(y, dtype=float)
+        y = _check_shapes(self.n_nodes, y)
         inv = self.inverse
         shifts = np.asarray(self.shifts, dtype=float)
         theta = y[..., inv] - shifts[inv]

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -34,7 +35,8 @@ from .certificate import (
     scan_mixed_derivatives,
 )
 from .fields import ReducedField, critical_weights, slow_manifold
-from .integrate import default_config, integrate_full, trajectory_to_csv
+from .integrate import (_write_table, default_config, integrate_full,
+                        trajectory_to_csv)
 from .model import (
     ContractError,
     ExperimentError,
@@ -244,15 +246,22 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_integration(cfg: dict, epsilon: float, default_t_end: float):
-    """Return (dt_factor, t_end, IntegrationConfig at this epsilon)."""
+def _resolve_integration(cfg: dict, epsilon: float, fast_horizon=None):
+    """Return (dt_factor, t_end, IntegrationConfig at this epsilon).  An
+    unset t_end is DEFAULT_T_END, or, given ``fast_horizon``, the fewest
+    whole steps that cover that many fast-time units."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
     # surfaced at parse time so a converge sweep rejects before any run
     _expect(0 < dt_factor <= 0.1, "integration.dt_factor",
             "must lie in (0, 0.1] (integrator stability guard)")
-    t_end = _as_float(block.get("t_end", default_t_end), "integration.t_end")
+    if "t_end" in block:
+        t_end = _as_float(block["t_end"], "integration.t_end")
+    elif fast_horizon is None:
+        t_end = DEFAULT_T_END
+    else:  # one step spans dt_factor fast-time units
+        t_end = math.ceil(fast_horizon / dt_factor - 1e-9) * (epsilon * dt_factor)
     _expect(t_end > 0, "integration.t_end", "must be > 0")
     config = default_config(epsilon, t_end, dt_factor)
     sample_every = block.get("sample_every")
@@ -320,22 +329,11 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
             write_csv(stream)
 
 
-def _csv_rows(header_comment: str, columns: list, rows):
-    """Writer of a commented CSV table; ``rows`` is iterated and formatted
-    only when the writer is called, so a run without csv output never
-    formats its table."""
-    def write_csv(stream):
-        stream.write("# " + header_comment + "\n" + ",".join(columns) + "\n")
-        stream.writelines(",".join(
-            str(int(v)) if isinstance(v, (int, np.integer))
-            else format_float(v) for v in row) + "\n" for row in rows)
-    return write_csv
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each validates its config blocks, runs, and returns
 # (report, write_csv, summary_line); main writes raw.csv with
-# write_csv(stream), so a long trajectory is never one string in memory
+# write_csv(stream), so a long trajectory is never one string in memory,
+# and a run without csv output never builds or formats its table
 
 
 def cmd_simulate(raw_config, seeds: SeedBook):
@@ -370,8 +368,7 @@ def cmd_simulate(raw_config, seeds: SeedBook):
             noise = rng.standard_normal((params.n_nodes, params.n_nodes))
             weights = weights + noise * (norm / np.linalg.norm(noise))
 
-    _, _, config = _resolve_integration(raw_config, params.epsilon,
-                                        DEFAULT_T_END)
+    _, _, config = _resolve_integration(raw_config, params.epsilon)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=weights), config)
 
@@ -410,7 +407,6 @@ def cmd_certify(raw_config, seeds: SeedBook):
     points = default_scan_points(params.n_nodes, seed=grid_seed,
                                  n_random=n_random)
     result = certify_nonpairwise(field, points=points, fd_step=fd_step)
-    rows = scan_mixed_derivatives(field, points, fd_step=fd_step)
 
     report = {
         "command": "certify",
@@ -426,12 +422,14 @@ def cmd_certify(raw_config, seeds: SeedBook):
         "n_points": len(points),
         "grid_seed": grid_seed,
     }
-    n = params.n_nodes
-    write_csv = _csv_rows(
-        "mixed-derivative scan over node triples and phase points",
-        ["i", "j", "k", "point_index"]
-        + [f"theta_{m + 1}" for m in range(n)] + ["fd_value"],
-        ((i, j, k, g, *points[g], v) for (i, j, k, g, v) in rows))
+
+    def write_csv(stream):
+        stream.write("# mixed-derivative scan over node triples and phase points\n")
+        rows = np.array(scan_mixed_derivatives(field, points, fd_step=fd_step))
+        thetas = np.asarray(points)[rows[:, 3].astype(int)]
+        _write_table(stream, ["i", "j", "k", "point_index"] + [
+            f"theta_{m + 1}" for m in range(params.n_nodes)] + ["fd_value"],
+            [rows[:, :4], thetas, rows[:, 4]], int_columns=4)
     if result.decision != DECISION_CERTIFIED:
         return report, write_csv, "NO-EVIDENCE"
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
@@ -447,8 +445,8 @@ def cmd_converge(raw_config, seeds: SeedBook):
     # convergence_study picks its own stride (at most 2000 samples per run)
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
-    dt_factor, t_end, _ = _resolve_integration(
-        raw_config, float(epsilon_list[-1]), DEFAULT_T_END)
+    dt_factor, t_end, _ = _resolve_integration(raw_config,
+                                               float(epsilon_list[-1]))
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)
@@ -470,10 +468,11 @@ def cmd_converge(raw_config, seeds: SeedBook):
         "t_end": t_end,
         "dt_factor": dt_factor,
     }
-    write_csv = _csv_rows(
-        "reduction errors against epsilon",
-        ["epsilon", "error_order0", "error_order1"],
-        zip(result.epsilons, result.errors_order0, result.errors_order1))
+
+    def write_csv(stream):
+        stream.write("# reduction errors against epsilon\n")
+        _write_table(stream, ["epsilon", "error_order0", "error_order1"], [
+            result.epsilons, result.errors_order0, result.errors_order1])
     if result.degenerate:
         return report, write_csv, \
             "degenerate case: errors at machine precision, no slopes fitted"
@@ -495,9 +494,8 @@ def cmd_attract(raw_config, seeds: SeedBook):
     weights = slow_manifold(params, coupling, theta0) \
         + noise * (norm / np.linalg.norm(noise))
 
-    _, _, config = _resolve_integration(
-        raw_config, params.epsilon,
-        DEFAULT_ATTRACT_FAST_HORIZON * params.epsilon)
+    _, _, config = _resolve_integration(raw_config, params.epsilon,
+                                        DEFAULT_ATTRACT_FAST_HORIZON)
 
     result = attraction_study(params, coupling,
                               FullState(theta=theta0, weights=weights), config)
@@ -511,10 +509,11 @@ def cmd_attract(raw_config, seeds: SeedBook):
         "residual": result.residual,
         "n_points": result.n_points,
     }
-    write_csv = _csv_rows(
-        "order-1 manifold distance against fast time t/epsilon",
-        ["fast_time", "distance"],
-        zip(result.fast_times, result.distances))
+
+    def write_csv(stream):
+        stream.write("# order-1 manifold distance against fast time t/epsilon\n")
+        _write_table(stream, ["fast_time", "distance"],
+                     [result.fast_times, result.distances])
     return report, write_csv, \
         f"rate={format_float(result.fitted_rate_per_fast_time)}"
 

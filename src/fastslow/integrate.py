@@ -199,6 +199,21 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     return Trajectory(times=times, thetas=wrap_phase(rows))
 
 
+def _write_table(stream, columns, parts, int_columns: int = 0) -> None:
+    """Write a CSV header, then one row per entry of the column arrays in
+    ``parts``: the first ``int_columns`` columns as integers, the rest with
+    17 significant digits.  Rows are formatted 64 at a time, so no whole
+    table is built; a non-finite value raises ContractError."""
+    stream.write(",".join(columns) + "\n")
+    row = ",".join(["%d"] * int_columns
+                   + ["%.17g"] * (len(columns) - int_columns)) + "\n"
+    for lo in range(0, len(parts[0]), 64):
+        block = np.column_stack([part[lo:lo + 64] for part in parts])
+        if not np.all(np.isfinite(block)):
+            raise ContractError(f"non-finite value in the CSV rows from {lo}")
+        stream.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def trajectory_to_csv(traj: Trajectory, stream) -> None:
     """Write a trajectory as CSV with 17 significant digits.
 
@@ -207,11 +222,8 @@ def trajectory_to_csv(traj: Trajectory, stream) -> None:
     """
     n = traj.thetas.shape[1]
     cols = ["time"] + [f"theta_{i + 1}" for i in range(n)]
+    parts = [traj.times, traj.thetas]
     if traj.weights is not None:
         cols += [f"a_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-    stream.write(",".join(cols) + "\n")
-    for row in range(traj.n_samples):
-        vals = [traj.times[row]] + list(traj.thetas[row])
-        if traj.weights is not None:
-            vals += list(traj.weights[row].ravel())
-        stream.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        parts.append(traj.weights.reshape(traj.n_samples, n * n))
+    _write_table(stream, cols, parts)

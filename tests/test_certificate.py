@@ -295,6 +295,12 @@ def test_pushforward_validation():
         PushforwardField(base=field, permutation=(0, 1), shifts=(0.0, 0.0))
     with pytest.raises(ContractError):
         PushforwardField(base=field, permutation=(0, 1, 1), shifts=(0.0,) * 3)
+    pushed = PushforwardField(base=field, permutation=(1, 2, 0),
+                              shifts=(0.0,) * 3)
+    with pytest.raises(ContractError):
+        pushed(np.zeros(4))
+    with pytest.raises(ContractError):
+        pushed(np.zeros((2, 2)))
 
 
 def test_certified_decision_transports_through_pushforward():

@@ -138,15 +138,12 @@ def test_csv_only_format(tmp_path):
 
 @pytest.mark.parametrize("formats", [["json"], ["csv", "json"]])
 def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats):
-    read = []
+    scanned = []
 
     def tracked_scan(*args, **kwargs):
         rows = scan_mixed_derivatives(*args, **kwargs)
-
-        def rows_read():  # runs only once the table is iterated
-            read.append(len(rows))
-            yield from rows
-        return rows_read()
+        scanned.append(len(rows))
+        return rows
 
     monkeypatch.setattr("fastslow.cli.scan_mixed_derivatives", tracked_scan)
     cfg = copy.deepcopy(CERTIFY)
@@ -155,11 +152,12 @@ def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats)
     assert code == 0
     assert (out / "report.json").is_file()
     if "csv" in formats:
-        assert read and read[0] > 0
-        assert len((out / "raw.csv").read_text().splitlines()) == 2 + read[0]
+        assert len(scanned) == 1 and scanned[0] > 0
+        assert len((out / "raw.csv").read_text().splitlines()) == 2 + scanned[0]
     else:
+        # the CLI's own table scan runs only inside the csv writer
         assert not (out / "raw.csv").exists()
-        assert read == []
+        assert scanned == []
 
 
 def test_certify_prints_decision_line(tmp_path, capsys):
@@ -223,6 +221,20 @@ def test_attract_reports_rate(tmp_path, capsys):
     rows = [ln for ln in (out / "raw.csv").read_text().splitlines()
             if ln and not ln.startswith("#")]
     assert rows[0] == "fast_time,distance"
+
+
+@pytest.mark.parametrize("dt_factor", [0.07, 0.09])
+def test_attract_default_horizon_is_whole_steps(tmp_path, dt_factor):
+    # 6 fast-time units are not a whole number of these steps; the default
+    # horizon rounds up to the next whole step instead of being rejected
+    cfg = copy.deepcopy(ATTRACT)
+    cfg["integration"] = {"dt_factor": dt_factor}
+    code, out = run(tmp_path, "attract", cfg, extra=["--quiet"])
+    assert code == 0
+    rows = (out / "raw.csv").read_text().splitlines()[2:]
+    steps = float(rows[-1].split(",")[0]) / dt_factor
+    assert abs(steps - round(steps)) < 1e-9
+    assert 6.0 <= round(steps) * dt_factor < 6.0 + dt_factor
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The shipped configs reproduce their committed reports.
+"""The shipped configs reproduce their committed reports and tables.
 
 Each golden file under tests/golden/ is the report.json that
 ``fastslow <cmd> --config configs/<cmd>.json`` wrote before the integrator
@@ -7,6 +7,12 @@ when the reduced fields moved from the full system's step to its sample
 grid, which moved its floats by at most 2.5e-8 relative.  Strings, integers, booleans and list
 lengths must match exactly; floats must agree to a relative 1e-12, which
 leaves room for last-bit BLAS/SIMD differences between machines.
+
+The certify, converge and attract raw.csv goldens were written before the
+CSV tables moved to one writer.  Their comment line, header and integer
+index columns must match exactly, and every other cell to FLOAT_RTOL.  The
+2.4 MB simulate table is not committed: its header and row count are
+checked, and its last row must parse to the report's final state exactly.
 """
 
 import json
@@ -19,6 +25,8 @@ from fastslow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 FLOAT_RTOL = 1e-12
+# leading integer index columns of each committed raw.csv golden
+CSV_INT_COLUMNS = {"certify": 4, "converge": 0, "attract": 0}
 
 
 def assert_matches(got, want, path="report"):
@@ -55,3 +63,41 @@ def test_shipped_config_matches_golden(tmp_path, command):
         (ROOT / "tests" / "golden" / f"{command}.report.json")
         .read_text(encoding="utf-8"))
     assert_matches(got, want)
+    if command == "simulate":
+        assert_simulate_table(out / "raw.csv", got)
+    else:
+        assert_table_matches(out / "raw.csv",
+                             ROOT / "tests" / "golden" / f"{command}.raw.csv",
+                             CSV_INT_COLUMNS[command])
+
+
+def assert_table_matches(got_path, want_path, int_columns):
+    got = got_path.read_text(encoding="utf-8").splitlines()
+    want = want_path.read_text(encoding="utf-8").splitlines()
+    assert got[:2] == want[:2], "comment line and header"
+    assert len(got) == len(want), "row count"
+    for m, (got_row, want_row) in enumerate(zip(got[2:], want[2:])):
+        g, w = got_row.split(","), want_row.split(",")
+        assert len(g) == len(w), f"row {m}"
+        assert g[:int_columns] == w[:int_columns], f"row {m}"
+        for c in range(int_columns, len(w)):
+            assert math.isclose(float(g[c]), float(w[c]), rel_tol=FLOAT_RTOL,
+                                abs_tol=0.0), f"row {m} column {c}: {g[c]} != {w[c]}"
+
+
+def assert_simulate_table(path, report):
+    with path.open(encoding="utf-8") as stream:
+        comment, header = next(stream), next(stream)
+        n_rows, last = 0, None
+        for last in stream:
+            n_rows += 1
+    n = len(report["final_theta"])
+    assert comment.startswith("# full-system trajectory")
+    assert header.rstrip("\n").split(",") == (
+        ["time"] + [f"theta_{i + 1}" for i in range(n)]
+        + [f"a_{i + 1}_{j + 1}" for i in range(n) for j in range(n)])
+    assert n_rows == report["n_samples"]
+    values = [float(v) for v in last.split(",")]
+    assert values[0] == report["t_end"]
+    assert values[1:1 + n] == report["final_theta"]
+    assert values[1 + n:] == [w for row in report["final_weights"] for w in row]

@@ -24,6 +24,7 @@ from fastslow import (
     weight_rhs,
     wrap_phase,
 )
+from fastslow.integrate import _write_table
 
 TWO_PI = 2 * np.pi
 
@@ -292,3 +293,19 @@ def test_csv_round_trip():
     parsed = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     assert np.array_equal(parsed[:, 1:1 + n], traj.thetas)
     assert np.array_equal(parsed[:, 1 + n:].reshape(-1, n, n), traj.weights)
+
+    # signed zero, the smallest subnormal, the largest double and an
+    # integral float, next to an integer index column
+    buf = io.StringIO()
+    _write_table(buf, ["index", "value"],
+                 [np.arange(4), np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                                          2.0])], int_columns=1)
+    assert buf.getvalue() == ("index,value\n0,-0\n1,4.9406564584124654e-324\n"
+                              "2,1.7976931348623157e+308\n3,2\n")
+
+    # a non-finite value is rejected, not written as nan
+    weights = traj.weights.copy()
+    weights[-1, 0, 1] = np.nan
+    bad = Trajectory(times=traj.times, thetas=traj.thetas, weights=weights)
+    with pytest.raises(ContractError):
+        trajectory_to_csv(bad, io.StringIO())
