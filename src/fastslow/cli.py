@@ -246,10 +246,11 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_integration(cfg: dict, epsilon: float, fast_horizon=None):
+def _resolve_integration(cfg: dict, epsilon: float,
+                         default_t_end: float = DEFAULT_T_END):
     """Return (dt_factor, t_end, IntegrationConfig at this epsilon).  An
-    unset t_end is DEFAULT_T_END, or, given ``fast_horizon``, the fewest
-    whole steps that cover that many fast-time units."""
+    unset t_end is ``default_t_end`` when that is a whole number of steps,
+    else the fewest whole steps that cover it."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
@@ -258,10 +259,10 @@ def _resolve_integration(cfg: dict, epsilon: float, fast_horizon=None):
             "must lie in (0, 0.1] (integrator stability guard)")
     if "t_end" in block:
         t_end = _as_float(block["t_end"], "integration.t_end")
-    elif fast_horizon is None:
-        t_end = DEFAULT_T_END
-    else:  # one step spans dt_factor fast-time units
-        t_end = math.ceil(fast_horizon / dt_factor - 1e-9) * (epsilon * dt_factor)
+    else:  # the whole-step test of IntegrationConfig, in steps
+        steps = default_t_end / (epsilon * dt_factor)
+        t_end = default_t_end if abs(steps - round(steps)) <= 1e-9 * steps \
+            else math.ceil(steps) * (epsilon * dt_factor)
     _expect(t_end > 0, "integration.t_end", "must be > 0")
     config = default_config(epsilon, t_end, dt_factor)
     sample_every = block.get("sample_every")
@@ -429,7 +430,7 @@ def cmd_certify(raw_config, seeds: SeedBook):
         thetas = np.asarray(points)[rows[:, 3].astype(int)]
         _write_table(stream, ["i", "j", "k", "point_index"] + [
             f"theta_{m + 1}" for m in range(params.n_nodes)] + ["fd_value"],
-            [rows[:, :4], thetas, rows[:, 4]], int_columns=4)
+            [rows[:, :4], thetas, rows[:, 4]])
     if result.decision != DECISION_CERTIFIED:
         return report, write_csv, "NO-EVIDENCE"
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
@@ -445,8 +446,10 @@ def cmd_converge(raw_config, seeds: SeedBook):
     # convergence_study picks its own stride (at most 2000 samples per run)
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
+    # whole steps at the largest epsilon are whole at every epsilon that
+    # divides it by a power of two, as in a halving list
     dt_factor, t_end, _ = _resolve_integration(raw_config,
-                                               float(epsilon_list[-1]))
+                                               float(epsilon_list[0]))
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)
@@ -494,8 +497,9 @@ def cmd_attract(raw_config, seeds: SeedBook):
     weights = slow_manifold(params, coupling, theta0) \
         + noise * (norm / np.linalg.norm(noise))
 
-    _, _, config = _resolve_integration(raw_config, params.epsilon,
-                                        DEFAULT_ATTRACT_FAST_HORIZON)
+    _, _, config = _resolve_integration(
+        raw_config, params.epsilon,
+        DEFAULT_ATTRACT_FAST_HORIZON * params.epsilon)
 
     result = attraction_study(params, coupling,
                               FullState(theta=theta0, weights=weights), config)

@@ -199,14 +199,14 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     return Trajectory(times=times, thetas=wrap_phase(rows))
 
 
-def _write_table(stream, columns, parts, int_columns: int = 0) -> None:
+def _write_table(stream, columns, parts) -> None:
     """Write a CSV header, then one row per entry of the column arrays in
-    ``parts``: the first ``int_columns`` columns as integers, the rest with
-    17 significant digits.  Rows are formatted 64 at a time, so no whole
-    table is built; a non-finite value raises ContractError."""
+    ``parts``, every value with 17 significant digits (an integral value
+    below 2**53, such as an index, prints as an integer).  Rows are
+    formatted 64 at a time, so no whole table is built; a non-finite
+    value raises ContractError."""
     stream.write(",".join(columns) + "\n")
-    row = ",".join(["%d"] * int_columns
-                   + ["%.17g"] * (len(columns) - int_columns)) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     for lo in range(0, len(parts[0]), 64):
         block = np.column_stack([part[lo:lo + 64] for part in parts])
         if not np.all(np.isfinite(block)):

@@ -237,6 +237,23 @@ def test_attract_default_horizon_is_whole_steps(tmp_path, dt_factor):
     assert 6.0 <= round(steps) * dt_factor < 6.0 + dt_factor
 
 
+@pytest.mark.parametrize("command,epsilons", [("simulate", {"epsilon": 0.08}),
+                                              ("converge", {"epsilon_list":
+                                                            [0.08, 0.04, 0.02]})])
+def test_default_t_end_is_whole_steps(tmp_path, command, epsilons):
+    # 2.0 is not a whole number of steps of 0.07 * 0.08; the default horizon
+    # rounds up to the next whole step of the largest epsilon
+    cfg = copy.deepcopy(SIMULATE if command == "simulate" else CONVERGE)
+    cfg["model"].update(epsilons)
+    cfg["integration"] = {"dt_factor": 0.07}
+    code, out = run(tmp_path, command, cfg, extra=["--quiet"])
+    assert code == 0
+    t_end = json.loads((out / "report.json").read_text())["t_end"]
+    dt = 0.08 * 0.07
+    assert abs(t_end / dt - round(t_end / dt)) < 1e-9
+    assert 2.0 < t_end < 2.0 + dt
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 

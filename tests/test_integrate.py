@@ -299,7 +299,7 @@ def test_csv_round_trip():
     buf = io.StringIO()
     _write_table(buf, ["index", "value"],
                  [np.arange(4), np.array([-0.0, 5e-324, 1.7976931348623157e308,
-                                          2.0])], int_columns=1)
+                                          2.0])])
     assert buf.getvalue() == ("index,value\n0,-0\n1,4.9406564584124654e-324\n"
                               "2,1.7976931348623157e+308\n3,2\n")
 
