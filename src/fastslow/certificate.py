@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -154,34 +154,32 @@ def anchor_point(n_nodes: int) -> FloatArray:
 
 
 def default_scan_points(n_nodes: int, seed: int = DEFAULT_SCAN_SEED,
-                        n_random: int = DEFAULT_RANDOM_POINTS) -> list:
-    """Anchor point plus seeded uniform random phase vectors."""
+                        n_random: int = DEFAULT_RANDOM_POINTS) -> FloatArray:
+    """Scan points as one (1 + n_random, N) array: the anchor point, then
+    seeded uniform random phase vectors."""
     rng = np.random.default_rng(seed)
-    points = [anchor_point(n_nodes)]
-    for _ in range(n_random):
-        points.append(rng.uniform(0.0, 2.0 * np.pi, n_nodes))
-    return points
+    return np.vstack([anchor_point(n_nodes),
+                      rng.uniform(0.0, 2.0 * np.pi, (n_random, n_nodes))])
 
 
-def scan_mixed_derivatives(field, points: Sequence, triples=None,
-                           fd_step: float = DEFAULT_FD_STEP):
+def scan_mixed_derivatives(field, points,
+                           fd_step: float = DEFAULT_FD_STEP) -> FloatArray:
     """FD mixed derivatives of every (triple, point) candidate.
 
-    Returns a list of rows (i, j, k, point_index, value), ordered
-    lexicographically in (i, j, k, point_index).  That fixed order makes
-    the downstream argmax tie-breaking deterministic.  Each triple is one
-    stencil over the whole stack of points, so the field must accept a
-    stack (P, N).
+    Returns a (T * P, 5) array of rows (i, j, k, point_index, value) over
+    the T ordered triples of distinct nodes and the P rows of ``points``,
+    ordered lexicographically in (i, j, k, point_index).  That fixed order
+    makes the downstream argmax tie-breaking deterministic.  Each triple is
+    one stencil over the whole stack, so the field must accept a stack
+    (P, N).
     """
-    n = field.n_nodes
-    if triples is None:
-        triples = list(itertools.permutations(range(n), 3))
-    points = np.asarray(points, dtype=float)
-    rows = []
-    for (i, j, k) in triples:
-        values = mixed_second_derivative_fd(field, i, j, k, points, fd_step)
-        rows.extend((i, j, k, g, v) for g, v in enumerate(values.tolist()))
-    return rows
+    triples = list(itertools.permutations(range(field.n_nodes), 3))
+    values = [mixed_second_derivative_fd(field, i, j, k, points, fd_step)
+              for i, j, k in triples]
+    return np.column_stack([
+        np.repeat(np.reshape(triples, (-1, 3)), len(points), axis=0),
+        np.tile(np.arange(len(points)), len(triples)),
+        np.reshape(values, -1)])
 
 
 def _pairwise_reference(field):
@@ -200,17 +198,16 @@ def _pairwise_reference(field):
     return None
 
 
-def certify_nonpairwise(field, points=None, triples=None,
-                        fd_step: float = DEFAULT_FD_STEP,
-                        noise_field=None) -> CertificateReport:
+def certify_nonpairwise(field, points=None,
+                        fd_step: float = DEFAULT_FD_STEP) -> CertificateReport:
     """Scan (triple, point) candidates and decide whether the field is
     certified nonpairwise.
 
     The decision threshold is max(10 * noise_floor, 1e-6), where the noise
     floor is the largest |FD value| of the same scan applied to a pairwise
-    reference field (the uncorrected member of the family, or an explicit
-    ``noise_field``).  Self-calibration means an order-0 field can never
-    certify itself, which is the honest outcome for a pairwise field.
+    reference field (the uncorrected member of the family).
+    Self-calibration means an order-0 field can never certify itself,
+    which is the honest outcome for a pairwise field.
 
     Returns the report at the maximizer of |FD value|; ties resolve to the
     lexicographically first (i, j, k, point index).
@@ -219,38 +216,34 @@ def certify_nonpairwise(field, points=None, triples=None,
     if n < 3:
         raise ContractError(
             f"certification needs at least 3 nodes, got {n}")
-    if points is None:
-        points = default_scan_points(n)
-    points = [np.asarray(p, dtype=float) for p in points]
-    if not points:
-        raise ContractError("scan needs at least one point")
+    points = default_scan_points(n) if points is None \
+        else np.asarray(points, dtype=float)
+    if points.ndim != 2 or not len(points):
+        raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
 
-    rows = scan_mixed_derivatives(field, points, triples, fd_step)
-    best = max(rows, key=lambda row: abs(row[4]))
+    rows = scan_mixed_derivatives(field, points, fd_step)
+    best = rows[np.argmax(np.abs(rows[:, 4]))]
 
-    reference = noise_field if noise_field is not None else _pairwise_reference(field)
-    if reference is not None and reference is not field:
-        ref_rows = scan_mixed_derivatives(reference, points, triples, fd_step)
-        noise_floor = max(abs(r[4]) for r in ref_rows)
-    elif reference is field:
-        noise_floor = max(abs(r[4]) for r in rows)
-    else:
-        noise_floor = 0.0
+    noise_floor = 0.0
+    reference = _pairwise_reference(field)
+    if reference is not None:
+        ref_rows = rows if reference is field \
+            else scan_mixed_derivatives(reference, points, fd_step)
+        noise_floor = float(np.abs(ref_rows[:, 4]).max())
     threshold = max(10.0 * noise_floor, MIN_THRESHOLD)
 
-    i, j, k, g, value = best
-    decision = DECISION_CERTIFIED if abs(value) > threshold else DECISION_NO_EVIDENCE
+    i, j, k, g = (int(x) for x in best[:4])
+    decision = DECISION_CERTIFIED if abs(best[4]) > threshold else DECISION_NO_EVIDENCE
 
     analytic = None
-    if isinstance(field, ReducedField) and field.order == 1:
-        coupling = field.coupling
-        if hasattr(coupling, "has_second_order") and coupling.has_second_order():
-            analytic = triplet_mixed_derivative(coupling, i, j, k, points[g])
+    if isinstance(field, ReducedField) and field.order == 1 \
+            and field.coupling.has_second_order():
+        analytic = triplet_mixed_derivative(field.coupling, i, j, k, points[g])
 
     return CertificateReport(
         index_triple=(i, j, k),
         point=points[g],
-        fd_value=value,
+        fd_value=float(best[4]),
         analytic_value=analytic,
         decision=decision,
         fd_step=fd_step,

@@ -35,8 +35,8 @@ from .certificate import (
     scan_mixed_derivatives,
 )
 from .fields import ReducedField, critical_weights, slow_manifold
-from .integrate import (_write_table, default_config, integrate_full,
-                        trajectory_to_csv)
+from .integrate import (IntegrationConfig, _write_table, default_config,
+                        integrate_full, trajectory_to_csv)
 from .model import (
     ContractError,
     ExperimentError,
@@ -264,15 +264,17 @@ def _resolve_integration(cfg: dict, epsilon: float,
         t_end = default_t_end if abs(steps - round(steps)) <= 1e-9 * steps \
             else math.ceil(steps) * (epsilon * dt_factor)
     _expect(t_end > 0, "integration.t_end", "must be > 0")
-    config = default_config(epsilon, t_end, dt_factor)
     sample_every = block.get("sample_every")
-    if sample_every is not None:
-        sample_every = _as_int(sample_every, "integration.sample_every")
-        _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
-                "integration.sample_every",
-                f"must be >= 1 and divide the {config.n_steps} steps")
-        config = dataclasses.replace(config, sample_every=sample_every)
-    return dt_factor, t_end, config
+    if sample_every is None:
+        return dt_factor, t_end, default_config(epsilon, t_end, dt_factor)
+    # a set stride replaces the default one, which may not exist
+    config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
+    sample_every = _as_int(sample_every, "integration.sample_every")
+    _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
+            "integration.sample_every",
+            f"must be >= 1 and divide the {config.n_steps} steps")
+    return dt_factor, t_end, dataclasses.replace(config,
+                                                 sample_every=sample_every)
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
@@ -426,11 +428,10 @@ def cmd_certify(raw_config, seeds: SeedBook):
 
     def write_csv(stream):
         stream.write("# mixed-derivative scan over node triples and phase points\n")
-        rows = np.array(scan_mixed_derivatives(field, points, fd_step=fd_step))
-        thetas = np.asarray(points)[rows[:, 3].astype(int)]
+        rows = scan_mixed_derivatives(field, points, fd_step)
         _write_table(stream, ["i", "j", "k", "point_index"] + [
             f"theta_{m + 1}" for m in range(params.n_nodes)] + ["fd_value"],
-            [rows[:, :4], thetas, rows[:, 4]])
+            [rows[:, :4], points[rows[:, 3].astype(int)], rows[:, 4]])
     if result.decision != DECISION_CERTIFIED:
         return report, write_csv, "NO-EVIDENCE"
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
@@ -446,10 +447,22 @@ def cmd_converge(raw_config, seeds: SeedBook):
     # convergence_study picks its own stride (at most 2000 samples per run)
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
-    # whole steps at the largest epsilon are whole at every epsilon that
-    # divides it by a power of two, as in a halving list
-    dt_factor, t_end, _ = _resolve_integration(raw_config,
-                                               float(epsilon_list[0]))
+    # an unset horizon is rounded up to whole steps at each epsilon in
+    # turn, until a pass over the list leaves it unchanged; a halving list
+    # is settled by its first pass
+    t_end = DEFAULT_T_END
+    for _ in range(len(epsilon_list) + 1):
+        settled = t_end
+        for epsilon in epsilon_list:
+            dt_factor, t_end, _ = _resolve_integration(
+                raw_config, float(epsilon), t_end)
+        if t_end == settled:
+            break
+    else:
+        raise ConfigError(
+            f"integration.t_end: the default horizon is not a whole number "
+            f"of steps at every epsilon after {len(epsilon_list)} passes "
+            f"over the list; set it")
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)

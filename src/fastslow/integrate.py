@@ -74,11 +74,19 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
                    max_samples: int = MAX_DEFAULT_SAMPLES) -> IntegrationConfig:
     """Config with dt = epsilon * dt_factor, sampled at the smallest stride
     that divides the step count and stores at most max_samples rows after
-    the initial one."""
+    the initial one.  Raises ContractError when no stride below the step
+    count qualifies although the cap allows more than the two ends."""
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
-    sample_every = max(1, -(-config.n_steps // max_samples))
-    while config.n_steps % sample_every:
+    n_steps = config.n_steps
+    smallest = max(1, -(-n_steps // max_samples))
+    sample_every = smallest
+    while n_steps % sample_every:
         sample_every += 1
+    if sample_every == n_steps > smallest:
+        raise ContractError(
+            f"no stride below the {n_steps} steps divides them and stores at "
+            f"most {max_samples} samples; choose another t_end, or set "
+            f"integration.sample_every (simulate, attract)")
     return replace(config, sample_every=sample_every)
 
 

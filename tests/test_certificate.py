@@ -27,13 +27,17 @@ TWO_PI = 2 * np.pi
 
 
 class BilinearProbe:
-    """Tiny test field: component 0 is theta_1 * theta_2, the rest zero.
-    The 4-point stencil is exact on bilinear functions."""
+    """Tiny test field on one point (N,) or a stack (P, N): component 0 is
+    theta_1 * theta_2, the rest zero.  The 4-point stencil is exact on
+    bilinear functions."""
 
     n_nodes = 3
 
     def __call__(self, theta):
-        return np.array([theta[1] * theta[2], 0.0, 0.0])
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros_like(theta)
+        out[..., 0] = theta[..., 1] * theta[..., 2]
+        return out
 
 
 def order1_field(alpha=0.7, n=3, epsilon=0.01, omega=None):
@@ -151,17 +155,30 @@ def test_anchor_and_default_points():
     pts = default_scan_points(3, seed=123, n_random=5)
     assert len(pts) == 6
     assert np.array_equal(pts[0], anchor_point(3))
-    again = default_scan_points(3, seed=123, n_random=5)
-    for a, b in zip(pts, again):
-        assert np.array_equal(a, b)
+    assert np.array_equal(pts, default_scan_points(3, seed=123, n_random=5))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (5, 20240817), (7, 4), (12, 99)])
+def test_default_scan_points_match_per_row_draws(n, seed):
+    """One (n_random, N) draw gives the doubles of n_random draws of one
+    row each, the stream the certify raw.csv was written from."""
+    rng = np.random.default_rng(seed)
+    rows = [anchor_point(n)] + [rng.uniform(0.0, TWO_PI, n) for _ in range(7)]
+    pts = default_scan_points(n, seed=seed, n_random=7)
+    assert pts.shape == (8, n)
+    assert np.array_equal(pts, rows)
 
 
 def test_scan_row_order_is_lexicographic():
     field = order1_field()
-    rows = scan_mixed_derivatives(field, [np.zeros(3), anchor_point(3)])
-    keys = [(r[0], r[1], r[2], r[3]) for r in rows]
+    points = [np.zeros(3), anchor_point(3), np.full(3, 2.0)]
+    rows = scan_mixed_derivatives(field, points)
+    # all ordered triples of 3 nodes, 3 points
+    assert rows.shape == (6 * 3, 5)
+    keys = [tuple(r[:4]) for r in rows.tolist()]
     assert keys == sorted(keys)
-    assert len(rows) == 6 * 2  # all ordered triples of 3 nodes, 2 points
+    # column 3 runs over the point indices within each triple
+    assert np.array_equal(rows[:, 3].reshape(6, 3), np.tile(np.arange(3), (6, 1)))
 
 
 def test_certify_order1_on_default_grid():
@@ -207,17 +224,25 @@ def test_certify_needs_three_nodes():
         certify_nonpairwise(field)
 
 
-def test_certify_explicit_noise_field_raises_threshold():
-    field = order1_field()
-    # calibrating against the field itself makes every value sub-threshold
-    report = certify_nonpairwise(field, noise_field=field)
-    assert report.decision == DECISION_NO_EVIDENCE
-    assert report.threshold >= 10.0 * abs(report.fd_value)
-
-
 def test_certify_empty_points_rejected():
     with pytest.raises(ContractError):
         certify_nonpairwise(order1_field(), points=[])
+    # one phase vector is not a stack of points
+    with pytest.raises(ContractError, match="stack"):
+        certify_nonpairwise(order1_field(), points=anchor_point(3))
+
+
+def test_certify_tie_resolves_to_first_candidate():
+    # d^2 F_0 / (d theta_1 d theta_2) is exactly 1 for (0, 1, 2) and
+    # (0, 2, 1) at both points, so four candidates tie for the maximum
+    points = [np.zeros(3), np.array([5.0, 0.0, 0.0])]
+    rows = scan_mixed_derivatives(BilinearProbe(), points)
+    assert np.count_nonzero(np.abs(rows[:, 4]) == 1.0) == 4
+    report = certify_nonpairwise(BilinearProbe(), points=points)
+    assert report.decision == DECISION_CERTIFIED
+    assert report.index_triple == (0, 1, 2)
+    assert np.array_equal(report.point, points[0])
+    assert report.fd_value == 1.0
 
 
 # ---------------------------------------------------------------------------

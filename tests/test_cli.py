@@ -4,7 +4,7 @@ import json
 import pytest
 
 from fastslow.certificate import scan_mixed_derivatives
-from fastslow.cli import main
+from fastslow.cli import _resolve_integration, main
 
 SIMULATE = {
     "model": {
@@ -237,21 +237,50 @@ def test_attract_default_horizon_is_whole_steps(tmp_path, dt_factor):
     assert 6.0 <= round(steps) * dt_factor < 6.0 + dt_factor
 
 
-@pytest.mark.parametrize("command,epsilons", [("simulate", {"epsilon": 0.08}),
-                                              ("converge", {"epsilon_list":
-                                                            [0.08, 0.04, 0.02]})])
+@pytest.mark.parametrize("command,epsilons", [
+    ("simulate", {"epsilon": 0.08}),
+    ("converge", {"epsilon_list": [0.08, 0.04, 0.02]}),
+    # not a halving list: 2.0013, whole at 0.03, is not whole at 0.02
+    ("converge", {"epsilon_list": [0.03, 0.02, 0.01]})])
 def test_default_t_end_is_whole_steps(tmp_path, command, epsilons):
-    # 2.0 is not a whole number of steps of 0.07 * 0.08; the default horizon
-    # rounds up to the next whole step of the largest epsilon
+    # 2.0 is not a whole number of steps of 0.07 * epsilon; the default
+    # horizon rounds up to the next whole step of every epsilon
     cfg = copy.deepcopy(SIMULATE if command == "simulate" else CONVERGE)
     cfg["model"].update(epsilons)
     cfg["integration"] = {"dt_factor": 0.07}
     code, out = run(tmp_path, command, cfg, extra=["--quiet"])
     assert code == 0
     t_end = json.loads((out / "report.json").read_text())["t_end"]
-    dt = 0.08 * 0.07
-    assert abs(t_end / dt - round(t_end / dt)) < 1e-9
-    assert 2.0 < t_end < 2.0 + dt
+    for epsilon in epsilons.get("epsilon_list", [epsilons.get("epsilon")]):
+        steps = t_end / (0.07 * epsilon)
+        assert abs(steps - round(steps)) < 1e-9 * steps
+    # the next common whole step lies beyond 2.0 + 0.07 * 0.08 in each
+    # case (2.0112 and 2.0076), so this pins the smallest one
+    assert 2.0 < t_end < 2.0 + 0.07 * 0.08
+
+
+def test_unsettled_default_t_end_is_config_error(tmp_path, capsys):
+    # rounding up at 0.031, 0.017 and 0.013 in turn does not reach a whole
+    # number of steps of all three within the allowed passes
+    cfg = copy.deepcopy(CONVERGE)
+    cfg["model"]["epsilon_list"] = [0.031, 0.017, 0.013]
+    cfg["integration"] = {"dt_factor": 0.07}
+    err = expect_config_error(tmp_path, capsys, "converge", cfg)
+    assert "integration.t_end" in err
+
+
+def test_prime_step_count_needs_sample_every(tmp_path, capsys):
+    # 10 007 steps is prime: the only stride under the 10 000-sample cap
+    # would store just the first and last rows
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["model"]["epsilon"] = 0.01
+    cfg["integration"] = {"t_end": 5.0035}
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert "10007 steps" in err and "integration.sample_every" in err
+    # a set stride is taken as it is
+    cfg["integration"]["sample_every"] = 1
+    _, _, config = _resolve_integration(cfg, 0.01)
+    assert (config.n_steps, config.sample_every) == (10_007, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def test_default_config_caps_samples():
     cfg = default_config(epsilon=0.01, t_end=5.0005)
     assert cfg.n_steps == 10_001
     assert cfg.sample_every == 73
+    # 10 007 steps is prime: stride 10 007 would store only the two ends
+    with pytest.raises(ContractError, match="10007 steps.*sample_every"):
+        default_config(epsilon=0.01, t_end=5.0035)
 
 
 def test_rk4_scalar_decay():
