@@ -246,11 +246,11 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_integration(cfg: dict, epsilon: float,
-                         default_t_end: float = DEFAULT_T_END):
-    """Return (dt_factor, t_end, IntegrationConfig at this epsilon).  An
-    unset t_end is ``default_t_end`` when that is a whole number of steps,
-    else the fewest whole steps that cover it."""
+def _resolve_horizon(cfg: dict, epsilon: float,
+                     default_t_end: float = DEFAULT_T_END):
+    """Return (dt_factor, t_end) at this epsilon.  An unset t_end is
+    ``default_t_end`` when that is a whole number of steps, else the fewest
+    whole steps that cover it."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
@@ -264,9 +264,20 @@ def _resolve_integration(cfg: dict, epsilon: float,
         t_end = default_t_end if abs(steps - round(steps)) <= 1e-9 * steps \
             else math.ceil(steps) * (epsilon * dt_factor)
     _expect(t_end > 0, "integration.t_end", "must be > 0")
-    sample_every = block.get("sample_every")
+    return dt_factor, t_end
+
+
+def _resolve_integration(cfg: dict, epsilon: float,
+                         default_t_end: float = DEFAULT_T_END):
+    """Return (dt_factor, t_end, IntegrationConfig at this epsilon)."""
+    dt_factor, t_end = _resolve_horizon(cfg, epsilon, default_t_end)
+    sample_every = _get_block(cfg, "integration").get("sample_every")
     if sample_every is None:
-        return dt_factor, t_end, default_config(epsilon, t_end, dt_factor)
+        try:
+            return dt_factor, t_end, default_config(epsilon, t_end, dt_factor)
+        except ContractError as exc:
+            raise ConfigError(f"integration.t_end: {exc}, or set "
+                              f"integration.sample_every") from exc
     # a set stride replaces the default one, which may not exist
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     sample_every = _as_int(sample_every, "integration.sample_every")
@@ -449,20 +460,23 @@ def cmd_converge(raw_config, seeds: SeedBook):
             "integration.sample_every", "is not used by converge; remove it")
     # an unset horizon is rounded up to whole steps at each epsilon in
     # turn, until a pass over the list leaves it unchanged; a halving list
-    # is settled by its first pass
+    # gets its horizon from the first pass.  The pass cap is a policy, not
+    # a convergence limit: a common whole horizon may lie further out, but
+    # by then it has drifted from the default, so the user must set it
+    passes = len(epsilon_list) + 1
     t_end = DEFAULT_T_END
-    for _ in range(len(epsilon_list) + 1):
+    for _ in range(passes):
         settled = t_end
         for epsilon in epsilon_list:
-            dt_factor, t_end, _ = _resolve_integration(
-                raw_config, float(epsilon), t_end)
+            dt_factor, t_end = _resolve_horizon(raw_config, float(epsilon),
+                                                t_end)
         if t_end == settled:
             break
     else:
         raise ConfigError(
-            f"integration.t_end: the default horizon is not a whole number "
-            f"of steps at every epsilon after {len(epsilon_list)} passes "
-            f"over the list; set it")
+            f"integration.t_end: rounding the default horizon up to whole "
+            f"steps at each epsilon still moved it on pass {passes} over "
+            f"the list; set it")
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)

@@ -74,19 +74,20 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
                    max_samples: int = MAX_DEFAULT_SAMPLES) -> IntegrationConfig:
     """Config with dt = epsilon * dt_factor, sampled at the smallest stride
     that divides the step count and stores at most max_samples rows after
-    the initial one.  Raises ContractError when no stride below the step
-    count qualifies although the cap allows more than the two ends."""
+    the initial one.  Raises ContractError when that stride stores fewer
+    than 1 % of the rows the cap allows (a step count with no divisor near
+    n_steps / max_samples, such as a prime or twice a prime)."""
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     n_steps = config.n_steps
-    smallest = max(1, -(-n_steps // max_samples))
-    sample_every = smallest
+    sample_every = max(1, -(-n_steps // max_samples))
     while n_steps % sample_every:
         sample_every += 1
-    if sample_every == n_steps > smallest:
+    # the 1 % floor is a policy: it keeps 10 001 = 73 * 137 steps (137 rows)
+    if 100 * (n_steps // sample_every) < min(n_steps, max_samples):
         raise ContractError(
-            f"no stride below the {n_steps} steps divides them and stores at "
-            f"most {max_samples} samples; choose another t_end, or set "
-            f"integration.sample_every (simulate, attract)")
+            f"the smallest stride that divides the {n_steps} steps and "
+            f"stores at most {max_samples} samples is {sample_every}, which "
+            f"stores only {n_steps // sample_every}; choose another t_end")
     return replace(config, sample_every=sample_every)
 
 

@@ -253,20 +253,21 @@ def test_default_t_end_is_whole_steps(tmp_path, command, epsilons):
     t_end = json.loads((out / "report.json").read_text())["t_end"]
     for epsilon in epsilons.get("epsilon_list", [epsilons.get("epsilon")]):
         steps = t_end / (0.07 * epsilon)
-        assert abs(steps - round(steps)) < 1e-9 * steps
+        assert abs(steps - round(steps)) < 1e-9
     # the next common whole step lies beyond 2.0 + 0.07 * 0.08 in each
     # case (2.0112 and 2.0076), so this pins the smallest one
     assert 2.0 < t_end < 2.0 + 0.07 * 0.08
 
 
 def test_unsettled_default_t_end_is_config_error(tmp_path, capsys):
-    # rounding up at 0.031, 0.017 and 0.013 in turn does not reach a whole
-    # number of steps of all three within the allowed passes
+    # rounding up at 0.031, 0.017 and 0.013 in turn still moves the horizon
+    # on the fourth pass; a common whole horizon exists near 2.398, but the
+    # pass cap refuses a default that far from 2.0
     cfg = copy.deepcopy(CONVERGE)
     cfg["model"]["epsilon_list"] = [0.031, 0.017, 0.013]
     cfg["integration"] = {"dt_factor": 0.07}
     err = expect_config_error(tmp_path, capsys, "converge", cfg)
-    assert "integration.t_end" in err
+    assert "integration.t_end" in err and "pass 4" in err
 
 
 def test_prime_step_count_needs_sample_every(tmp_path, capsys):
@@ -281,6 +282,16 @@ def test_prime_step_count_needs_sample_every(tmp_path, capsys):
     cfg["integration"]["sample_every"] = 1
     _, _, config = _resolve_integration(cfg, 0.01)
     assert (config.n_steps, config.sample_every) == (10_007, 1)
+
+
+def test_converge_horizon_without_stride_is_error(tmp_path, capsys):
+    # 2003 steps of 0.001 at epsilon 0.02 is prime: under converge's
+    # 2000-sample cap the only stride stores one sample; converge rejects
+    # sample_every, so the message does not offer it
+    cfg = copy.deepcopy(CONVERGE)
+    cfg["integration"] = {"t_end": 2.003}
+    err = expect_config_error(tmp_path, capsys, "converge", cfg)
+    assert "2003 steps" in err and "sample_every" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,12 @@ def test_default_config_caps_samples():
     cfg = default_config(epsilon=0.01, t_end=5.0005)
     assert cfg.n_steps == 10_001
     assert cfg.sample_every == 73
-    # 10 007 steps is prime: stride 10 007 would store only the two ends
-    with pytest.raises(ContractError, match="10007 steps.*sample_every"):
+    # 10 007 steps is prime, and 20 014 = 2 * 10 007 has no divisor from 3
+    # to 10 006: the strides 10 007 would store only one or two samples
+    with pytest.raises(ContractError, match="10007 steps.*only 1;"):
         default_config(epsilon=0.01, t_end=5.0035)
+    with pytest.raises(ContractError, match="20014 steps.*only 2;"):
+        default_config(epsilon=0.01, t_end=10.007)
 
 
 def test_rk4_scalar_decay():
