@@ -53,9 +53,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 # stream tags for deriving per-purpose generators from one top-level seed
-SEED_TAG_OMEGA = 1
-SEED_TAG_THETA = 2
-SEED_TAG_PERTURBATION = 3
+SEED_TAGS = {"omega": 1, "theta": 2, "perturbation": 3}
 
 DEFAULT_DT_FACTOR = 0.05
 DEFAULT_T_END = 2.0
@@ -84,17 +82,15 @@ def to_json(obj, indent: int = 2, level: int = 0) -> str:
     inner = " " * (indent * (level + 1))
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         parts = [inner + to_json(v, indent, level + 1) for v in obj]
@@ -133,8 +129,12 @@ def _get_block(cfg: dict, key: str, required: bool = False) -> dict:
 def _as_float(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, f"must be a number, got {value!r}")
-    _expect(np.isfinite(value), path, "must be finite")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    _expect(math.isfinite(number), path, "must be finite")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -173,15 +173,15 @@ class SeedBook:
         self.top_seed = None if top_seed is None else _as_seed(top_seed, "seed")
         self.resolved: dict = {}
 
-    def rng(self, purpose: str, tag: int, local_seed, path: str):
+    def rng(self, purpose: str, local_seed, path: str):
         if local_seed is not None:
             _as_seed(local_seed, path)
         if self.override is not None:
-            key = [self.override, tag]
+            key = [self.override, SEED_TAGS[purpose]]
         elif local_seed is not None:
             key = local_seed
         elif self.top_seed is not None:
-            key = [self.top_seed, tag]
+            key = [self.top_seed, SEED_TAGS[purpose]]
         else:
             raise ConfigError(
                 f"{path}: randomized field needs a seed (field seed, "
@@ -206,8 +206,7 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
         low = _as_float(omega_cfg.get("low", -1.0), "model.omega.low")
         high = _as_float(omega_cfg.get("high", 1.0), "model.omega.high")
         _expect(low < high, "model.omega", "low must be below high")
-        rng = seeds.rng("omega", SEED_TAG_OMEGA, omega_cfg.get("seed"),
-                        "model.omega")
+        rng = seeds.rng("omega", omega_cfg.get("seed"), "model.omega")
         omega = rng.uniform(low, high, n_nodes)
     else:
         raise ConfigError("model.omega: must be a list or a distribution object")
@@ -246,11 +245,13 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_horizon(cfg: dict, epsilon: float,
+def _resolve_horizon(cfg: dict, epsilons,
                      default_t_end: float = DEFAULT_T_END):
-    """Return (dt_factor, t_end) at this epsilon.  An unset t_end is
-    ``default_t_end`` when that is a whole number of steps, else the fewest
-    whole steps that cover it."""
+    """Return (dt_factor, t_end) for runs at each of ``epsilons``.  An unset
+    t_end is ``default_t_end`` rounded up to whole steps at each epsilon in
+    turn until a pass leaves it unchanged.  The pass cap is a policy: a
+    common whole horizon may lie further out, but it has drifted from the
+    default, so the user must set it."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
@@ -259,22 +260,31 @@ def _resolve_horizon(cfg: dict, epsilon: float,
             "must lie in (0, 0.1] (integrator stability guard)")
     if "t_end" in block:
         t_end = _as_float(block["t_end"], "integration.t_end")
-    else:  # the whole-step test of IntegrationConfig, in steps
-        steps = default_t_end / (epsilon * dt_factor)
-        t_end = default_t_end if abs(steps - round(steps)) <= 1e-9 * steps \
-            else math.ceil(steps) * (epsilon * dt_factor)
-    _expect(t_end > 0, "integration.t_end", "must be > 0")
-    return dt_factor, t_end
+        _expect(t_end > 0, "integration.t_end", "must be > 0")
+        return dt_factor, t_end
+    passes = len(epsilons) + 1
+    t_end = default_t_end
+    for _ in range(passes):
+        settled = t_end
+        for epsilon in epsilons:
+            dt = float(epsilon) * dt_factor
+            steps = t_end / dt  # the whole-step test of IntegrationConfig
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                t_end = math.ceil(steps) * dt
+        if t_end == settled:
+            return dt_factor, t_end
+    raise ConfigError(f"integration.t_end: rounding the default horizon up "
+                      f"to whole steps still moved it on pass {passes}; set it")
 
 
 def _resolve_integration(cfg: dict, epsilon: float,
                          default_t_end: float = DEFAULT_T_END):
-    """Return (dt_factor, t_end, IntegrationConfig at this epsilon)."""
-    dt_factor, t_end = _resolve_horizon(cfg, epsilon, default_t_end)
+    """Return the IntegrationConfig at this epsilon."""
+    dt_factor, t_end = _resolve_horizon(cfg, [epsilon], default_t_end)
     sample_every = _get_block(cfg, "integration").get("sample_every")
     if sample_every is None:
         try:
-            return dt_factor, t_end, default_config(epsilon, t_end, dt_factor)
+            return default_config(epsilon, t_end, dt_factor)
         except ContractError as exc:
             raise ConfigError(f"integration.t_end: {exc}, or set "
                               f"integration.sample_every") from exc
@@ -284,8 +294,7 @@ def _resolve_integration(cfg: dict, epsilon: float,
     _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
             "integration.sample_every",
             f"must be >= 1 and divide the {config.n_steps} steps")
-    return dt_factor, t_end, dataclasses.replace(config,
-                                                 sample_every=sample_every)
+    return dataclasses.replace(config, sample_every=sample_every)
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
@@ -295,10 +304,15 @@ def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
     if isinstance(theta_cfg, list):
         return wrap_phase(_as_float_list(theta_cfg, "initial.theta", n_nodes))
     if isinstance(theta_cfg, dict):
-        rng = seeds.rng("theta", SEED_TAG_THETA, theta_cfg.get("seed"),
-                        "initial.theta")
+        rng = seeds.rng("theta", theta_cfg.get("seed"), "initial.theta")
         return rng.uniform(0.0, 2.0 * np.pi, n_nodes)
     raise ConfigError("initial.theta: must be a list or {\"seed\": ...}")
+
+
+def _kick(seeds: SeedBook, n: int, norm: float, local_seed, path: str):
+    """Seeded N x N weight perturbation with Frobenius norm ``norm``."""
+    noise = seeds.rng("perturbation", local_seed, path).standard_normal((n, n))
+    return noise * (norm / np.linalg.norm(noise))
 
 
 def _resolve_output(cfg: dict, out_flag):
@@ -377,12 +391,10 @@ def cmd_simulate(raw_config, seeds: SeedBook):
         norm = _as_float(pert.get("norm", 0.0), "initial.perturbation.norm")
         _expect(norm >= 0, "initial.perturbation.norm", "must be >= 0")
         if norm > 0:
-            rng = seeds.rng("perturbation", SEED_TAG_PERTURBATION,
-                            pert.get("seed"), "initial.perturbation")
-            noise = rng.standard_normal((params.n_nodes, params.n_nodes))
-            weights = weights + noise * (norm / np.linalg.norm(noise))
+            weights = weights + _kick(seeds, params.n_nodes, norm,
+                                      pert.get("seed"), "initial.perturbation")
 
-    _, _, config = _resolve_integration(raw_config, params.epsilon)
+    config = _resolve_integration(raw_config, params.epsilon)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=weights), config)
 
@@ -458,25 +470,7 @@ def cmd_converge(raw_config, seeds: SeedBook):
     # convergence_study picks its own stride (at most 2000 samples per run)
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
-    # an unset horizon is rounded up to whole steps at each epsilon in
-    # turn, until a pass over the list leaves it unchanged; a halving list
-    # gets its horizon from the first pass.  The pass cap is a policy, not
-    # a convergence limit: a common whole horizon may lie further out, but
-    # by then it has drifted from the default, so the user must set it
-    passes = len(epsilon_list) + 1
-    t_end = DEFAULT_T_END
-    for _ in range(passes):
-        settled = t_end
-        for epsilon in epsilon_list:
-            dt_factor, t_end = _resolve_horizon(raw_config, float(epsilon),
-                                                t_end)
-        if t_end == settled:
-            break
-    else:
-        raise ConfigError(
-            f"integration.t_end: rounding the default horizon up to whole "
-            f"steps at each epsilon still moved it on pass {passes} over "
-            f"the list; set it")
+    dt_factor, t_end = _resolve_horizon(raw_config, epsilon_list)
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)
@@ -518,13 +512,11 @@ def cmd_attract(raw_config, seeds: SeedBook):
                      "attract.perturbation_norm")
     _expect(norm > 0, "attract.perturbation_norm", "must be > 0")
 
-    rng = seeds.rng("perturbation", SEED_TAG_PERTURBATION,
-                    block.get("perturbation_seed"), "attract.perturbation_seed")
-    noise = rng.standard_normal((params.n_nodes, params.n_nodes))
-    weights = slow_manifold(params, coupling, theta0) \
-        + noise * (norm / np.linalg.norm(noise))
+    weights = slow_manifold(params, coupling, theta0) + _kick(
+        seeds, params.n_nodes, norm, block.get("perturbation_seed"),
+        "attract.perturbation_seed")
 
-    _, _, config = _resolve_integration(
+    config = _resolve_integration(
         raw_config, params.epsilon,
         DEFAULT_ATTRACT_FAST_HORIZON * params.epsilon)
 
@@ -582,11 +574,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text)
+    try:
+        raw = json.loads(sys.stdin.read() if path == "-"
+                         else Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"parse error at line {exc.lineno} column "
+                          f"{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
@@ -597,22 +594,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw_config = read_config(args.config)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"config parse error at line {exc.lineno} column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UnicodeDecodeError as exc:
-        print(f"config error: {args.config} is not valid UTF-8: {exc}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         seeds = SeedBook(override=args.seed, top_seed=raw_config.get("seed"))
         out_dir, formats = _resolve_output(raw_config, args.out)
         report, write_csv, summary = COMMANDS[args.command](raw_config, seeds)

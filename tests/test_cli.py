@@ -76,6 +76,25 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     assert "simulate: " in capsys.readouterr().out
 
 
+def test_simulate_starts_from_explicit_weights(tmp_path):
+    weights = [[0.0, 0.5, -0.25], [1.0, 0.0, 0.125], [-2.0, 0.75, 0.0]]
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["initial"]["weights"] = weights
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    lines = (out / "raw.csv").read_text().splitlines()
+    first = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert [[float(first[f"a_{i}_{j}"]) for j in (1, 2, 3)]
+            for i in (1, 2, 3)] == weights
+
+
+def test_non_square_weights_are_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["initial"]["weights"] = [[0.0, 0.5, -0.25], [1.0, 0.0, 0.125]]
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert "initial.weights" in err
+
+
 def test_manifest_records_seeds_and_versions(tmp_path):
     _, out = run(tmp_path, "simulate", SIMULATE)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -280,7 +299,7 @@ def test_prime_step_count_needs_sample_every(tmp_path, capsys):
     assert "10007 steps" in err and "integration.sample_every" in err
     # a set stride is taken as it is
     cfg["integration"]["sample_every"] = 1
-    _, _, config = _resolve_integration(cfg, 0.01)
+    config = _resolve_integration(cfg, 0.01)
     assert (config.n_steps, config.sample_every) == (10_007, 1)
 
 
@@ -412,6 +431,36 @@ def test_bad_json_reports_position(tmp_path, capsys):
 def test_missing_file_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"model": "\xe9"}'.encode("latin-1"), "not valid UTF-8"),
+    (b"[1]", "config root must be a JSON object"),
+], ids=["latin-1", "list-root"])
+def test_unusable_config_file_is_config_error(tmp_path, capsys, content,
+                                              message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    code = main(["simulate", "--config", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("alpha", 10**20, 0),  # finite although beyond any 64-bit integer
+    ("epsilon", 10**400, 2),  # beyond the float range
+], ids=["alpha-1e20", "epsilon-1e400"])
+def test_large_integer_literal(tmp_path, capsys, key, value, code):
+    cfg = copy.deepcopy(CERTIFY)
+    if key == "alpha":
+        cfg["model"]["coupling"]["alpha"] = value
+    else:
+        cfg["model"]["epsilon"] = value
+    assert run(tmp_path, "certify", cfg)[0] == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith(
+            "config error: model.epsilon")
 
 
 def test_unknown_format_is_config_error(tmp_path, capsys):
