@@ -194,6 +194,8 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     model = _get_block(cfg, "model", required=True)
     n_nodes = _as_int(model.get("n_nodes"), "model.n_nodes")
     _expect(n_nodes >= 1, "model.n_nodes", "must be >= 1")
+    _expect(n_nodes * n_nodes <= np.iinfo(np.intp).max, "model.n_nodes",
+            "is too large for an N x N weight matrix")
 
     omega_cfg = model.get("omega")
     _expect(omega_cfg is not None, "model.omega", "is required")
@@ -584,6 +586,8 @@ def read_config(path: str) -> dict:
                           f"{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
+    except ValueError as exc:  # such as an integer literal over 4300 digits
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw

@@ -70,7 +70,7 @@ def pair_differences(theta: FloatArray) -> FloatArray:
 class _Terms:
     """g = gamma(theta_j - theta_i) and w0 = critical_weights(theta), each
     evaluated once at checked phases (..., N), and what is built from them:
-    the phase equation at any weights, h1 and the surface of order 0 or 1.
+    the phase equation at any weights, h1 and the surface h0 + epsilon * h1.
     """
 
     __slots__ = ("params", "coupling", "theta", "g", "w0")
@@ -91,10 +91,12 @@ class _Terms:
         return -(self.coupling.target_du(u, v) * f[..., :, None]
                  + self.coupling.target_dv(u, v) * f[..., None, :])
 
-    def surface(self, order: int) -> FloatArray:
-        if order == 0:
+    def surface(self, epsilon) -> FloatArray:
+        """h0 + epsilon * h1 at a scalar epsilon, or at a column (..., 1, 1)
+        of them; a scalar 0 gives h0 without evaluating h1."""
+        if not isinstance(epsilon, np.ndarray) and epsilon == 0:
             return self.w0
-        return self.w0 + self.params.epsilon * self.correction()
+        return self.w0 + epsilon * self.correction()
 
 
 def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
@@ -146,7 +148,8 @@ def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> Float
     if order not in (0, 1):
         raise ContractError(f"order must be 0 or 1, got {order}")
     theta = _check_shapes(params.n_nodes, theta)
-    return _Terms(params, coupling, theta).surface(order)
+    # the surface truncated at order 0 is the one at epsilon 0
+    return _Terms(params, coupling, theta).surface(order * params.epsilon)
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -221,4 +224,4 @@ class ReducedField:
     def __call__(self, theta) -> FloatArray:
         terms = _Terms(self.params, self.coupling,
                        _check_shapes(self.params.n_nodes, theta))
-        return terms.phase_rhs(terms.surface(self.order))
+        return terms.phase_rhs(terms.surface(self.order * self.params.epsilon))

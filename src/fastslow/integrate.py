@@ -10,8 +10,15 @@ than merely stable.
 The reduced fields carry no fast scale, so no guard ties their step to
 epsilon.  The convergence study steps them at the full run's sample
 spacing, in equal substeps of at most 0.01, so that their samples fall on
-the full run's sample times, and it integrates the epsilon-free order-0
-field once per shared sample grid.
+the full run's sample times.
+
+One loop, ``_integrate``, takes every step.  It steps one flat state or a
+stack of states whose rows each take their own number of steps of their
+own dt between shared sample times; rows are evaluated together, and
+every model equation is elementwise across rows, so each row takes the
+bits it would take alone.  The convergence study steps each sample grid
+as two stacks: the full system at each of its epsilons, and the order-0
+field together with the order-1 field at each epsilon.
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
@@ -95,9 +102,10 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
 class Trajectory:
     """Uniformly sampled trajectory.
 
-    ``thetas`` has one row per stored sample (phases canonical in [0, 2*pi));
-    ``weights`` is the matching stack of weight matrices, or None for
-    phase-only trajectories.  Times are uniform with spacing
+    ``thetas`` has one row per stored sample (phases canonical in [0, 2*pi)),
+    of shape (N,), or (S, N) for a stack of S trajectories; ``weights`` is
+    the matching stack of weight matrices, or None for phase-only
+    trajectories.  Times are uniform with spacing
     dt * sample_every.
     """
 
@@ -129,38 +137,99 @@ class Trajectory:
         return self.times.size
 
 
-def rk4_step(rhs, state: FloatArray, dt: float) -> FloatArray:
-    """One classical Runge-Kutta step on a flat state array.
+def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
+    """One classical Runge-Kutta step on a flat state array, or on a stack
+    of them (S, D) with dt a float or a column (S, 1).
 
-    Raises IntegrationError if any stage produces a non-finite value.
+    Raises IntegrationError if any stage produces a non-finite value; its
+    ``rows`` are the rows of the stack that hold one (0 for a flat state).
     """
     k1 = rhs(state)
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError("non-finite value in Runge-Kutta stage")
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise IntegrationError("non-finite value in Runge-Kutta stage",
+                               np.flatnonzero(~np.atleast_2d(finite).all(-1)))
     return out
 
 
-def _integrate(rhs, state: FloatArray, config: IntegrationConfig, what: str):
-    """Step a flat state with rk4_step; return (times, rows) with one row per
-    stored state, the initial one first.  ``what`` names the system in the
-    error raised when a step fails."""
-    times = np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
-    rows = np.empty((times.size, state.size))
-    rows[0] = state
-    for step in range(1, config.n_steps + 1):
-        try:
-            state = rk4_step(rhs, state, config.dt)
-        except IntegrationError as exc:
-            raise IntegrationError(
-                f"{what} integration failed at t={step * config.dt:.6g} "
-                f"(step {step}): {exc}") from exc
-        if step % config.sample_every == 0:
-            rows[step // config.sample_every] = state
-    return times, rows
+def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
+               what: str, stored: Optional[int] = None) -> FloatArray:
+    """Step ``state`` with rk4_step and return the first ``stored`` columns
+    (all by default) at n_samples sample times, the initial state first.
+
+    ``state`` is one flat row (D,), giving rows (n_samples, D), or a stack
+    (S, D), giving rows (n_samples, S, D).  Between two samples row r takes
+    substeps[r] steps of dt[r]: substeps is one count or one per row, in
+    non-increasing order, and dt a float or a column (S, 1).  The rows still
+    stepping are then a prefix state[:c], which is what ``rhs`` receives; a
+    row stepping alone reaches it as a flat state with a float dt.  ``what``
+    names the system in the error raised when a step fails, which gives the
+    time and step of each failing row on that row's own step grid.
+    """
+    stack = np.array(state, dtype=float, ndmin=2)
+    each = np.broadcast_to(substeps, stack.shape[:1])
+    dt_row = np.broadcast_to(dt, stack.shape[:1] + (1,))[:, 0]
+    # (rows still stepping, a view of them, their dt) at each substep of a
+    # sample spacing
+    plan = []
+    for k in range(int(each.max())):
+        c = int(np.count_nonzero(each > k))
+        plan.append((c, stack[0], float(dt_row[0])) if c == 1 else
+                    (c, stack[:c], dt if np.ndim(dt) == 0 else dt[:c]))
+    kept = stack[:, :stored]
+    rows = np.empty((n_samples,) + kept.shape)
+    rows[0] = kept
+    for sample in range(1, n_samples):
+        for k, (c, active, h) in enumerate(plan):
+            try:
+                active[...] = rk4_step(rhs, active, h)
+            except IntegrationError as exc:
+                failed = exc.rows or range(c)
+                steps = [(sample - 1) * int(each[r]) + k + 1 for r in failed]
+                where = ", ".join(
+                    ("" if state.ndim == 1 else f"in row {r} ")
+                    + f"at t={step * dt_row[r]:.6g} (step {step})"
+                    for r, step in zip(failed, steps))
+                raise IntegrationError(
+                    f"{what} integration failed {where}: {exc}",
+                    failed) from exc
+        rows[sample] = kept
+    return rows if state.ndim == 2 else rows[:, 0]
+
+
+def _sample_times(config: IntegrationConfig) -> FloatArray:
+    return np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
+
+
+def _full_rhs(params: ModelParams, coupling, epsilon):
+    """The full-system rhs, phase_rhs and weight_rhs / epsilon at one
+    evaluation of the coupling, on a state [theta, weights.ravel()]: one
+    flat state at a scalar epsilon, or a stack (c, D) whose rows go with
+    the first c entries of a column epsilon (S, 1, 1); a flat state goes
+    with its first entry."""
+    n = params.n_nodes
+    column = np.reshape(epsilon, (-1, 1, 1))
+    first = float(column[0, 0, 0])
+
+    def rhs(state):
+        out = np.empty_like(state)
+        # views of the phases and the weights, in and out
+        if state.ndim == 1:
+            theta, w, e = state[:n], state[n:].reshape(n, n), first
+            dtheta, dw = out[:n], out[n:].reshape(n, n)
+        else:
+            theta, w = state[:, :n], state[:, n:].reshape(-1, n, n)
+            dtheta, dw = out[:, :n], out[:, n:].reshape(-1, n, n)
+            e = column[:len(state)]
+        terms = _Terms(params, coupling, theta)
+        dtheta[...] = terms.phase_rhs(w)
+        np.divide(-w + terms.w0, e, out=dw)
+        return out
+    return rhs
 
 
 def integrate_full(params: ModelParams, coupling, initial: FullState,
@@ -180,31 +249,29 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
         raise ContractError(
             f"dt={config.dt} exceeds the stability guard epsilon/10 = "
             f"{params.epsilon / 10.0}")
-
-    # phase_rhs and weight_rhs / epsilon at one evaluation of the coupling
-    def rhs(flat):
-        w = flat[n:].reshape(n, n)
-        terms = _Terms(params, coupling, flat[:n])
-        out = np.empty_like(flat)
-        out[:n] = terms.phase_rhs(w)
-        out[n:] = ((-w + terms.w0) / params.epsilon).ravel()
-        return out
-
     state = np.concatenate([initial.theta, initial.weights.ravel()])
-    times, rows = _integrate(rhs, state, config, "full-system")
+    times = _sample_times(config)
+    rows = _integrate(_full_rhs(params, coupling, params.epsilon), state,
+                      config.dt, config.sample_every, times.size,
+                      "full-system")
     return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
                       weights=rows[:, n:].reshape(-1, n, n))
 
 
 def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:
-    """Integrate a phase-only reduced field.  No epsilon guard applies;
-    the reduced field carries no fast relaxation."""
+    """Integrate a phase-only reduced field from one phase vector (N,), or
+    from a stack (S, N) that the field evaluates in one call, giving thetas
+    (samples, S, N).  No epsilon guard applies; the reduced field carries
+    no fast relaxation."""
     theta0 = np.asarray(initial_theta, dtype=float)
     n = field.n_nodes
-    if theta0.shape != (n,):
+    if theta0.shape[-1:] != (n,) or theta0.ndim > 2:
         raise ContractError(
-            f"initial theta must have shape ({n},), got {theta0.shape}")
-    times, rows = _integrate(field, theta0, config, "reduced")
+            f"initial theta must have shape ({n},) or (S, {n}), got "
+            f"{theta0.shape}")
+    times = _sample_times(config)
+    rows = _integrate(field, theta0, config.dt, config.sample_every,
+                      times.size, "reduced")
     return Trajectory(times=times, thetas=wrap_phase(rows))
 
 

@@ -29,7 +29,14 @@ class CapabilityError(ContractError):
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced a non-finite state or diverged."""
+    """Numerical integration produced a non-finite state or diverged.
+
+    ``rows`` indexes the rows of a stacked state (S, D) that hold the
+    non-finite values; it is empty when they are not known."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = tuple(int(r) for r in rows)
 
 
 class ExperimentError(RuntimeError):
@@ -45,9 +52,9 @@ def wrap_phase(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ContractError("phase values must be finite")
-    wrapped = np.mod(x, TWO_PI)
+    wrapped = np.mod(x, TWO_PI, out=np.empty_like(x))
     # mod can return 2*pi itself when x is a tiny negative number
-    wrapped = np.where(wrapped >= TWO_PI, wrapped - TWO_PI, wrapped)
+    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped >= TWO_PI)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped

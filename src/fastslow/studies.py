@@ -7,14 +7,15 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ReducedField, slow_manifold
-from .integrate import IntegrationConfig, default_config, integrate_full, \
-    integrate_reduced
+from .fields import _Terms, slow_manifold
+from .integrate import IntegrationConfig, _full_rhs, _integrate, \
+    default_config, integrate_full, integrate_reduced
 from .model import (
     ContractError,
     ExperimentError,
@@ -23,6 +24,7 @@ from .model import (
     IntegrationError,
     ModelParams,
     phase_distance,
+    wrap_phase,
 )
 
 # log-log fits with r^2 below this carry the poor-fit flag
@@ -183,6 +185,38 @@ def _sample_grid(config: IntegrationConfig) -> IntegrationConfig:
                              sample_every=substeps)
 
 
+@contextmanager
+def _failures_named(names):
+    """Raise an IntegrationError of a stack as an ExperimentError that
+    names the rows holding the non-finite values, row r by names[r]."""
+    try:
+        yield
+    except IntegrationError as exc:
+        failed = ", ".join(names[r] for r in exc.rows)
+        raise ExperimentError(f"integration failed at {failed}: {exc}") \
+            from exc
+
+
+@dataclass(frozen=True, eq=False)
+class _ReducedStack:
+    """The reduced field on a stack of phase vectors (S, N) whose row r is
+    stepped at epsilons[r], a column (S, 1, 1): row r is the order-0 field
+    where epsilons[r] is 0, and the order-1 field at epsilons[r] elsewhere.
+    """
+
+    params: ModelParams
+    coupling: object
+    epsilons: FloatArray
+
+    @property
+    def n_nodes(self) -> int:
+        return self.params.n_nodes
+
+    def __call__(self, theta) -> FloatArray:
+        terms = _Terms(self.params, self.coupling, theta)
+        return terms.phase_rhs(terms.surface(self.epsilons))
+
+
 def convergence_study(params_base: ModelParams, coupling, theta0,
                       epsilons: Sequence[float], t_end: float = 2.0,
                       dt_factor: float = 0.05,
@@ -196,11 +230,17 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     reference.  The reduced fields carry no fast scale: they are stepped
     at the full run's sample spacing, split into substeps of at most
     MAX_REDUCED_DT = 0.01, so their samples fall on the full run's sample
-    times.  The order-0 field does not depend on epsilon and is integrated
-    once per distinct sample grid.  The error is the largest phase distance
-    over the sampled window [0, t_end].  Requires at least 3 epsilon
-    values, strictly decreasing, dt_factor <= 0.1 and t_end a whole number
-    of steps at every epsilon, all checked before any integration starts.
+    times.  The error is the largest phase distance over the sampled
+    window [0, t_end].  Requires at least 3 epsilon values, strictly
+    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at
+    every epsilon, all checked before any integration starts.
+
+    The epsilons that share a sample grid are integrated as two stacks,
+    each row bit-identical to its own run: one full-system run with a row
+    per epsilon, each taking its own steps between the shared samples, and
+    one reduced run of the order-0 field (which does not depend on
+    epsilon) and the order-1 field at each epsilon.  Only their phases
+    are kept, one grid at a time.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -215,26 +255,35 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
                for e in eps]
     grids = [_sample_grid(config) for config in configs]
 
-    field0 = ReducedField(order=0, params=params_base, coupling=coupling)
-    red0_on = {}
     errs0 = np.empty(eps.size)
     errs1 = np.empty(eps.size)
-    for m, (e, config, grid) in enumerate(zip(eps, configs, grids)):
-        params = replace(params_base, epsilon=float(e))
-        w0 = slow_manifold(params, coupling, theta0)
-        try:
-            full = integrate_full(params, coupling,
-                                  FullState(theta=theta0, weights=w0), config)
-            if grid not in red0_on:
-                red0_on[grid] = integrate_reduced(field0, theta0, grid)
-            red1 = integrate_reduced(
-                ReducedField(order=1, params=params, coupling=coupling),
-                theta0, grid)
-        except IntegrationError as exc:
-            raise ExperimentError(
-                f"integration failed at epsilon={e}: {exc}") from exc
-        errs0[m] = phase_distance(full.thetas, red0_on[grid].thetas)
-        errs1[m] = phase_distance(full.thetas, red1.thetas)
+    for grid in dict.fromkeys(grids):
+        # finest first, so the full rows still stepping are a prefix
+        members = sorted((m for m, g in enumerate(grids) if g == grid),
+                         key=lambda m: -configs[m].sample_every)
+        column = eps[members][:, None, None]
+        starts = [FullState(theta=theta0, weights=slow_manifold(
+            replace(params_base, epsilon=float(eps[m])), coupling, theta0))
+            for m in members]
+        names = [f"epsilon={eps[m]}" for m in members]
+        with _failures_named(names):
+            full = wrap_phase(_integrate(
+                _full_rhs(params_base, coupling, column),
+                np.stack([np.concatenate([s.theta, s.weights.ravel()])
+                          for s in starts]),
+                np.array([[configs[m].dt] for m in members]),
+                [configs[m].sample_every for m in members],
+                grid.n_steps // grid.sample_every + 1, "full-system",
+                stored=params_base.n_nodes))
+        with _failures_named(["order 0"] + [f"order 1 at {name}"
+                                            for name in names]):
+            reduced = integrate_reduced(
+                _ReducedStack(params_base, coupling,
+                              np.concatenate([[[[0.0]]], column])),
+                np.tile(theta0, (1 + len(members), 1)), grid).thetas
+        for row, m in enumerate(members):
+            errs0[m] = phase_distance(full[:, row], reduced[:, 0])
+            errs1[m] = phase_distance(full[:, row], reduced[:, 1 + row])
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     fit0, fit1 = (None, None) if degenerate else \

@@ -436,7 +436,8 @@ def test_missing_file_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     ('{"model": "\xe9"}'.encode("latin-1"), "not valid UTF-8"),
     (b"[1]", "config root must be a JSON object"),
-], ids=["latin-1", "list-root"])
+    (b'{"seed": ' + b"7" * 5000 + b"}", "4300 digits"),
+], ids=["latin-1", "list-root", "5000-digit-integer"])
 def test_unusable_config_file_is_config_error(tmp_path, capsys, content,
                                               message):
     path = tmp_path / "cfg.json"
@@ -461,6 +462,18 @@ def test_large_integer_literal(tmp_path, capsys, key, value, code):
     if code == 2:
         assert capsys.readouterr().err.startswith(
             "config error: model.epsilon")
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("n_nodes", [2**32, 10**20])
+def test_n_nodes_beyond_the_index_range_is_config_error(tmp_path, capsys,
+                                                        command, n_nodes):
+    # an N x N weight matrix with N*N above the largest array index
+    cfg = copy.deepcopy(CERTIFY if command == "certify" else SIMULATE)
+    cfg["model"]["n_nodes"] = n_nodes
+    cfg["model"]["omega"] = {"distribution": "uniform", "seed": 1}
+    assert run(tmp_path, command, cfg)[0] == 2
+    assert capsys.readouterr().err.startswith("config error: model.n_nodes")
 
 
 def test_unknown_format_is_config_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fastslow import (
     weight_rhs,
     wrap_phase,
 )
-from fastslow.integrate import _write_table
+from fastslow.integrate import _full_rhs, _integrate, _write_table
 
 TWO_PI = 2 * np.pi
 
@@ -261,6 +262,45 @@ def test_full_rhs_matches_public_fields():
         flat = rk4_step(rhs, flat, dt)
         assert np.array_equal(traj.thetas[step], wrap_phase(flat[:n]))
         assert np.array_equal(traj.weights[step], flat[n:].reshape(n, n))
+
+
+def test_stack_rows_step_as_their_own_runs():
+    """A stack whose rows take 4, 2 and 1 steps of their own dt per sample
+    stores, in every row, the bits of that row's own integrate_full run."""
+    params, coupling, state = setup_full(seed=5, n=4)
+    n = params.n_nodes
+    epsilons = np.array([0.005, 0.01, 0.02])
+    substeps = [4, 2, 1]
+    dts = epsilons * 0.05
+    flat = np.concatenate([state.theta, state.weights.ravel()])
+    rows = _integrate(_full_rhs(params, coupling, epsilons[:, None, None]),
+                      np.tile(flat, (3, 1)), dts[:, None], substeps, 6,
+                      "full-system")
+    assert rows.shape == (6, 3, n + n * n)
+    for r, (e, steps, dt) in enumerate(zip(epsilons, substeps, dts)):
+        alone = integrate_full(replace(params, epsilon=e), coupling, state,
+                               IntegrationConfig(dt=dt, t_end=5 * steps * dt,
+                                                 sample_every=steps))
+        assert np.array_equal(wrap_phase(rows[:, r, :n]), alone.thetas)
+        assert np.array_equal(rows[:, r, n:].reshape(-1, n, n), alone.weights)
+
+
+def test_stack_failure_names_rows_on_their_own_step_grid():
+    # y' = y, except that row 0 blows up once it passes 1.5, which it does
+    # within its fifth step of dt 0.1 (in the third sample spacing, where
+    # row 1 is at its third step of dt 0.2)
+    def rhs(state):
+        out = state.copy()
+        row0 = out if state.ndim == 1 else out[0]
+        row0[row0 > 1.5] = np.inf
+        return out
+
+    with pytest.raises(IntegrationError,
+                       match=r"^x integration failed in row 0 at t=0\.5 "
+                             r"\(step 5\): non-finite") as info:
+        _integrate(rhs, np.ones((2, 3)), np.array([[0.1], [0.2]]), [2, 1], 4,
+                   "x")
+    assert info.value.rows == (0,)
 
 
 def test_integration_is_deterministic():

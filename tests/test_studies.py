@@ -18,6 +18,7 @@ from fastslow import (
     default_config,
     distance_to_slow_manifold,
     fit_loglog,
+    integrate_full,
     integrate_reduced,
     make_kuramoto,
     phase_distance,
@@ -220,47 +221,74 @@ def test_convergence_wraps_integration_failure():
                          gamma_d1=np.cos,
                          target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
                          target_dv=lambda u, v: 0.0 * u)
-    with pytest.raises(ExperimentError, match="epsilon"):
-        convergence_study(params, exploding, np.zeros(3),
-                          [0.02, 0.01, 0.005], t_end=0.1)
+    for epsilons, t_end, max_samples, failing in [
+            # three sample grids, one full row each: the first grid fails
+            ([0.02, 0.01, 0.005], 0.1, 2000, 0.02),
+            # one grid, rows with 12, 8 and 4 steps per sample: the row
+            # with the longest step fails first, in its first step
+            ([0.03, 0.015, 0.01], 0.3, 50, 0.03)]:
+        with pytest.raises(ExperimentError) as info:
+            convergence_study(params, exploding, np.zeros(3), epsilons,
+                              t_end=t_end, max_samples=max_samples)
+        # the failing row is named by its own epsilon, not by the sweep
+        assert str(info.value).startswith(
+            f"integration failed at epsilon={failing}: ")
+        assert str(epsilons) not in str(info.value)
 
 
 def record_runs(monkeypatch):
-    """Record every (order, trajectory, config) the convergence study
-    integrates: order None for the full system, the field's order for a
-    reduced run."""
+    """Record every stack the convergence study integrates, in order:
+    ("full", substeps, dts, n_samples) for a full-system stack and
+    ("reduced", epsilons, config, trajectory) for a reduced stack, whose
+    epsilon is 0 in the order-0 row."""
     runs = []
+    real_integrate = studies._integrate
+    real_reduced = studies.integrate_reduced
 
-    def recording(name, order_of):
-        real = getattr(studies, name)
+    def full(rhs, state, dt, substeps, n_samples, what, stored=None):
+        runs.append(("full", list(substeps), np.ravel(dt).tolist(),
+                     n_samples))
+        return real_integrate(rhs, state, dt, substeps, n_samples, what,
+                              stored)
 
-        def run(*args):
-            traj = real(*args)
-            runs.append((order_of(args[0]), traj, args[-1]))
-            return traj
-        monkeypatch.setattr(studies, name, run)
-
-    recording("integrate_full", lambda params: None)
-    recording("integrate_reduced", lambda field: field.order)
+    def reduced(field, theta0, config):
+        traj = real_reduced(field, theta0, config)
+        runs.append(("reduced", field.epsilons.ravel().tolist(), config,
+                     traj))
+        return traj
+    monkeypatch.setattr(studies, "_integrate", full)
+    monkeypatch.setattr(studies, "integrate_reduced", reduced)
     return runs
 
 
-def check_sample_times(runs):
-    """Each full run is followed by its reduced runs, which sample at the
-    full run's sample times."""
-    full = None
-    for order, traj, _ in runs:
-        if order is None:
-            full = traj
-        else:
-            np.testing.assert_allclose(traj.times, full.times,
-                                       rtol=1e-12, atol=0.0)
+def check_stacks(runs, epsilons, t_end, max_samples):
+    """Each grid is one full stack and then one reduced stack of the order-0
+    field and the order-1 field at the full stack's epsilons, which steps
+    every epsilon exactly once and samples at the times of each epsilon's
+    own full run, config default_config(epsilon)."""
+    assert [run[0] for run in runs] == ["full", "reduced"] * (len(runs) // 2)
+    stacked = []
+    for (_, substeps, dts, n_samples), (_, eps, _, traj) in zip(
+            runs[::2], runs[1::2]):
+        assert eps[0] == 0.0 and len(eps) == 1 + len(substeps)
+        assert traj.thetas.shape[1] == len(eps)
+        for e, steps, dt in zip(eps[1:], substeps, dts):
+            config = default_config(e, t_end, 0.05, max_samples)
+            assert (steps, dt) == (config.sample_every, config.dt)
+            times = np.arange(0, config.n_steps + 1, config.sample_every) \
+                * config.dt
+            assert times.size == n_samples
+            np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
+        # finest first, so the rows still stepping are a prefix
+        assert substeps == sorted(substeps, reverse=True)
+        stacked += eps[1:]
+    assert sorted(stacked, reverse=True) == list(epsilons)
 
 
 @pytest.mark.parametrize("epsilons, max_samples, n_reduced", [
-    # every full run samples every 0.001 (201 samples): order 0 runs once
+    # every full run samples every 0.001 (201 samples): one grid, 5 rows
     ([0.02, 0.01, 0.005, 0.0025], 200, 5),
-    # spacings 0.001/0.0005/0.00025: order 0 runs on each grid
+    # spacings 0.001/0.0005/0.00025: three grids of 2 rows each
     ([0.02, 0.01, 0.005], 2000, 6),
     # every full run samples every 0.025: 3 reduced substeps per sample
     ([0.02, 0.01, 0.005], 8, 4),
@@ -272,17 +300,17 @@ def test_convergence_integrates_order0_once_per_grid(monkeypatch, epsilons,
     theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
     report = convergence_study(params, make_kuramoto(0.6), theta0, epsilons,
                                t_end=0.2, max_samples=max_samples)
-    orders = [order for order, _, _ in runs]
-    assert orders.count(None) == orders.count(1) == len(epsilons)
-    assert orders.count(0) + orders.count(1) == n_reduced
-    check_sample_times(runs)
+    check_stacks(runs, epsilons, 0.2, max_samples)
+    reduced = [run for run in runs if run[0] == "reduced"]
+    # one reduced stack per grid, each with one order-0 row
+    assert len(reduced) == n_reduced - len(epsilons)
+    assert sum(len(run[1]) for run in reduced) == n_reduced
     # the fewest equal substeps no longer than MAX_REDUCED_DT per sample
-    for order, _, config in runs:
-        if order is not None:
-            substeps = config.sample_every
-            assert config.dt <= studies.MAX_REDUCED_DT
-            assert substeps == 1 or config.dt * substeps / (substeps - 1) \
-                > studies.MAX_REDUCED_DT
+    for _, _, config, _ in reduced:
+        substeps = config.sample_every
+        assert config.dt <= studies.MAX_REDUCED_DT
+        assert substeps == 1 or config.dt * substeps / (substeps - 1) \
+            > studies.MAX_REDUCED_DT
     assert not report.degenerate
 
 
@@ -299,18 +327,60 @@ def test_reduced_step_error_budget(monkeypatch):
     epsilons = [0.02, 0.01, 0.005, 0.0025]
     report = convergence_study(params, c, theta0, epsilons, t_end=2.0,
                                dt_factor=0.05, max_samples=2000)
-    # all four full runs sample every 0.001, so order 0 runs once
-    assert [order for order, _, _ in runs] == [None, 0, 1, None, 1, None, 1,
-                                               None, 1]
-    check_sample_times(runs)
+    # all four full runs sample every 0.001: one full stack, finest first,
+    # and one reduced stack with order 0 once
+    assert [run[0] for run in runs] == ["full", "reduced"]
+    assert runs[0][1] == [8, 4, 2, 1]
+    check_stacks(runs, epsilons, 2.0, 2000)
     budget = 1e-3 * report.errors_order1.min()
-    on_grid = [traj for order, traj, _ in runs if order is not None]
-    stiff = [default_config(e, 2.0, 0.05, 2000) for e in epsilons]
+    _, eps, _, traj = runs[1]
     # the order-0 field is the same at every epsilon; its finest stiff run
     # is the reference
-    fields = [ReducedField(order=0, params=params, coupling=c)] + [
-        ReducedField(order=1, params=replace(params, epsilon=e), coupling=c)
-        for e in epsilons]
-    for traj, field, config in zip(on_grid, fields, stiff[-1:] + stiff):
-        ref = integrate_reduced(field, theta0, config)
-        assert phase_distance(traj.thetas, ref.thetas) <= budget
+    for row, e in enumerate(eps):
+        field = ReducedField(order=0, params=params, coupling=c) if e == 0 \
+            else ReducedField(order=1, params=replace(params, epsilon=e),
+                              coupling=c)
+        stiff = default_config(e or epsilons[-1], 2.0, 0.05, 2000)
+        ref = integrate_reduced(field, theta0, stiff)
+        assert phase_distance(traj.thetas[:, row], ref.thetas) <= budget
+
+
+def per_epsilon_errors(params, coupling, theta0, epsilons, t_end,
+                       max_samples):
+    """Reduction errors from each epsilon's own full run and reduced runs,
+    integrated one at a time through integrate_full and integrate_reduced
+    on the same sample grids."""
+    errs = np.empty((2, len(epsilons)))
+    for m, e in enumerate(epsilons):
+        p = replace(params, epsilon=e)
+        config = default_config(e, t_end, 0.05, max_samples)
+        start = FullState(theta=theta0,
+                          weights=slow_manifold(p, coupling, theta0))
+        full = integrate_full(p, coupling, start, config)
+        for order in (0, 1):
+            red = integrate_reduced(ReducedField(order, p, coupling), theta0,
+                                    studies._sample_grid(config))
+            errs[order, m] = phase_distance(full.thetas, red.thetas)
+    return errs
+
+
+@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
+    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
+    ([0.02, 0.01, 0.005], 0.2, 2000, 3),
+    # 12, 8 and 4 full steps per sample: 3, 2 and 1 rows step at once
+    ([0.03, 0.015, 0.01], 0.3, 50, 1),
+])
+def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
+                                              max_samples, n_grids):
+    params = make_params(n=4, seed=11)
+    c = make_kuramoto(0.7)
+    theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
+    expected = per_epsilon_errors(params, c, theta0, epsilons, t_end,
+                                  max_samples)
+    runs = record_runs(monkeypatch)
+    report = convergence_study(params, c, theta0, epsilons, t_end=t_end,
+                               max_samples=max_samples)
+    assert len(runs) == 2 * n_grids
+    check_stacks(runs, epsilons, t_end, max_samples)
+    assert np.array_equal(report.errors_order0, expected[0])
+    assert np.array_equal(report.errors_order1, expected[1])
