@@ -171,10 +171,22 @@ def scan_mixed_derivatives(field, points,
     ordered lexicographically in (i, j, k, point_index).  That fixed order
     makes the downstream argmax tie-breaking deterministic.  Each triple is
     one stencil over the whole stack, so the field must accept a stack
-    (P, N).
+    (P, N).  The four stencil stacks theta +- e_j +- e_k do not depend on i
+    and are the same bits for (j, k) and (k, j), so the field is evaluated
+    once per distinct stack, keyed on its bytes, and that output is shared
+    by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
+    each row the same bits as an unshared stencil.
     """
+    outputs = {}
+
+    def shared(stack):
+        key = stack.tobytes()
+        if key not in outputs:
+            outputs[key] = field(stack)
+        return outputs[key]
+
     triples = list(itertools.permutations(range(field.n_nodes), 3))
-    values = [mixed_second_derivative_fd(field, i, j, k, points, fd_step)
+    values = [mixed_second_derivative_fd(shared, i, j, k, points, fd_step)
               for i, j, k in triples]
     return np.column_stack([
         np.repeat(np.reshape(triples, (-1, 3)), len(points), axis=0),
@@ -220,6 +232,8 @@ def certify_nonpairwise(field, points=None,
         else np.asarray(points, dtype=float)
     if points.ndim != 2 or not len(points):
         raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ContractError("scan points must be finite")
 
     rows = scan_mixed_derivatives(field, points, fd_step)
     best = rows[np.argmax(np.abs(rows[:, 4]))]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -230,6 +231,72 @@ def test_certify_empty_points_rejected():
     # one phase vector is not a stack of points
     with pytest.raises(ContractError, match="stack"):
         certify_nonpairwise(order1_field(), points=anchor_point(3))
+
+
+def test_certify_rejects_non_finite_points():
+    # one NaN or inf phase would make every stencil through it, the noise
+    # floor and the threshold NaN, and the decision a silent NoEvidence
+    for bad in (np.nan, np.inf, -np.inf):
+        points = default_scan_points(5, n_random=4)
+        points[2, 3] = bad
+        with pytest.raises(ContractError, match="finite"):
+            certify_nonpairwise(order1_field(n=5), points=points)
+
+
+class CountingField:
+    """Wraps a field and counts the calls it gets."""
+
+    def __init__(self, field):
+        self.field = field
+        self.n_nodes = field.n_nodes
+        self.calls = 0
+
+    def __call__(self, theta):
+        self.calls += 1
+        return self.field(theta)
+
+
+def scan_field(kind, n):
+    rng = np.random.default_rng(n)
+    params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
+                         epsilon=0.01)
+    if kind == "phase_lag":
+        # gamma(phi) = sin(phi - a), target(u, v) = -sin(u - v + b)
+        a, b = 0.3, 1.1
+        coupling = Coupling(gamma=lambda phi: np.sin(phi - a),
+                            target=lambda u, v: -np.sin(u - v + b),
+                            gamma_d1=lambda phi: np.cos(phi - a),
+                            target_du=lambda u, v: -np.cos(u - v + b),
+                            target_dv=lambda u, v: np.cos(u - v + b))
+        return ReducedField(order=1, params=params, coupling=coupling)
+    order = 0 if kind == "order0" else 1
+    field = ReducedField(order=order, params=params,
+                         coupling=make_kuramoto(0.7))
+    if kind == "pushforward":
+        field = PushforwardField(base=field,
+                                 permutation=tuple(rng.permutation(n)),
+                                 shifts=tuple(rng.uniform(0.0, TWO_PI, n)))
+    return field
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["order0", "order1", "phase_lag", "pushforward"])
+def test_shared_scan_equals_per_triple_stencils(kind, n):
+    """The scan evaluates each of the 4 N(N - 1) / 2 distinct stencil stacks
+    once, and every row is bit for bit the stencil of its own triple on the
+    bare field."""
+    field = scan_field(kind, n)
+    points = default_scan_points(n, seed=n, n_random=10)
+    counting = CountingField(field)
+    rows = scan_mixed_derivatives(counting, points)
+    assert counting.calls == 4 * n * (n - 1) // 2
+    triples = list(itertools.permutations(range(n), 3))
+    expected = [mixed_second_derivative_fd(field, i, j, k, points)
+                for i, j, k in triples]
+    assert np.array_equal(rows[:, :3], np.repeat(triples, len(points), axis=0))
+    assert np.array_equal(rows[:, 4], np.concatenate(expected))
+    if kind != "order0":  # order 0 is pairwise: round-off only
+        assert np.abs(rows[:, 4]).max() > 1e-6
 
 
 def test_certify_tie_resolves_to_first_candidate():
