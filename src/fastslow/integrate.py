@@ -7,18 +7,8 @@ the much stricter dt <= epsilon / 10 as a hard error and default to
 epsilon / 20, which keeps the fast transient accurately resolved rather
 than merely stable.
 
-The reduced fields carry no fast scale, so no guard ties their step to
-epsilon.  The convergence study steps them at the full run's sample
-spacing, in equal substeps of at most 0.01, so that their samples fall on
-the full run's sample times.
-
-One loop, ``_integrate``, takes every step.  It steps one flat state or a
-stack of states whose rows each take their own number of steps of their
-own dt between shared sample times; rows are evaluated together, and
-every model equation is elementwise across rows, so each row takes the
-bits it would take alone.  The convergence study steps each sample grid
-as two stacks: the full system at each of its epsilons, and the order-0
-field together with the order-1 field at each epsilon.
+One loop, ``_integrate``, takes every step, and one builder,
+``_full_stack``, sets up every full-system run, one row or a stack.
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
@@ -167,11 +157,14 @@ def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
     non-increasing order, and dt a float or a column (S, 1).  The rows still
     stepping are then a prefix state[:c], which is what ``rhs`` receives; a
     row stepping alone reaches it as a flat state with a float dt.  ``what``
-    names the system in the error raised when a step fails, which gives the
-    time and step of each failing row on that row's own step grid.
+    names the system in the error raised when a step fails; it gives each
+    failing row's time and step on its own step grid, and its index too in
+    a stack of more than one row.
     """
     stack = np.array(state, dtype=float, ndmin=2)
     each = np.broadcast_to(substeps, stack.shape[:1])
+    if np.any(np.diff(each) > 0):
+        raise ContractError(f"substeps must not increase, got {substeps}")
     dt_row = np.broadcast_to(dt, stack.shape[:1] + (1,))[:, 0]
     # (rows still stepping, a view of them, their dt) at each substep of a
     # sample spacing
@@ -191,7 +184,7 @@ def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
                 failed = exc.rows or range(c)
                 steps = [(sample - 1) * int(each[r]) + k + 1 for r in failed]
                 where = ", ".join(
-                    ("" if state.ndim == 1 else f"in row {r} ")
+                    ("" if len(stack) == 1 else f"in row {r} ")
                     + f"at t={step * dt_row[r]:.6g} (step {step})"
                     for r, step in zip(failed, steps))
                 raise IntegrationError(
@@ -207,10 +200,9 @@ def _sample_times(config: IntegrationConfig) -> FloatArray:
 
 def _full_rhs(params: ModelParams, coupling, epsilon):
     """The full-system rhs, phase_rhs and weight_rhs / epsilon at one
-    evaluation of the coupling, on a state [theta, weights.ravel()]: one
-    flat state at a scalar epsilon, or a stack (c, D) whose rows go with
-    the first c entries of a column epsilon (S, 1, 1); a flat state goes
-    with its first entry."""
+    evaluation of the coupling: a stack (c, D) of rows [theta,
+    weights.ravel()] takes the first c entries of ``epsilon``, one per row,
+    and one flat row its first entry."""
     n = params.n_nodes
     column = np.reshape(epsilon, (-1, 1, 1))
     first = float(column[0, 0, 0])
@@ -232,6 +224,42 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
     return rhs
 
 
+def _full_stack(params: ModelParams, coupling, epsilons, starts, configs,
+                weights: bool = True):
+    """Step the full system from starts[r] at epsilons[r] with configs[r]
+    on the sample grid the configs share, rows finest first (sample_every
+    non-increasing).  Every row's node count and dt <= epsilon / 10 guard
+    are checked before any step.  Returns the sample times of configs[0],
+    the canonical phases (samples, S, N) and, if ``weights`` is set, the
+    weights (samples, S, N, N) as a view of the stepped rows, else None.
+
+    Row r is the state [theta, weights.ravel()]; it takes sample_every
+    steps of its own dt between samples.  The rows are evaluated together,
+    and every model equation is elementwise across rows, so each row takes
+    the bits of its own one-row run.
+    """
+    n = params.n_nodes
+    for epsilon, start, config in zip(epsilons, starts, configs):
+        if start.n_nodes != n:
+            raise ContractError(
+                f"initial state has {start.n_nodes} nodes, params have {n}")
+        # allow dt == epsilon/10 up to rounding in the division itself
+        if config.dt > epsilon / 10.0 * (1.0 + 1e-12):
+            raise ContractError(
+                f"dt={config.dt} exceeds the stability guard epsilon/10 = "
+                f"{epsilon / 10.0}")
+    times = _sample_times(configs[0])
+    rows = _integrate(
+        _full_rhs(params, coupling, epsilons),
+        np.stack([np.concatenate([s.theta, s.weights.ravel()])
+                  for s in starts]),
+        np.array([[c.dt] for c in configs]),
+        [c.sample_every for c in configs], times.size, "full-system",
+        stored=None if weights else n)
+    return times, wrap_phase(rows[..., :n]), \
+        rows[..., n:].reshape(rows.shape[:2] + (n, n)) if weights else None
+
+
 def integrate_full(params: ModelParams, coupling, initial: FullState,
                    config: IntegrationConfig) -> Trajectory:
     """Integrate the stiffly-scaled full system in slow time.
@@ -240,22 +268,9 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
     fast weight relaxation is only trustworthy well inside its stability
     region.
     """
-    n = params.n_nodes
-    if initial.n_nodes != n:
-        raise ContractError(
-            f"initial state has {initial.n_nodes} nodes, params have {n}")
-    # allow dt == epsilon/10 up to rounding in the division itself
-    if config.dt > params.epsilon / 10.0 * (1.0 + 1e-12):
-        raise ContractError(
-            f"dt={config.dt} exceeds the stability guard epsilon/10 = "
-            f"{params.epsilon / 10.0}")
-    state = np.concatenate([initial.theta, initial.weights.ravel()])
-    times = _sample_times(config)
-    rows = _integrate(_full_rhs(params, coupling, params.epsilon), state,
-                      config.dt, config.sample_every, times.size,
-                      "full-system")
-    return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
-                      weights=rows[:, n:].reshape(-1, n, n))
+    times, thetas, weights = _full_stack(params, coupling, [params.epsilon],
+                                         [initial], [config])
+    return Trajectory(times=times, thetas=thetas[:, 0], weights=weights[:, 0])
 
 
 def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import _Terms, slow_manifold
-from .integrate import IntegrationConfig, _full_rhs, _integrate, \
-    default_config, integrate_full, integrate_reduced
+from .integrate import IntegrationConfig, _full_stack, default_config, \
+    integrate_full, integrate_reduced
 from .model import (
     ContractError,
     ExperimentError,
@@ -24,7 +24,6 @@ from .model import (
     IntegrationError,
     ModelParams,
     phase_distance,
-    wrap_phase,
 )
 
 # log-log fits with r^2 below this carry the poor-fit flag
@@ -232,24 +231,16 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     MAX_REDUCED_DT = 0.01, so their samples fall on the full run's sample
     times.  The error is the largest phase distance over the sampled
     window [0, t_end].  Requires at least 3 epsilon values, strictly
-    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at
-    every epsilon, all checked before any integration starts.
-
-    The epsilons that share a sample grid are integrated as two stacks,
-    each row bit-identical to its own run: one full-system run with a row
-    per epsilon, each taking its own steps between the shared samples, and
-    one reduced run of the order-0 field (which does not depend on
-    epsilon) and the order-1 field at each epsilon.  Only their phases
-    are kept, one grid at a time.
+    decreasing, dt_factor <= 0.1 (the dt <= epsilon/10 guard of every
+    full run) and t_end a whole number of steps at every epsilon, all
+    checked before any step.  The epsilons that share a sample grid are
+    stepped as stacks, every row with the bits of its own run.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ContractError("epsilons must be positive and strictly decreasing")
-    if dt_factor > 0.1:
-        raise ContractError(
-            f"dt_factor={dt_factor} violates the dt <= epsilon/10 guard")
     theta0 = np.asarray(theta0, dtype=float)
     configs = [default_config(float(e), t_end, dt_factor, max_samples)
                for e in eps]
@@ -261,25 +252,19 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         # finest first, so the full rows still stepping are a prefix
         members = sorted((m for m, g in enumerate(grids) if g == grid),
                          key=lambda m: -configs[m].sample_every)
-        column = eps[members][:, None, None]
         starts = [FullState(theta=theta0, weights=slow_manifold(
             replace(params_base, epsilon=float(eps[m])), coupling, theta0))
             for m in members]
         names = [f"epsilon={eps[m]}" for m in members]
         with _failures_named(names):
-            full = wrap_phase(_integrate(
-                _full_rhs(params_base, coupling, column),
-                np.stack([np.concatenate([s.theta, s.weights.ravel()])
-                          for s in starts]),
-                np.array([[configs[m].dt] for m in members]),
-                [configs[m].sample_every for m in members],
-                grid.n_steps // grid.sample_every + 1, "full-system",
-                stored=params_base.n_nodes))
+            _, full, _ = _full_stack(params_base, coupling, eps[members],
+                                     starts, [configs[m] for m in members],
+                                     weights=False)
         with _failures_named(["order 0"] + [f"order 1 at {name}"
                                             for name in names]):
             reduced = integrate_reduced(
-                _ReducedStack(params_base, coupling,
-                              np.concatenate([[[[0.0]]], column])),
+                _ReducedStack(params_base, coupling, np.concatenate(
+                    [[0.0], eps[members]])[:, None, None]),
                 np.tile(theta0, (1 + len(members), 1)), grid).thetas
         for row, m in enumerate(members):
             errs0[m] = phase_distance(full[:, row], reduced[:, 0])

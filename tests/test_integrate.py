@@ -25,7 +25,8 @@ from fastslow import (
     weight_rhs,
     wrap_phase,
 )
-from fastslow.integrate import _full_rhs, _integrate, _write_table
+from fastslow.integrate import _full_rhs, _full_stack, _integrate, \
+    _write_table
 
 TWO_PI = 2 * np.pi
 
@@ -209,7 +210,8 @@ def test_full_reports_failure_location():
     exploding = Coupling(gamma=lambda d: np.exp(0.0 * d + 800.0),
                          target=lambda u, v: u * 0.0 + v * 0.0)
     cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=1.0)
-    with pytest.raises(IntegrationError, match=r"^full-system .*\(step 1\)"):
+    with pytest.raises(IntegrationError, match=r"^full-system integration "
+                       r"failed at t=.*\(step 1\)"):
         integrate_full(params, exploding, state, cfg)
     field = ReducedField(order=0, params=params, coupling=exploding)
     with pytest.raises(IntegrationError, match=r"^reduced .*\(step 1\)"):
@@ -301,6 +303,55 @@ def test_stack_failure_names_rows_on_their_own_step_grid():
         _integrate(rhs, np.ones((2, 3)), np.array([[0.1], [0.2]]), [2, 1], 4,
                    "x")
     assert info.value.rows == (0,)
+
+
+def test_stack_rejects_increasing_substeps():
+    # y' = y over one sample spacing of 0.2: rows given coarsest first
+    # would come back as e^0.4 and e^0.1 instead of e^0.2 each
+    with pytest.raises(ContractError, match="substeps must not increase"):
+        _integrate(lambda y: y, np.ones((2, 1)), np.array([[0.2], [0.1]]),
+                   [1, 2], 2, "x")
+
+
+def test_full_stack_guards_every_row_before_stepping():
+    params, coupling, state = setup_full(seed=5, n=4)
+    calls = []
+
+    def gamma(d):
+        calls.append(d.shape)
+        return coupling.gamma(d)
+    counting = Coupling(gamma=gamma, target=coupling.target)
+    epsilons = [0.01, 0.02]
+    fine = IntegrationConfig(dt=0.0005, t_end=0.02, sample_every=8)
+    # dt = 0.004 breaks the second row's guard epsilon/10 = 0.002
+    coarse = IntegrationConfig(dt=0.004, t_end=0.02)
+    with pytest.raises(ContractError, match="stability guard"):
+        _full_stack(params, counting, epsilons, [state, state],
+                    [fine, coarse])
+    assert calls == []
+    _full_stack(params, counting, epsilons, [state, state],
+                [fine, IntegrationConfig(dt=0.001, t_end=0.02,
+                                         sample_every=4)])
+    assert calls
+
+
+def test_full_stack_phases_without_weights():
+    params, coupling, state = setup_full(seed=6, n=4)
+    n = params.n_nodes
+    epsilons = [0.005, 0.01]
+    configs = [IntegrationConfig(dt=e / 20, t_end=0.01, sample_every=s)
+               for e, s in zip(epsilons, [4, 2])]
+    times, thetas, weights = _full_stack(params, coupling, epsilons,
+                                         [state, state], configs)
+    assert thetas.shape == (11, 2, n) and weights.shape == (11, 2, n, n)
+    # a view of the stepped rows, not a copy of the history
+    assert not weights.flags.owndata
+    same_times, phases, none = _full_stack(params, coupling, epsilons,
+                                           [state, state], configs,
+                                           weights=False)
+    assert none is None
+    assert np.array_equal(same_times, times)
+    assert np.array_equal(phases, thetas)
 
 
 def test_integration_is_deterministic():

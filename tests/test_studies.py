@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import studies
+from fastslow import integrate, studies
 from fastslow import (
     ContractError,
     Coupling,
@@ -242,12 +242,13 @@ def record_runs(monkeypatch):
     ("reduced", epsilons, config, trajectory) for a reduced stack, whose
     epsilon is 0 in the order-0 row."""
     runs = []
-    real_integrate = studies._integrate
+    real_integrate = integrate._integrate
     real_reduced = studies.integrate_reduced
 
     def full(rhs, state, dt, substeps, n_samples, what, stored=None):
-        runs.append(("full", list(substeps), np.ravel(dt).tolist(),
-                     n_samples))
+        if what == "full-system":
+            runs.append(("full", list(substeps), np.ravel(dt).tolist(),
+                         n_samples))
         return real_integrate(rhs, state, dt, substeps, n_samples, what,
                               stored)
 
@@ -256,7 +257,7 @@ def record_runs(monkeypatch):
         runs.append(("reduced", field.epsilons.ravel().tolist(), config,
                      traj))
         return traj
-    monkeypatch.setattr(studies, "_integrate", full)
+    monkeypatch.setattr(integrate, "_integrate", full)
     monkeypatch.setattr(studies, "integrate_reduced", reduced)
     return runs
 
