@@ -7,8 +7,9 @@ config so the emitted manifest is self-describing.
 
 Exit codes: 0 success, 2 config or contract error, 3 runtime or numerical
 failure.  Outputs per run: manifest.json (config echo, resolved seeds,
-versions, timestamp), report.json, raw.csv.  All floats are serialized
-with 17 significant digits so a report round-trips the exact doubles.
+versions, timestamp), report.json, raw.csv.  The JSON files spell each
+float as its shortest round-trip repr, raw.csv with 17 significant
+digits; both spellings parse back to the same double.
 """
 
 from __future__ import annotations
@@ -65,47 +66,6 @@ DEFAULT_ATTRACT_FAST_HORIZON = 6.0
 
 class ConfigError(ContractError):
     """Config field failed validation; message carries the field path."""
-
-
-# ---------------------------------------------------------------------------
-# JSON emission with fixed float formatting
-
-
-def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ContractError(f"cannot serialize non-finite float {x}")
-    return format(float(x), ".17g")
-
-
-def to_json(obj, indent: int = 2, level: int = 0) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        parts = [inner + to_json(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {to_json(v, indent, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise ContractError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def write_json(path: Path, obj) -> None:
-    path.write_text(to_json(obj) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +295,14 @@ def _resolve_output(cfg: dict, out_flag):
 # output files
 
 
+def write_json(path: Path, obj) -> None:
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except (TypeError, ValueError) as exc:  # a non-finite or foreign value
+        raise ContractError(f"cannot serialize to JSON: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
                    seeds: SeedBook, report: dict, write_csv) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,7 +430,7 @@ def cmd_certify(raw_config, seeds: SeedBook):
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
     return report, write_csv, (
         f"NONPAIRWISE-CERTIFIED at (i,j,k)={result.index_triple} "
-        f"theta={theta_txt} value={format_float(result.fd_value)}")
+        f"theta={theta_txt} value={result.fd_value!r}")
 
 
 def cmd_converge(raw_config, seeds: SeedBook):
@@ -502,8 +470,8 @@ def cmd_converge(raw_config, seeds: SeedBook):
     if result.degenerate:
         return report, write_csv, \
             "degenerate case: errors at machine precision, no slopes fitted"
-    return report, write_csv, (f"slope0={format_float(result.fit_order0.slope)} "
-                              f"slope1={format_float(result.fit_order1.slope)}")
+    return report, write_csv, (f"slope0={result.fit_order0.slope!r} "
+                              f"slope1={result.fit_order1.slope!r}")
 
 
 def cmd_attract(raw_config, seeds: SeedBook):
@@ -540,7 +508,7 @@ def cmd_attract(raw_config, seeds: SeedBook):
         _write_table(stream, ["fast_time", "distance"],
                      [result.fast_times, result.distances])
     return report, write_csv, \
-        f"rate={format_float(result.fitted_rate_per_fast_time)}"
+        f"rate={result.fitted_rate_per_fast_time!r}"
 
 
 COMMANDS = {

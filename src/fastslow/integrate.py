@@ -76,15 +76,18 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
     n_steps / max_samples, such as a prime or twice a prime)."""
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     n_steps = config.n_steps
-    sample_every = max(1, -(-n_steps // max_samples))
-    while n_steps % sample_every:
-        sample_every += 1
+    # the smallest such stride is n_steps // k for the largest divisor k of
+    # n_steps with k <= max_samples: at most max_samples tries
+    k = min(n_steps, max_samples)
+    while n_steps % k:
+        k -= 1
+    sample_every = n_steps // k
     # the 1 % floor is a policy: it keeps 10 001 = 73 * 137 steps (137 rows)
-    if 100 * (n_steps // sample_every) < min(n_steps, max_samples):
+    if 100 * k < min(n_steps, max_samples):
         raise ContractError(
             f"the smallest stride that divides the {n_steps} steps and "
             f"stores at most {max_samples} samples is {sample_every}, which "
-            f"stores only {n_steps // sample_every}; choose another t_end")
+            f"stores only {k}; choose another t_end")
     return replace(config, sample_every=sample_every)
 
 
@@ -110,8 +113,10 @@ class Trajectory:
         gaps = np.diff(t)
         if np.any(gaps <= 0):
             raise ContractError("times must be strictly increasing")
-        if np.max(np.abs(gaps - gaps[0])) > 1e-12:
-            raise ContractError("times must be uniformly spaced to 1e-12")
+        # np.arange(...) * dt rounds each time by about one ulp of t
+        if np.max(np.abs(gaps - gaps[0])) > 1e-12 * max(1.0, abs(t[-1])):
+            raise ContractError(
+                "times must be uniformly spaced to 1e-12 * max(1, |t_end|)")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
         if self.thetas.shape[0] != t.size:

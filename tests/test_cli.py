@@ -1,10 +1,12 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
+from fastslow import ContractError
 from fastslow.certificate import scan_mixed_derivatives
-from fastslow.cli import _resolve_integration, main
+from fastslow.cli import COMMANDS, _resolve_integration, main, write_json
 
 SIMULATE = {
     "model": {
@@ -117,6 +119,34 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     m1.pop("created_at")
     m2.pop("created_at")
     assert m1 == m2
+
+
+@pytest.mark.parametrize("value", [-0.0, 2.0, 0.1, 5e-324, 1e16])
+def test_write_json_round_trips_floats(tmp_path, value):
+    path = tmp_path / "report.json"
+    write_json(path, {"value": value, "list": [value]})
+    got = json.loads(path.read_text(encoding="utf-8"))
+    for x in (got["value"], got["list"][0]):
+        assert type(x) is float and x.hex() == value.hex()
+
+
+UNENCODABLE = [float("nan"), float("inf"), np.int64(1)]
+
+
+@pytest.mark.parametrize("value", UNENCODABLE, ids=["nan", "inf", "int64"])
+def test_write_json_rejects_unencodable_values(tmp_path, value):
+    with pytest.raises(ContractError):
+        write_json(tmp_path / "report.json", {"value": [value]})
+
+
+@pytest.mark.parametrize("value", UNENCODABLE, ids=["nan", "inf", "int64"])
+def test_unencodable_report_is_contract_error(tmp_path, capsys, monkeypatch,
+                                              value):
+    monkeypatch.setitem(COMMANDS, "certify",
+                        lambda raw, seeds: ({"value": value}, None, ""))
+    cfg = dict(CERTIFY, output={"formats": ["json"]})
+    assert run(tmp_path, "certify", cfg)[0] == 2
+    assert capsys.readouterr().err.startswith("contract error: ")
 
 
 def test_seed_override_changes_results(tmp_path):

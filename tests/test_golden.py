@@ -51,8 +51,9 @@ def assert_matches(got, want, path="report"):
     elif isinstance(want, bool) or isinstance(got, bool):
         assert got is want, path
     elif isinstance(want, float) or isinstance(got, float):
-        # an integral float is written without a decimal point, so either
-        # side may parse as int
+        # the committed goldens were written by an older emitter that spelled
+        # an integral float without a decimal point, so a golden value may
+        # parse as int
         assert isinstance(got, (int, float)), path
         abs_tol = FD_ABS_TOL if path == "report.noise_floor" else 0.0
         assert math.isclose(got, want, rel_tol=FLOAT_RTOL, abs_tol=abs_tol), \

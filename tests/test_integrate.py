@@ -1,4 +1,5 @@
 import io
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from fastslow import (
     wrap_phase,
 )
 from fastslow.integrate import _full_rhs, _full_stack, _integrate, \
-    _write_table
+    _sample_times, _write_table
 
 TWO_PI = 2 * np.pi
 
@@ -66,6 +67,37 @@ def test_default_config_caps_samples():
         default_config(epsilon=0.01, t_end=5.0035)
     with pytest.raises(ContractError, match="20014 steps.*only 2;"):
         default_config(epsilon=0.01, t_end=10.007)
+
+
+@pytest.mark.parametrize("max_samples", [1, 2, 7, 100, 1000])
+def test_default_config_stride_matches_linear_search(max_samples):
+    for n_steps in range(1, 2001):
+        stride = max(1, -(-n_steps // max_samples))
+        while n_steps % stride:
+            stride += 1
+        if 100 * (n_steps // stride) < min(n_steps, max_samples):
+            with pytest.raises(ContractError, match=f"is {stride}, which"):
+                default_config(1.0, float(n_steps), 1.0, max_samples)
+        else:
+            cfg = default_config(1.0, float(n_steps), 1.0, max_samples)
+            assert (cfg.n_steps, cfg.sample_every) == (n_steps, stride)
+
+
+def test_default_config_rejects_a_long_prime_grid_promptly():
+    # 40 000 003 steps is prime; the search tries at most max_samples strides
+    start = time.perf_counter()
+    with pytest.raises(ContractError, match="40000003 steps.*only 1;"):
+        default_config(epsilon=1.0, t_end=4_000_000.3, dt_factor=0.1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trajectory_spacing_bound_scales_with_the_horizon():
+    # at t near 1.4e4 the gaps of np.arange(...) * dt differ by about 1.5e-12
+    times = _sample_times(default_config(0.7, 14000.0, 0.1))
+    assert Trajectory(times=times, thetas=np.zeros((times.size, 1))).n_samples \
+        == 10_001
+    with pytest.raises(ContractError, match="uniformly spaced"):
+        Trajectory(times=[0.0, 1.0, 1.5], thetas=np.zeros((3, 1)))
 
 
 def test_rk4_scalar_decay():
