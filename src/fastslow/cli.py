@@ -422,9 +422,12 @@ def cmd_certify(raw_config, seeds: SeedBook):
     def write_csv(stream):
         stream.write("# mixed-derivative scan over node triples and phase points\n")
         rows = scan_mixed_derivatives(field, points, fd_step)
+        # row r is triple r // P at point r % P: each is printed once
+        p, r = len(points), np.arange(len(rows))
         _write_table(stream, ["i", "j", "k", "point_index"] + [
             f"theta_{m + 1}" for m in range(params.n_nodes)] + ["fd_value"],
-            [rows[:, :4], points[rows[:, 3].astype(int)], rows[:, 4]])
+            [(r // p, rows[::p, :3]),
+             (r % p, np.column_stack([np.arange(p), points])), rows[:, 4]])
     if result.decision != DECISION_CERTIFIED:
         return report, write_csv, "NO-EVIDENCE"
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"

@@ -124,8 +124,8 @@ class Trajectory:
         if self.weights is not None:
             object.__setattr__(self, "weights",
                                np.asarray(self.weights, dtype=float))
-            if self.weights.shape[0] != t.size:
-                raise ContractError("weights stack must match times")
+            if self.weights.shape != self.thetas.shape + self.thetas.shape[-1:]:
+                raise ContractError("weights must have shape thetas.shape + (N,)")
 
     @property
     def n_samples(self) -> int:
@@ -296,17 +296,49 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
 
 
 def _write_table(stream, columns, parts) -> None:
-    """Write a CSV header, then one row per entry of the column arrays in
-    ``parts``, every value with 17 significant digits (an integral value
-    below 2**53, such as an index, prints as an integer).  Rows are
-    formatted 64 at a time, so no whole table is built; a non-finite
-    value raises ContractError."""
+    """Write a CSV header, then the rows that the ``parts`` fill column
+    after column, each value "%.17g" (an integral value below 2**53 prints
+    as an integer), 64 rows per write so that no string or list holds the
+    whole table.  A part is an array (rows,) or (rows, k), or a pair
+    (index, table) standing for table[index], each of whose table rows is
+    formatted once.  Before writing, raises ContractError if the parts
+    differ in row count, an index is not an integer inside its table, or a
+    value is non-finite, naming the first (in a gathered table, else in the
+    output) by row and column."""
+    sources, bad, first = [], [], 0
+    for part in parts:
+        index, table = part if isinstance(part, tuple) else (None, part)
+        table = np.asarray(table, dtype=float)
+        table = table[:, None] if table.ndim == 1 else table
+        if index is not None:
+            index = np.asarray(index)
+            if index.dtype.kind not in "iu" or index.ndim != 1 \
+                    or np.any((index < 0) | (index >= len(table))):
+                raise ContractError(f"CSV column {columns[first]}: the index "
+                                    f"must hold integers in [0, {len(table)})")
+        # min and max show nan and inf without a temporary array
+        if table.size and not np.isfinite([table.min(), table.max()]).all():
+            r, c = np.argwhere(~np.isfinite(table))[0]
+            bad.append((index is None, r, first + c))
+        first += table.shape[1]
+        spec = ",".join(["%.17g"] * table.shape[1])
+        if index is not None:  # format each row once, gather it as "%s"
+            table = np.array([spec % tuple(r) for r in table.tolist()], object)
+            spec = "%s"
+        sources.append((index, table, spec))
+    if bad:
+        plain, r, c = min(bad)
+        where = "CSV row" if plain else "gathered table row"
+        raise ContractError(f"non-finite value in {where} {r}, column {columns[c]}")
+    n_rows = {len(t if i is None else i) for i, t, _ in sources}
+    if len(n_rows) != 1:
+        raise ContractError(f"the CSV parts have {sorted(n_rows)} rows")
     stream.write(",".join(columns) + "\n")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(0, len(parts[0]), 64):
-        block = np.column_stack([part[lo:lo + 64] for part in parts])
-        if not np.all(np.isfinite(block)):
-            raise ContractError(f"non-finite value in the CSV rows from {lo}")
+    row = ",".join(spec for *_, spec in sources) + "\n"
+    for lo in range(0, n_rows.pop(), 64):
+        block = np.column_stack([table[lo:lo + 64] if index is None else
+                                 table[index[lo:lo + 64]]
+                                 for index, table, _ in sources])
         stream.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -316,6 +348,8 @@ def trajectory_to_csv(traj: Trajectory, stream) -> None:
     Header: time, theta_1..theta_N, then a_1_1..a_N_N row-major when
     weights are present.
     """
+    if traj.thetas.ndim != 2:
+        raise ContractError(f"CSV needs thetas (samples, N), got {traj.thetas.shape}")
     n = traj.thetas.shape[1]
     cols = ["time"] + [f"theta_{i + 1}" for i in range(n)]
     parts = [traj.times, traj.thetas]

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from fastslow import ContractError
 from fastslow.certificate import scan_mixed_derivatives
 from fastslow.cli import COMMANDS, _resolve_integration, main, write_json
+from fastslow.integrate import _write_table
 
 SIMULATE = {
     "model": {
@@ -207,6 +209,40 @@ def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats)
         # the CLI's own table scan runs only inside the csv writer
         assert not (out / "raw.csv").exists()
         assert scanned == []
+
+
+def test_certify_table_bytes(tmp_path, monkeypatch):
+    scans = []
+
+    def tracked_scan(*args):
+        rows = scan_mixed_derivatives(*args)
+        scans.append((args[1], rows))
+        return rows
+
+    monkeypatch.setattr("fastslow.cli.scan_mixed_derivatives", tracked_scan)
+    for n in (3, 5, 7):
+        for order in (0, 1):
+            cfg = copy.deepcopy(CERTIFY)
+            cfg["model"]["n_nodes"] = n
+            cfg["model"]["omega"] = {"distribution": "uniform", "seed": n}
+            cfg["certify"]["order"] = order
+            code, out = run(tmp_path / f"n{n}-order{order}", "certify", cfg)
+            assert code == 0
+            points, rows = scans.pop()
+            table = np.column_stack([rows[:, :4],
+                                     points[rows[:, 3].astype(int)],
+                                     rows[:, 4]])
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                               for row in table.tolist())
+            text = (out / "raw.csv").read_text()
+            assert text.split("\n", 2)[2] == expected
+    # the spellings of test_csv_round_trip, printed from a gathered table
+    buf = io.StringIO()
+    _write_table(buf, ["index", "value"], [np.arange(5), (
+        np.array([0, 1, 2, 3, 3]),
+        np.array([-0.0, 5e-324, 1.7976931348623157e308, 2.0]))])
+    assert buf.getvalue() == ("index,value\n0,-0\n1,4.9406564584124654e-324\n"
+                              "2,1.7976931348623157e+308\n3,2\n4,2\n")
 
 
 def test_certify_prints_decision_line(tmp_path, capsys):

@@ -402,6 +402,26 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((3, 2)))
     t = Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 2)))
     assert t.weights is None
+    # weights must have N x N entries per sample for the N phases
+    with pytest.raises(ContractError, match=r"thetas.shape \+ \(N,\)"):
+        Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 4)),
+                   weights=np.zeros((2, 3, 3)))
+    with pytest.raises(ContractError, match=r"thetas.shape \+ \(N,\)"):
+        Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 3)),
+                   weights=np.zeros((2, 9)))
+
+
+def test_stacked_trajectory_is_not_written_as_csv():
+    field = ReducedField(order=0, params=ModelParams(
+        n_nodes=3, omega=np.zeros(3), epsilon=0.01),
+        coupling=make_kuramoto(0.5))
+    traj = integrate_reduced(field, np.zeros((2, 3)),
+                             IntegrationConfig(dt=0.1, t_end=0.2))
+    assert traj.thetas.shape == (3, 2, 3)
+    buf = io.StringIO()
+    with pytest.raises(ContractError, match=r"thetas \(samples, N\)"):
+        trajectory_to_csv(traj, buf)
+    assert buf.getvalue() == ""
 
 
 def test_csv_round_trip():
@@ -438,3 +458,44 @@ def test_csv_round_trip():
     bad = Trajectory(times=traj.times, thetas=traj.thetas, weights=weights)
     with pytest.raises(ContractError):
         trajectory_to_csv(bad, io.StringIO())
+
+
+@pytest.mark.parametrize("lengths", [(64, 100), (100, 70)])
+def test_write_table_rejects_unequal_parts(lengths):
+    buf = io.StringIO()
+    with pytest.raises(ContractError, match=r"parts have \[\d+, \d+\] rows"):
+        _write_table(buf, ["a", "b"], [np.arange(float(m)) for m in lengths])
+    with pytest.raises(ContractError, match=r"parts have \[\d+, \d+\] rows"):
+        _write_table(buf, ["a", "b"], [np.arange(float(lengths[0])),
+                                       (np.zeros(lengths[1], int), [1.0])])
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("index", [[0, 3], [-1, 0], [0.0, 1.0], [[0, 1]]])
+def test_write_table_rejects_bad_gather_index(index):
+    buf = io.StringIO()
+    with pytest.raises(ContractError, match=r"integers in \[0, 3\)"):
+        _write_table(buf, ["a", "b"], [np.arange(2.0),
+                                       (np.array(index), [1.0, 2.0, 3.0])])
+    assert buf.getvalue() == ""
+
+
+def test_write_table_names_the_non_finite_cell():
+    a, b = np.arange(200.0), np.ones((200, 2))
+    b[150, 1] = np.nan
+    b[160, 0] = np.inf
+    buf = io.StringIO()
+    with pytest.raises(ContractError, match="row 150, column c$"):
+        _write_table(buf, ["a", "b", "c"], [a, b])
+    assert buf.getvalue() == ""
+    # the first offending row wins over an earlier part's later row
+    a[170] = -np.inf
+    with pytest.raises(ContractError, match="row 150, column c$"):
+        _write_table(io.StringIO(), ["a", "b", "c"], [a, b])
+    # a gathered table is checked whole, before any row is written, even
+    # where no output row points to its bad row
+    buf = io.StringIO()
+    with pytest.raises(ContractError, match="gathered table row 2, column b$"):
+        _write_table(buf, ["a", "b"], [np.arange(4.0), (
+            np.zeros(4, int), np.array([1.0, 2.0, np.nan]))])
+    assert buf.getvalue() == ""
