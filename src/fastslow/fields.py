@@ -12,7 +12,8 @@ That surface plus its first-order correction in epsilon is the slow
 manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
 closed phase-only field :class:`ReducedField`.  These fields and the
 full-system rhs of ``integrate_full`` are all built from one private
-evaluation, ``_Terms``, which evaluates gamma and target once per point.
+evaluation, ``_Terms``, which evaluates gamma and target at most once per
+point, each on first use; its callers never write into what it returns.
 
 The model equations broadcast over leading axes: phases of shape (..., N)
 and weights of shape (..., N, N) give one result per leading index, equal
@@ -68,28 +69,42 @@ def pair_differences(theta: FloatArray) -> FloatArray:
 
 
 class _Terms:
-    """g = gamma(theta_j - theta_i) and w0 = critical_weights(theta), each
-    evaluated once at checked phases (..., N), and what is built from them:
-    the phase equation at any weights, h1 and the surface h0 + epsilon * h1.
+    """At checked phases (..., N): g = gamma(theta_j - theta_i) and w0 =
+    target(theta_i, theta_j), the critical weights, each evaluated on first
+    use and then kept; and what is built from them: the phase equation at
+    any weights, h1 and the surface h0 + epsilon * h1.
     """
 
-    __slots__ = ("params", "coupling", "theta", "g", "w0")
+    __slots__ = ("params", "coupling", "u", "v", "_g", "_w0")
 
     def __init__(self, params: ModelParams, coupling, theta):
-        self.params, self.coupling, self.theta = params, coupling, theta
-        self.g = coupling.gamma(pair_differences(theta))
-        self.w0 = critical_weights(coupling, theta)
+        self.params, self.coupling = params, coupling
+        # theta_i down the rows of a matrix, theta_j along its columns
+        self.u, self.v = theta[..., :, None], theta[..., None, :]
+        self._g = self._w0 = None
+
+    @property
+    def g(self) -> FloatArray:
+        if self._g is None:
+            self._g = self.coupling.gamma(self.v - self.u)
+        return self._g
+
+    @property
+    def w0(self) -> FloatArray:
+        if self._w0 is None:
+            self._w0 = self.coupling.target(self.u, self.v)
+        return self._w0
 
     def phase_rhs(self, weights) -> FloatArray:
         p = self.params
-        return p.omega + (weights * self.g).sum(axis=-1) / p.n_nodes
+        # the bits of ndarray.sum and of / N, at cheaper numpy calls
+        return p.omega + np.add.reduce(weights * self.g, -1) / float(p.n_nodes)
 
     def correction(self) -> FloatArray:
         require_first_order(self.coupling)
         f = self.phase_rhs(self.w0)
-        u, v = self.theta[..., :, None], self.theta[..., None, :]
-        return -(self.coupling.target_du(u, v) * f[..., :, None]
-                 + self.coupling.target_dv(u, v) * f[..., None, :])
+        return -(self.coupling.target_du(self.u, self.v) * f[..., :, None]
+                 + self.coupling.target_dv(self.u, self.v) * f[..., None, :])
 
     def surface(self, epsilon) -> FloatArray:
         """h0 + epsilon * h1 at a scalar epsilon, or at a column (..., 1, 1)
@@ -122,8 +137,7 @@ def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
     target(theta_i, theta_j)."""
     theta = np.asarray(theta, dtype=float)
-    return np.asarray(coupling.target(theta[..., :, None], theta[..., None, :]),
-                      dtype=float)
+    return np.asarray(_Terms(None, coupling, theta).w0, dtype=float)
 
 
 def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:

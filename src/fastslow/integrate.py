@@ -12,10 +12,13 @@ One loop, ``_integrate``, takes every step, and one builder,
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
+The stage arithmetic never writes into the state it steps or into what an
+rhs returned, so an rhs may hand out read-only or cached arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -32,6 +35,8 @@ from .model import (
 )
 
 MAX_DEFAULT_SAMPLES = 10_000
+# bytes of stored history one run may allocate
+MAX_HISTORY_BYTES = 2 * 1024 ** 3
 
 
 @dataclass(frozen=True)
@@ -134,20 +139,27 @@ class Trajectory:
 
 def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
     """One classical Runge-Kutta step on a flat state array, or on a stack
-    of them (S, D) with dt a float or a column (S, 1).
+    of them (S, D) with dt a float, a column (S, 1) or an array (S, D).
+    Bit for bit it is state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with stages at state + 0.5 * dt * k, and it writes only into arrays it
+    allocated: never into ``state`` or an array ``rhs`` returned.
 
     Raises IntegrationError if any stage produces a non-finite value; its
     ``rows`` are the rows of the stack that hold one (0 for a flat state).
+    The check is exact: the result's sum of squares is finite only if every
+    value is, and only when it is not are the values checked one by one.
     """
+    half = 0.5 * dt
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
+    k2 = rhs(state + half * k1)
+    k3 = rhs(state + half * k2)
     k4 = rhs(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    finite = np.isfinite(out)
-    if not finite.all():
+    # 2.0 * k is k + k to the bit
+    out = state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise IntegrationError("non-finite value in Runge-Kutta stage",
-                               np.flatnonzero(~np.atleast_2d(finite).all(-1)))
+                               np.flatnonzero(~np.isfinite(
+                                   np.atleast_2d(out)).all(-1)))
     return out
 
 
@@ -164,21 +176,29 @@ def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
     row stepping alone reaches it as a flat state with a float dt.  ``what``
     names the system in the error raised when a step fails; it gives each
     failing row's time and step on its own step grid, and its index too in
-    a stack of more than one row.
+    a stack of more than one row.  A history over MAX_HISTORY_BYTES raises
+    ContractError before it is allocated.
     """
     stack = np.array(state, dtype=float, ndmin=2)
+    kept = stack[:, :stored]
+    if 8 * n_samples * kept.size > MAX_HISTORY_BYTES:
+        raise ContractError(
+            f"the {what} history of {n_samples} samples needs "
+            f"{8 * n_samples * kept.size} bytes, over MAX_HISTORY_BYTES = "
+            f"{MAX_HISTORY_BYTES}; raise integration.sample_every")
     each = np.broadcast_to(substeps, stack.shape[:1])
     if np.any(np.diff(each) > 0):
         raise ContractError(f"substeps must not increase, got {substeps}")
     dt_row = np.broadcast_to(dt, stack.shape[:1] + (1,))[:, 0]
     # (rows still stepping, a view of them, their dt) at each substep of a
-    # sample spacing
+    # sample spacing; a stack's dt is built at its full shape, since an
+    # operation that broadcasts a column costs about two that do not
     plan = []
     for k in range(int(each.max())):
         c = int(np.count_nonzero(each > k))
         plan.append((c, stack[0], float(dt_row[0])) if c == 1 else
-                    (c, stack[:c], dt if np.ndim(dt) == 0 else dt[:c]))
-    kept = stack[:, :stored]
+                    (c, stack[:c], np.repeat(dt_row[:c, None],
+                                             stack.shape[1], 1)))
     rows = np.empty((n_samples,) + kept.shape)
     rows[0] = kept
     for sample in range(1, n_samples):
@@ -207,25 +227,24 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
     """The full-system rhs, phase_rhs and weight_rhs / epsilon at one
     evaluation of the coupling: a stack (c, D) of rows [theta,
     weights.ravel()] takes the first c entries of ``epsilon``, one per row,
-    and one flat row its first entry."""
+    and one flat row its first entry.  Each call returns a new array."""
     n = params.n_nodes
     column = np.reshape(epsilon, (-1, 1, 1))
-    first = float(column[0, 0, 0])
+    full = {}  # rows -> their epsilons at the weights' shape rows + (N, N)
 
     def rhs(state):
-        out = np.empty_like(state)
-        # views of the phases and the weights, in and out
-        if state.ndim == 1:
-            theta, w, e = state[:n], state[n:].reshape(n, n), first
-            dtheta, dw = out[:n], out[n:].reshape(n, n)
-        else:
-            theta, w = state[:, :n], state[:, n:].reshape(-1, n, n)
-            dtheta, dw = out[:, :n], out[:, n:].reshape(-1, n, n)
-            e = column[:len(state)]
-        terms = _Terms(params, coupling, theta)
-        dtheta[...] = terms.phase_rhs(w)
-        np.divide(-w + terms.w0, e, out=dw)
-        return out
+        rows = state.shape[:-1]  # () for a flat row, (c,) for a stack
+        # one contiguous copy of a stack's strided weights makes the two
+        # calls on them cheaper; a flat row's weights are not copied
+        w = np.ascontiguousarray(state[..., n:]).reshape(rows + (n, n))
+        if rows not in full:
+            full[rows] = np.broadcast_to(
+                column[:rows[0]] if rows else column[0], w.shape).copy()
+        terms = _Terms(params, coupling, state[..., :n])
+        dw = terms.w0 - w  # -w + w0 to the bit
+        dw /= full[rows]
+        return np.concatenate(
+            (terms.phase_rhs(w), dw.reshape(rows + (n * n,))), -1)
     return rhs
 
 

@@ -369,6 +369,16 @@ def test_prime_step_count_needs_sample_every(tmp_path, capsys):
     assert (config.n_steps, config.sample_every) == (10_007, 1)
 
 
+def test_history_over_the_memory_cap_is_contract_error(tmp_path, capsys):
+    # 10 001 samples of N = 400 would store 12.8 GB
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["model"].update(n_nodes=400, epsilon=0.01)
+    cfg["integration"] = {"t_end": 5.0, "sample_every": 1}
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert err.startswith("contract error") and "bytes" in err \
+        and "integration.sample_every" in err
+
+
 def test_converge_horizon_without_stride_is_error(tmp_path, capsys):
     # 2003 steps of 0.001 at epsilon 0.02 is prime: under converge's
     # 2000-sample cap the only stride stores one sample; converge rejects

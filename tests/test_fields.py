@@ -366,6 +366,26 @@ def test_one_coupling_evaluation_per_call(case, want):
     assert {k: v / calls for k, v in counts.items()} == want
 
 
+@pytest.mark.parametrize("case, want", [
+    ("phase_rhs", {"gamma": 1}),
+    ("slow_manifold order 0", {"target": 1}),
+])
+def test_each_coupling_slot_is_evaluated_on_first_use(case, want):
+    """A public field evaluates only the slots it uses: phase_rhs takes the
+    weights it is given, so it never evaluates target, and the order-0
+    surface is target alone, so it never evaluates gamma."""
+    params, base, theta, weights = random_setup(17, n=5)
+    counts = {}
+    coupling = counting_coupling(base, counts)
+    if case == "phase_rhs":
+        got = phase_rhs(params, coupling, theta, weights)
+        assert np.array_equal(got, phase_rhs(params, base, theta, weights))
+    else:
+        got = slow_manifold(params, coupling, theta, order=0)
+        assert np.array_equal(got, critical_weights(base, theta))
+    assert counts == want
+
+
 def test_rotational_equivariance():
     # adding a common constant to every phase leaves both orders unchanged
     params, coupling, theta, _ = random_setup(10, n=5)

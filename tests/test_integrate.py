@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +27,8 @@ from fastslow import (
     weight_rhs,
     wrap_phase,
 )
-from fastslow.integrate import _full_rhs, _full_stack, _integrate, \
-    _sample_times, _write_table
+from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, _full_stack, \
+    _integrate, _sample_times, _write_table
 
 TWO_PI = 2 * np.pi
 
@@ -123,6 +124,80 @@ def test_rk4_is_fourth_order():
 def test_rk4_rejects_nonfinite():
     with pytest.raises(IntegrationError):
         rk4_step(lambda y: y * np.inf, np.array([1.0]), 0.1)
+
+
+def textbook_rk4(rhs, state, dt):
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+RK4_SHAPES = {
+    "flat": ((7,), 0.03),
+    "stack, dt column": ((3, 7), np.array([[0.01], [0.03], [0.07]])),
+    "stack, dt full": ((3, 7), np.repeat([[0.01], [0.03], [0.07]], 7, 1)),
+}
+
+
+@pytest.mark.parametrize("shape, dt", RK4_SHAPES.values(), ids=RK4_SHAPES)
+def test_rk4_step_writes_only_into_its_own_arrays(shape, dt):
+    """rk4_step leaves the state and every array the rhs returned as they
+    were, when the rhs hands out read-only arrays and when it hands the
+    same cached array out again, as the certificate's scan memo does.  Its
+    result has the bits of the textbook combination."""
+    rng = np.random.default_rng(11)
+    state = rng.normal(size=shape)
+    matrix = rng.normal(size=(7, 7))
+
+    def read_only(y):
+        out = np.sin(y @ matrix)
+        out.flags.writeable = False
+        return out
+
+    memo = {}
+
+    def cached(y):
+        key = y.tobytes()
+        if key not in memo:
+            memo[key] = np.sin(y @ matrix)
+        return memo[key]
+
+    before = state.copy()
+    for rhs in (read_only, cached, cached):
+        got = rk4_step(rhs, state, dt)
+        assert got.tobytes() == textbook_rk4(rhs, state, dt).tobytes()
+    assert state.tobytes() == before.tobytes()
+    assert len(memo) == 4
+    for key, out in memo.items():
+        assert out.tobytes() == np.sin(
+            np.frombuffer(key).reshape(shape) @ matrix).tobytes()
+
+    # the one constant array every stage returns stays as it was
+    constant = rng.normal(size=shape)
+    kept = constant.copy()
+    got = rk4_step(lambda y: constant, state, dt)
+    assert constant.tobytes() == kept.tobytes()
+    assert got.tobytes() == textbook_rk4(lambda y: kept, state, dt).tobytes()
+
+
+@pytest.mark.parametrize("shape, dt", RK4_SHAPES.values(), ids=RK4_SHAPES)
+def test_rk4_step_names_the_rows_that_are_not_finite(shape, dt):
+    # a stage is inf above 0.5 and nan above 1.5: rows 1 and 2 of a stack
+    # whose row r holds r, and row 0 of a flat state of 2s
+    def rhs(y):
+        return np.where(y > 1.5, np.nan, np.where(y > 0.5, np.inf, 0.0))
+
+    state = np.full(shape, 2.0) if len(shape) == 1 else \
+        np.repeat(np.arange(3.0)[:, None], 7, 1)
+    with pytest.raises(IntegrationError, match="non-finite") as info:
+        rk4_step(rhs, state, dt)
+    assert info.value.rows == ((0,) if len(shape) == 1 else (1, 2))
+    # finite values whose squares overflow are not an error
+    big = np.full(shape, 1e200)
+    assert rk4_step(lambda y: np.zeros_like(y), big, dt).tobytes() \
+        == big.tobytes()
 
 
 def setup_full(seed=0, n=3, alpha=0.5, epsilon=0.02):
@@ -298,6 +373,42 @@ def test_full_rhs_matches_public_fields():
         assert np.array_equal(traj.weights[step], flat[n:].reshape(n, n))
 
 
+def phase_lag_coupling():
+    """gamma(phi) = sin(phi - 0.3), target(u, v) = -sin(u - v + 1.1)."""
+    return Coupling(gamma=lambda phi: np.sin(phi - 0.3),
+                    target=lambda u, v: -np.sin(u - v + 1.1))
+
+
+@pytest.mark.parametrize("kind", ["kuramoto", "phase_lag"])
+@pytest.mark.parametrize("n", [5, 16])
+def test_full_rhs_bits_match_public_fields_flat_and_stacked(n, kind):
+    """_full_rhs on a flat state and on stacks of 3 and 2 rows with an
+    epsilon column equals public phase_rhs joined with weight_rhs /
+    epsilon, bit for bit.  At N = 5 numpy sums each row of fewer than 8
+    terms in order; at N = 16 it takes its unrolled pairwise sum."""
+    rng = np.random.default_rng(n)
+    coupling = make_kuramoto(0.7) if kind == "kuramoto" \
+        else phase_lag_coupling()
+    params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
+                         epsilon=0.01)
+    epsilons = np.array([0.0025, 0.01, 0.04])
+    # unwrapped phases and weights off the surface
+    states = rng.uniform(-3.0, 9.0, (3, n + n * n))
+
+    def public(row, epsilon):
+        theta, w = row[:n], row[n:].reshape(n, n)
+        return np.concatenate([phase_rhs(params, coupling, theta, w),
+                               (weight_rhs(coupling, theta, w)
+                                / epsilon).ravel()])
+
+    rhs = _full_rhs(params, coupling, epsilons[:, None, None])
+    for rows in (states[0], states, states[:2], states[0]):
+        got = rhs(rows)
+        want = public(rows, epsilons[0]) if rows.ndim == 1 else \
+            np.stack([public(r, e) for r, e in zip(rows, epsilons)])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_stack_rows_step_as_their_own_runs():
     """A stack whose rows take 4, 2 and 1 steps of their own dt per sample
     stores, in every row, the bits of that row's own integrate_full run."""
@@ -365,6 +476,29 @@ def test_full_stack_guards_every_row_before_stepping():
                 [fine, IntegrationConfig(dt=0.001, t_end=0.02,
                                          sample_every=4)])
     assert calls
+
+
+def test_history_over_the_memory_cap_is_rejected_before_allocating():
+    """N = 400 with 10 001 samples would store 12.8 GB of history: the run
+    is a ContractError that names the bytes and the stride, raised before
+    anything large is allocated or any step is taken."""
+    n = 400
+    params = ModelParams(n_nodes=n, omega=np.zeros(n), epsilon=0.01)
+    coupling = make_kuramoto(0.7)
+    theta = np.linspace(0.0, 6.0, n)
+    state = FullState(theta=theta, weights=critical_weights(coupling, theta))
+    config = IntegrationConfig(dt=0.0005, t_end=5.0)
+    assert _sample_times(config).size == 10_001
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=r"needs 12833283200 bytes.*"
+                           r"integration\.sample_every"):
+            integrate_full(params, coupling, state, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert 8 * 10_001 * (n + n * n) > MAX_HISTORY_BYTES >= 2**31
 
 
 def test_full_stack_phases_without_weights():
