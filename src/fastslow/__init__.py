@@ -25,7 +25,6 @@ from .fields import (
     ReducedField,
     critical_weights,
     pair_correction,
-    pair_differences,
     phase_rhs,
     slow_manifold,
     triplet_interaction,
@@ -99,7 +98,6 @@ __all__ = [
     "mixed_second_derivative_fd",
     "node_respecting_transform",
     "pair_correction",
-    "pair_differences",
     "phase_distance",
     "phase_rhs",
     "pushforward_certificate_invariance",

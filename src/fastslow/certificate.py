@@ -25,7 +25,8 @@ from .fields import ReducedField, _check_indices, _check_shapes
 from .model import (
     ContractError,
     FloatArray,
-    require_second_order,
+    missing_derivatives,
+    require_derivatives,
     wrap_phase,
 )
 
@@ -132,7 +133,7 @@ def triplet_mixed_derivative(coupling, i: int, j: int, k: int, theta) -> float:
     """
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
-    require_second_order(coupling)
+    require_derivatives(coupling, 2)
     theta = _check_indices(theta, (i, j, k))
     direct = _mixed_derivative_of_triplet(coupling, theta[i], theta[j], theta[k])
     swapped = _mixed_derivative_of_triplet(coupling, theta[i], theta[k], theta[j])
@@ -251,7 +252,7 @@ def certify_nonpairwise(field, points=None,
 
     analytic = None
     if isinstance(field, ReducedField) and field.order == 1 \
-            and field.coupling.has_second_order():
+            and not missing_derivatives(field.coupling, 2):
         analytic = triplet_mixed_derivative(field.coupling, i, j, k, points[g])
 
     return CertificateReport(
@@ -310,6 +311,8 @@ class PushforwardField:
                            tuple(float(s) for s in self.shifts))
         if len(self.shifts) != self.base.n_nodes:
             raise ContractError("shifts length must match the node count")
+        if not np.all(np.isfinite(self.shifts)):
+            raise ContractError("shifts must be finite")
 
     @property
     def n_nodes(self) -> int:

@@ -32,7 +32,8 @@ from .model import (
     ContractError,
     FloatArray,
     ModelParams,
-    require_first_order,
+    _is_int,
+    require_derivatives,
 )
 
 
@@ -52,20 +53,15 @@ def _check_shapes(n: int, theta, weights=None):
 
 def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     """theta as floats, one phase vector (N,), or any (..., N) with
-    ``stack``; every index must be a node index in range(N)."""
+    ``stack``; every index must be an int (not a bool) in range(N)."""
     theta = np.asarray(theta, dtype=float)
     if not (stack or theta.ndim == 1):
         raise ContractError(f"theta must have shape (N,), got {theta.shape}")
     n = theta.shape[-1]
-    if not all(0 <= i < n for i in indices):
-        raise ContractError(f"indices {indices} out of range for {n} nodes")
+    if not all(_is_int(i) and 0 <= i < n for i in indices):
+        raise ContractError(
+            f"indices {indices} are not ints or out of range for {n} nodes")
     return theta
-
-
-def pair_differences(theta: FloatArray) -> FloatArray:
-    """Matrix of phase differences with entry (i, j) = theta_j - theta_i."""
-    theta = np.asarray(theta, dtype=float)
-    return theta[..., None, :] - theta[..., :, None]
 
 
 class _Terms:
@@ -101,7 +97,6 @@ class _Terms:
         return p.omega + np.add.reduce(weights * self.g, -1) / float(p.n_nodes)
 
     def correction(self) -> FloatArray:
-        require_first_order(self.coupling)
         f = self.phase_rhs(self.w0)
         return -(self.coupling.target_du(self.u, self.v) * f[..., :, None]
                  + self.coupling.target_dv(self.u, self.v) * f[..., None, :])
@@ -136,8 +131,7 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
 def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
     target(theta_i, theta_j)."""
-    theta = np.asarray(theta, dtype=float)
-    return np.asarray(_Terms(None, coupling, theta).w0, dtype=float)
+    return _Terms(None, coupling, np.asarray(theta, dtype=float)).w0
 
 
 def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
@@ -149,6 +143,7 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     accounts for the slow drift of the phases pulling the weights slightly
     off the instantaneous equilibrium.
     """
+    require_derivatives(coupling, 1)
     theta = _check_shapes(params.n_nodes, theta)
     return _Terms(params, coupling, theta).correction()
 
@@ -161,6 +156,7 @@ def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> Float
     """
     if order not in (0, 1):
         raise ContractError(f"order must be 0 or 1, got {order}")
+    require_derivatives(coupling, order)
     theta = _check_shapes(params.n_nodes, theta)
     # the surface truncated at order 0 is the one at epsilon 0
     return _Terms(params, coupling, theta).surface(order * params.epsilon)
@@ -173,7 +169,7 @@ def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> flo
     + target_dv(theta_i, theta_j) * omega_j).  Scaled by epsilon/N when summed
     into the field.
     """
-    require_first_order(coupling)
+    require_derivatives(coupling, 1)
     theta = _check_indices(_check_shapes(params.n_nodes, theta), (i, j))
     ti, tj = theta[i], theta[j]
     return float(-coupling.gamma(tj - ti)
@@ -193,7 +189,7 @@ def triplet_interaction(coupling, i: int, j: int, k: int, theta) -> float:
     Equal indices are permitted; the double sum in the reduced field runs
     over all pairs (j, k) and the diagonal terms are kept as written.
     """
-    require_first_order(coupling)
+    require_derivatives(coupling, 1)
     theta = _check_indices(theta, (i, j, k))
     ti, tj, tk = theta[i], theta[j], theta[k]
     g_ji = coupling.gamma(tj - ti)
@@ -228,8 +224,7 @@ class ReducedField:
     def __post_init__(self):
         if self.order not in (0, 1):
             raise ContractError(f"order must be 0 or 1, got {self.order}")
-        if self.order == 1:
-            require_first_order(self.coupling)
+        require_derivatives(self.coupling, self.order)
 
     @property
     def n_nodes(self) -> int:

@@ -43,6 +43,11 @@ class ExperimentError(RuntimeError):
     """An experiment could not produce a meaningful result from its inputs."""
 
 
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer; bool is not a count or index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def wrap_phase(x):
     """Map angles to the canonical representative in [0, 2*pi).
 
@@ -97,8 +102,9 @@ class ModelParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ContractError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if not (_is_int(self.n_nodes) and self.n_nodes >= 1):
+            raise ContractError(
+                f"n_nodes must be an int >= 1, got {self.n_nodes!r}")
         om = np.asarray(self.omega, dtype=float)
         if om.shape != (self.n_nodes,):
             raise ContractError(
@@ -146,11 +152,12 @@ class Coupling:
     ``gamma`` is the phase-difference coupling entering the phase equation;
     ``target`` is the adaptation target the weights relax toward.  Both must
     be 2*pi-periodic in every argument and broadcast elementwise over numpy
-    arrays.  Derivatives are optional: supply what the intended operations
-    need (first order for the corrected reduced field, full second order
-    for the analytic certificate).  Derivatives may be closed form or
-    finite-difference backed; either way they must be consistent with the
-    function one order below.
+    arrays.  Derivatives are optional: supply the slots ``DERIVATIVE_SLOTS``
+    lists for the intended operations (order 1 for the corrected reduced
+    field, order 2 for the analytic certificate).  Any object with these
+    callables as attributes works alike; no other method is needed.
+    Derivatives may be closed form or finite-difference backed; either way
+    they must be consistent with the function one order below.
 
     Naming: ``gamma_d1`` is d gamma / d phi, ``target_du`` and ``target_dv``
     are the partials in the first and second slot, and so on for second
@@ -167,27 +174,27 @@ class Coupling:
     target_duv: Optional[PhaseFn] = None
     target_dvv: Optional[PhaseFn] = None
 
-    def has_first_order(self) -> bool:
-        return self.gamma_d1 is not None and self.target_du is not None \
-            and self.target_dv is not None
 
-    def has_second_order(self) -> bool:
-        return self.has_first_order() and self.gamma_d2 is not None \
-            and self.target_duv is not None and self.target_dvv is not None
-
-
-def require_first_order(coupling) -> None:
-    if not coupling.has_first_order():
-        raise CapabilityError(
-            "coupling lacks first-order derivative data "
-            "(gamma_d1, target_du, target_dv)")
+# the derivative slots an operation of each order needs: order 1 is the
+# corrected surface and field, order 2 the analytic certificate
+DERIVATIVE_SLOTS = {0: (), 1: ("gamma_d1", "target_du", "target_dv"),
+                    2: ("gamma_d1", "target_du", "target_dv",
+                        "gamma_d2", "target_duv", "target_dvv")}
 
 
-def require_second_order(coupling) -> None:
-    if not coupling.has_second_order():
-        raise CapabilityError(
-            "coupling lacks second-order derivative data "
-            "(gamma_d2, target_duv, target_dvv)")
+def missing_derivatives(coupling, order: int) -> list:
+    """The slots of ``DERIVATIVE_SLOTS[order]`` that ``coupling`` has no
+    attribute for, or holds None in; empty when it supports ``order``."""
+    return [name for name in DERIVATIVE_SLOTS[order]
+            if getattr(coupling, name, None) is None]
+
+
+def require_derivatives(coupling, order: int) -> None:
+    """Raise CapabilityError naming the slots of ``order`` it lacks."""
+    missing = missing_derivatives(coupling, order)
+    if missing:
+        raise CapabilityError(f"coupling lacks order-{order} derivative "
+                              f"slots: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -231,12 +238,6 @@ class KuramotoCoupling:
 
     def target_dvv(self, u, v):
         return -np.cos(u - v)
-
-    def has_first_order(self) -> bool:
-        return True
-
-    def has_second_order(self) -> bool:
-        return True
 
 
 def make_kuramoto(alpha: float) -> KuramotoCoupling:

@@ -67,6 +67,8 @@ def fit_loglog(xs, ys) -> SlopeFit:
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
         raise ContractError("need two equally long 1-d arrays with >= 2 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ContractError("log-log fit needs finite data")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ContractError("log-log fit needs strictly positive data")
     if np.any(np.diff(xs) >= 0):

@@ -395,6 +395,15 @@ def test_pushforward_validation():
         pushed(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pushforward_rejects_nonfinite_shifts(bad):
+    # unchecked, such a field returns all-NaN values, and a certificate on
+    # it a quiet NoEvidence
+    with pytest.raises(ContractError, match="finite"):
+        PushforwardField(base=order1_field(), permutation=(1, 2, 0),
+                         shifts=(0.0, bad, 0.0))
+
+
 def test_certified_decision_transports_through_pushforward():
     field = order1_field(omega=np.array([0.4, 0.0, -0.3]))
     pushed = PushforwardField(base=field, permutation=(1, 2, 0),

@@ -16,11 +16,12 @@ from fastslow import (
     critical_weights,
     integrate_full,
     make_kuramoto,
+    mixed_second_derivative_fd,
     pair_correction,
-    pair_differences,
     phase_rhs,
     slow_manifold,
     triplet_interaction,
+    triplet_mixed_derivative,
     weight_correction,
     weight_rhs,
 )
@@ -140,14 +141,6 @@ def test_phase_rhs_two_node_by_hand():
     assert np.allclose(got, [0.5, -0.5], atol=1e-15)
 
 
-def test_pair_differences_orientation():
-    theta = np.array([0.0, 1.0, 3.0])
-    d = pair_differences(theta)
-    assert d[0, 1] == pytest.approx(1.0)
-    assert d[1, 0] == pytest.approx(-1.0)
-    assert d[0, 2] == pytest.approx(3.0)
-
-
 @st.composite
 def phase_stacks(draw):
     """Params plus a stack of 1-6 phase vectors and matching weights."""
@@ -243,7 +236,7 @@ def test_correction_term_decomposition():
     params, coupling, theta, _ = random_setup(7, n=4)
     n = params.n_nodes
     h1 = weight_correction(params, coupling, theta)
-    g = coupling.gamma(pair_differences(theta))
+    g = coupling.gamma(theta[None, :] - theta[:, None])
     for i in range(n):
         for j in range(n):
             trip_mean = sum(triplet_interaction(coupling, i, j, k, theta)
@@ -266,6 +259,23 @@ def test_oracles_take_one_phase_vector():
         pair_correction(params, coupling, 0, 4, theta)
     with pytest.raises(ContractError, match="out of range"):
         triplet_interaction(coupling, -1, 1, 2, theta)
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, np.float64(1.0)],
+                         ids=["bool", "numpy bool", "float", "numpy float"])
+def test_node_indices_must_be_ints(index):
+    """A bool would pass the range check (0 <= True < N) and, as an index,
+    add an axis; a float would raise IndexError.  Both are contract errors,
+    while a numpy integer is a node index like any int."""
+    params, coupling, theta, _ = random_setup(12, n=4)
+    field = ReducedField(order=1, params=params, coupling=coupling)
+    for call in (lambda i: pair_correction(params, coupling, i, 0, theta),
+                 lambda i: triplet_interaction(coupling, i, 0, 2, theta),
+                 lambda i: triplet_mixed_derivative(coupling, i, 0, 2, theta),
+                 lambda i: mixed_second_derivative_fd(field, i, 0, 2, theta)):
+        with pytest.raises(ContractError, match="not ints"):
+            call(index)
+        assert call(np.int64(1)) == call(1)
 
 
 def test_triplet_interaction_star_value():

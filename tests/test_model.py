@@ -1,17 +1,34 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fastslow import (
+    DECISION_CERTIFIED,
+    CapabilityError,
     ContractError,
     Coupling,
     FullState,
+    IntegrationConfig,
     KuramotoCoupling,
     ModelParams,
+    ReducedField,
+    attraction_study,
+    certify_nonpairwise,
+    convergence_study,
+    default_scan_points,
     make_kuramoto,
+    pair_correction,
     phase_distance,
+    slow_manifold,
+    triplet_interaction,
+    triplet_mixed_derivative,
+    weight_correction,
     wrap_phase,
 )
+from fastslow.model import DERIVATIVE_SLOTS, missing_derivatives
 
 TWO_PI = 2 * np.pi
 
@@ -87,6 +104,18 @@ def test_model_params_validation():
     assert p.epsilon == 1e-3
 
 
+@pytest.mark.parametrize("n_nodes", [3.0, True, np.float64(3.0), np.True_],
+                         ids=["float", "bool", "numpy float", "numpy bool"])
+def test_model_params_n_nodes_must_be_an_int(n_nodes):
+    # unchecked, a float or a bool passes the shape check, since
+    # (3,) == (3.0,) and (1,) == (True,), and fails later with a TypeError
+    with pytest.raises(ContractError, match="n_nodes must be an int"):
+        ModelParams(n_nodes=n_nodes, omega=np.zeros(int(n_nodes)),
+                    epsilon=0.1)
+    assert ModelParams(n_nodes=np.int64(3), omega=np.zeros(3),
+                       epsilon=0.1).n_nodes == 3
+
+
 def test_full_state_validation():
     with pytest.raises(ContractError):
         FullState(theta=np.zeros(3), weights=np.zeros((2, 2)))
@@ -104,7 +133,7 @@ def test_make_kuramoto_values():
     assert c.gamma(np.pi / 2) == pytest.approx(1.0)
     # target_du(0, pi/2) = -sin(-pi/2) = 1
     assert c.target_du(0.0, np.pi / 2) == pytest.approx(1.0)
-    assert c.has_second_order()
+    assert missing_derivatives(c, 2) == []
 
 
 def test_kuramoto_rejects_nonfinite_alpha():
@@ -167,11 +196,108 @@ def test_derivative_consistency_on_grid():
 
 def test_generic_coupling_capability_flags():
     bare = Coupling(gamma=np.sin, target=lambda u, v: np.cos(u - v))
-    assert not bare.has_first_order()
-    assert not bare.has_second_order()
+    assert missing_derivatives(bare, 0) == []
+    assert missing_derivatives(bare, 1) == ["gamma_d1", "target_du",
+                                            "target_dv"]
     first = Coupling(gamma=np.sin, target=lambda u, v: np.cos(u - v),
                      gamma_d1=np.cos,
                      target_du=lambda u, v: -np.sin(u - v),
                      target_dv=lambda u, v: np.sin(u - v))
-    assert first.has_first_order()
-    assert not first.has_second_order()
+    assert missing_derivatives(first, 1) == []
+    assert missing_derivatives(first, 2) == ["gamma_d2", "target_duv",
+                                             "target_dvv"]
+
+
+# ---------------------------------------------------------------------------
+# a coupling is its callables: any object whose attributes hold the slots
+# works, and a missing slot is reported by name before anything is evaluated
+
+SLOTS = [f.name for f in dataclasses.fields(Coupling)]
+
+
+def callables_only(drop=(), calls=None):
+    """The nine slot callables of make_kuramoto(0.7) on a plain namespace,
+    with no other attribute, less the slots in ``drop``.  When ``calls``
+    is a list, every evaluation appends its slot name to it."""
+    base = make_kuramoto(0.7)
+
+    def slot(name):
+        fn = getattr(base, name)
+        if calls is None:
+            return fn
+
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorded
+    return SimpleNamespace(**{name: slot(name) for name in SLOTS
+                              if name not in drop})
+
+
+def test_callables_only_coupling_gives_kuramoto_bits():
+    kuramoto, duck = make_kuramoto(0.7), callables_only()
+    rng = np.random.default_rng(5)
+    params = ModelParams(n_nodes=4, omega=rng.uniform(-1.0, 1.0, 4),
+                         epsilon=0.01)
+    thetas = rng.uniform(0.0, TWO_PI, (3, 4))
+
+    def same(fn):
+        want, got = fn(kuramoto), fn(duck)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for order in (0, 1):
+        same(lambda c: ReducedField(order=order, params=params,
+                                    coupling=c)(thetas))
+        same(lambda c: slow_manifold(params, c, thetas, order=order))
+    same(lambda c: weight_correction(params, c, thetas))
+    same(lambda c: triplet_mixed_derivative(c, 0, 1, 2, thetas[0]))
+    want, got = (certify_nonpairwise(
+        ReducedField(order=1, params=params, coupling=c),
+        default_scan_points(4, n_random=6)) for c in (kuramoto, duck))
+    assert got.decision == want.decision == DECISION_CERTIFIED
+    assert got.index_triple == want.index_triple
+    assert got.fd_value == want.fd_value
+    assert got.analytic_value == want.analytic_value
+
+
+def _attract(params, coupling, theta):
+    kicked = FullState(theta=theta, weights=np.ones((3, 3)))
+    return attraction_study(params, coupling, kicked,
+                            IntegrationConfig(dt=1e-3, t_end=0.1))
+
+
+# each entry point that needs derivatives, and the order it needs
+ENTRY_POINTS = {
+    "ReducedField": (1, lambda p, c, th: ReducedField(order=1, params=p,
+                                                       coupling=c)),
+    "slow_manifold": (1, lambda p, c, th: slow_manifold(p, c, th, order=1)),
+    "weight_correction": (1, lambda p, c, th: weight_correction(p, c, th)),
+    "pair_correction": (1, lambda p, c, th: pair_correction(p, c, 0, 1, th)),
+    "triplet_interaction": (
+        1, lambda p, c, th: triplet_interaction(c, 0, 1, 2, th)),
+    "triplet_mixed_derivative": (
+        2, lambda p, c, th: triplet_mixed_derivative(c, 0, 1, 2, th)),
+    "convergence_study": (
+        1, lambda p, c, th: convergence_study(p, c, th, [0.04, 0.02, 0.01])),
+    "attraction_study": (1, _attract),
+}
+
+
+@pytest.mark.parametrize("entry, slot", [
+    (entry, slot) for entry, (order, _) in ENTRY_POINTS.items()
+    for slot in DERIVATIVE_SLOTS[order]])
+def test_missing_slot_is_named_before_any_evaluation(entry, slot):
+    """A slot counts as missing when the attribute is absent and when it
+    holds None; either way the entry point raises CapabilityError naming
+    it before evaluating any slot of the coupling."""
+    _, call = ENTRY_POINTS[entry]
+    params = ModelParams(n_nodes=3, omega=np.array([0.3, -0.2, 0.1]),
+                         epsilon=0.01)
+    theta = np.array([0.1, 1.2, 2.9])
+    calls = []
+    absent = callables_only(drop=(slot,), calls=calls)
+    holds_none = Coupling(**{**vars(callables_only(calls=calls)), slot: None})
+    for coupling in (absent, holds_none):
+        with pytest.raises(CapabilityError, match=slot):
+            call(params, coupling, theta)
+    assert calls == []

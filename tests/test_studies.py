@@ -57,6 +57,20 @@ def test_fit_loglog_validation():
         fit_loglog(np.array([0.1, 0.0]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0.1, 0.05, 0.025], [1e-2, np.nan, 1e-4]),
+    ([np.inf, 0.05, 0.025], [1e-2, 1e-3, 1e-4]),
+    ([0.1, 0.05, np.nan], [1e-2, 1e-3, 1e-4]),
+    ([0.1, 0.05, 0.025], [np.inf, 1e-3, 1e-4]),
+], ids=["nan in ys", "inf in xs", "nan in xs", "inf in ys"])
+def test_fit_loglog_rejects_nonfinite(xs, ys, capfd):
+    # unchecked, a NaN in ys gives slope NaN flagged as a good fit, and an
+    # inf in xs a LinAlgError after LAPACK writes to stderr
+    with pytest.raises(ContractError, match="finite"):
+        fit_loglog(np.array(xs), np.array(ys))
+    assert capfd.readouterr().err == ""
+
+
 def make_params(n=3, epsilon=0.01, omega=None, seed=0):
     if omega is None:
         omega = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
