@@ -25,6 +25,7 @@ from .fields import ReducedField, _check_indices, _check_shapes
 from .model import (
     ContractError,
     FloatArray,
+    _is_int,
     missing_derivatives,
     require_derivatives,
     wrap_phase,
@@ -147,8 +148,8 @@ def anchor_point(n_nodes: int) -> FloatArray:
     analytic mixed derivative collapses to -alpha, which makes it a
     guaranteed hit for the scan whenever alpha is away from zero.
     """
-    if n_nodes < 3:
-        raise ContractError(f"anchor point needs >= 3 nodes, got {n_nodes}")
+    if not (_is_int(n_nodes) and n_nodes >= 3):
+        raise ContractError(f"need an int n_nodes >= 3, got {n_nodes!r}")
     p = np.zeros(n_nodes)
     p[1] = np.pi / 2.0
     return p
@@ -158,6 +159,8 @@ def default_scan_points(n_nodes: int, seed: int = DEFAULT_SCAN_SEED,
                         n_random: int = DEFAULT_RANDOM_POINTS) -> FloatArray:
     """Scan points as one (1 + n_random, N) array: the anchor point, then
     seeded uniform random phase vectors."""
+    if not (_is_int(n_random) and n_random >= 0):
+        raise ContractError(f"n_random must be an int >= 0, got {n_random!r}")
     rng = np.random.default_rng(seed)
     return np.vstack([anchor_point(n_nodes),
                       rng.uniform(0.0, 2.0 * np.pi, (n_random, n_nodes))])
@@ -282,11 +285,11 @@ def node_respecting_transform(theta, permutation, shifts) -> FloatArray:
 
 
 def _check_permutation(permutation, n: int) -> np.ndarray:
-    perm = np.asarray(permutation, dtype=int)
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
+    if np.ndim(permutation) != 1 or not all(_is_int(p) for p in permutation) \
+            or sorted(permutation) != list(range(n)):
         raise ContractError(
-            f"permutation must rearrange 0..{n - 1}, got {permutation}")
-    return perm
+            f"permutation must hold ints rearranging 0..{n - 1}, got {permutation}")
+    return np.asarray(permutation, dtype=int)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,15 +11,17 @@ whose equilibrium surface is the matrix ``critical_weights(theta)``.
 That surface plus its first-order correction in epsilon is the slow
 manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
 closed phase-only field :class:`ReducedField`.  These fields and the
-full-system rhs of ``integrate_full`` are all built from one private
-evaluation, ``_Terms``, which evaluates gamma and target at most once per
-point, each on first use; its callers never write into what it returns.
+full-system rhs of ``integrate_full`` are all built from one private core,
+``_Core``, which forms phi_ij = theta_j - theta_i once per call and
+evaluates each slot it uses once; callers never write into what it returns.
+Given both difference-form slots, the target at (u, v) = (theta_i, theta_j)
+is target_diff(phi), its d/du -target_diff_d1(phi) and its d/dv +target_diff_d1(phi).
 
 The model equations broadcast over leading axes: phases of shape (..., N)
 and weights of shape (..., N, N) give one result per leading index, equal
 to the result for that phase vector alone.  The scalar oracles
 pair_correction and triplet_interaction take one phase vector (N,) and
-evaluate the coupling on their own, independently of ``_Terms``.
+evaluate the coupling on their own, independently of ``_Core``.
 """
 
 from __future__ import annotations
@@ -64,49 +66,63 @@ def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     return theta
 
 
-class _Terms:
-    """At checked phases (..., N): g = gamma(theta_j - theta_i) and w0 =
-    target(theta_i, theta_j), the critical weights, each evaluated on first
-    use and then kept; and what is built from them: the phase equation at
-    any weights, h1 and the surface h0 + epsilon * h1.
-    """
+def _difference_form(coupling) -> bool:  # both slots, as they go together
+    return all(getattr(coupling, name, None) is not None
+               for name in ("target_diff", "target_diff_d1"))
 
-    __slots__ = ("params", "coupling", "u", "v", "_g", "_w0")
 
-    def __init__(self, params: ModelParams, coupling, theta):
-        self.params, self.coupling = params, coupling
-        # theta_i down the rows of a matrix, theta_j along its columns
-        self.u, self.v = theta[..., :, None], theta[..., None, :]
-        self._g = self._w0 = None
+def _phi(theta) -> FloatArray:  # phi_ij = theta_j - theta_i at (..., N)
+    return theta[..., None, :] - theta[..., :, None]
 
-    @property
-    def g(self) -> FloatArray:
-        if self._g is None:
-            self._g = self.coupling.gamma(self.v - self.u)
-        return self._g
 
-    @property
-    def w0(self) -> FloatArray:
-        if self._w0 is None:
-            self._w0 = self.coupling.target(self.u, self.v)
-        return self._w0
+class _Core:
+    """One coupling's equations at checked phases (..., N), its target's form
+    chosen when built.  Called, the reduced field at ``epsilon``: order 0 if
+    None, else order 1 at a scalar or a column (..., 1, 1), 0 in a row at 0."""
 
-    def phase_rhs(self, weights) -> FloatArray:
-        p = self.params
+    __slots__ = ("n_nodes", "omega", "epsilon", "coupling", "diff")
+
+    def __init__(self, params: ModelParams, coupling, epsilon=None):
+        self.n_nodes, self.omega = params.n_nodes, params.omega
+        self.epsilon, self.coupling = epsilon, coupling
+        self.diff = _difference_form(coupling)
+
+    def phase(self, weights, g) -> FloatArray:  # at weights (..., N, N)
         # the bits of ndarray.sum and of / N, at cheaper numpy calls
-        return p.omega + np.add.reduce(weights * self.g, -1) / float(p.n_nodes)
+        return self.omega + np.add.reduce(weights * g, -1) / float(self.n_nodes)
 
-    def correction(self) -> FloatArray:
-        f = self.phase_rhs(self.w0)
-        return -(self.coupling.target_du(self.u, self.v) * f[..., :, None]
-                 + self.coupling.target_dv(self.u, self.v) * f[..., None, :])
+    def terms(self, theta, order):
+        """(g, w0, h1): gamma(phi), the critical weights and, at order 1, the
+        correction -(target_du * f_i + target_dv * f_j), f the phase at w0."""
+        c, phi = self.coupling, _phi(theta)  # slots read per call: tracers patch them
+        g = c.gamma(phi)
+        if self.diff:
+            w0 = c.target_diff(phi)
+            if order:
+                dv = c.target_diff_d1(phi)
+                du = -dv
+        else:  # u = theta_i down the rows, v = theta_j along the columns
+            u, v = theta[..., :, None], theta[..., None, :]
+            w0 = c.target(u, v)
+            if order:
+                du, dv = c.target_du(u, v), c.target_dv(u, v)
+        del phi
+        if not order:
+            return g, w0, None
+        f = self.phase(w0, g)
+        h1 = np.multiply(du, f[..., :, None],
+                         out=np.empty(theta.shape + theta.shape[-1:]))
+        del du
+        h1 += dv * f[..., None, :]
+        return g, w0, np.negative(h1, out=h1)
 
-    def surface(self, epsilon) -> FloatArray:
-        """h0 + epsilon * h1 at a scalar epsilon, or at a column (..., 1, 1)
-        of them; a scalar 0 gives h0 without evaluating h1."""
-        if not isinstance(epsilon, np.ndarray) and epsilon == 0:
-            return self.w0
-        return self.w0 + epsilon * self.correction()
+    def surface(self, theta):  # (g, h0 + epsilon * h1)
+        g, w0, h1 = self.terms(theta, self.epsilon is not None)
+        return g, w0 if h1 is None else w0 + self.epsilon * h1
+
+    def __call__(self, theta) -> FloatArray:
+        g, w = self.surface(theta)
+        return self.phase(w, g)
 
 
 def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
@@ -116,7 +132,7 @@ def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
     The sum runs over every j including j = i.
     """
     theta, weights = _check_shapes(params.n_nodes, theta, weights)
-    return _Terms(params, coupling, theta).phase_rhs(weights)
+    return _Core(params, coupling).phase(weights, coupling.gamma(_phi(theta)))
 
 
 def weight_rhs(coupling, theta, weights) -> FloatArray:
@@ -131,7 +147,9 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
 def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
     target(theta_i, theta_j)."""
-    return _Terms(None, coupling, np.asarray(theta, dtype=float)).w0
+    theta = np.asarray(theta, dtype=float)
+    return coupling.target_diff(_phi(theta)) if _difference_form(coupling) \
+        else coupling.target(theta[..., :, None], theta[..., None, :])
 
 
 def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
@@ -145,7 +163,7 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     """
     require_derivatives(coupling, 1)
     theta = _check_shapes(params.n_nodes, theta)
-    return _Terms(params, coupling, theta).correction()
+    return _Core(params, coupling).terms(theta, 1)[2]
 
 
 def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:
@@ -158,8 +176,8 @@ def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> Float
         raise ContractError(f"order must be 0 or 1, got {order}")
     require_derivatives(coupling, order)
     theta = _check_shapes(params.n_nodes, theta)
-    # the surface truncated at order 0 is the one at epsilon 0
-    return _Terms(params, coupling, theta).surface(order * params.epsilon)
+    return critical_weights(coupling, theta) if order == 0 else \
+        _Core(params, coupling, params.epsilon).surface(theta)[1]
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -225,12 +243,12 @@ class ReducedField:
         if self.order not in (0, 1):
             raise ContractError(f"order must be 0 or 1, got {self.order}")
         require_derivatives(self.coupling, self.order)
+        eps = self.params.epsilon if self.order else None
+        object.__setattr__(self, "_core", _Core(self.params, self.coupling, eps))
 
     @property
     def n_nodes(self) -> int:
         return self.params.n_nodes
 
     def __call__(self, theta) -> FloatArray:
-        terms = _Terms(self.params, self.coupling,
-                       _check_shapes(self.params.n_nodes, theta))
-        return terms.phase_rhs(terms.surface(self.order * self.params.epsilon))
+        return self._core(_check_shapes(self.params.n_nodes, theta))

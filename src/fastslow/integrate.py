@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import _Terms
+from .fields import _Core
 from .model import (
     ContractError,
     FloatArray,
@@ -229,6 +229,7 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
     weights.ravel()] takes the first c entries of ``epsilon``, one per row,
     and one flat row its first entry.  Each call returns a new array."""
     n = params.n_nodes
+    core = _Core(params, coupling)
     column = np.reshape(epsilon, (-1, 1, 1))
     full = {}  # rows -> their epsilons at the weights' shape rows + (N, N)
 
@@ -240,11 +241,11 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
         if rows not in full:
             full[rows] = np.broadcast_to(
                 column[:rows[0]] if rows else column[0], w.shape).copy()
-        terms = _Terms(params, coupling, state[..., :n])
-        dw = terms.w0 - w  # -w + w0 to the bit
+        g, w0, _ = core.terms(state[..., :n], 0)
+        dw = w0 - w  # -w + w0 to the bit
         dw /= full[rows]
         return np.concatenate(
-            (terms.phase_rhs(w), dw.reshape(rows + (n * n,))), -1)
+            (core.phase(w, g), dw.reshape(rows + (n * n,))), -1)
     return rhs
 
 

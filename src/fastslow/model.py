@@ -161,7 +161,9 @@ class Coupling:
 
     Naming: ``gamma_d1`` is d gamma / d phi, ``target_du`` and ``target_dv``
     are the partials in the first and second slot, and so on for second
-    order.
+    order.  A target of phi = v - u alone may add both target_diff(phi) =
+    target(u, v) and target_diff_d1 = d/dv = -d/du, which the fields then use
+    in place of the (u, v) slots; those stay required.
     """
 
     gamma: PhaseFn
@@ -173,6 +175,8 @@ class Coupling:
     target_duu: Optional[PhaseFn] = None
     target_duv: Optional[PhaseFn] = None
     target_dvv: Optional[PhaseFn] = None
+    target_diff: Optional[PhaseFn] = None
+    target_diff_d1: Optional[PhaseFn] = None
 
 
 # the derivative slots an operation of each order needs: order 1 is the
@@ -195,6 +199,14 @@ def require_derivatives(coupling, order: int) -> None:
     if missing:
         raise CapabilityError(f"coupling lacks order-{order} derivative "
                               f"slots: {', '.join(missing)}")
+
+
+def _cos_target(alpha, phi):  # the Kuramoto target at phi = v - u
+    return alpha + np.cos(phi)
+
+
+def _cos_target_d1(phi):  # 0.0 - sin, not -sin: at u == v, phi = +0 = sin(u - v)
+    return 0.0 - np.sin(phi)
 
 
 @dataclass(frozen=True)
@@ -221,14 +233,20 @@ class KuramotoCoupling:
     def gamma_d2(self, phi):
         return -np.sin(phi)
 
+    def target_diff(self, phi):
+        return _cos_target(self.alpha, phi)
+
+    def target_diff_d1(self, phi):
+        return _cos_target_d1(phi)
+
     def target(self, u, v):
-        return self.alpha + np.cos(u - v)
+        return _cos_target(self.alpha, v - u)
 
     def target_du(self, u, v):
-        return -np.sin(u - v)
+        return -_cos_target_d1(v - u)
 
     def target_dv(self, u, v):
-        return np.sin(u - v)
+        return _cos_target_d1(v - u)
 
     def target_duu(self, u, v):
         return -np.cos(u - v)

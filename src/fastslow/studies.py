@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import _Terms, slow_manifold
+from .fields import _Core, slow_manifold
 from .integrate import IntegrationConfig, _full_stack, default_config, \
     integrate_full, integrate_reduced
 from .model import (
@@ -198,26 +198,6 @@ def _failures_named(names):
             from exc
 
 
-@dataclass(frozen=True, eq=False)
-class _ReducedStack:
-    """The reduced field on a stack of phase vectors (S, N) whose row r is
-    stepped at epsilons[r], a column (S, 1, 1): row r is the order-0 field
-    where epsilons[r] is 0, and the order-1 field at epsilons[r] elsewhere.
-    """
-
-    params: ModelParams
-    coupling: object
-    epsilons: FloatArray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.params.n_nodes
-
-    def __call__(self, theta) -> FloatArray:
-        terms = _Terms(self.params, self.coupling, theta)
-        return terms.phase_rhs(terms.surface(self.epsilons))
-
-
 def convergence_study(params_base: ModelParams, coupling, theta0,
                       epsilons: Sequence[float], t_end: float = 2.0,
                       dt_factor: float = 0.05,
@@ -265,7 +245,7 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         with _failures_named(["order 0"] + [f"order 1 at {name}"
                                             for name in names]):
             reduced = integrate_reduced(
-                _ReducedStack(params_base, coupling, np.concatenate(
+                _Core(params_base, coupling, np.concatenate(
                     [[0.0], eps[members]])[:, None, None]),
                 np.tile(theta0, (1 + len(members), 1)), grid).thetas
         for row, m in enumerate(members):

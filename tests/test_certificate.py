@@ -159,6 +159,20 @@ def test_anchor_and_default_points():
     assert np.array_equal(pts, default_scan_points(3, seed=123, n_random=5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: anchor_point(3.0),
+    lambda: anchor_point(True),
+    lambda: default_scan_points(4, n_random=2.0),
+    lambda: default_scan_points(4, n_random=-1),
+    lambda: default_scan_points(3.0),
+], ids=["float nodes", "bool nodes", "float n_random", "negative n_random",
+        "float nodes via default points"])
+def test_scan_points_reject_non_int_counts(call):
+    # unchecked, numpy raises its own TypeError or ValueError on these
+    with pytest.raises(ContractError):
+        call()
+
+
 @pytest.mark.parametrize("n, seed", [(3, 1), (5, 20240817), (7, 4), (12, 99)])
 def test_default_scan_points_match_per_row_draws(n, seed):
     """One (n_random, N) draw gives the doubles of n_random draws of one
@@ -389,10 +403,29 @@ def test_pushforward_validation():
         PushforwardField(base=field, permutation=(0, 1, 1), shifts=(0.0,) * 3)
     pushed = PushforwardField(base=field, permutation=(1, 2, 0),
                               shifts=(0.0,) * 3)
+    assert pushed.permutation == (1, 2, 0)
+    assert PushforwardField(base=field, permutation=np.array([2, 0, 1]),
+                            shifts=(0.0,) * 3).permutation == (2, 0, 1)
     with pytest.raises(ContractError):
         pushed(np.zeros(4))
     with pytest.raises(ContractError):
         pushed(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("perm", [
+    (0.5, 1, 2), [True, False, 2], np.array([1.0, 0.0, 2.0]),
+    np.array([True, False, True]), 1, [[0, 1, 2]],
+], ids=["float", "bool", "float array", "bool array", "scalar", "2-d"])
+def test_permutation_entries_must_be_ints(perm):
+    """A permutation entry that is not an int is refused, not cast: as ints
+    (0.5, 1, 2) would pass as the identity and [True, False, 2] as
+    (1, 0, 2)."""
+    with pytest.raises(ContractError, match="ints"):
+        PushforwardField(base=order1_field(), permutation=perm,
+                         shifts=(0.0,) * 3)
+    with pytest.raises(ContractError, match="ints"):
+        node_respecting_transform(np.array([0.1, 0.2, 0.3]), perm,
+                                  np.zeros(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -334,9 +334,10 @@ def test_order1_equals_substitution():
         assert np.max(np.abs(direct - substituted)) < 1e-13 * scale
 
 
-def counting_coupling(base, counts):
+def counting_coupling(base, counts, difference_slots=()):
     """A Coupling whose slots call those of ``base`` and tally each call,
-    by slot name, in ``counts``."""
+    by slot name, in ``counts``; it also has the ``difference_slots`` of
+    the target's difference form, from ``base``, a KuramotoCoupling."""
     def counted(name):
         fn = getattr(base, name)
 
@@ -346,22 +347,33 @@ def counting_coupling(base, counts):
         return call
     return Coupling(**{name: counted(name) for name in
                        ("gamma", "gamma_d1", "target", "target_du",
-                        "target_dv")})
+                        "target_dv") + difference_slots})
 
 
 @pytest.mark.parametrize("case, want", [
     ("full", {"gamma": 1, "target": 1}),
     ("order0", {"gamma": 1, "target": 1}),
     ("order1", {"gamma": 1, "target": 1, "target_du": 1, "target_dv": 1}),
+    ("difference form full", {"gamma": 1, "target_diff": 1}),
+    ("difference form order0", {"gamma": 1, "target_diff": 1}),
+    ("difference form order1", {"gamma": 1, "target_diff": 1,
+                                "target_diff_d1": 1}),
+    ("target_diff alone order1", {"gamma": 1, "target": 1, "target_du": 1,
+                                  "target_dv": 1}),
 ])
 def test_one_coupling_evaluation_per_call(case, want):
     """The full-system rhs and the reduced fields evaluate each coupling
     slot they need once per call: gamma and target are shared between the
-    phase equation, the weight equation and the surface."""
+    phase equation, the weight equation and the surface.  A coupling with
+    a difference form is evaluated through it alone, both partials from
+    one target_diff_d1, and never through target(u, v) or its partials;
+    the two difference slots go together, so target_diff alone is unused."""
     params, base, theta, _ = random_setup(13, n=5)
     counts = {}
-    coupling = counting_coupling(base, counts)
-    if case == "full":
+    slots = ("target_diff", "target_diff_d1") if case.startswith("difference") \
+        else ("target_diff",) if case.startswith("target_diff") else ()
+    coupling = counting_coupling(base, counts, slots)
+    if case.endswith("full"):
         state = FullState(theta=theta, weights=critical_weights(base, theta))
         dt = params.epsilon / 20
         # one RK4 step calls the rhs four times

@@ -409,6 +409,29 @@ def test_full_rhs_bits_match_public_fields_flat_and_stacked(n, kind):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["flat", "stack of 3"])
+def test_full_rhs_reads_its_state_and_returns_fresh_memory(rows):
+    """The rhs takes a flat row's weights as a view of the state, so it
+    must never write into it; and each result is a new array, sharing no
+    memory with the state or with the result of the call before."""
+    n = 4
+    rng = np.random.default_rng(31)
+    params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
+                         epsilon=0.01)
+    rhs = _full_rhs(params, make_kuramoto(0.7),
+                    np.array([0.01, 0.02, 0.04])[:, None, None])
+    state = rng.uniform(-3.0, 9.0, (n + n * n,) if rows is None
+                        else (rows, n + n * n))
+    before = state.copy()
+    first = rhs(state)
+    second = rhs(state)
+    assert state.tobytes() == before.tobytes()
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, state)
+    assert not np.shares_memory(second, state)
+    assert not np.shares_memory(first, second)
+
+
 def test_stack_rows_step_as_their_own_runs():
     """A stack whose rows take 4, 2 and 1 steps of their own dt per sample
     stores, in every row, the bits of that row's own integrate_full run."""

@@ -28,6 +28,7 @@ from fastslow import (
     weight_correction,
     wrap_phase,
 )
+from fastslow.integrate import _full_rhs
 from fastslow.model import DERIVATIVE_SLOTS, missing_derivatives
 
 TWO_PI = 2 * np.pi
@@ -162,6 +163,86 @@ def test_kuramoto_difference_only():
             assert c.target(u + shift, v + shift) == c.target(u, v)
 
 
+def _parity_pairs():
+    """(u, v): sampled phases, every pair of the special values, and each
+    special value against sampled phases."""
+    special = np.array([0.0, -0.0, np.pi, -np.pi, TWO_PI, -TWO_PI, 1e6, -1e6,
+                        5e-324, -5e-324, 2.2e-308, -2.2e-308])
+    rng = np.random.default_rng(23)
+    sampled = rng.uniform(-50.0, 50.0, (2, 2000))
+    k = special.size
+    return (np.concatenate([sampled[0], np.repeat(special, k), special,
+                            sampled[0, :k]]),
+            np.concatenate([sampled[1], np.tile(special, k), sampled[1, :k],
+                            special]))
+
+
+def test_difference_form_has_the_bits_of_the_uv_formulas():
+    """The Kuramoto target and its partials on phi = v - u, and the (u, v)
+    slots now written through them, equal the (u, v) formulas alpha +
+    cos(u - v), -sin(u - v) and sin(u - v) bit for bit: on arrays, which
+    numpy evaluates in its SIMD loops, and on numpy scalars, as the scalar
+    oracles and the analytic certificate pass them.  The one exception is
+    u = -0, v = +0: phi is +0 there, as at u == v, so no function of phi
+    can give sin(u - v) = -0, and the partials are zeros of the other
+    sign."""
+    alpha = 0.7
+    c = make_kuramoto(alpha)
+    u, v = _parity_pairs()
+    exempt = (u == 0) & np.signbit(u) & (v == 0) & ~np.signbit(v)
+    assert np.count_nonzero(exempt) == 1
+
+    def oracle(u, v):
+        return alpha + np.cos(u - v), -np.sin(u - v), np.sin(u - v)
+
+    def difference_form(u, v):
+        d = c.target_diff_d1(v - u)
+        return c.target_diff(v - u), -d, d
+
+    def uv_slots(u, v):
+        return c.target(u, v), c.target_du(u, v), c.target_dv(u, v)
+
+    def scalars(form):  # iterating an array gives numpy scalars
+        return np.array([form(a, b) for a, b in zip(u, v)]).T
+
+    for evaluate in (lambda form: np.array(form(u, v)), scalars):
+        want = evaluate(oracle)
+        for form in (difference_form, uv_slots):
+            got = evaluate(form)
+            assert got[0].tobytes() == want[0].tobytes()
+            same = got.view(np.int64) == want.view(np.int64)
+            assert np.all(same[1:] | exempt)
+            assert np.array_equal(got[1:, exempt], want[1:, exempt])
+
+
+@pytest.mark.parametrize("theta", [
+    np.array([0.3, 2.9, 5.1, 1.2]), np.array([0.0, np.pi / 2, 0.0, 0.0])],
+    ids=["distinct phases", "anchor: equal phases"])
+def test_kuramoto_fields_keep_the_bits_of_the_uv_formulas(theta):
+    """The fields of make_kuramoto, which take the difference form, equal
+    those of a Coupling holding only the (u, v) formulas, bit for bit: the
+    surfaces, the correction, both reduced fields and the full rhs on a
+    flat row and on a stack."""
+    alpha = 0.7
+    uv = Coupling(gamma=np.sin, gamma_d1=np.cos,
+                  target=lambda u, v: alpha + np.cos(u - v),
+                  target_du=lambda u, v: -np.sin(u - v),
+                  target_dv=lambda u, v: np.sin(u - v))
+    params = ModelParams(n_nodes=4, omega=np.array([0.4, -0.3, 0.8, -1.0]),
+                         epsilon=0.01)
+    state = np.concatenate([theta, np.linspace(-1.0, 2.0, 16)])
+    stack = np.stack([theta, theta + 1.0])
+    states = np.stack([state, state + 1.0])
+    for fn in (lambda c: slow_manifold(params, c, stack, order=0),
+               lambda c: slow_manifold(params, c, stack, order=1),
+               lambda c: weight_correction(params, c, stack),
+               lambda c: ReducedField(0, params, c)(stack),
+               lambda c: ReducedField(1, params, c)(stack),
+               lambda c: _full_rhs(params, c, [0.01])(state),
+               lambda c: _full_rhs(params, c, [0.01, 0.02])(states)):
+        assert fn(make_kuramoto(alpha)).tobytes() == fn(uv).tobytes()
+
+
 FD_STEP = 1e-5
 FD_TOL = 1e-6
 
@@ -216,7 +297,7 @@ SLOTS = [f.name for f in dataclasses.fields(Coupling)]
 
 
 def callables_only(drop=(), calls=None):
-    """The nine slot callables of make_kuramoto(0.7) on a plain namespace,
+    """The eleven slot callables of make_kuramoto(0.7) on a plain namespace,
     with no other attribute, less the slots in ``drop``.  When ``calls``
     is a list, every evaluation appends its slot name to it."""
     base = make_kuramoto(0.7)

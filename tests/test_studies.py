@@ -24,6 +24,7 @@ from fastslow import (
     phase_distance,
     slow_manifold,
     weight_correction,
+    wrap_phase,
 )
 
 TWO_PI = 2 * np.pi
@@ -268,7 +269,7 @@ def record_runs(monkeypatch):
 
     def reduced(field, theta0, config):
         traj = real_reduced(field, theta0, config)
-        runs.append(("reduced", field.epsilons.ravel().tolist(), config,
+        runs.append(("reduced", field.epsilon.ravel().tolist(), config,
                      traj))
         return traj
     monkeypatch.setattr(integrate, "_integrate", full)
@@ -349,15 +350,27 @@ def test_reduced_step_error_budget(monkeypatch):
     check_stacks(runs, epsilons, 2.0, 2000)
     budget = 1e-3 * report.errors_order1.min()
     _, eps, _, traj = runs[1]
-    # the order-0 field is the same at every epsilon; its finest stiff run
-    # is the reference
-    for row, e in enumerate(eps):
-        field = ReducedField(order=0, params=params, coupling=c) if e == 0 \
-            else ReducedField(order=1, params=replace(params, epsilon=e),
-                              coupling=c)
-        stiff = default_config(e or epsilons[-1], 2.0, 0.05, 2000)
-        ref = integrate_reduced(field, theta0, stiff)
-        assert phase_distance(traj.thetas[:, row], ref.thetas) <= budget
+    # each row's reference is its field stepped at the full system's dt;
+    # the order-0 field is the same at every epsilon, so its reference is
+    # the finest.  The five runs step as one stack, order 0 where epsilon
+    # is 0, each row with 8, 8, 4, 2 or 1 steps of its own dt per sample.
+    stiff = [default_config(e or epsilons[-1], 2.0, 0.05, 2000) for e in eps]
+    assert [s.sample_every for s in stiff] == [8, 8, 4, 2, 1]
+    column = np.array(eps)[:, None, None]
+    fields = {k: studies._Core(params, c, column[:k]) for k in (2, 3, 4, 5)}
+    # at epsilon 0 the stack's row is the order-0 field to the bit
+    assert fields[5](np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
+        order=0, params=params, coupling=c)(theta0).tobytes()
+    refs = integrate._integrate(
+        lambda theta: fields[len(theta)](theta), np.tile(theta0, (5, 1)),
+        np.array([[s.dt] for s in stiff]), [s.sample_every for s in stiff],
+        traj.n_samples, "reduced")
+    for row in range(5):
+        assert phase_distance(traj.thetas[:, row], refs[:, row]) <= budget
+    # a stacked row has the bits of its own run
+    alone = integrate_reduced(ReducedField(order=1, params=replace(
+        params, epsilon=eps[-1]), coupling=c), theta0, stiff[-1])
+    assert np.array_equal(wrap_phase(refs[:, -1]), alone.thetas)
 
 
 def per_epsilon_errors(params, coupling, theta0, epsilons, t_end,
