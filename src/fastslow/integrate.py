@@ -19,6 +19,10 @@ rhs returned, so an rhs may hand out read-only or cached arrays.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -31,12 +35,15 @@ from .model import (
     FullState,
     IntegrationError,
     ModelParams,
+    _is_int,
     wrap_phase,
 )
 
 MAX_DEFAULT_SAMPLES = 10_000
 # bytes of stored history one run may allocate
 MAX_HISTORY_BYTES = 2 * 1024 ** 3
+# values per forked CSV part: over twice the break-even measured on 2 CPUs
+MIN_VALUES_PER_PART = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,10 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
     that divides the step count and stores at most max_samples rows after
     the initial one.  Raises ContractError when that stride stores fewer
     than 1 % of the rows the cap allows (a step count with no divisor near
-    n_steps / max_samples, such as a prime or twice a prime)."""
+    n_steps / max_samples, such as a prime or twice a prime), or when
+    max_samples is not an int >= 1."""
+    if not (_is_int(max_samples) and max_samples >= 1):
+        raise ContractError(f"max_samples must be an int >= 1, got {max_samples!r}")
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     n_steps = config.n_steps
     # the smallest such stride is n_steps // k for the largest divisor k of
@@ -321,11 +331,18 @@ def _write_table(stream, columns, parts) -> None:
     as an integer), 64 rows per write so that no string or list holds the
     whole table.  A part is an array (rows,) or (rows, k), or a pair
     (index, table) standing for table[index], each of whose table rows is
-    formatted once.  Before writing, raises ContractError if the parts
-    differ in row count, an index is not an integer inside its table, or a
-    value is non-finite, naming the first (in a gathered table, else in the
-    output) by row and column."""
-    sources, bad, first = [], [], 0
+    formatted once.  Before writing, raises ContractError if the names do
+    not match the parts' columns, the parts differ in row count, an index
+    is not an integer inside its table, or a value is non-finite, naming
+    the first (in a gathered table, else in the output) by row and column.
+
+    With os.fork and no other Python thread, the rows go in P runs of
+    64-row blocks, P = rows x ungathered columns // MIN_VALUES_PER_PART,
+    at most the blocks and the CPUs this process may use.  Forked children
+    write the runs after the first, block by block, to temporary files that
+    are copied into ``stream`` in order.  A child that fails raises
+    ChildProcessError; every child is reaped before this returns."""
+    sources, bad, first, values = [], [], 0, 0
     for part in parts:
         index, table = part if isinstance(part, tuple) else (None, part)
         table = np.asarray(table, dtype=float)
@@ -334,18 +351,21 @@ def _write_table(stream, columns, parts) -> None:
             index = np.asarray(index)
             if index.dtype.kind not in "iu" or index.ndim != 1 \
                     or np.any((index < 0) | (index >= len(table))):
-                raise ContractError(f"CSV column {columns[first]}: the index "
-                                    f"must hold integers in [0, {len(table)})")
+                raise ContractError(f"CSV column {first + 1}: the index must "
+                                    f"hold integers in [0, {len(table)})")
         # min and max show nan and inf without a temporary array
         if table.size and not np.isfinite([table.min(), table.max()]).all():
             r, c = np.argwhere(~np.isfinite(table))[0]
             bad.append((index is None, r, first + c))
         first += table.shape[1]
+        values += 0 if index is not None else table.shape[1]
         spec = ",".join(["%.17g"] * table.shape[1])
         if index is not None:  # format each row once, gather it as "%s"
             table = np.array([spec % tuple(r) for r in table.tolist()], object)
             spec = "%s"
         sources.append((index, table, spec))
+    if len(columns) != first:
+        raise ContractError(f"{len(columns)} CSV column names for {first} columns")
     if bad:
         plain, r, c = min(bad)
         where = "CSV row" if plain else "gathered table row"
@@ -353,13 +373,46 @@ def _write_table(stream, columns, parts) -> None:
     n_rows = {len(t if i is None else i) for i, t, _ in sources}
     if len(n_rows) != 1:
         raise ContractError(f"the CSV parts have {sorted(n_rows)} rows")
-    stream.write(",".join(columns) + "\n")
-    row = ",".join(spec for *_, spec in sources) + "\n"
-    for lo in range(0, n_rows.pop(), 64):
-        block = np.column_stack([table[lo:lo + 64] if index is None else
-                                 table[index[lo:lo + 64]]
-                                 for index, table, _ in sources])
-        stream.write(row * len(block) % tuple(block.ravel().tolist()))
+    n, row = n_rows.pop(), ",".join(spec for *_, spec in sources) + "\n"
+
+    def write(out, lo, hi):  # rows lo to hi, lo on a 64-row block bound
+        for at in range(lo, hi, 64):
+            block = np.column_stack([table[at:at + 64] if index is None else
+                                     table[index[at:at + 64]]
+                                     for index, table, _ in sources])
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    blocks = -(-n // 64)
+    n_parts = max(1, min(cpus, blocks, n * values // MIN_VALUES_PER_PART)) \
+        if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    bounds = [64 * (blocks * p // n_parts) for p in range(n_parts)] + [n]
+    files, pids = [], []  # the temporary file and the pid of each child
+    try:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                files.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the child, which leaves by os._exit only
+                    try:
+                        write(files[-1], lo, hi)
+                        files[-1].flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            stream.write(",".join(columns) + "\n")
+            write(stream, 0, bounds[1])
+        finally:
+            failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
+        if failed:
+            raise ChildProcessError(f"the children formatting CSV parts "
+                                    f"{failed} of {n_parts} failed")
+        for part in files:
+            part.seek(0)
+            shutil.copyfileobj(part, stream)
+    finally:
+        for part in files:
+            part.close()
 
 
 def trajectory_to_csv(traj: Trajectory, stream) -> None:

@@ -1,11 +1,12 @@
 import copy
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from fastslow import ContractError
+from fastslow import ContractError, integrate
 from fastslow.certificate import scan_mixed_derivatives
 from fastslow.cli import COMMANDS, _resolve_integration, main, write_json
 from fastslow.integrate import _write_table
@@ -78,6 +79,27 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     # the trajectory is streamed into raw.csv: every sample, header first
     assert len(lines) == 2 + report["n_samples"]
     assert "simulate: " in capsys.readouterr().out
+
+
+def test_simulate_csv_is_the_same_split_or_not(tmp_path, monkeypatch):
+    # 1001 samples of 13 values: one part by default, three when forced
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["integration"] = {"t_end": 1.0, "sample_every": 1}
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    code, out = run(tmp_path / "one", "simulate", cfg, ["--quiet"])
+    assert code == 0 and not forks
+    monkeypatch.setattr(integrate, "MIN_VALUES_PER_PART", 1)
+    code, split = run(tmp_path / "split", "simulate", cfg, ["--quiet"])
+    assert code == 0 and len(forks) == 2
+    assert (split / "raw.csv").read_bytes() == (out / "raw.csv").read_bytes()
+    assert (out / "raw.csv").read_text().count("\n") == 2 + 1001
 
 
 def test_simulate_starts_from_explicit_weights(tmp_path):

@@ -1,4 +1,12 @@
+import errno
 import io
+import os
+import re
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -27,6 +35,7 @@ from fastslow import (
     weight_rhs,
     wrap_phase,
 )
+from fastslow import integrate as integrate_module
 from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, _full_stack, \
     _integrate, _sample_times, _write_table
 
@@ -82,6 +91,12 @@ def test_default_config_stride_matches_linear_search(max_samples):
         else:
             cfg = default_config(1.0, float(n_steps), 1.0, max_samples)
             assert (cfg.n_steps, cfg.sample_every) == (n_steps, stride)
+
+
+@pytest.mark.parametrize("max_samples", [0, -3, True, 2.0, None])
+def test_default_config_rejects_a_sample_cap_that_is_not_a_count(max_samples):
+    with pytest.raises(ContractError, match="max_samples must be an int >= 1"):
+        default_config(epsilon=0.01, t_end=2.0, max_samples=max_samples)
 
 
 def test_default_config_rejects_a_long_prime_grid_promptly():
@@ -656,3 +671,188 @@ def test_write_table_names_the_non_finite_cell():
         _write_table(buf, ["a", "b"], [np.arange(4.0), (
             np.zeros(4, int), np.array([1.0, 2.0, np.nan]))])
     assert buf.getvalue() == ""
+
+
+def test_write_table_rejects_column_names_that_miss_the_parts():
+    for names in (["a", "b"], ["a", "b", "c", "d"]):
+        buf = io.StringIO()
+        with pytest.raises(ContractError, match=f"{len(names)} CSV column "
+                           "names for 3 columns"):
+            _write_table(buf, names, [np.arange(2.0), np.ones((2, 2))])
+        assert buf.getvalue() == ""
+    # a bad cell or index in a column past the names is a contract error too
+    b = np.ones((2, 2))
+    b[1, 1] = np.nan
+    with pytest.raises(ContractError, match="2 CSV column names for 3"):
+        _write_table(io.StringIO(), ["a", "b"], [np.arange(2.0), b])
+    with pytest.raises(ContractError, match=r"integers in \[0, 1\)"):
+        _write_table(io.StringIO(), ["a"], [np.arange(2.0),
+                                            (np.array([0, 1]), [1.0])])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Force the CSV split on any table and list the children forked,
+    through a wrapped os.fork.  A writer still waiting on a child after
+    60 s fails instead of hanging."""
+    def hung(signum, frame):
+        raise TimeoutError("the CSV writer still waits on a child after 60 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+    monkeypatch.setattr(integrate_module, "MIN_VALUES_PER_PART", 1)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield calls
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def csv_parts(n_rows, gathered):
+    """Parts of a trajectory-shaped table, or of a certify-shaped one whose
+    triples and points are gathered by index."""
+    rng = np.random.default_rng(n_rows)
+    if not gathered:
+        return ([f"c{k}" for k in range(21)],
+                [np.arange(n_rows) * 0.25, rng.random((n_rows, 4)),
+                 rng.normal(size=(n_rows, 16))])
+    r, p = np.arange(n_rows), 5
+    return (["i", "j", "k", "point", "x", "y", "fd", "fd2", "fd3"],
+            [(r // p, rng.integers(0, 4, (-(-n_rows // p), 3))),
+             (r % p, np.column_stack([np.arange(p), rng.random((p, 2))])),
+             rng.normal(size=(n_rows, 3))])
+
+
+@pytest.mark.parametrize("gathered", [False, True])
+@pytest.mark.parametrize("n_parts", [2, 3])
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 4001])
+def test_split_csv_has_the_bytes_of_one_part(forks, monkeypatch, n_rows,
+                                             n_parts, gathered):
+    columns, parts = csv_parts(n_rows, gathered)
+    use_cpus(monkeypatch, 1)
+    one = io.StringIO()
+    _write_table(one, columns, parts)
+    assert not forks
+    use_cpus(monkeypatch, n_parts)
+    split = io.StringIO()
+    _write_table(split, columns, parts)
+    # a part is at least one 64-row block: up to 64 rows fork no child
+    assert len(forks) == min(n_parts, -(-n_rows // 64)) - 1
+    assert split.getvalue() == one.getvalue()
+    assert one.getvalue().count("\n") == n_rows + 1
+    assert_no_child_left()
+
+
+def test_csv_is_written_in_one_part_without_fork_threads_or_cpus(forks,
+                                                                 monkeypatch):
+    columns, parts = csv_parts(200, False)
+    use_cpus(monkeypatch, 1)
+    expected = io.StringIO()
+    _write_table(expected, columns, parts)
+    assert not forks
+
+    def written():
+        buf = io.StringIO()
+        _write_table(buf, columns, parts)
+        assert buf.getvalue() == expected.getvalue()
+        return len(forks)
+    use_cpus(monkeypatch, 2)
+    # another thread alive
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert written() == 0
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert written() == 1
+    # without sched_getaffinity the CPU count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert written() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert written() == 2
+    monkeypatch.delattr(os, "fork")
+    assert written() == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+def test_failed_csv_child_raises_and_no_child_is_left(forks, monkeypatch,
+                                                      n_parts):
+    use_cpus(monkeypatch, n_parts)
+    columns, parts = csv_parts(4001, False)
+    temporary = tempfile.TemporaryFile
+
+    def no_room(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full(*args, **kwargs):  # only the children write these files
+        part = temporary(*args, **kwargs)
+        part.write = no_room
+        return part
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    with pytest.raises(ChildProcessError, match=re.escape(
+            f"CSV parts {list(range(1, n_parts))} of {n_parts} failed")):
+        _write_table(io.StringIO(), columns, parts)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+def test_csv_children_are_reaped_when_the_stream_fails(forks, monkeypatch,
+                                                      n_parts):
+    # the parent fails on its own part while its children still format
+    use_cpus(monkeypatch, n_parts)
+    columns, parts = csv_parts(4001, False)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell() > 100_000:
+                raise OSError("disk full")
+            return super().write(text)
+    with pytest.raises(OSError, match="disk full"):
+        _write_table(Full(), columns, parts)
+    assert len(forks) == n_parts - 1
+    assert_no_child_left()
+
+
+CHILD_PEAK = """
+import os, resource, sys
+import numpy as np
+from fastslow import integrate
+os.sched_getaffinity = lambda pid: {0, 1}
+table = np.random.default_rng(1).normal(size=(30_000, 64))
+with open(sys.argv[1], "w") as stream:
+    integrate._write_table(stream, [f"c{k}" for k in range(64)], [table])
+print(os.path.getsize(sys.argv[1]), *(resource.getrusage(who).ru_maxrss
+      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+"""
+
+
+def test_csv_child_memory_does_not_grow_with_its_part(tmp_path):
+    # the child writes its 19 MB part block by block, so its peak stays
+    # below its parent's, which holds the table; a part held as one string
+    # puts the child 25 MB above it
+    src = os.path.dirname(os.path.dirname(integrate_module.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_PEAK, str(tmp_path / "raw.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    size, own_kb, children_kb = map(int, out.split())
+    assert size > 38_000_000
+    assert children_kb < own_kb + 4096
