@@ -23,6 +23,7 @@ import os
 import shutil
 import tempfile
 import threading
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -68,7 +69,7 @@ class IntegrationConfig:
             raise ContractError(
                 f"t_end={self.t_end} is not a whole number of steps of "
                 f"dt={self.dt}")
-        if int(self.sample_every) != self.sample_every or self.sample_every < 1 \
+        if not _is_int(self.sample_every) or self.sample_every < 1 \
                 or self.n_steps % self.sample_every:
             raise ContractError(
                 f"sample_every must be a positive integer dividing the "
@@ -325,6 +326,47 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     return Trajectory(times=times, thetas=wrap_phase(rows))
 
 
+def _cpus() -> int:
+    """The CPUs a forked child may use; 1 without POSIX os.fork or with a
+    second Python thread alive, whose locks a child inherits in any state."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
+@contextmanager
+def _forked(jobs, own, what: str):
+    """Call each of ``jobs`` on its own unlinked UTF-8 temporary file (bytes
+    go to its buffer) in a forked child, which leaves by os._exit only,
+    while this process calls ``own()``.  Reaps every child, also when
+    ``own`` raises, then yields own's result and the files, rewound.  A
+    failed child raises ChildProcessError naming ``what`` it did, from 1."""
+    pids = []
+    with ExitStack() as opened:
+        files = [opened.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8")) for _ in jobs]
+        try:
+            for job, file in zip(jobs, files):
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the child
+                    try:
+                        job(file)
+                        file.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            result = own()
+        finally:
+            failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
+        if failed:
+            raise ChildProcessError(f"the children {what} {failed} of "
+                                    f"{len(jobs) + 1} failed")
+        for file in files:
+            file.seek(0)
+        yield result, files
+
+
 def _write_table(stream, columns, parts) -> None:
     """Write a CSV header, then the rows that the ``parts`` fill column
     after column, each value "%.17g" (an integral value below 2**53 prints
@@ -336,12 +378,9 @@ def _write_table(stream, columns, parts) -> None:
     is not an integer inside its table, or a value is non-finite, naming
     the first (in a gathered table, else in the output) by row and column.
 
-    With os.fork and no other Python thread, the rows go in P runs of
-    64-row blocks, P = rows x ungathered columns // MIN_VALUES_PER_PART,
-    at most the blocks and the CPUs this process may use.  Forked children
-    write the runs after the first, block by block, to temporary files that
-    are copied into ``stream`` in order.  A child that fails raises
-    ChildProcessError; every child is reaped before this returns."""
+    The rows go in P runs of 64-row blocks, P = rows x ungathered columns
+    // MIN_VALUES_PER_PART, at most the blocks and _cpus(); the runs after
+    the first are formatted by _forked children and copied in order."""
     sources, bad, first, values = [], [], 0, 0
     for part in parts:
         index, table = part if isinstance(part, tuple) else (None, part)
@@ -381,38 +420,16 @@ def _write_table(stream, columns, parts) -> None:
                                      table[index[at:at + 64]]
                                      for index, table, _ in sources])
             out.write(row * len(block) % tuple(block.ravel().tolist()))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
     blocks = -(-n // 64)
-    n_parts = max(1, min(cpus, blocks, n * values // MIN_VALUES_PER_PART)) \
-        if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    n_parts = max(1, min(_cpus(), blocks, n * values // MIN_VALUES_PER_PART))
     bounds = [64 * (blocks * p // n_parts) for p in range(n_parts)] + [n]
-    files, pids = [], []  # the temporary file and the pid of each child
-    try:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                files.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                pids.append(os.fork())
-                if pids[-1] == 0:  # the child, which leaves by os._exit only
-                    try:
-                        write(files[-1], lo, hi)
-                        files[-1].flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            stream.write(",".join(columns) + "\n")
-            write(stream, 0, bounds[1])
-        finally:
-            failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
-        if failed:
-            raise ChildProcessError(f"the children formatting CSV parts "
-                                    f"{failed} of {n_parts} failed")
+    stream.write(",".join(columns) + "\n")
+    with _forked([lambda out, lo=lo, hi=hi: write(out, lo, hi) for lo, hi in
+                  zip(bounds[1:-1], bounds[2:])],
+                 lambda: write(stream, 0, bounds[1]),
+                 "formatting CSV parts") as (_, files):
         for part in files:
-            part.seek(0)
             shutil.copyfileobj(part, stream)
-    finally:
-        for part in files:
-            part.close()
 
 
 def trajectory_to_csv(traj: Trajectory, stream) -> None:

@@ -7,15 +7,15 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import _Core, slow_manifold
-from .integrate import IntegrationConfig, _full_stack, default_config, \
-    integrate_full, integrate_reduced
+from .integrate import IntegrationConfig, _cpus, _forked, _full_stack, \
+    default_config, integrate_full, integrate_reduced
 from .model import (
     ContractError,
     ExperimentError,
@@ -43,6 +43,10 @@ DEGENERATE_ERROR_FLOOR = 1e-12
 # longest step for a reduced field in the convergence study; the reduced
 # fields carry no fast scale, so their step is not tied to epsilon
 MAX_REDUCED_DT = 0.01
+
+# finest-row steps a grid needs before a forked child steps that row on a
+# second CPU: over twice the break-even measured on 2 CPUs at N = 5
+MIN_SPLIT_STEPS = 8000
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,16 +190,14 @@ def _sample_grid(config: IntegrationConfig) -> IntegrationConfig:
                              sample_every=substeps)
 
 
-@contextmanager
-def _failures_named(names):
-    """Raise an IntegrationError of a stack as an ExperimentError that
-    names the rows holding the non-finite values, row r by names[r]."""
+def _named(names, step):
+    """step(), an IntegrationError of its stack raised as an ExperimentError
+    that names the rows holding the non-finite values, row r by names[r]."""
     try:
-        yield
+        return step()
     except IntegrationError as exc:
         failed = ", ".join(names[r] for r in exc.rows)
-        raise ExperimentError(f"integration failed at {failed}: {exc}") \
-            from exc
+        raise ExperimentError(f"integration failed at {failed}: {exc}") from exc
 
 
 def convergence_study(params_base: ModelParams, coupling, theta0,
@@ -212,13 +214,21 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     at the full run's sample spacing, split into substeps of at most
     MAX_REDUCED_DT = 0.01, so their samples fall on the full run's sample
     times.  The error is the largest phase distance over the sampled
-    window [0, t_end].  Requires at least 3 epsilon values, strictly
-    decreasing, dt_factor <= 0.1 (the dt <= epsilon/10 guard of every
-    full run) and t_end a whole number of steps at every epsilon, all
-    checked before any step.  The epsilons that share a sample grid are
-    stepped as stacks, every row with the bits of its own run.
+    window [0, t_end].  Requires a 1-d sequence of at least 3 finite
+    epsilon values, strictly decreasing, dt_factor <= 0.1 (the dt <=
+    epsilon/10 guard of every full run) and t_end a whole number of steps
+    at every epsilon, all checked before any step.  The epsilons that
+    share a sample grid are stepped as stacks, every row with the bits of
+    its own run.  With _cpus() > 1, a forked child steps a grid's finest
+    row of MIN_SPLIT_STEPS steps or more while this process steps the
+    rest; a failure on either side steps the grid again in one process.
     """
-    eps = np.asarray(list(epsilons), dtype=float)
+    eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
+    with suppress(TypeError, ValueError):
+        eps = np.fromiter(epsilons, float)
+    if not np.isfinite(eps).all():
+        raise ContractError("epsilons must be a 1-d sequence of finite "
+                            f"numbers, got {epsilons!r}")
     if eps.size < 3:
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
@@ -234,23 +244,34 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         # finest first, so the full rows still stepping are a prefix
         members = sorted((m for m, g in enumerate(grids) if g == grid),
                          key=lambda m: -configs[m].sample_every)
-        starts = [FullState(theta=theta0, weights=slow_manifold(
+        starts = {m: FullState(theta=theta0, weights=slow_manifold(
             replace(params_base, epsilon=float(eps[m])), coupling, theta0))
-            for m in members]
-        names = [f"epsilon={eps[m]}" for m in members]
-        with _failures_named(names):
-            _, full, _ = _full_stack(params_base, coupling, eps[members],
-                                     starts, [configs[m] for m in members],
-                                     weights=False)
-        with _failures_named(["order 0"] + [f"order 1 at {name}"
-                                            for name in names]):
-            reduced = integrate_reduced(
+            for m in members}
+
+        def full(ms):  # the phases at the epsilons eps[ms], as one stack
+            return _named([f"epsilon={eps[m]}" for m in ms], lambda: _full_stack(
+                params_base, coupling, eps[ms], [starts[m] for m in ms],
+                [configs[m] for m in ms], weights=False)[1])
+
+        def reduced():
+            names = ["order 0"] + [f"order 1 at epsilon={eps[m]}" for m in members]
+            return _named(names, lambda: integrate_reduced(
                 _Core(params_base, coupling, np.concatenate(
                     [[0.0], eps[members]])[:, None, None]),
-                np.tile(theta0, (1 + len(members), 1)), grid).thetas
+                np.tile(theta0, (1 + len(members), 1)), grid).thetas)
+        phases = None  # unless a split succeeds: a failure is left to one process
+        if len(members) > 1 and _cpus() > 1 \
+                and configs[members[0]].n_steps >= MIN_SPLIT_STEPS:
+            with suppress(Exception), _forked(
+                    [lambda file: np.save(file.buffer, full(members[:1]))],
+                    lambda: (reduced(), full(members[1:])),
+                    "stepping the finest row") as ((thetas, rest), (file,)):
+                phases = np.concatenate([np.load(file.buffer), rest], 1)
+        if phases is None:
+            phases, thetas = full(members), reduced()
         for row, m in enumerate(members):
-            errs0[m] = phase_distance(full[:, row], reduced[:, 0])
-            errs1[m] = phase_distance(full[:, row], reduced[:, 1 + row])
+            errs0[m] = phase_distance(phases[:, row], thetas[:, 0])
+            errs1[m] = phase_distance(phases[:, row], thetas[:, 1 + row])
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     fit0, fit1 = (None, None) if degenerate else \

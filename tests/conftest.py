@@ -1,11 +1,30 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run.
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+fails any test that leaves a child process unreaped.
 
 The acceptance tests in test_acceptance.py are the go / no-go gate for the
 package; their outcomes are echoed in a dedicated summary block so they are
 visible regardless of pytest's output capturing.
 """
 
+import os
+
+import pytest
+
 _acceptance_outcomes = []
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """The raw.csv writer and the convergence study fork children and must
+    reap each before they return or raise; a child still running or left
+    unreaped after a test fails that test."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process " + ("is still running" if pid == 0 else
+                                      f"{pid} was left unreaped"))
 
 
 def pytest_runtest_logreport(report):

@@ -57,6 +57,12 @@ def test_config_validation():
     # 3 does not divide 10 steps; the last sample would be at 0.9
     with pytest.raises(ContractError, match="dividing the 10 steps"):
         IntegrationConfig(dt=0.1, t_end=1.0, sample_every=3)
+    # a stride is an int: neither a bool nor a float, even a whole one
+    for stride in (True, 2.0, np.float64(5.0)):
+        with pytest.raises(ContractError, match="positive integer"):
+            IntegrationConfig(dt=0.1, t_end=1.0, sample_every=stride)
+    assert IntegrationConfig(dt=0.1, t_end=1.0,
+                             sample_every=np.int64(5)).sample_every == 5
     cfg = IntegrationConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
 

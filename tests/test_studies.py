@@ -1,3 +1,9 @@
+import errno
+import io
+import os
+import signal
+import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +202,21 @@ def test_convergence_validation():
         convergence_study(params, c, theta0, [0.02, 0.014, 0.01], t_end=0.3)
 
 
+@pytest.mark.parametrize("epsilons", [
+    [[0.02], [0.01], [0.005]], np.array([[0.02], [0.01], [0.005]]),
+    [0.02, np.nan, 0.005], [np.inf, 0.01, 0.005], [0.02, 0.01, -np.inf],
+    [[0.02, 0.01], [0.005]], 0.01, ["a", "b", "c"]])
+def test_convergence_rejects_epsilons_that_are_no_finite_sequence(
+        monkeypatch, epsilons):
+    def no_config(*args):
+        raise AssertionError("a config was built")
+    monkeypatch.setattr(studies, "default_config", no_config)
+    with pytest.raises(ContractError, match="epsilons must be a 1-d "
+                       "sequence of finite numbers, got "):
+        convergence_study(make_params(), make_kuramoto(0.5), np.zeros(3),
+                          epsilons)
+
+
 def test_convergence_degenerate_for_synchronized_start():
     # synchronized phases with zero frequencies are stationary for the full
     # and both reduced systems alike: errors sit at machine level and the
@@ -258,6 +279,9 @@ def record_runs(monkeypatch):
     epsilon is 0 in the order-0 row."""
     runs = []
     real_integrate = integrate._integrate
+    # a forked child's runs are not seen here, so the study runs on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
     real_reduced = studies.integrate_reduced
 
     def full(rhs, state, dt, substeps, n_samples, what, stored=None):
@@ -412,3 +436,154 @@ def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
     check_stacks(runs, epsilons, t_end, max_samples)
     assert np.array_equal(report.errors_order0, expected[0])
     assert np.array_equal(report.errors_order1, expected[1])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every grid of more than one row (MIN_SPLIT_STEPS = 1) on two
+    CPUs, and list the children forked, through a wrapped os.fork.  A study
+    still waiting on a child after 60 s fails instead of hanging."""
+    def hung(signum, frame):
+        raise TimeoutError("the study still waits on a child after 60 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    use_cpus(monkeypatch, 2)
+    yield calls
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report_bytes(report):
+    """Every array of a ConvergenceReport, as bytes."""
+    fits = [getattr(fit, name) for fit in (report.fit_order0,
+                                           report.fit_order1)
+            for name in ("xs", "ys", "slope", "intercept", "r_squared")]
+    return [np.asarray(a).tobytes() for a in [
+        report.epsilons, report.errors_order0, report.errors_order1] + fits]
+
+
+def split_case(epsilons=(0.02, 0.01, 0.005, 0.0025), t_end=0.2,
+               max_samples=200):
+    """A study whose report bytes are returned on each call; by default one
+    grid of four rows, whose finest takes 1600 steps."""
+    params = make_params(n=4, seed=11)
+    theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
+    return lambda: report_bytes(convergence_study(
+        params, make_kuramoto(0.7), theta0, list(epsilons), t_end=t_end,
+        max_samples=max_samples))
+
+
+@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
+    # one grid of four rows
+    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
+    # 0.04 and 0.008, 0.03 and 0.02, 0.025 and 0.0125 share three grids
+    ([0.04, 0.03, 0.025, 0.02, 0.0125, 0.008], 0.3, 20, 3),
+])
+def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
+                                                      epsilons, t_end,
+                                                      max_samples, n_grids):
+    study = split_case(epsilons, t_end, max_samples)
+    use_cpus(monkeypatch, 1)
+    one = study()
+    assert not forks
+    use_cpus(monkeypatch, 2)
+    assert study() == one
+    # one child per grid, which steps the grid's finest row
+    assert len(forks) == n_grids
+    assert_no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_split_convergence_failure_is_the_one_process_failure(forks,
+                                                             monkeypatch):
+    # the two cases of test_convergence_wraps_integration_failure: three
+    # grids of one row, which fork nothing, and one grid of three rows,
+    # whose failing row 0.03 is the parent's
+    params = make_params(omega=np.full(3, 1e4))
+    exploding = Coupling(gamma=np.sin,
+                         target=lambda u, v: np.exp(50.0 * u + 0.0 * v),
+                         gamma_d1=np.cos,
+                         target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
+                         target_dv=lambda u, v: 0.0 * u)
+    for epsilons, t_end, max_samples, n_forks in [
+            ([0.02, 0.01, 0.005], 0.1, 2000, 0),
+            ([0.03, 0.015, 0.01], 0.3, 50, 1)]:
+        texts = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(ExperimentError) as info:
+                convergence_study(params, exploding, np.zeros(3), epsilons,
+                                  t_end=t_end, max_samples=max_samples)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"integration failed at epsilon={epsilons[0]}: ")
+        assert len(forks) == n_forks
+        forks.clear()
+        assert_no_child_left()
+
+
+def test_split_convergence_child_without_room_gives_one_process_result(
+        forks, monkeypatch):
+    study = split_case()
+    use_cpus(monkeypatch, 1)
+    one = study()
+
+    class NoRoom(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
+                        io.TextIOWrapper(NoRoom(), encoding="utf-8"))
+    use_cpus(monkeypatch, 2)
+    # the child fails to write its row; the grid is stepped again in one
+    # process
+    assert study() == one
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_convergence_is_not_split_without_fork_threads_or_cpus(forks,
+                                                               monkeypatch):
+    study = split_case()
+    use_cpus(monkeypatch, 1)
+    one = study()
+    use_cpus(monkeypatch, 2)
+    # another thread alive
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert study() == one
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert not forks
+    # a grid whose finest row takes fewer steps than MIN_SPLIT_STEPS
+    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1601)
+    assert study() == one
+    assert not forks
+    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1600)
+    assert study() == one
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert study() == one
+    assert len(forks) == 1
+    assert_no_child_left()
