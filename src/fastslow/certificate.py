@@ -158,9 +158,11 @@ def anchor_point(n_nodes: int) -> FloatArray:
 def default_scan_points(n_nodes: int, seed: int = DEFAULT_SCAN_SEED,
                         n_random: int = DEFAULT_RANDOM_POINTS) -> FloatArray:
     """Scan points as one (1 + n_random, N) array: the anchor point, then
-    seeded uniform random phase vectors."""
+    seeded uniform random phase vectors; ``seed`` is an int >= 0."""
     if not (_is_int(n_random) and n_random >= 0):
         raise ContractError(f"n_random must be an int >= 0, got {n_random!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ContractError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return np.vstack([anchor_point(n_nodes),
                       rng.uniform(0.0, 2.0 * np.pi, (n_random, n_nodes))])

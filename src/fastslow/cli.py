@@ -243,15 +243,18 @@ def _resolve_integration(cfg: dict, epsilon: float,
                          default_t_end: float = DEFAULT_T_END):
     """Return the IntegrationConfig at this epsilon."""
     dt_factor, t_end = _resolve_horizon(cfg, [epsilon], default_t_end)
+    try:
+        config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
+    except ContractError as exc:
+        raise ConfigError(f"integration.t_end: {exc}") from exc
     sample_every = _get_block(cfg, "integration").get("sample_every")
     if sample_every is None:
         try:
             return default_config(epsilon, t_end, dt_factor)
-        except ContractError as exc:
+        except ContractError as exc:  # only a set stride can mend a sparse one
             raise ConfigError(f"integration.t_end: {exc}, or set "
                               f"integration.sample_every") from exc
     # a set stride replaces the default one, which may not exist
-    config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     sample_every = _as_int(sample_every, "integration.sample_every")
     _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
             "integration.sample_every",

@@ -14,14 +14,16 @@ closed phase-only field :class:`ReducedField`.  These fields and the
 full-system rhs of ``integrate_full`` are all built from one private core,
 ``_Core``, which forms phi_ij = theta_j - theta_i once per call and
 evaluates each slot it uses once; callers never write into what it returns.
-Given both difference-form slots, the target at (u, v) = (theta_i, theta_j)
-is target_diff(phi), its d/du -target_diff_d1(phi) and its d/dv +target_diff_d1(phi).
+It alone holds the truncation order and, given both difference-form slots,
+evaluates the target at (u, v) = (theta_i, theta_j) as target_diff(phi),
+its d/du -target_diff_d1(phi) and its d/dv +target_diff_d1(phi).
 
 The model equations broadcast over leading axes: phases of shape (..., N)
 and weights of shape (..., N, N) give one result per leading index, equal
-to the result for that phase vector alone.  The scalar oracles
-pair_correction and triplet_interaction take one phase vector (N,) and
-evaluate the coupling on their own, independently of ``_Core``.
+to the result for that phase vector alone.  critical_weights evaluates
+target(u, v) itself; the scalar oracles pair_correction and
+triplet_interaction take one phase vector (N,) and evaluate the coupling on
+their own, independently of ``_Core``.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     return theta
 
 
-def _difference_form(coupling) -> bool:  # both slots, as they go together
-    return all(getattr(coupling, name, None) is not None
-               for name in ("target_diff", "target_diff_d1"))
+def _check_phases(theta) -> FloatArray:  # theta as floats (..., N)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 0:
+        raise ContractError("theta must have shape (..., N), got a scalar")
+    return theta
 
 
 def _phi(theta) -> FloatArray:  # phi_ij = theta_j - theta_i at (..., N)
@@ -76,38 +80,44 @@ def _phi(theta) -> FloatArray:  # phi_ij = theta_j - theta_i at (..., N)
 
 
 class _Core:
-    """One coupling's equations at checked phases (..., N), its target's form
-    chosen when built.  Called, the reduced field at ``epsilon``: order 0 if
-    None, else order 1 at a scalar or a column (..., 1, 1), 0 in a row at 0."""
+    """One coupling's equations at checked phases (..., N) to ``order``, the
+    int 0 or 1 whose slots it requires, the target's form chosen here alone.
+    Called, the reduced field at ``epsilon`` (params' if None), a scalar or
+    a column (..., 1, 1); an order-1 row at 0 is the order-0 field."""
 
-    __slots__ = ("n_nodes", "omega", "epsilon", "coupling", "diff")
+    __slots__ = ("n_nodes", "omega", "order", "epsilon", "coupling", "diff")
 
-    def __init__(self, params: ModelParams, coupling, epsilon=None):
-        self.n_nodes, self.omega = params.n_nodes, params.omega
-        self.epsilon, self.coupling = epsilon, coupling
-        self.diff = _difference_form(coupling)
+    def __init__(self, params: ModelParams, coupling, order=0, epsilon=None):
+        if not (_is_int(order) and order in (0, 1)):
+            raise ContractError(f"order must be the int 0 or 1, got {order!r}")
+        require_derivatives(coupling, order)
+        self.n_nodes, self.omega, self.order = params.n_nodes, params.omega, order
+        self.epsilon = params.epsilon if epsilon is None else epsilon
+        self.coupling = coupling
+        self.diff = all(getattr(coupling, name, None) is not None
+                        for name in ("target_diff", "target_diff_d1"))
 
     def phase(self, weights, g) -> FloatArray:  # at weights (..., N, N)
         # the bits of ndarray.sum and of / N, at cheaper numpy calls
         return self.omega + np.add.reduce(weights * g, -1) / float(self.n_nodes)
 
-    def terms(self, theta, order):
+    def terms(self, theta):
         """(g, w0, h1): gamma(phi), the critical weights and, at order 1, the
         correction -(target_du * f_i + target_dv * f_j), f the phase at w0."""
         c, phi = self.coupling, _phi(theta)  # slots read per call: tracers patch them
         g = c.gamma(phi)
         if self.diff:
             w0 = c.target_diff(phi)
-            if order:
+            if self.order:
                 dv = c.target_diff_d1(phi)
                 du = -dv
         else:  # u = theta_i down the rows, v = theta_j along the columns
             u, v = theta[..., :, None], theta[..., None, :]
             w0 = c.target(u, v)
-            if order:
+            if self.order:
                 du, dv = c.target_du(u, v), c.target_dv(u, v)
         del phi
-        if not order:
+        if not self.order:
             return g, w0, None
         f = self.phase(w0, g)
         h1 = np.multiply(du, f[..., :, None],
@@ -117,7 +127,7 @@ class _Core:
         return g, w0, np.negative(h1, out=h1)
 
     def surface(self, theta):  # (g, h0 + epsilon * h1)
-        g, w0, h1 = self.terms(theta, self.epsilon is not None)
+        g, w0, h1 = self.terms(theta)
         return g, w0 if h1 is None else w0 + self.epsilon * h1
 
     def __call__(self, theta) -> FloatArray:
@@ -140,16 +150,15 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
 
     This is the raw adaptation field, not divided by epsilon.
     """
-    theta, weights = _check_shapes(np.shape(theta)[-1], theta, weights)
+    theta, weights = _check_shapes(_check_phases(theta).shape[-1], theta, weights)
     return -weights + critical_weights(coupling, theta)
 
 
 def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
-    target(theta_i, theta_j)."""
-    theta = np.asarray(theta, dtype=float)
-    return coupling.target_diff(_phi(theta)) if _difference_form(coupling) \
-        else coupling.target(theta[..., :, None], theta[..., None, :])
+    target(theta_i, theta_j), evaluated as ``target(u, v)`` at phases (..., N)."""
+    theta = _check_phases(theta)
+    return coupling.target(theta[..., :, None], theta[..., None, :])
 
 
 def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
@@ -161,23 +170,20 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     accounts for the slow drift of the phases pulling the weights slightly
     off the instantaneous equilibrium.
     """
-    require_derivatives(coupling, 1)
-    theta = _check_shapes(params.n_nodes, theta)
-    return _Core(params, coupling).terms(theta, 1)[2]
+    return _Core(params, coupling, 1).terms(
+        _check_shapes(params.n_nodes, theta))[2]
 
 
 def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:
-    """Weight surface of the reduction, truncated at ``order`` in epsilon.
+    """Weight surface of the reduction, truncated at ``order`` in epsilon,
+    the int 0 or 1 (a bool or float order is rejected).
 
-    order 0: critical_weights(theta), the equilibrium of the layer dynamics.
+    order 0: critical_weights(theta), the layer dynamics' equilibrium.
     order 1: critical_weights(theta) + epsilon * weight_correction(theta).
     """
-    if order not in (0, 1):
-        raise ContractError(f"order must be 0 or 1, got {order}")
-    require_derivatives(coupling, order)
+    core = _Core(params, coupling, order)
     theta = _check_shapes(params.n_nodes, theta)
-    return critical_weights(coupling, theta) if order == 0 else \
-        _Core(params, coupling, params.epsilon).surface(theta)[1]
+    return core.surface(theta)[1] if order else critical_weights(coupling, theta)
 
 
 def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> float:
@@ -232,7 +238,8 @@ class ReducedField:
     The tests check this expansion against those two functions.
 
     The field is an explicit truncation; terms beyond first order in epsilon
-    are dropped by definition.
+    are dropped by definition.  ``order`` is the int 0 or 1; a bool or float
+    order raises ContractError.
     """
 
     order: int
@@ -240,11 +247,8 @@ class ReducedField:
     coupling: object
 
     def __post_init__(self):
-        if self.order not in (0, 1):
-            raise ContractError(f"order must be 0 or 1, got {self.order}")
-        require_derivatives(self.coupling, self.order)
-        eps = self.params.epsilon if self.order else None
-        object.__setattr__(self, "_core", _Core(self.params, self.coupling, eps))
+        object.__setattr__(self, "_core",
+                           _Core(self.params, self.coupling, self.order))
 
     @property
     def n_nodes(self) -> int:

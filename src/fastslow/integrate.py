@@ -126,6 +126,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ContractError("times must be a 1-d array with >= 2 entries")
+        if not np.all(np.isfinite(t)):
+            raise ContractError("times must be finite")
         gaps = np.diff(t)
         if np.any(gaps <= 0):
             raise ContractError("times must be strictly increasing")
@@ -252,7 +254,7 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
         if rows not in full:
             full[rows] = np.broadcast_to(
                 column[:rows[0]] if rows else column[0], w.shape).copy()
-        g, w0, _ = core.terms(state[..., :n], 0)
+        g, w0, _ = core.terms(state[..., :n])
         dw = w0 - w  # -w + w0 to the bit
         dw /= full[rows]
         return np.concatenate(

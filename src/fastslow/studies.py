@@ -256,7 +256,7 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         def reduced():
             names = ["order 0"] + [f"order 1 at epsilon={eps[m]}" for m in members]
             return _named(names, lambda: integrate_reduced(
-                _Core(params_base, coupling, np.concatenate(
+                _Core(params_base, coupling, 1, np.concatenate(
                     [[0.0], eps[members]])[:, None, None]),
                 np.tile(theta0, (1 + len(members), 1)), grid).thetas)
         phases = None  # unless a split succeeds: a failure is left to one process

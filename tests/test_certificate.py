@@ -165,8 +165,10 @@ def test_anchor_and_default_points():
     lambda: default_scan_points(4, n_random=2.0),
     lambda: default_scan_points(4, n_random=-1),
     lambda: default_scan_points(3.0),
+    lambda: default_scan_points(3, seed=-1),
+    lambda: default_scan_points(3, seed=1.0),
 ], ids=["float nodes", "bool nodes", "float n_random", "negative n_random",
-        "float nodes via default points"])
+        "float nodes via default points", "negative seed", "float seed"])
 def test_scan_points_reject_non_int_counts(call):
     # unchecked, numpy raises its own TypeError or ValueError on these
     with pytest.raises(ContractError):
@@ -401,6 +403,8 @@ def test_pushforward_validation():
         PushforwardField(base=field, permutation=(0, 1), shifts=(0.0, 0.0))
     with pytest.raises(ContractError):
         PushforwardField(base=field, permutation=(0, 1, 1), shifts=(0.0,) * 3)
+    with pytest.raises(ContractError, match="shifts length"):
+        PushforwardField(base=field, permutation=(1, 2, 0), shifts=(0.0,) * 2)
     pushed = PushforwardField(base=field, permutation=(1, 2, 0),
                               shifts=(0.0,) * 3)
     assert pushed.permutation == (1, 2, 0)

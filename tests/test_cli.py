@@ -119,6 +119,12 @@ def test_non_square_weights_are_config_error(tmp_path, capsys):
     cfg["initial"]["weights"] = [[0.0, 0.5, -0.25], [1.0, 0.0, 0.125]]
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert "initial.weights" in err
+    # an initial entry of the wrong type is named too
+    for key, value in [("weights", 1.5), ("theta", "random")]:
+        cfg = copy.deepcopy(SIMULATE)
+        cfg["initial"][key] = value
+        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+        assert err.startswith(f"config error: initial.{key}: must be")
 
 
 def test_manifest_records_seeds_and_versions(tmp_path):
@@ -465,10 +471,16 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
 
 def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys):
     cfg = copy.deepcopy(SIMULATE)
-    # dt = 0.02 * 0.03 = 6e-4 does not divide t_end = 0.5
+    # dt = 0.02 * 0.03 = 6e-4 does not divide t_end = 0.5, and no stride
+    # can mend that, so neither spelling offers one
     cfg["integration"] = {"t_end": 0.5, "dt_factor": 0.03}
-    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-    assert "t_end" in err
+    for stride in (None, 1):
+        if stride is not None:
+            cfg["integration"]["sample_every"] = stride
+        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+        assert err.startswith("config error: integration.t_end: t_end=0.5 "
+                              "is not a whole number") \
+            and "sample_every" not in err
 
 
 def test_sample_every_on_converge_is_config_error(tmp_path, capsys):
@@ -507,6 +519,9 @@ def test_wrong_omega_length_is_config_error(tmp_path, capsys):
     cfg = copy.deepcopy(CERTIFY)
     cfg["model"]["omega"] = [0.0, 0.0]
     expect_config_error(tmp_path, capsys, "certify", cfg)
+    cfg["model"]["omega"] = "uniform"
+    err = expect_config_error(tmp_path, capsys, "certify", cfg)
+    assert err.startswith("config error: model.omega: must be")
 
 
 def test_two_nodes_cannot_certify(tmp_path, capsys):

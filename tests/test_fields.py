@@ -14,6 +14,7 @@ from fastslow import (
     ModelParams,
     ReducedField,
     critical_weights,
+    distance_to_slow_manifold,
     integrate_full,
     make_kuramoto,
     mixed_second_derivative_fd,
@@ -431,14 +432,35 @@ def test_order1_requires_first_order_coupling():
 
 def test_reduced_field_rejects_bad_order():
     params = ModelParams(n_nodes=3, omega=np.zeros(3), epsilon=0.01)
-    with pytest.raises(ContractError):
-        ReducedField(order=2, params=params, coupling=make_kuramoto(0.1))
-    with pytest.raises(ContractError):
-        slow_manifold(params, make_kuramoto(0.1), np.zeros(3), order=2)
+    c, theta = make_kuramoto(0.1), np.array([0.1, 1.2, 2.5])
+    weights = critical_weights(c, theta)
+    # the order is the int 0 or 1: a bool or a float is not an order
+    for order in (2, True, np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(ContractError):
+            ReducedField(order=order, params=params, coupling=c)
+        with pytest.raises(ContractError):
+            slow_manifold(params, c, theta, order=order)
+        with pytest.raises(ContractError):
+            distance_to_slow_manifold(params, c, theta, weights, order)
+    order = np.int64(1)
+    assert np.array_equal(ReducedField(order=order, params=params, coupling=c)(
+        theta), ReducedField(order=1, params=params, coupling=c)(theta))
+    assert np.array_equal(slow_manifold(params, c, theta, order=order),
+                          slow_manifold(params, c, theta, order=1))
+    assert distance_to_slow_manifold(params, c, theta, weights, order) \
+        == distance_to_slow_manifold(params, c, theta, weights, 1)
 
 
 def test_field_rejects_wrong_shape():
     params = ModelParams(n_nodes=3, omega=np.zeros(3), epsilon=0.01)
-    field = ReducedField(order=0, params=params, coupling=make_kuramoto(0.1))
+    c = make_kuramoto(0.1)
+    field = ReducedField(order=0, params=params, coupling=c)
     with pytest.raises(ContractError):
         field(np.zeros(4))
+    with pytest.raises(ContractError, match="weights must have shape"):
+        phase_rhs(params, c, np.zeros(3), np.zeros((3, 2)))
+    # a scalar phase has no node axis: unchecked, numpy raises IndexError
+    with pytest.raises(ContractError, match="scalar"):
+        weight_rhs(c, 0.5, np.zeros((1, 1)))
+    with pytest.raises(ContractError, match="scalar"):
+        critical_weights(c, 0.5)

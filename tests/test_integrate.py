@@ -248,6 +248,10 @@ def test_full_rejects_node_mismatch():
     cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=0.1)
     with pytest.raises(ContractError):
         integrate_full(params, coupling, other, cfg)
+    field = ReducedField(order=0, params=params, coupling=coupling)
+    for theta in (np.zeros(4), np.zeros((2, 2, 3))):
+        with pytest.raises(ContractError, match="initial theta"):
+            integrate_reduced(field, theta, cfg)
 
 
 def test_synchronized_state_is_stationary():
@@ -576,6 +580,12 @@ def test_integration_is_deterministic():
 def test_trajectory_validation():
     with pytest.raises(ContractError):
         Trajectory(times=np.array([0.0, 1.0, 1.5]), thetas=np.zeros((3, 2)))
+    for times, match in [([0.0], ">= 2 entries"), ([1.0, 0.0], "increasing"),
+                         ([0.0, np.nan], "finite"), ([0, 1, np.inf], "finite"),
+                         ([np.nan] * 3, "finite")]:
+        # unchecked, NaN compares false in the increasing and spacing tests
+        with pytest.raises(ContractError, match=match):
+            Trajectory(times=np.array(times), thetas=np.zeros((len(times), 2)))
     with pytest.raises(ContractError):
         Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((3, 2)))
     t = Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 2)))

@@ -124,6 +124,8 @@ def test_full_state_validation():
         FullState(theta=np.zeros(2), weights=np.full((2, 2), np.inf))
     with pytest.raises(ContractError):
         FullState(theta=np.array([np.nan, 0.0]), weights=np.zeros((2, 2)))
+    with pytest.raises(ContractError, match="1-d"):
+        FullState(theta=np.zeros((1, 2)), weights=np.zeros((2, 2)))
     s = FullState(theta=np.zeros(2), weights=np.ones((2, 2)))
     assert s.n_nodes == 2
 

@@ -381,7 +381,7 @@ def test_reduced_step_error_budget(monkeypatch):
     stiff = [default_config(e or epsilons[-1], 2.0, 0.05, 2000) for e in eps]
     assert [s.sample_every for s in stiff] == [8, 8, 4, 2, 1]
     column = np.array(eps)[:, None, None]
-    fields = {k: studies._Core(params, c, column[:k]) for k in (2, 3, 4, 5)}
+    fields = {k: studies._Core(params, c, 1, column[:k]) for k in (2, 3, 4, 5)}
     # at epsilon 0 the stack's row is the order-0 field to the bit
     assert fields[5](np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
         order=0, params=params, coupling=c)(theta0).tobytes()
