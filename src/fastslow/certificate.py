@@ -183,6 +183,11 @@ def scan_mixed_derivatives(field, points,
     by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
     each row the same bits as an unshared stencil.
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or not len(points):
+        raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ContractError("scan points must be finite")
     outputs = {}
 
     def shared(stack):
@@ -236,11 +241,6 @@ def certify_nonpairwise(field, points=None,
             f"certification needs at least 3 nodes, got {n}")
     points = default_scan_points(n) if points is None \
         else np.asarray(points, dtype=float)
-    if points.ndim != 2 or not len(points):
-        raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ContractError("scan points must be finite")
-
     rows = scan_mixed_derivatives(field, points, fd_step)
     best = rows[np.argmax(np.abs(rows[:, 4]))]
 

@@ -10,9 +10,10 @@ on the fast time scale.  Freezing the phases gives the layer dynamics,
 whose equilibrium surface is the matrix ``critical_weights(theta)``.
 That surface plus its first-order correction in epsilon is the slow
 manifold, :func:`slow_manifold`; the phase equation evaluated on it is the
-closed phase-only field :class:`ReducedField`.  These fields and the
-full-system rhs of ``integrate_full`` are all built from one private core,
-``_Core``, which forms phi_ij = theta_j - theta_i once per call and
+closed phase-only field :class:`ReducedField`.  These fields, the
+full-system rhs of ``integrate_full`` and the forcing that the exponential
+reference of ``convergence_study`` steps are all built from one private
+core, ``_Core``, which forms phi_ij = theta_j - theta_i once per call and
 evaluates each slot it uses once; callers never write into what it returns.
 It alone holds the truncation order and, given both difference-form slots,
 evaluates the target at (u, v) = (theta_i, theta_j) as target_diff(phi),
@@ -101,9 +102,10 @@ class _Core:
         # the bits of ndarray.sum and of / N, at cheaper numpy calls
         return self.omega + np.add.reduce(weights * g, -1) / float(self.n_nodes)
 
-    def terms(self, theta):
-        """(g, w0, h1): gamma(phi), the critical weights and, at order 1, the
-        correction -(target_du * f_i + target_dv * f_j), f the phase at w0."""
+    def terms(self, theta, y=None):
+        """(g, w0, f, h1): gamma(phi), the critical weights and, at order 1,
+        the phase f at weights w0 + y (w0 if y is None) and the correction
+        h1 = -(T_u f_i + T_v f_j), the forcing of y = w - w0: y' = -y/eps + h1."""
         c, phi = self.coupling, _phi(theta)  # slots read per call: tracers patch them
         g = c.gamma(phi)
         if self.diff:
@@ -118,16 +120,16 @@ class _Core:
                 du, dv = c.target_du(u, v), c.target_dv(u, v)
         del phi
         if not self.order:
-            return g, w0, None
-        f = self.phase(w0, g)
+            return g, w0, None, None
+        f = self.phase(w0 if y is None else w0 + y, g)
         h1 = np.multiply(du, f[..., :, None],
                          out=np.empty(theta.shape + theta.shape[-1:]))
         del du
         h1 += dv * f[..., None, :]
-        return g, w0, np.negative(h1, out=h1)
+        return g, w0, f, np.negative(h1, out=h1)
 
     def surface(self, theta):  # (g, h0 + epsilon * h1)
-        g, w0, h1 = self.terms(theta)
+        g, w0, _, h1 = self.terms(theta)
         return g, w0 if h1 is None else w0 + self.epsilon * h1
 
     def __call__(self, theta) -> FloatArray:
@@ -171,7 +173,7 @@ def weight_correction(params: ModelParams, coupling, theta) -> FloatArray:
     off the instantaneous equilibrium.
     """
     return _Core(params, coupling, 1).terms(
-        _check_shapes(params.n_nodes, theta))[2]
+        _check_shapes(params.n_nodes, theta))[3]
 
 
 def slow_manifold(params: ModelParams, coupling, theta, order: int = 1) -> FloatArray:

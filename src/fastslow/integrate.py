@@ -1,14 +1,15 @@
-"""Fixed-step RK4 integration of the full system and the reduced fields.
+"""Fixed-step integration of the full system and the reduced fields.
 
 The full system is stiff in the weights: their linearization about the
-equilibrium surface is exactly -(1/epsilon) times the identity, so an
-explicit scheme is stable for dt below roughly 2.78 * epsilon.  We enforce
-the much stricter dt <= epsilon / 10 as a hard error and default to
-epsilon / 20, which keeps the fast transient accurately resolved rather
-than merely stable.
+equilibrium surface is exactly -(1/epsilon) times the identity, so RK4 is
+stable for dt below roughly 2.78 * epsilon.  Its runs (simulate, attract)
+enforce the much stricter dt <= epsilon / 10 as a hard error and default
+to epsilon / 20, which keeps the fast transient resolved rather than merely
+stable.  The convergence study's reference, ``_exponential_stack``, takes
+that stiffness exactly instead, at one step size for every epsilon.
 
-One loop, ``_integrate``, takes every step, and one builder,
-``_full_stack``, sets up every full-system run, one row or a stack.
+One loop, ``_integrate``, takes every step of either scheme, and
+``_full_stack`` sets up every RK4 full-system run, one row or a stack.
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
@@ -37,6 +38,7 @@ from .model import (
     IntegrationError,
     ModelParams,
     _is_int,
+    _is_positive,
     wrap_phase,
 )
 
@@ -58,10 +60,10 @@ class IntegrationConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ContractError(f"dt must be > 0, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            raise ContractError(f"t_end must be > 0, got {self.t_end}")
+        if not _is_positive(self.dt):
+            raise ContractError(f"dt must be > 0, got {self.dt!r}")
+        if not _is_positive(self.t_end):
+            raise ContractError(f"t_end must be > 0, got {self.t_end!r}")
         if self.dt > self.t_end:
             raise ContractError(
                 f"dt={self.dt} exceeds t_end={self.t_end}")
@@ -90,6 +92,9 @@ def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
     max_samples is not an int >= 1."""
     if not (_is_int(max_samples) and max_samples >= 1):
         raise ContractError(f"max_samples must be an int >= 1, got {max_samples!r}")
+    if not (_is_positive(epsilon) and _is_positive(dt_factor)):
+        raise ContractError(f"epsilon and dt_factor must be > 0, got "
+                            f"{epsilon!r} and {dt_factor!r}")
     config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     n_steps = config.n_steps
     # the smallest such stride is n_steps // k for the largest divisor k of
@@ -137,7 +142,7 @@ class Trajectory:
                 "times must be uniformly spaced to 1e-12 * max(1, |t_end|)")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
-        if self.thetas.shape[0] != t.size:
+        if self.thetas.shape[:1] != t.shape:
             raise ContractError("thetas row count must match times")
         if self.weights is not None:
             object.__setattr__(self, "weights",
@@ -155,12 +160,9 @@ def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
     of them (S, D) with dt a float, a column (S, 1) or an array (S, D).
     Bit for bit it is state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     with stages at state + 0.5 * dt * k, and it writes only into arrays it
-    allocated: never into ``state`` or an array ``rhs`` returned.
-
-    Raises IntegrationError if any stage produces a non-finite value; its
-    ``rows`` are the rows of the stack that hold one (0 for a flat state).
-    The check is exact: the result's sum of squares is finite only if every
-    value is, and only when it is not are the values checked one by one.
+    allocated: never into ``state`` or an array ``rhs`` returned.  Raises
+    IntegrationError if any stage produces a non-finite value, found
+    exactly: the result's sum of squares is finite only if every value is.
     """
     half = 0.5 * dt
     k1 = rhs(state)
@@ -169,29 +171,37 @@ def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
     k4 = rhs(state + dt * k3)
     # 2.0 * k is k + k to the bit
     out = state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
-        raise IntegrationError("non-finite value in Runge-Kutta stage",
-                               np.flatnonzero(~np.isfinite(
-                                   np.atleast_2d(out)).all(-1)))
+    if not math.isfinite(np.vdot(out, out)):
+        _check_finite(out, "Runge-Kutta")
     return out
 
 
-def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
-               what: str, stored: Optional[int] = None) -> FloatArray:
-    """Step ``state`` with rk4_step and return the first ``stored`` columns
-    (all by default) at n_samples sample times, the initial state first.
+def _check_finite(out, scheme: str) -> None:
+    """Raise IntegrationError, its ``rows`` those holding a non-finite value
+    (0 for a flat state), if ``out`` has one.  A step calls it only when
+    np.vdot(out, out) is not finite."""
+    if not np.isfinite(out).all():
+        raise IntegrationError(f"non-finite value in {scheme} stage",
+                               np.flatnonzero(~np.isfinite(
+                                   np.atleast_2d(out)).all(-1)))
+
+
+def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
+               n_samples: int, what: str, stored: Optional[int] = None,
+               step=None) -> FloatArray:
+    """Take ``substeps`` steps step(rhs, state, dt), rk4_step by default,
+    between two samples, and return the first ``stored`` columns (all by
+    default) at n_samples sample times, the initial state first.
 
     ``state`` is one flat row (D,), giving rows (n_samples, D), or a stack
-    (S, D), giving rows (n_samples, S, D).  Between two samples row r takes
-    substeps[r] steps of dt[r]: substeps is one count or one per row, in
-    non-increasing order, and dt a float or a column (S, 1).  The rows still
-    stepping are then a prefix state[:c], which is what ``rhs`` receives; a
-    row stepping alone reaches it as a flat state with a float dt.  ``what``
-    names the system in the error raised when a step fails; it gives each
-    failing row's time and step on its own step grid, and its index too in
-    a stack of more than one row.  A history over MAX_HISTORY_BYTES raises
-    ContractError before it is allocated.
+    (S, D), giving rows (n_samples, S, D); a stack of one row is stepped
+    as a flat row, on which numpy is faster.
+    ``what`` names the system in the error raised when a step fails, with
+    the time, the step and, in a stack of more than one row, the failing
+    rows.  A history over MAX_HISTORY_BYTES raises ContractError before it
+    is allocated.
     """
+    step = rk4_step if step is None else step
     stack = np.array(state, dtype=float, ndmin=2)
     kept = stack[:, :stored]
     if 8 * n_samples * kept.size > MAX_HISTORY_BYTES:
@@ -199,40 +209,28 @@ def _integrate(rhs, state: FloatArray, dt, substeps, n_samples: int,
             f"the {what} history of {n_samples} samples needs "
             f"{8 * n_samples * kept.size} bytes, over MAX_HISTORY_BYTES = "
             f"{MAX_HISTORY_BYTES}; raise integration.sample_every")
-    each = np.broadcast_to(substeps, stack.shape[:1])
-    if np.any(np.diff(each) > 0):
-        raise ContractError(f"substeps must not increase, got {substeps}")
-    dt_row = np.broadcast_to(dt, stack.shape[:1] + (1,))[:, 0]
-    # (rows still stepping, a view of them, their dt) at each substep of a
-    # sample spacing; a stack's dt is built at its full shape, since an
-    # operation that broadcasts a column costs about two that do not
-    plan = []
-    for k in range(int(each.max())):
-        c = int(np.count_nonzero(each > k))
-        plan.append((c, stack[0], float(dt_row[0])) if c == 1 else
-                    (c, stack[:c], np.repeat(dt_row[:c, None],
-                                             stack.shape[1], 1)))
     rows = np.empty((n_samples,) + kept.shape)
     rows[0] = kept
+    active = stack[0] if len(stack) == 1 else stack
     for sample in range(1, n_samples):
-        for k, (c, active, h) in enumerate(plan):
+        for k in range(substeps):
             try:
-                active[...] = rk4_step(rhs, active, h)
+                active[...] = step(rhs, active, dt)
             except IntegrationError as exc:
-                failed = exc.rows or range(c)
-                steps = [(sample - 1) * int(each[r]) + k + 1 for r in failed]
-                where = ", ".join(
-                    ("" if len(stack) == 1 else f"in row {r} ")
-                    + f"at t={step * dt_row[r]:.6g} (step {step})"
-                    for r, step in zip(failed, steps))
-                raise IntegrationError(
-                    f"{what} integration failed {where}: {exc}",
-                    failed) from exc
+                n = (sample - 1) * substeps + k + 1
+                failed = exc.rows or tuple(range(len(stack)))
+                where = "" if len(stack) == 1 else \
+                    f"in rows {', '.join(map(str, failed))} "
+                raise IntegrationError(f"{what} integration failed {where}at "
+                                       f"t={n * dt:.6g} (step {n}): {exc}",
+                                       failed) from exc
         rows[sample] = kept
     return rows if state.ndim == 2 else rows[:, 0]
 
 
 def _sample_times(config: IntegrationConfig) -> FloatArray:
+    if not isinstance(config, IntegrationConfig):
+        raise ContractError(f"config must be an IntegrationConfig, got {config!r}")
     return np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
 
 
@@ -254,7 +252,7 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
         if rows not in full:
             full[rows] = np.broadcast_to(
                 column[:rows[0]] if rows else column[0], w.shape).copy()
-        g, w0, _ = core.terms(state[..., :n])
+        g, w0, _, _ = core.terms(state[..., :n])
         dw = w0 - w  # -w + w0 to the bit
         dw /= full[rows]
         return np.concatenate(
@@ -262,22 +260,18 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
     return rhs
 
 
-def _full_stack(params: ModelParams, coupling, epsilons, starts, configs,
-                weights: bool = True):
-    """Step the full system from starts[r] at epsilons[r] with configs[r]
-    on the sample grid the configs share, rows finest first (sample_every
-    non-increasing).  Every row's node count and dt <= epsilon / 10 guard
-    are checked before any step.  Returns the sample times of configs[0],
-    the canonical phases (samples, S, N) and, if ``weights`` is set, the
-    weights (samples, S, N, N) as a view of the stepped rows, else None.
-
-    Row r is the state [theta, weights.ravel()]; it takes sample_every
-    steps of its own dt between samples.  The rows are evaluated together,
-    and every model equation is elementwise across rows, so each row takes
-    the bits of its own one-row run.
+def _full_stack(params: ModelParams, coupling, epsilons, starts,
+                config: IntegrationConfig, weights: bool = True):
+    """Step the full system by RK4 from starts[r] at epsilons[r], every row
+    at config's dt and samples, row r the state [theta, weights.ravel()].
+    Every row's node count and dt <= epsilon / 10 guard are checked before
+    any step.  Returns the sample times, the canonical phases (samples, S,
+    N) and, if ``weights`` is set, the weights (samples, S, N, N) as a view
+    of the stepped rows, else None.  Every model equation is elementwise
+    across rows, so each row takes the bits of its own one-row run.
     """
-    n = params.n_nodes
-    for epsilon, start, config in zip(epsilons, starts, configs):
+    n, times = params.n_nodes, _sample_times(config)
+    for epsilon, start in zip(epsilons, starts):
         if start.n_nodes != n:
             raise ContractError(
                 f"initial state has {start.n_nodes} nodes, params have {n}")
@@ -286,13 +280,11 @@ def _full_stack(params: ModelParams, coupling, epsilons, starts, configs,
             raise ContractError(
                 f"dt={config.dt} exceeds the stability guard epsilon/10 = "
                 f"{epsilon / 10.0}")
-    times = _sample_times(configs[0])
     rows = _integrate(
         _full_rhs(params, coupling, epsilons),
         np.stack([np.concatenate([s.theta, s.weights.ravel()])
                   for s in starts]),
-        np.array([[c.dt] for c in configs]),
-        [c.sample_every for c in configs], times.size, "full-system",
+        config.dt, config.sample_every, times.size, "full-system",
         stored=None if weights else n)
     return times, wrap_phase(rows[..., :n]), \
         rows[..., n:].reshape(rows.shape[:2] + (n, n)) if weights else None
@@ -307,8 +299,74 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
     region.
     """
     times, thetas, weights = _full_stack(params, coupling, [params.epsilon],
-                                         [initial], [config])
+                                         [initial], config)
     return Trajectory(times=times, thetas=thetas[:, 0], weights=weights[:, 0])
+
+
+def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
+                       config: IntegrationConfig) -> FloatArray:
+    """The canonical phases (samples, S, N) of the full system at each
+    epsilons[r] from theta0 (N,) on its order-1 surface, stepped at config's
+    dt h and sampled like it, in u = [theta, y], y = w - w0(theta): u' = L u
+    + forcing(u), L zero on theta and -1/epsilon on y, the forcing [f, h1]
+    of _Core.terms at y.  The five-stage scheme of stiff order 4 of
+    Hochbruck & Ostermann (2005, SIAM J. Numer. Anal. 43:1069) takes L
+    exactly, so no epsilon guard applies.  With z = h L and nodes c = (0,
+    1/2, 1/2, 1, 1/2), stage i is e^(c_i z) u + h sum_j a_ij forcing(U_j)
+    and the step e^z u + h sum_i b_i forcing(U_i); on theta it is a
+    Runge-Kutta method of order 4.  Needs the order-1 slots; each row has
+    the bits of its own one-row run."""
+    n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
+    core = _Core(params, coupling, 1)
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (n,) or not np.isfinite(theta0).all():
+        raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
+    h = config.dt
+    z = np.stack([np.zeros(eps.size), -h / eps], -1)  # on theta and y
+    # phi_{j+1}(t) = (phi_j(t) - 1/j!) / t, phi_0 = exp, at z and z / 2 as
+    # the mean over 32 points of the unit circle around each (Kassam &
+    # Trefethen 2005, SIAM J. Sci. Comput. 26:1214): 1e-14 relative, also
+    # at z = 0 and wherever the quotients cancel
+    t = np.stack([z, z / 2])[..., None] \
+        + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    phis = [(np.exp(t) - 1.0) / t]
+    for c in (1.0, 0.5):
+        phis.append((phis[-1] - c) / t)
+    (p1, q1), (p2, q2), (p3, q3) = (p.mean(-1).real for p in phis)
+    a52 = q2 / 2 - p3 + p2 / 4 - q3 / 2
+    a54 = q2 / 4 - a52
+    # (e^(c_i z), a_i1, ..., a_i,i-1) for stages 2 to 5, then the output,
+    # at the state's shape: column 0 on theta's n entries, 1 on y's n * n
+    table = [[None if a is None else np.repeat(a * (h if k else 1.0),
+                                               [n, n * n], -1)
+              for k, a in enumerate(row)] for row in [
+        (np.exp(z / 2), q1 / 2), (np.exp(z / 2), q1 / 2 - q2, q2),
+        (np.exp(z), p1 - 2 * p2, p2, p2),
+        (np.exp(z / 2), q1 / 2 - 2 * a52 - a54, a52, a52, a54),
+        (np.exp(z), p1 - 3 * p2 + 4 * p3, None, None, 4 * p3 - p2,
+         4 * p2 - 8 * p3)]]
+
+    def forcing(u):  # on a flat row or a stack of them
+        _, _, f, h1 = core.terms(u[..., :n],
+                                 u[..., n:].reshape(u.shape[:-1] + (n, n)))
+        return np.concatenate((f, h1.reshape(f.shape[:-1] + (n * n,))), -1)
+
+    def step(rhs, state, _):  # like rk4_step, rhs the forcing, h built in
+        u, ks = state, []
+        for e, *row in table:
+            ks.append(rhs(u))
+            u = e * state
+            for a, k in zip(row, ks):
+                if a is not None:
+                    u += a * k
+        if not math.isfinite(np.vdot(u, u)):
+            _check_finite(u, "exponential")
+        return u
+    start = np.concatenate([np.tile(theta0, (eps.size, 1)), (
+        eps[:, None, None] * core.terms(theta0)[3]).reshape(eps.size, -1)], -1)
+    return wrap_phase(_integrate(forcing, start, h, config.sample_every,
+                                 _sample_times(config).size, "full-system",
+                                 stored=n, step=step))
 
 
 def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:

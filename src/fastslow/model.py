@@ -10,6 +10,7 @@ weight relaxes toward in the adaptation equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +47,11 @@ class ExperimentError(RuntimeError):
 def _is_int(x) -> bool:
     """True for a Python or numpy integer; bool is not a count or index."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_positive(x) -> bool:
+    """True for a finite real number > 0 that is not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
 
 
 def wrap_phase(x):
@@ -111,8 +117,8 @@ class ModelParams:
                 f"omega must have shape ({self.n_nodes},), got {om.shape}")
         if not np.all(np.isfinite(om)):
             raise ContractError("omega must be finite")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ContractError(f"epsilon must be > 0, got {self.epsilon}")
+        if not _is_positive(self.epsilon):
+            raise ContractError(f"epsilon must be > 0, got {self.epsilon!r}")
         object.__setattr__(self, "omega", om)
 
 

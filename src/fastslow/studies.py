@@ -8,13 +8,13 @@ report can always be re-derived from its own raw data.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import _Core, slow_manifold
-from .integrate import IntegrationConfig, _cpus, _forked, _full_stack, \
+from .integrate import IntegrationConfig, _exponential_stack, \
     default_config, integrate_full, integrate_reduced
 from .model import (
     ContractError,
@@ -40,13 +40,9 @@ ATTRACTION_WINDOW_CEIL_FRACTION = 0.5
 # slope is fitted
 DEGENERATE_ERROR_FLOOR = 1e-12
 
-# longest step for a reduced field in the convergence study; the reduced
-# fields carry no fast scale, so their step is not tied to epsilon
+# longest step of the convergence study's reduced fields and exponential
+# reference, neither of which is tied to epsilon
 MAX_REDUCED_DT = 0.01
-
-# finest-row steps a grid needs before a forked child steps that row on a
-# second CPU: over twice the break-even measured on 2 CPUs at N = 5
-MIN_SPLIT_STEPS = 8000
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,19 +205,19 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
 
     For each epsilon the full system starts on the corrected weight surface
     (suppressing the initial fast transient up to its own higher-order
-    error) and is stepped by RK4 at dt = epsilon * dt_factor, the
-    reference.  The reduced fields carry no fast scale: they are stepped
-    at the full run's sample spacing, split into substeps of at most
-    MAX_REDUCED_DT = 0.01, so their samples fall on the full run's sample
-    times.  The error is the largest phase distance over the sampled
-    window [0, t_end].  Requires a 1-d sequence of at least 3 finite
-    epsilon values, strictly decreasing, dt_factor <= 0.1 (the dt <=
-    epsilon/10 guard of every full run) and t_end a whole number of steps
-    at every epsilon, all checked before any step.  The epsilons that
-    share a sample grid are stepped as stacks, every row with the bits of
-    its own run.  With _cpus() > 1, a forked child steps a grid's finest
-    row of MIN_SPLIT_STEPS steps or more while this process steps the
-    rest; a failure on either side steps the grid again in one process.
+    error).  The reference is the exponential route, _exponential_stack,
+    which takes the weights' stiffness exactly: it and both reduced fields
+    are stepped at the sample spacing of default_config(epsilon, t_end,
+    dt_factor, max_samples), which is all dt_factor sets, split into equal
+    substeps no longer than MAX_REDUCED_DT = 0.01 at any epsilon.  On the
+    shipped converge model that reference is within 1e-11 of RK4 at epsilon
+    / 20 (1.6e-13 on the 0.001 grid), and at the longest step within 1e-3
+    of the smallest order-1 error (5.7e-10 against 9.1e-6).  The error is
+    the largest phase distance over the sampled window [0, t_end].
+    Requires a 1-d sequence of at least 3 finite epsilon values, strictly
+    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at every
+    epsilon, all checked before any step.  The epsilons that share a sample
+    grid are stepped as two stacks, every row with the bits of its own run.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -233,42 +229,24 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ContractError("epsilons must be positive and strictly decreasing")
-    theta0 = np.asarray(theta0, dtype=float)
-    configs = [default_config(float(e), t_end, dt_factor, max_samples)
-               for e in eps]
-    grids = [_sample_grid(config) for config in configs]
+    grids = [_sample_grid(default_config(float(e), t_end, dt_factor,
+                                         max_samples)) for e in eps]
+    if dt_factor > 0.1:
+        raise ContractError(f"dt_factor must be <= 0.1, got {dt_factor}")
 
     errs0 = np.empty(eps.size)
     errs1 = np.empty(eps.size)
     for grid in dict.fromkeys(grids):
-        # finest first, so the full rows still stepping are a prefix
-        members = sorted((m for m, g in enumerate(grids) if g == grid),
-                         key=lambda m: -configs[m].sample_every)
-        starts = {m: FullState(theta=theta0, weights=slow_manifold(
-            replace(params_base, epsilon=float(eps[m])), coupling, theta0))
-            for m in members}
-
-        def full(ms):  # the phases at the epsilons eps[ms], as one stack
-            return _named([f"epsilon={eps[m]}" for m in ms], lambda: _full_stack(
-                params_base, coupling, eps[ms], [starts[m] for m in ms],
-                [configs[m] for m in ms], weights=False)[1])
-
-        def reduced():
-            names = ["order 0"] + [f"order 1 at epsilon={eps[m]}" for m in members]
-            return _named(names, lambda: integrate_reduced(
-                _Core(params_base, coupling, 1, np.concatenate(
-                    [[0.0], eps[members]])[:, None, None]),
-                np.tile(theta0, (1 + len(members), 1)), grid).thetas)
-        phases = None  # unless a split succeeds: a failure is left to one process
-        if len(members) > 1 and _cpus() > 1 \
-                and configs[members[0]].n_steps >= MIN_SPLIT_STEPS:
-            with suppress(Exception), _forked(
-                    [lambda file: np.save(file.buffer, full(members[:1]))],
-                    lambda: (reduced(), full(members[1:])),
-                    "stepping the finest row") as ((thetas, rest), (file,)):
-                phases = np.concatenate([np.load(file.buffer), rest], 1)
-        if phases is None:
-            phases, thetas = full(members), reduced()
+        members = [m for m, g in enumerate(grids) if g == grid]
+        names = [f"epsilon={eps[m]}" for m in members]
+        phases = _named(names, lambda: _exponential_stack(
+            params_base, coupling, eps[members], theta0, grid))
+        thetas = _named(["order 0"] + [f"order 1 at {e}" for e in names],
+                        lambda: integrate_reduced(_Core(
+                            params_base, coupling, 1, np.concatenate(
+                                [[0.0], eps[members]])[:, None, None]),
+                            np.tile(theta0, (1 + len(members), 1)),
+                            grid).thetas)
         for row, m in enumerate(members):
             errs0[m] = phase_distance(phases[:, row], thetas[:, 0])
             errs1[m] = phase_distance(phases[:, row], thetas[:, 1 + row])

@@ -6,7 +6,9 @@ Every randomized input is drawn from a frozen generator seed so the numbers
 below are reproducible bit for bit.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,9 @@ from fastslow import (
     weight_correction,
     weight_rhs,
 )
+from fastslow.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 TWO_PI = 2 * np.pi
 STAR_POINT = np.array([0.0, np.pi / 2, 0.0])
 
@@ -103,6 +107,27 @@ def test_criterion_3_reduction_error_orders():
     assert report.fit_order0.r_squared >= 0.98
     assert report.fit_order1.slope >= 1.6
     assert report.fit_order1.r_squared >= 0.98
+    assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_3_holds_over_three_decades(tmp_path):
+    """configs/converge_wide.json: the shipped converge model at eight
+    epsilons from 0.02 down to 1.25e-4, all on one 0.001 sample grid (2000
+    reference steps where RK4 at epsilon / 20 would take 320 000), keeps
+    the criterion-3 bounds.  Measured: slope0 0.99776, slope1 1.99879,
+    about 1 s."""
+    start = time.perf_counter()
+    out = tmp_path / "wide"
+    assert main(["converge", "--config",
+                 str(ROOT / "configs" / "converge_wide.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert len(report["epsilons"]) == 8 and report["epsilons"][-1] == 1.25e-4
+    assert not report["degenerate"]
+    assert 0.8 <= report["fit_order0"]["slope"] <= 1.2
+    assert report["fit_order0"]["r_squared"] >= 0.98
+    assert report["fit_order1"]["slope"] >= 1.6
+    assert report["fit_order1"]["r_squared"] >= 0.98
     assert time.perf_counter() - start < 60.0
 
 

@@ -247,6 +247,8 @@ def test_certify_empty_points_rejected():
     # one phase vector is not a stack of points
     with pytest.raises(ContractError, match="stack"):
         certify_nonpairwise(order1_field(), points=anchor_point(3))
+    with pytest.raises(ContractError, match="stack"):
+        scan_mixed_derivatives(order1_field(), np.zeros(3))
 
 
 def test_certify_rejects_non_finite_points():

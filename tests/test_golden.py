@@ -2,10 +2,13 @@
 
 Each golden file under tests/golden/ is the report.json that
 ``fastslow <cmd> --config configs/<cmd>.json`` wrote before the integrator
-refactor that introduced this test; the converge report was regenerated
+refactor that introduced this test.  The converge report was regenerated
 when the reduced fields moved from the full system's step to its sample
-grid, which moved its floats by at most 2.5e-8 relative.  Strings, integers, booleans and list
-lengths must match exactly; floats must agree to a relative 1e-12, which
+grid, which moved its floats by at most 2.5e-8 relative, and the converge
+report and table again when the RK4 reference at epsilon / 20 gave way to
+the exponential reference on the sample grid, which moved the errors by
+at most 2.6e-13 absolute (3.7e-9 relative).  Strings, integers, booleans
+and list lengths must match exactly; floats must agree to a relative 1e-12, which
 leaves room for last-bit BLAS/SIMD differences between machines.  The
 certify report's noise_floor also passes within FD_ABS_TOL, for the reason
 given below for the fd_value cells: it is the largest |fd_value| of the

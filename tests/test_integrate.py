@@ -65,6 +65,19 @@ def test_config_validation():
                              sample_every=np.int64(5)).sample_every == 5
     cfg = IntegrationConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
+    # no array, string or None is a step or a horizon
+    for bad in (np.array([0.1, 0.2]), "a", None):
+        with pytest.raises(ContractError, match="dt must be > 0"):
+            IntegrationConfig(dt=bad, t_end=1.0)
+        with pytest.raises(ContractError, match="t_end must be > 0"):
+            IntegrationConfig(dt=0.1, t_end=bad)
+    with pytest.raises(ContractError, match="epsilon and dt_factor"):
+        default_config("a", 1.0)
+    # a run needs a config
+    field = ReducedField(order=0, params=ModelParams(
+        n_nodes=2, omega=np.zeros(2), epsilon=0.1), coupling=make_kuramoto(0.5))
+    with pytest.raises(ContractError, match="IntegrationConfig"):
+        integrate_reduced(field, np.zeros(2), None)
 
 
 def test_default_config_caps_samples():
@@ -458,30 +471,28 @@ def test_full_rhs_reads_its_state_and_returns_fresh_memory(rows):
 
 
 def test_stack_rows_step_as_their_own_runs():
-    """A stack whose rows take 4, 2 and 1 steps of their own dt per sample
-    stores, in every row, the bits of that row's own integrate_full run."""
+    """A stack of three epsilons, each row taking 2 steps of the finest
+    row's dt per sample, stores in every row the bits of that row's own
+    integrate_full run."""
     params, coupling, state = setup_full(seed=5, n=4)
     n = params.n_nodes
     epsilons = np.array([0.005, 0.01, 0.02])
-    substeps = [4, 2, 1]
-    dts = epsilons * 0.05
+    config = IntegrationConfig(dt=0.00025, t_end=0.0025, sample_every=2)
     flat = np.concatenate([state.theta, state.weights.ravel()])
     rows = _integrate(_full_rhs(params, coupling, epsilons[:, None, None]),
-                      np.tile(flat, (3, 1)), dts[:, None], substeps, 6,
-                      "full-system")
+                      np.tile(flat, (3, 1)), config.dt, 2, 6, "full-system")
     assert rows.shape == (6, 3, n + n * n)
-    for r, (e, steps, dt) in enumerate(zip(epsilons, substeps, dts)):
+    for r, e in enumerate(epsilons):
         alone = integrate_full(replace(params, epsilon=e), coupling, state,
-                               IntegrationConfig(dt=dt, t_end=5 * steps * dt,
-                                                 sample_every=steps))
+                               config)
         assert np.array_equal(wrap_phase(rows[:, r, :n]), alone.thetas)
         assert np.array_equal(rows[:, r, n:].reshape(-1, n, n), alone.weights)
 
 
 def test_stack_failure_names_rows_on_their_own_step_grid():
     # y' = y, except that row 0 blows up once it passes 1.5, which it does
-    # within its fifth step of dt 0.1 (in the third sample spacing, where
-    # row 1 is at its third step of dt 0.2)
+    # within the fifth step of dt 0.1 (in the third sample spacing), while
+    # row 1 steps on as before
     def rhs(state):
         out = state.copy()
         row0 = out if state.ndim == 1 else out[0]
@@ -489,19 +500,10 @@ def test_stack_failure_names_rows_on_their_own_step_grid():
         return out
 
     with pytest.raises(IntegrationError,
-                       match=r"^x integration failed in row 0 at t=0\.5 "
+                       match=r"^x integration failed in rows 0 at t=0\.5 "
                              r"\(step 5\): non-finite") as info:
-        _integrate(rhs, np.ones((2, 3)), np.array([[0.1], [0.2]]), [2, 1], 4,
-                   "x")
+        _integrate(rhs, np.ones((2, 3)), 0.1, 2, 4, "x")
     assert info.value.rows == (0,)
-
-
-def test_stack_rejects_increasing_substeps():
-    # y' = y over one sample spacing of 0.2: rows given coarsest first
-    # would come back as e^0.4 and e^0.1 instead of e^0.2 each
-    with pytest.raises(ContractError, match="substeps must not increase"):
-        _integrate(lambda y: y, np.ones((2, 1)), np.array([[0.2], [0.1]]),
-                   [1, 2], 2, "x")
 
 
 def test_full_stack_guards_every_row_before_stepping():
@@ -512,17 +514,15 @@ def test_full_stack_guards_every_row_before_stepping():
         calls.append(d.shape)
         return coupling.gamma(d)
     counting = Coupling(gamma=gamma, target=coupling.target)
-    epsilons = [0.01, 0.02]
-    fine = IntegrationConfig(dt=0.0005, t_end=0.02, sample_every=8)
-    # dt = 0.004 breaks the second row's guard epsilon/10 = 0.002
-    coarse = IntegrationConfig(dt=0.004, t_end=0.02)
+    epsilons = [0.02, 0.01]
+    # dt = 0.0015 keeps the first row's guard epsilon/10 = 0.002 and breaks
+    # the second row's, 0.001
     with pytest.raises(ContractError, match="stability guard"):
         _full_stack(params, counting, epsilons, [state, state],
-                    [fine, coarse])
+                    IntegrationConfig(dt=0.0015, t_end=0.015))
     assert calls == []
     _full_stack(params, counting, epsilons, [state, state],
-                [fine, IntegrationConfig(dt=0.001, t_end=0.02,
-                                         sample_every=4)])
+                IntegrationConfig(dt=0.001, t_end=0.02, sample_every=4))
     assert calls
 
 
@@ -553,15 +553,14 @@ def test_full_stack_phases_without_weights():
     params, coupling, state = setup_full(seed=6, n=4)
     n = params.n_nodes
     epsilons = [0.005, 0.01]
-    configs = [IntegrationConfig(dt=e / 20, t_end=0.01, sample_every=s)
-               for e, s in zip(epsilons, [4, 2])]
+    config = IntegrationConfig(dt=0.00025, t_end=0.01, sample_every=4)
     times, thetas, weights = _full_stack(params, coupling, epsilons,
-                                         [state, state], configs)
+                                         [state, state], config)
     assert thetas.shape == (11, 2, n) and weights.shape == (11, 2, n, n)
     # a view of the stepped rows, not a copy of the history
     assert not weights.flags.owndata
     same_times, phases, none = _full_stack(params, coupling, epsilons,
-                                           [state, state], configs,
+                                           [state, state], config,
                                            weights=False)
     assert none is None
     assert np.array_equal(same_times, times)
@@ -588,6 +587,8 @@ def test_trajectory_validation():
             Trajectory(times=np.array(times), thetas=np.zeros((len(times), 2)))
     with pytest.raises(ContractError):
         Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((3, 2)))
+    with pytest.raises(ContractError, match="row count"):
+        Trajectory(times=[0.0, 1.0], thetas=0.5)
     t = Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 2)))
     assert t.weights is None
     # weights must have N x N entries per sample for the N phases

@@ -101,6 +101,10 @@ def test_model_params_validation():
         ModelParams(n_nodes=2, omega=np.zeros(2), epsilon=0.0)
     with pytest.raises(ContractError):
         ModelParams(n_nodes=2, omega=np.array([np.nan, 0.0]), epsilon=0.1)
+    # no array, string or None is an epsilon
+    for epsilon in (np.array([0.1, 0.2]), "a", None):
+        with pytest.raises(ContractError, match="epsilon must be > 0"):
+            ModelParams(n_nodes=2, omega=np.zeros(2), epsilon=epsilon)
     p = ModelParams(n_nodes=2, omega=np.zeros(2), epsilon=1e-3)
     assert p.epsilon == 1e-3
 

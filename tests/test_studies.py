@@ -1,10 +1,6 @@
-import errno
-import io
-import os
-import signal
-import tempfile
-import threading
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +28,9 @@ from fastslow import (
     weight_correction,
     wrap_phase,
 )
+from test_model import callables_only
 
+ROOT = Path(__file__).resolve().parents[1]
 TWO_PI = 2 * np.pi
 
 
@@ -259,69 +257,62 @@ def test_convergence_wraps_integration_failure():
                          target_dv=lambda u, v: 0.0 * u)
     for epsilons, t_end, max_samples, failing in [
             # three sample grids, one full row each: the first grid fails
-            ([0.02, 0.01, 0.005], 0.1, 2000, 0.02),
-            # one grid, rows with 12, 8 and 4 steps per sample: the row
-            # with the longest step fails first, in its first step
-            ([0.03, 0.015, 0.01], 0.3, 50, 0.03)]:
+            ([0.02, 0.01, 0.005], 0.1, 2000, [0.02]),
+            # one grid of three rows, which share every step: all three
+            # fail in the first
+            ([0.03, 0.015, 0.01], 0.3, 50, [0.03, 0.015, 0.01])]:
         with pytest.raises(ExperimentError) as info:
             convergence_study(params, exploding, np.zeros(3), epsilons,
                               t_end=t_end, max_samples=max_samples)
-        # the failing row is named by its own epsilon, not by the sweep
-        assert str(info.value).startswith(
-            f"integration failed at epsilon={failing}: ")
+        # each failing row is named by its own epsilon, not by the sweep
+        assert str(info.value).startswith("integration failed at " + ", ".join(
+            f"epsilon={e}" for e in failing) + ": full-system integration "
+            "failed ")
         assert str(epsilons) not in str(info.value)
 
 
 def record_runs(monkeypatch):
     """Record every stack the convergence study integrates, in order:
-    ("full", substeps, dts, n_samples) for a full-system stack and
-    ("reduced", epsilons, config, trajectory) for a reduced stack, whose
-    epsilon is 0 in the order-0 row."""
+    ("full", epsilons, config) for a full-system stack and ("reduced",
+    epsilons, config, trajectory) for a reduced stack, whose epsilon is 0
+    in the order-0 row."""
     runs = []
-    real_integrate = integrate._integrate
-    # a forked child's runs are not seen here, so the study runs on one CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
+    real_full = studies._exponential_stack
     real_reduced = studies.integrate_reduced
 
-    def full(rhs, state, dt, substeps, n_samples, what, stored=None):
-        if what == "full-system":
-            runs.append(("full", list(substeps), np.ravel(dt).tolist(),
-                         n_samples))
-        return real_integrate(rhs, state, dt, substeps, n_samples, what,
-                              stored)
+    def full(params, coupling, epsilons, theta0, config):
+        runs.append(("full", list(epsilons), config))
+        return real_full(params, coupling, epsilons, theta0, config)
 
     def reduced(field, theta0, config):
         traj = real_reduced(field, theta0, config)
         runs.append(("reduced", field.epsilon.ravel().tolist(), config,
                      traj))
         return traj
-    monkeypatch.setattr(integrate, "_integrate", full)
+    monkeypatch.setattr(studies, "_exponential_stack", full)
     monkeypatch.setattr(studies, "integrate_reduced", reduced)
     return runs
 
 
 def check_stacks(runs, epsilons, t_end, max_samples):
     """Each grid is one full stack and then one reduced stack of the order-0
-    field and the order-1 field at the full stack's epsilons, which steps
-    every epsilon exactly once and samples at the times of each epsilon's
-    own full run, config default_config(epsilon)."""
+    field and the order-1 field at the full stack's epsilons, both on the
+    grid _sample_grid(default_config(epsilon)) of each of those epsilons,
+    which steps every epsilon exactly once and samples at the times of each
+    epsilon's own default config."""
     assert [run[0] for run in runs] == ["full", "reduced"] * (len(runs) // 2)
     stacked = []
-    for (_, substeps, dts, n_samples), (_, eps, _, traj) in zip(
+    for (_, eps_full, grid), (_, eps, reduced_grid, traj) in zip(
             runs[::2], runs[1::2]):
-        assert eps[0] == 0.0 and len(eps) == 1 + len(substeps)
+        assert eps == [0.0] + eps_full and reduced_grid == grid
         assert traj.thetas.shape[1] == len(eps)
-        for e, steps, dt in zip(eps[1:], substeps, dts):
+        for e in eps_full:
             config = default_config(e, t_end, 0.05, max_samples)
-            assert (steps, dt) == (config.sample_every, config.dt)
+            assert studies._sample_grid(config) == grid
             times = np.arange(0, config.n_steps + 1, config.sample_every) \
                 * config.dt
-            assert times.size == n_samples
             np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
-        # finest first, so the rows still stepping are a prefix
-        assert substeps == sorted(substeps, reverse=True)
-        stacked += eps[1:]
+        stacked += eps_full
     assert sorted(stacked, reverse=True) == list(epsilons)
 
 
@@ -357,7 +348,8 @@ def test_convergence_integrates_order0_once_per_grid(monkeypatch, epsilons,
 def test_reduced_step_error_budget(monkeypatch):
     """On the criterion-3 sweep the reduced fields stepped on the sample
     grid stay within 1e-3 of the smallest order-1 reduction error of the
-    same fields stepped at the full system's dt = epsilon / 20."""
+    same fields stepped by RK4 at the finest full run's epsilon / 20.
+    About 3.5 s, most of it the 16 000 reference steps."""
     runs = record_runs(monkeypatch)
     rng = np.random.default_rng(42)
     omega = rng.uniform(-1.0, 1.0, 5)
@@ -367,59 +359,52 @@ def test_reduced_step_error_budget(monkeypatch):
     epsilons = [0.02, 0.01, 0.005, 0.0025]
     report = convergence_study(params, c, theta0, epsilons, t_end=2.0,
                                dt_factor=0.05, max_samples=2000)
-    # all four full runs sample every 0.001: one full stack, finest first,
-    # and one reduced stack with order 0 once
+    # all four full runs sample every 0.001: one full stack and one reduced
+    # stack with order 0 once
     assert [run[0] for run in runs] == ["full", "reduced"]
-    assert runs[0][1] == [8, 4, 2, 1]
     check_stacks(runs, epsilons, 2.0, 2000)
     budget = 1e-3 * report.errors_order1.min()
     _, eps, _, traj = runs[1]
-    # each row's reference is its field stepped at the full system's dt;
-    # the order-0 field is the same at every epsilon, so its reference is
-    # the finest.  The five runs step as one stack, order 0 where epsilon
-    # is 0, each row with 8, 8, 4, 2 or 1 steps of its own dt per sample.
-    stiff = [default_config(e or epsilons[-1], 2.0, 0.05, 2000) for e in eps]
-    assert [s.sample_every for s in stiff] == [8, 8, 4, 2, 1]
-    column = np.array(eps)[:, None, None]
-    fields = {k: studies._Core(params, c, 1, column[:k]) for k in (2, 3, 4, 5)}
-    # at epsilon 0 the stack's row is the order-0 field to the bit
-    assert fields[5](np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
+    # each row's reference is its field stepped as one stack at
+    # epsilon / 20 of the finest epsilon, 8 steps per sample; the order-0
+    # field is the same at every epsilon, and is its row where epsilon is 0
+    stiff = default_config(epsilons[-1], 2.0, 0.05, 2000)
+    assert stiff.sample_every == 8
+    field = studies._Core(params, c, 1, np.array(eps)[:, None, None])
+    assert field(np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
         order=0, params=params, coupling=c)(theta0).tobytes()
-    refs = integrate._integrate(
-        lambda theta: fields[len(theta)](theta), np.tile(theta0, (5, 1)),
-        np.array([[s.dt] for s in stiff]), [s.sample_every for s in stiff],
-        traj.n_samples, "reduced")
+    refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff.dt, 8,
+                                traj.n_samples, "reduced")
     for row in range(5):
         assert phase_distance(traj.thetas[:, row], refs[:, row]) <= budget
     # a stacked row has the bits of its own run
     alone = integrate_reduced(ReducedField(order=1, params=replace(
-        params, epsilon=eps[-1]), coupling=c), theta0, stiff[-1])
+        params, epsilon=eps[-1]), coupling=c), theta0, stiff)
     assert np.array_equal(wrap_phase(refs[:, -1]), alone.thetas)
 
 
 def per_epsilon_errors(params, coupling, theta0, epsilons, t_end,
                        max_samples):
-    """Reduction errors from each epsilon's own full run and reduced runs,
-    integrated one at a time through integrate_full and integrate_reduced
-    on the same sample grids."""
+    """Reduction errors from each epsilon's own one-row exponential run and
+    reduced runs, integrated one at a time on the same sample grids."""
     errs = np.empty((2, len(epsilons)))
     for m, e in enumerate(epsilons):
         p = replace(params, epsilon=e)
-        config = default_config(e, t_end, 0.05, max_samples)
-        start = FullState(theta=theta0,
-                          weights=slow_manifold(p, coupling, theta0))
-        full = integrate_full(p, coupling, start, config)
+        grid = studies._sample_grid(default_config(e, t_end, 0.05,
+                                                   max_samples))
+        full = integrate._exponential_stack(params, coupling, [e], theta0,
+                                            grid)[:, 0]
         for order in (0, 1):
             red = integrate_reduced(ReducedField(order, p, coupling), theta0,
-                                    studies._sample_grid(config))
-            errs[order, m] = phase_distance(full.thetas, red.thetas)
+                                    grid)
+            errs[order, m] = phase_distance(full, red.thetas)
     return errs
 
 
 @pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
     ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
     ([0.02, 0.01, 0.005], 0.2, 2000, 3),
-    # 12, 8 and 4 full steps per sample: 3, 2 and 1 rows step at once
+    # 12, 8 and 4 full steps of epsilon / 20 per sample, one grid
     ([0.03, 0.015, 0.01], 0.3, 50, 1),
 ])
 def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
@@ -438,152 +423,64 @@ def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
     assert np.array_equal(report.errors_order1, expected[1])
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Split every grid of more than one row (MIN_SPLIT_STEPS = 1) on two
-    CPUs, and list the children forked, through a wrapped os.fork.  A study
-    still waiting on a child after 60 s fails instead of hanging."""
-    def hung(signum, frame):
-        raise TimeoutError("the study still waits on a child after 60 s")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    calls, fork = [], os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return fork()
-    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    use_cpus(monkeypatch, 2)
-    yield calls
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+def shipped_converge_model():
+    """The params, epsilons and initial phases of configs/converge.json,
+    drawn from its field seeds as the CLI draws them, and its coupling."""
+    cfg = json.loads((ROOT / "configs" / "converge.json").read_text())
+    model, omega = cfg["model"], cfg["model"]["omega"]
+    n = model["n_nodes"]
+    params = ModelParams(n_nodes=n, omega=np.random.default_rng(
+        omega["seed"]).uniform(omega["low"], omega["high"], n),
+        epsilon=model["epsilon_list"][0])
+    theta0 = np.random.default_rng(cfg["initial"]["theta"]["seed"]).uniform(
+        0.0, TWO_PI, n)
+    return params, model["epsilon_list"], theta0, make_kuramoto(
+        model["coupling"]["alpha"])
 
 
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
+def phase_lag_coupling(a=0.3, b=1.1):
+    """gamma(phi) = sin(phi - a), target(u, v) = -sin(u - v + b)."""
+    return Coupling(gamma=lambda phi: np.sin(phi - a),
+                    target=lambda u, v: -np.sin(u - v + b),
+                    gamma_d1=lambda phi: np.cos(phi - a),
+                    target_du=lambda u, v: -np.cos(u - v + b),
+                    target_dv=lambda u, v: np.cos(u - v + b))
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def report_bytes(report):
-    """Every array of a ConvergenceReport, as bytes."""
-    fits = [getattr(fit, name) for fit in (report.fit_order0,
-                                           report.fit_order1)
-            for name in ("xs", "ys", "slope", "intercept", "r_squared")]
-    return [np.asarray(a).tobytes() for a in [
-        report.epsilons, report.errors_order0, report.errors_order1] + fits]
-
-
-def split_case(epsilons=(0.02, 0.01, 0.005, 0.0025), t_end=0.2,
-               max_samples=200):
-    """A study whose report bytes are returned on each call; by default one
-    grid of four rows, whose finest takes 1600 steps."""
-    params = make_params(n=4, seed=11)
-    theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
-    return lambda: report_bytes(convergence_study(
-        params, make_kuramoto(0.7), theta0, list(epsilons), t_end=t_end,
-        max_samples=max_samples))
-
-
-@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
-    # one grid of four rows
-    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
-    # 0.04 and 0.008, 0.03 and 0.02, 0.025 and 0.0125 share three grids
-    ([0.04, 0.03, 0.025, 0.02, 0.0125, 0.008], 0.3, 20, 3),
-])
-def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
-                                                      epsilons, t_end,
-                                                      max_samples, n_grids):
-    study = split_case(epsilons, t_end, max_samples)
-    use_cpus(monkeypatch, 1)
-    one = study()
-    assert not forks
-    use_cpus(monkeypatch, 2)
-    assert study() == one
-    # one child per grid, which steps the grid's finest row
-    assert len(forks) == n_grids
-    assert_no_child_left()
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_split_convergence_failure_is_the_one_process_failure(forks,
-                                                             monkeypatch):
-    # the two cases of test_convergence_wraps_integration_failure: three
-    # grids of one row, which fork nothing, and one grid of three rows,
-    # whose failing row 0.03 is the parent's
-    params = make_params(omega=np.full(3, 1e4))
-    exploding = Coupling(gamma=np.sin,
-                         target=lambda u, v: np.exp(50.0 * u + 0.0 * v),
-                         gamma_d1=np.cos,
-                         target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
-                         target_dv=lambda u, v: 0.0 * u)
-    for epsilons, t_end, max_samples, n_forks in [
-            ([0.02, 0.01, 0.005], 0.1, 2000, 0),
-            ([0.03, 0.015, 0.01], 0.3, 50, 1)]:
-        texts = []
-        for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
-            with pytest.raises(ExperimentError) as info:
-                convergence_study(params, exploding, np.zeros(3), epsilons,
-                                  t_end=t_end, max_samples=max_samples)
-            texts.append(str(info.value))
-        assert texts[0] == texts[1]
-        assert texts[0].startswith(f"integration failed at epsilon={epsilons[0]}: ")
-        assert len(forks) == n_forks
-        forks.clear()
-        assert_no_child_left()
-
-
-def test_split_convergence_child_without_room_gives_one_process_result(
-        forks, monkeypatch):
-    study = split_case()
-    use_cpus(monkeypatch, 1)
-    one = study()
-
-    class NoRoom(io.BytesIO):
-        def write(self, data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
-                        io.TextIOWrapper(NoRoom(), encoding="utf-8"))
-    use_cpus(monkeypatch, 2)
-    # the child fails to write its row; the grid is stepped again in one
-    # process
-    assert study() == one
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
-def test_convergence_is_not_split_without_fork_threads_or_cpus(forks,
-                                                               monkeypatch):
-    study = split_case()
-    use_cpus(monkeypatch, 1)
-    one = study()
-    use_cpus(monkeypatch, 2)
-    # another thread alive
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert study() == one
-    finally:
-        stop.set()
-        thread.join(10)
-    assert not thread.is_alive()
-    assert not forks
-    # a grid whose finest row takes fewer steps than MIN_SPLIT_STEPS
-    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1601)
-    assert study() == one
-    assert not forks
-    monkeypatch.setattr(studies, "MIN_SPLIT_STEPS", 1600)
-    assert study() == one
-    assert len(forks) == 1
-    monkeypatch.delattr(os, "fork")
-    assert study() == one
-    assert len(forks) == 1
-    assert_no_child_left()
+@pytest.mark.parametrize("kind", ["kuramoto", "uv_slots", "phase_lag"])
+def test_exponential_reference_matches_rk4(kind):
+    """On the model and epsilons of configs/converge.json, the study's
+    exponential reference stays within 1e-11 of RK4 at the finest
+    epsilon / 20 on the study's 0.001 grid (measured <= 1.6e-13), and at
+    the longest step MAX_REDUCED_DT within 1e-3 of the smallest order-1
+    error of a study stepped there (measured 5.7e-10 against 9.1e-6).  The
+    deviation form reads the target's derivative slots, which RK4 does
+    not, so a wrong slot shows here: the difference form of make_kuramoto,
+    the (u, v) slots alone and a phase-lag coupling.  About 1.5 s each,
+    most of it the 16 000 RK4 steps."""
+    params, epsilons, theta0, coupling = shipped_converge_model()
+    coupling = {"kuramoto": coupling,
+                "uv_slots": callables_only(drop=("target_diff",
+                                                 "target_diff_d1")),
+                "phase_lag": phase_lag_coupling()}[kind]
+    starts = [FullState(theta=theta0, weights=slow_manifold(
+        replace(params, epsilon=e), coupling, theta0)) for e in epsilons]
+    # one stack at the finest epsilon / 20, sampled every 0.001
+    rk4 = integrate._full_stack(params, coupling, epsilons, starts,
+                                IntegrationConfig(dt=epsilons[-1] / 20,
+                                                  t_end=2.0, sample_every=8),
+                                weights=False)[1]
+    grid = studies._sample_grid(default_config(epsilons[-1], 2.0, 0.05,
+                                               2000))
+    assert grid == IntegrationConfig(dt=0.001, t_end=2.0)
+    exponential = integrate._exponential_stack(params, coupling, epsilons,
+                                               theta0, grid)
+    assert phase_distance(exponential, rk4) <= 1e-11
+    longest = IntegrationConfig(dt=studies.MAX_REDUCED_DT, t_end=2.0)
+    assert studies._sample_grid(default_config(
+        epsilons[-1], 2.0, 0.05, 200)) == longest
+    errors = convergence_study(params, coupling, theta0, epsilons,
+                               max_samples=200).errors_order1
+    coarse = integrate._exponential_stack(params, coupling, epsilons,
+                                          theta0, longest)
+    assert phase_distance(coarse, rk4[::10]) <= 1e-3 * errors.min()
