@@ -219,7 +219,7 @@ def _resolve_horizon(cfg: dict, epsilons,
                           "integration.dt_factor")
     # surfaced at parse time so a converge sweep rejects before any run
     _expect(0 < dt_factor <= 0.1, "integration.dt_factor",
-            "must lie in (0, 0.1] (integrator stability guard)")
+            "must lie in (0, 0.1]")
     if "t_end" in block:
         t_end = _as_float(block["t_end"], "integration.t_end")
         _expect(t_end > 0, "integration.t_end", "must be > 0")

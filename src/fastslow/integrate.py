@@ -6,7 +6,9 @@ stable for dt below roughly 2.78 * epsilon.  Its runs (simulate, attract)
 enforce the much stricter dt <= epsilon / 10 as a hard error and default
 to epsilon / 20, which keeps the fast transient resolved rather than merely
 stable.  The convergence study's reference, ``_exponential_stack``, takes
-that stiffness exactly instead, at one step size for every epsilon.
+that stiffness exactly instead, at one step size for every epsilon; on
+more than one CPU the study steps it in a ``_forked`` child, as the CSV
+writer formats its later parts.
 
 One loop, ``_integrate``, takes every step of either scheme, and
 ``_full_stack`` sets up every RK4 full-system run, one row or a stack.
@@ -261,14 +263,14 @@ def _full_rhs(params: ModelParams, coupling, epsilon):
 
 
 def _full_stack(params: ModelParams, coupling, epsilons, starts,
-                config: IntegrationConfig, weights: bool = True):
+                config: IntegrationConfig):
     """Step the full system by RK4 from starts[r] at epsilons[r], every row
     at config's dt and samples, row r the state [theta, weights.ravel()].
     Every row's node count and dt <= epsilon / 10 guard are checked before
     any step.  Returns the sample times, the canonical phases (samples, S,
-    N) and, if ``weights`` is set, the weights (samples, S, N, N) as a view
-    of the stepped rows, else None.  Every model equation is elementwise
-    across rows, so each row takes the bits of its own one-row run.
+    N) and the weights (samples, S, N, N) as a view of the stepped rows.
+    Every model equation is elementwise across rows, so each row takes the
+    bits of its own one-row run.
     """
     n, times = params.n_nodes, _sample_times(config)
     for epsilon, start in zip(epsilons, starts):
@@ -284,10 +286,9 @@ def _full_stack(params: ModelParams, coupling, epsilons, starts,
         _full_rhs(params, coupling, epsilons),
         np.stack([np.concatenate([s.theta, s.weights.ravel()])
                   for s in starts]),
-        config.dt, config.sample_every, times.size, "full-system",
-        stored=None if weights else n)
+        config.dt, config.sample_every, times.size, "full-system")
     return times, wrap_phase(rows[..., :n]), \
-        rows[..., n:].reshape(rows.shape[:2] + (n, n)) if weights else None
+        rows[..., n:].reshape(rows.shape[:2] + (n, n))
 
 
 def integrate_full(params: ModelParams, coupling, initial: FullState,

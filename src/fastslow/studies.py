@@ -7,6 +7,7 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -14,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import _Core, slow_manifold
-from .integrate import IntegrationConfig, _exponential_stack, \
-    default_config, integrate_full, integrate_reduced
+from .integrate import IntegrationConfig, _cpus, _exponential_stack, \
+    _forked, default_config, integrate_full, integrate_reduced
 from .model import (
     ContractError,
     ExperimentError,
@@ -218,6 +219,10 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     decreasing, dt_factor <= 0.1 and t_end a whole number of steps at every
     epsilon, all checked before any step.  The epsilons that share a sample
     grid are stepped as two stacks, every row with the bits of its own run.
+    With _cpus() > 1 a _forked child steps every grid's reference while
+    this process steps the reduced stacks; if anything in that split
+    fails, a warning in the child included, every grid is stepped again in
+    one process, reference then reduced, which returns or raises the same.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -234,22 +239,48 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     if dt_factor > 0.1:
         raise ContractError(f"dt_factor must be <= 0.1, got {dt_factor}")
 
+    groups = [[m for m, g in enumerate(grids) if g == grid]
+              for grid in dict.fromkeys(grids)]
     errs0 = np.empty(eps.size)
     errs1 = np.empty(eps.size)
-    for grid in dict.fromkeys(grids):
-        members = [m for m, g in enumerate(grids) if g == grid]
-        names = [f"epsilon={eps[m]}" for m in members]
-        phases = _named(names, lambda: _exponential_stack(
-            params_base, coupling, eps[members], theta0, grid))
-        thetas = _named(["order 0"] + [f"order 1 at {e}" for e in names],
-                        lambda: integrate_reduced(_Core(
-                            params_base, coupling, 1, np.concatenate(
-                                [[0.0], eps[members]])[:, None, None]),
-                            np.tile(theta0, (1 + len(members), 1)),
-                            grid).thetas)
+
+    def reference(members):
+        return _named([f"epsilon={eps[m]}" for m in members],
+                      lambda: _exponential_stack(params_base, coupling,
+                                                 eps[members], theta0,
+                                                 grids[members[0]]))
+
+    def reduced(members):
+        return _named(["order 0"] + [f"order 1 at epsilon={eps[m]}"
+                                     for m in members],
+                      lambda: integrate_reduced(_Core(
+                          params_base, coupling, 1, np.concatenate(
+                              [[0.0], eps[members]])[:, None, None]),
+                          np.tile(theta0, (1 + len(members), 1)),
+                          grids[members[0]]).thetas)
+
+    def compare(members, phases, thetas):
         for row, m in enumerate(members):
             errs0[m] = phase_distance(phases[:, row], thetas[:, 0])
             errs1[m] = phase_distance(phases[:, row], thetas[:, 1 + row])
+
+    def save_references(file):
+        # a warning fails the split, so the one-process run gives it once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for members in groups:
+                np.save(file.buffer, reference(members))
+    split = False  # unless it succeeds: a failure is left to one process
+    if _cpus() > 1:
+        with suppress(Exception), _forked(
+                [save_references], lambda: [reduced(ms) for ms in groups],
+                "stepping the references") as (stacks, (file,)):
+            for members, thetas in zip(groups, stacks):
+                compare(members, np.load(file.buffer), thetas)
+            split = True
+    if not split:
+        for members in groups:
+            compare(members, reference(members), reduced(members))
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     fit0, fit1 = (None, None) if degenerate else \

@@ -15,9 +15,9 @@ _acceptance_outcomes = []
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """The raw.csv writer forks children and must reap each before it
-    returns or raises; a child still running or left unreaped after a test
-    fails that test."""
+    """The convergence study and the raw.csv writer fork children and must
+    reap each before they return or raise; a child still running or left
+    unreaped after a test fails that test."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

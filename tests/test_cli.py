@@ -467,6 +467,12 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
     cfg["integration"] = {"dt_factor": 0.5}
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert "dt_factor" in err
+    # converge's reference has no step guard: dt_factor sets only its
+    # sample grid, so the message gives the range without a reason
+    cfg = copy.deepcopy(CONVERGE)
+    cfg["integration"]["dt_factor"] = 0.2
+    err = expect_config_error(tmp_path, capsys, "converge", cfg)
+    assert err == "config error: integration.dt_factor: must lie in (0, 0.1]\n"
 
 
 def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys):

@@ -521,9 +521,13 @@ def test_full_stack_guards_every_row_before_stepping():
         _full_stack(params, counting, epsilons, [state, state],
                     IntegrationConfig(dt=0.0015, t_end=0.015))
     assert calls == []
-    _full_stack(params, counting, epsilons, [state, state],
-                IntegrationConfig(dt=0.001, t_end=0.02, sample_every=4))
+    times, thetas, weights = _full_stack(
+        params, counting, epsilons, [state, state],
+        IntegrationConfig(dt=0.001, t_end=0.02, sample_every=4))
     assert calls
+    assert thetas.shape == (6, 2, 4) and weights.shape == (6, 2, 4, 4)
+    # a view of the stepped rows, not a copy of the history
+    assert not weights.flags.owndata
 
 
 def test_history_over_the_memory_cap_is_rejected_before_allocating():
@@ -547,24 +551,6 @@ def test_history_over_the_memory_cap_is_rejected_before_allocating():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert 8 * 10_001 * (n + n * n) > MAX_HISTORY_BYTES >= 2**31
-
-
-def test_full_stack_phases_without_weights():
-    params, coupling, state = setup_full(seed=6, n=4)
-    n = params.n_nodes
-    epsilons = [0.005, 0.01]
-    config = IntegrationConfig(dt=0.00025, t_end=0.01, sample_every=4)
-    times, thetas, weights = _full_stack(params, coupling, epsilons,
-                                         [state, state], config)
-    assert thetas.shape == (11, 2, n) and weights.shape == (11, 2, n, n)
-    # a view of the stepped rows, not a copy of the history
-    assert not weights.flags.owndata
-    same_times, phases, none = _full_stack(params, coupling, epsilons,
-                                           [state, state], config,
-                                           weights=False)
-    assert none is None
-    assert np.array_equal(same_times, times)
-    assert np.array_equal(phases, thetas)
 
 
 def test_integration_is_deterministic():

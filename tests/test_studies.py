@@ -1,4 +1,11 @@
+import errno
+import io
 import json
+import os
+import signal
+import tempfile
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,8 +282,10 @@ def record_runs(monkeypatch):
     """Record every stack the convergence study integrates, in order:
     ("full", epsilons, config) for a full-system stack and ("reduced",
     epsilons, config, trajectory) for a reduced stack, whose epsilon is 0
-    in the order-0 row."""
+    in the order-0 row.  A forked child's stacks are not seen here, so the
+    study runs in one process."""
     runs = []
+    monkeypatch.setattr(studies, "_cpus", lambda: 1)
     real_full = studies._exponential_stack
     real_reduced = studies.integrate_reduced
 
@@ -468,8 +477,7 @@ def test_exponential_reference_matches_rk4(kind):
     # one stack at the finest epsilon / 20, sampled every 0.001
     rk4 = integrate._full_stack(params, coupling, epsilons, starts,
                                 IntegrationConfig(dt=epsilons[-1] / 20,
-                                                  t_end=2.0, sample_every=8),
-                                weights=False)[1]
+                                                  t_end=2.0, sample_every=8))[1]
     grid = studies._sample_grid(default_config(epsilons[-1], 2.0, 0.05,
                                                2000))
     assert grid == IntegrationConfig(dt=0.001, t_end=2.0)
@@ -484,3 +492,184 @@ def test_exponential_reference_matches_rk4(kind):
     coarse = integrate._exponential_stack(params, coupling, epsilons,
                                           theta0, longest)
     assert phase_distance(coarse, rk4[::10]) <= 1e-3 * errors.min()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Run studies on two CPUs, and list the children forked, through a
+    wrapped os.fork, and the references stepped in this process, through a
+    wrapped studies._exponential_stack.  A study still waiting on a child
+    after 60 s fails instead of hanging."""
+    def hung(signum, frame):
+        raise TimeoutError("the study still waits on a child after 60 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    calls = {"fork": 0, "reference": 0}
+    fork, reference = os.fork, studies._exponential_stack
+
+    def counting_fork():
+        calls["fork"] += 1
+        return fork()
+
+    def counting_reference(*args):
+        calls["reference"] += 1
+        return reference(*args)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(studies, "_exponential_stack", counting_reference)
+    use_cpus(monkeypatch, 2)
+    yield calls
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report_bytes(report):
+    """Every array of a ConvergenceReport, as bytes."""
+    fits = [getattr(fit, name) for fit in (report.fit_order0,
+                                           report.fit_order1)
+            for name in ("xs", "ys", "slope", "intercept", "r_squared")]
+    return [np.asarray(a).tobytes() for a in [
+        report.epsilons, report.errors_order0, report.errors_order1] + fits]
+
+
+def split_case(epsilons=(0.02, 0.01, 0.005, 0.0025), t_end=0.2,
+               max_samples=200):
+    """A study whose report bytes are returned on each call; by default one
+    grid of four rows."""
+    params = make_params(n=4, seed=11)
+    theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
+    return lambda: report_bytes(convergence_study(
+        params, make_kuramoto(0.7), theta0, list(epsilons), t_end=t_end,
+        max_samples=max_samples))
+
+
+def one_process(monkeypatch, forks, study):
+    """study() on one CPU, with the counts of forks reset after it."""
+    use_cpus(monkeypatch, 1)
+    result = study()
+    assert forks["fork"] == 0
+    forks.update(fork=0, reference=0)
+    use_cpus(monkeypatch, 2)
+    return result
+
+
+@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
+    # one grid of four rows
+    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
+    # 0.04 and 0.008, 0.03 and 0.02, 0.025 and 0.0125 share three grids
+    ([0.04, 0.03, 0.025, 0.02, 0.0125, 0.008], 0.3, 20, 3),
+    # three grids of one row each
+    ([0.02, 0.01, 0.005], 0.2, 2000, 3),
+])
+def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
+                                                      epsilons, t_end,
+                                                      max_samples, n_grids):
+    assert len({studies._sample_grid(default_config(
+        e, t_end, 0.05, max_samples)) for e in epsilons}) == n_grids
+    study = split_case(epsilons, t_end, max_samples)
+    one = one_process(monkeypatch, forks, study)
+    assert study() == one
+    # one child steps every grid's reference; this process steps none
+    assert forks == {"fork": 1, "reference": 0}
+    assert_no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_split_convergence_failure_is_the_one_process_failure(forks,
+                                                             monkeypatch):
+    # the two cases of test_convergence_wraps_integration_failure: three
+    # grids of one row and one grid of three rows; the split fails and the
+    # study runs again in one process, which raises the same error
+    params = make_params(omega=np.full(3, 1e4))
+    exploding = Coupling(gamma=np.sin,
+                         target=lambda u, v: np.exp(50.0 * u + 0.0 * v),
+                         gamma_d1=np.cos,
+                         target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
+                         target_dv=lambda u, v: 0.0 * u)
+    for epsilons, t_end, max_samples in [([0.02, 0.01, 0.005], 0.1, 2000),
+                                         ([0.03, 0.015, 0.01], 0.3, 50)]:
+        texts = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(ExperimentError) as info:
+                convergence_study(params, exploding, np.zeros(3), epsilons,
+                                  t_end=t_end, max_samples=max_samples)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"integration failed at epsilon={epsilons[0]}")
+        assert forks["fork"] == 1
+        forks["fork"] = 0
+        assert_no_child_left()
+
+
+def test_split_convergence_child_without_room_gives_one_process_result(
+        forks, monkeypatch):
+    study = split_case()
+    one = one_process(monkeypatch, forks, study)
+
+    class NoRoom(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
+                        io.TextIOWrapper(NoRoom(), encoding="utf-8"))
+    # the child fails to write its phases; the study runs again in one
+    # process, which steps the one grid's reference
+    assert study() == one
+    assert forks == {"fork": 1, "reference": 1}
+    assert_no_child_left()
+
+
+def test_split_convergence_child_that_warns_gives_one_process_warnings(
+        forks, monkeypatch):
+    # a warning in the child fails the split, so that it is given once, by
+    # this process, and not again on the child's stderr
+    study = split_case(epsilons=(0.02, 0.01, 0.005), max_samples=2000)
+    reference = studies._exponential_stack
+
+    def warning_reference(*args):
+        warnings.warn("the reference warns", RuntimeWarning)
+        return reference(*args)
+    monkeypatch.setattr(studies, "_exponential_stack", warning_reference)
+    given = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        with pytest.warns(RuntimeWarning, match="the reference warns") as seen:
+            given.append(study())
+        given.append([str(w.message) for w in seen])
+    assert given[:2] == given[2:]
+    assert given[1] == ["the reference warns"] * 3
+    assert forks["fork"] == 1
+    assert_no_child_left()
+
+
+def test_convergence_is_not_split_without_fork_threads_or_cpus(forks,
+                                                               monkeypatch):
+    study = split_case()
+    one = one_process(monkeypatch, forks, study)
+    # another thread alive
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert study() == one
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert forks == {"fork": 0, "reference": 1}
+    assert study() == one
+    assert forks == {"fork": 1, "reference": 1}
+    monkeypatch.delattr(os, "fork")
+    assert study() == one
+    assert forks == {"fork": 1, "reference": 2}
+    assert_no_child_left()
