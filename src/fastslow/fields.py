@@ -89,6 +89,8 @@ class _Core:
     __slots__ = ("n_nodes", "omega", "order", "epsilon", "coupling", "diff")
 
     def __init__(self, params: ModelParams, coupling, order=0, epsilon=None):
+        if not isinstance(params, ModelParams):
+            raise ContractError(f"params must be a ModelParams, got {params!r}")
         if not (_is_int(order) and order in (0, 1)):
             raise ContractError(f"order must be the int 0 or 1, got {order!r}")
         require_derivatives(coupling, order)

@@ -10,8 +10,8 @@ that stiffness exactly instead, at one step size for every epsilon; on
 more than one CPU the study steps it in a ``_forked`` child, as the CSV
 writer formats its later parts.
 
-One loop, ``_integrate``, takes every step of either scheme, and
-``_full_stack`` sets up every RK4 full-system run, one row or a stack.
+One loop, ``_integrate``, takes every step of either scheme; every RK4
+full-system run is ``integrate_full``'s, on one flat row.
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
@@ -236,72 +236,48 @@ def _sample_times(config: IntegrationConfig) -> FloatArray:
     return np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
 
 
-def _full_rhs(params: ModelParams, coupling, epsilon):
-    """The full-system rhs, phase_rhs and weight_rhs / epsilon at one
-    evaluation of the coupling: a stack (c, D) of rows [theta,
-    weights.ravel()] takes the first c entries of ``epsilon``, one per row,
-    and one flat row its first entry.  Each call returns a new array."""
-    n = params.n_nodes
+def _full_rhs(params: ModelParams, coupling):
+    """The full-system rhs on one flat row [theta, weights.ravel()],
+    phase_rhs and weight_rhs / epsilon at one evaluation of the coupling.
+    Each call returns a new array."""
     core = _Core(params, coupling)
-    column = np.reshape(epsilon, (-1, 1, 1))
-    full = {}  # rows -> their epsilons at the weights' shape rows + (N, N)
+    n, epsilon = core.n_nodes, core.epsilon
 
     def rhs(state):
-        rows = state.shape[:-1]  # () for a flat row, (c,) for a stack
-        # one contiguous copy of a stack's strided weights makes the two
-        # calls on them cheaper; a flat row's weights are not copied
-        w = np.ascontiguousarray(state[..., n:]).reshape(rows + (n, n))
-        if rows not in full:
-            full[rows] = np.broadcast_to(
-                column[:rows[0]] if rows else column[0], w.shape).copy()
-        g, w0, _, _ = core.terms(state[..., :n])
+        w = state[n:].reshape(n, n)  # a view: never written
+        g, w0, _, _ = core.terms(state[:n])
         dw = w0 - w  # -w + w0 to the bit
-        dw /= full[rows]
-        return np.concatenate(
-            (core.phase(w, g), dw.reshape(rows + (n * n,))), -1)
+        dw /= epsilon
+        return np.concatenate((core.phase(w, g), dw.ravel()))
     return rhs
-
-
-def _full_stack(params: ModelParams, coupling, epsilons, starts,
-                config: IntegrationConfig):
-    """Step the full system by RK4 from starts[r] at epsilons[r], every row
-    at config's dt and samples, row r the state [theta, weights.ravel()].
-    Every row's node count and dt <= epsilon / 10 guard are checked before
-    any step.  Returns the sample times, the canonical phases (samples, S,
-    N) and the weights (samples, S, N, N) as a view of the stepped rows.
-    Every model equation is elementwise across rows, so each row takes the
-    bits of its own one-row run.
-    """
-    n, times = params.n_nodes, _sample_times(config)
-    for epsilon, start in zip(epsilons, starts):
-        if start.n_nodes != n:
-            raise ContractError(
-                f"initial state has {start.n_nodes} nodes, params have {n}")
-        # allow dt == epsilon/10 up to rounding in the division itself
-        if config.dt > epsilon / 10.0 * (1.0 + 1e-12):
-            raise ContractError(
-                f"dt={config.dt} exceeds the stability guard epsilon/10 = "
-                f"{epsilon / 10.0}")
-    rows = _integrate(
-        _full_rhs(params, coupling, epsilons),
-        np.stack([np.concatenate([s.theta, s.weights.ravel()])
-                  for s in starts]),
-        config.dt, config.sample_every, times.size, "full-system")
-    return times, wrap_phase(rows[..., :n]), \
-        rows[..., n:].reshape(rows.shape[:2] + (n, n))
 
 
 def integrate_full(params: ModelParams, coupling, initial: FullState,
                    config: IntegrationConfig) -> Trajectory:
-    """Integrate the stiffly-scaled full system in slow time.
+    """Integrate the stiffly-scaled full system in slow time by RK4.
 
     Rejects dt > epsilon / 10 before taking any step; explicit RK4 on the
     fast weight relaxation is only trustworthy well inside its stability
-    region.
+    region.  The weights are a view of the stepped rows.
     """
-    times, thetas, weights = _full_stack(params, coupling, [params.epsilon],
-                                         [initial], config)
-    return Trajectory(times=times, thetas=thetas[:, 0], weights=weights[:, 0])
+    times, rhs = _sample_times(config), _full_rhs(params, coupling)
+    if not isinstance(initial, FullState):
+        raise ContractError(f"initial must be a FullState, got {initial!r}")
+    n = params.n_nodes
+    if initial.n_nodes != n:
+        raise ContractError(
+            f"initial state has {initial.n_nodes} nodes, params have {n}")
+    # allow dt == epsilon/10 up to rounding in the division itself
+    if config.dt > params.epsilon / 10.0 * (1.0 + 1e-12):
+        raise ContractError(
+            f"dt={config.dt} exceeds the stability guard epsilon/10 = "
+            f"{params.epsilon / 10.0}")
+    rows = _integrate(rhs, np.concatenate([initial.theta,
+                                           initial.weights.ravel()]),
+                      config.dt, config.sample_every, times.size,
+                      "full-system")
+    return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
+                      weights=rows[:, n:].reshape(-1, n, n))
 
 
 def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
@@ -317,8 +293,8 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
     and the step e^z u + h sum_i b_i forcing(U_i); on theta it is a
     Runge-Kutta method of order 4.  Needs the order-1 slots; each row has
     the bits of its own one-row run."""
-    n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
     core = _Core(params, coupling, 1)
+    n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")

@@ -83,6 +83,8 @@ def phase_distance(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ContractError(f"phase vectors differ in shape: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ContractError("phase values must be finite")
     d = np.abs(a - b) % TWO_PI
     return float(np.max(np.minimum(d, TWO_PI - d))) if a.size else 0.0
 
@@ -227,8 +229,10 @@ class KuramotoCoupling:
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ContractError(f"alpha must be finite, got {self.alpha}")
+        if not (isinstance(self.alpha, Real) and not isinstance(self.alpha, bool)
+                and np.isfinite(self.alpha)):
+            raise ContractError(f"alpha must be a finite real number, got "
+                                f"{self.alpha!r}")
 
     def gamma(self, phi):
         return np.sin(phi)

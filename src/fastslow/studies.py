@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import _Core, slow_manifold
+from .fields import _Core, _check_shapes, slow_manifold
 from .integrate import IntegrationConfig, _cpus, _exponential_stack, \
     _forked, default_config, integrate_full, integrate_reduced
 from .model import (
@@ -90,8 +90,8 @@ def distance_to_slow_manifold(params: ModelParams, coupling, theta, weights,
     """Frobenius distance from the weights (..., N, N) to the slow manifold
     of the given order at the phases (..., N): a float for one state, one
     value per leading index for a stack."""
-    gap = np.asarray(weights, dtype=float) \
-        - slow_manifold(params, coupling, theta, order)
+    theta, weights = _check_shapes(params.n_nodes, theta, weights)
+    gap = weights - slow_manifold(params, coupling, theta, order)
     # the dot product of the flattened gap with itself, as np.linalg.norm
     # takes it, so a stack reproduces the one-state values bit for bit
     g = gap.reshape(gap.shape[:-2] + (-1,))

@@ -457,6 +457,8 @@ def test_field_rejects_wrong_shape():
     field = ReducedField(order=0, params=params, coupling=c)
     with pytest.raises(ContractError):
         field(np.zeros(4))
+    with pytest.raises(ContractError, match="ModelParams"):
+        ReducedField(order=1, params=None, coupling=c)
     with pytest.raises(ContractError, match="weights must have shape"):
         phase_rhs(params, c, np.zeros(3), np.zeros((3, 2)))
     # a scalar phase has no node axis: unchecked, numpy raises IndexError

@@ -36,7 +36,7 @@ from fastslow import (
     wrap_phase,
 )
 from fastslow import integrate as integrate_module
-from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, _full_stack, \
+from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, \
     _integrate, _sample_times, _write_table
 
 TWO_PI = 2 * np.pi
@@ -247,12 +247,22 @@ def setup_full(seed=0, n=3, alpha=0.5, epsilon=0.02):
 
 def test_full_rejects_large_dt():
     params, coupling, state = setup_full()
+    calls = []
+
+    def gamma(d):
+        calls.append(d.shape)
+        return coupling.gamma(d)
+    counting = Coupling(gamma=gamma, target=coupling.target)
     cfg = IntegrationConfig(dt=params.epsilon / 5, t_end=1.0)
-    with pytest.raises(ContractError):
-        integrate_full(params, coupling, state, cfg)
+    with pytest.raises(ContractError, match="stability guard"):
+        integrate_full(params, counting, state, cfg)
+    assert calls == []
     # dt exactly at the guard is allowed
     ok = IntegrationConfig(dt=params.epsilon / 10, t_end=params.epsilon)
-    integrate_full(params, coupling, state, ok)
+    traj = integrate_full(params, counting, state, ok)
+    assert calls
+    # a view of the stepped rows, not a copy of the history
+    assert not traj.weights.flags.owndata
 
 
 def test_full_rejects_node_mismatch():
@@ -261,6 +271,10 @@ def test_full_rejects_node_mismatch():
     cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=0.1)
     with pytest.raises(ContractError):
         integrate_full(params, coupling, other, cfg)
+    with pytest.raises(ContractError, match="FullState"):
+        integrate_full(params, coupling, None, cfg)
+    with pytest.raises(ContractError, match="ModelParams"):
+        integrate_full(None, coupling, state, cfg)
     field = ReducedField(order=0, params=params, coupling=coupling)
     for theta in (np.zeros(4), np.zeros((2, 2, 3))):
         with pytest.raises(ContractError, match="initial theta"):
@@ -420,10 +434,10 @@ def phase_lag_coupling():
 @pytest.mark.parametrize("kind", ["kuramoto", "phase_lag"])
 @pytest.mark.parametrize("n", [5, 16])
 def test_full_rhs_bits_match_public_fields_flat_and_stacked(n, kind):
-    """_full_rhs on a flat state and on stacks of 3 and 2 rows with an
-    epsilon column equals public phase_rhs joined with weight_rhs /
-    epsilon, bit for bit.  At N = 5 numpy sums each row of fewer than 8
-    terms in order; at N = 16 it takes its unrolled pairwise sum."""
+    """_full_rhs on flat states at each of three epsilons equals public
+    phase_rhs joined with weight_rhs / epsilon, bit for bit.  At N = 5
+    numpy sums each row of fewer than 8 terms in order; at N = 16 it takes
+    its unrolled pairwise sum."""
     rng = np.random.default_rng(n)
     coupling = make_kuramoto(0.7) if kind == "kuramoto" \
         else phase_lag_coupling()
@@ -439,27 +453,21 @@ def test_full_rhs_bits_match_public_fields_flat_and_stacked(n, kind):
                                (weight_rhs(coupling, theta, w)
                                 / epsilon).ravel()])
 
-    rhs = _full_rhs(params, coupling, epsilons[:, None, None])
-    for rows in (states[0], states, states[:2], states[0]):
-        got = rhs(rows)
-        want = public(rows, epsilons[0]) if rows.ndim == 1 else \
-            np.stack([public(r, e) for r, e in zip(rows, epsilons)])
-        assert got.tobytes() == want.tobytes()
+    for row, epsilon in zip(states, epsilons):
+        rhs = _full_rhs(replace(params, epsilon=epsilon), coupling)
+        assert rhs(row).tobytes() == public(row, epsilon).tobytes()
 
 
-@pytest.mark.parametrize("rows", [None, 3], ids=["flat", "stack of 3"])
-def test_full_rhs_reads_its_state_and_returns_fresh_memory(rows):
-    """The rhs takes a flat row's weights as a view of the state, so it
-    must never write into it; and each result is a new array, sharing no
-    memory with the state or with the result of the call before."""
+def test_full_rhs_reads_its_state_and_returns_fresh_memory():
+    """The rhs takes the weights as a view of the state, so it must never
+    write into it; and each result is a new array, sharing no memory with
+    the state or with the result of the call before."""
     n = 4
     rng = np.random.default_rng(31)
     params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
                          epsilon=0.01)
-    rhs = _full_rhs(params, make_kuramoto(0.7),
-                    np.array([0.01, 0.02, 0.04])[:, None, None])
-    state = rng.uniform(-3.0, 9.0, (n + n * n,) if rows is None
-                        else (rows, n + n * n))
+    rhs = _full_rhs(params, make_kuramoto(0.7))
+    state = rng.uniform(-3.0, 9.0, n + n * n)
     before = state.copy()
     first = rhs(state)
     second = rhs(state)
@@ -468,25 +476,6 @@ def test_full_rhs_reads_its_state_and_returns_fresh_memory(rows):
     assert not np.shares_memory(first, state)
     assert not np.shares_memory(second, state)
     assert not np.shares_memory(first, second)
-
-
-def test_stack_rows_step_as_their_own_runs():
-    """A stack of three epsilons, each row taking 2 steps of the finest
-    row's dt per sample, stores in every row the bits of that row's own
-    integrate_full run."""
-    params, coupling, state = setup_full(seed=5, n=4)
-    n = params.n_nodes
-    epsilons = np.array([0.005, 0.01, 0.02])
-    config = IntegrationConfig(dt=0.00025, t_end=0.0025, sample_every=2)
-    flat = np.concatenate([state.theta, state.weights.ravel()])
-    rows = _integrate(_full_rhs(params, coupling, epsilons[:, None, None]),
-                      np.tile(flat, (3, 1)), config.dt, 2, 6, "full-system")
-    assert rows.shape == (6, 3, n + n * n)
-    for r, e in enumerate(epsilons):
-        alone = integrate_full(replace(params, epsilon=e), coupling, state,
-                               config)
-        assert np.array_equal(wrap_phase(rows[:, r, :n]), alone.thetas)
-        assert np.array_equal(rows[:, r, n:].reshape(-1, n, n), alone.weights)
 
 
 def test_stack_failure_names_rows_on_their_own_step_grid():
@@ -504,30 +493,6 @@ def test_stack_failure_names_rows_on_their_own_step_grid():
                              r"\(step 5\): non-finite") as info:
         _integrate(rhs, np.ones((2, 3)), 0.1, 2, 4, "x")
     assert info.value.rows == (0,)
-
-
-def test_full_stack_guards_every_row_before_stepping():
-    params, coupling, state = setup_full(seed=5, n=4)
-    calls = []
-
-    def gamma(d):
-        calls.append(d.shape)
-        return coupling.gamma(d)
-    counting = Coupling(gamma=gamma, target=coupling.target)
-    epsilons = [0.02, 0.01]
-    # dt = 0.0015 keeps the first row's guard epsilon/10 = 0.002 and breaks
-    # the second row's, 0.001
-    with pytest.raises(ContractError, match="stability guard"):
-        _full_stack(params, counting, epsilons, [state, state],
-                    IntegrationConfig(dt=0.0015, t_end=0.015))
-    assert calls == []
-    times, thetas, weights = _full_stack(
-        params, counting, epsilons, [state, state],
-        IntegrationConfig(dt=0.001, t_end=0.02, sample_every=4))
-    assert calls
-    assert thetas.shape == (6, 2, 4) and weights.shape == (6, 2, 4, 4)
-    # a view of the stepped rows, not a copy of the history
-    assert not weights.flags.owndata
 
 
 def test_history_over_the_memory_cap_is_rejected_before_allocating():

@@ -113,6 +113,8 @@ def test_distance_is_frobenius():
         pytest.approx(3.0, abs=1e-14)
     with pytest.raises(ContractError):
         distance_to_slow_manifold(params, c, theta, w, order=2)
+    with pytest.raises(ContractError, match="weights must have shape"):
+        distance_to_slow_manifold(make_params(n=4), c, np.zeros(4), w, 1)
     # on a stack (P, N), (P, N, N): each state's np.linalg.norm, bit for bit
     rng = np.random.default_rng(3)
     for n in (3, 7, 16):
@@ -459,25 +461,27 @@ def phase_lag_coupling(a=0.3, b=1.1):
 @pytest.mark.parametrize("kind", ["kuramoto", "uv_slots", "phase_lag"])
 def test_exponential_reference_matches_rk4(kind):
     """On the model and epsilons of configs/converge.json, the study's
-    exponential reference stays within 1e-11 of RK4 at the finest
-    epsilon / 20 on the study's 0.001 grid (measured <= 1.6e-13), and at
+    exponential reference stays within 1e-11 of RK4 at each epsilon's own
+    epsilon / 20 on the study's 0.001 grid (measured <= 3.8e-13), and at
     the longest step MAX_REDUCED_DT within 1e-3 of the smallest order-1
     error of a study stepped there (measured 5.7e-10 against 9.1e-6).  The
     deviation form reads the target's derivative slots, which RK4 does
     not, so a wrong slot shows here: the difference form of make_kuramoto,
-    the (u, v) slots alone and a phase-lag coupling.  About 1.5 s each,
-    most of it the 16 000 RK4 steps."""
+    the (u, v) slots alone and a phase-lag coupling.  About 2.5 s each,
+    most of it the 30 000 one-row RK4 steps."""
     params, epsilons, theta0, coupling = shipped_converge_model()
     coupling = {"kuramoto": coupling,
                 "uv_slots": callables_only(drop=("target_diff",
                                                  "target_diff_d1")),
                 "phase_lag": phase_lag_coupling()}[kind]
-    starts = [FullState(theta=theta0, weights=slow_manifold(
-        replace(params, epsilon=e), coupling, theta0)) for e in epsilons]
-    # one stack at the finest epsilon / 20, sampled every 0.001
-    rk4 = integrate._full_stack(params, coupling, epsilons, starts,
-                                IntegrationConfig(dt=epsilons[-1] / 20,
-                                                  t_end=2.0, sample_every=8))[1]
+    rk4 = []
+    for e in epsilons:  # one run per epsilon at its own e / 20
+        at = replace(params, epsilon=e)
+        start = FullState(theta=theta0,
+                          weights=slow_manifold(at, coupling, theta0))
+        rk4.append(integrate_full(at, coupling, start, IntegrationConfig(
+            dt=e / 20, t_end=2.0, sample_every=round(0.02 / e))).thetas)
+    rk4 = np.stack(rk4, 1)  # sampled every 0.001
     grid = studies._sample_grid(default_config(epsilons[-1], 2.0, 0.05,
                                                2000))
     assert grid == IntegrationConfig(dt=0.001, t_end=2.0)
