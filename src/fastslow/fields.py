@@ -19,12 +19,12 @@ It alone holds the truncation order and, given both difference-form slots,
 evaluates the target at (u, v) = (theta_i, theta_j) as target_diff(phi),
 its d/du -target_diff_d1(phi) and its d/dv +target_diff_d1(phi).
 
-The model equations broadcast over leading axes: phases of shape (..., N)
-and weights of shape (..., N, N) give one result per leading index, equal
-to the result for that phase vector alone.  critical_weights evaluates
-target(u, v) itself; the scalar oracles pair_correction and
+The model equations take phases of shape (..., N) and weights of shape
+(..., N, N) with the same leading axes, and give one result per leading
+index, equal to the result for that phase vector alone.  critical_weights
+evaluates target(u, v) itself; the scalar oracles pair_correction and
 triplet_interaction take one phase vector (N,) and evaluate the coupling on
-their own, independently of ``_Core``.
+their own, not through ``_Core``.
 """
 
 from __future__ import annotations
@@ -42,17 +42,20 @@ from .model import (
 )
 
 
-def _check_shapes(n: int, theta, weights=None):
+def _check_shapes(n, theta, weights=None):
+    """theta as floats (..., N), N = n unless n is None, and weights as
+    floats of shape theta.shape + (N,) if given."""
     theta = np.asarray(theta, dtype=float)
+    n = theta.shape[-1] if n is None and theta.ndim else n
     if theta.shape[-1:] != (n,):
-        raise ContractError(
-            f"theta must have shape (..., {n}), got {theta.shape}")
+        raise ContractError(f"theta must have shape (..., {n or 'N'}), got "
+                            f"{theta.shape or 'a scalar'}")
     if weights is None:
         return theta
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[-2:] != (n, n):
-        raise ContractError(
-            f"weights must have shape (..., {n}, {n}), got {weights.shape}")
+    if weights.shape != theta.shape + (n,):
+        raise ContractError(f"weights must have shape {theta.shape + (n,)} "
+                            f"to match theta, got {weights.shape}")
     return theta, weights
 
 
@@ -66,13 +69,6 @@ def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     if not all(_is_int(i) and 0 <= i < n for i in indices):
         raise ContractError(
             f"indices {indices} are not ints or out of range for {n} nodes")
-    return theta
-
-
-def _check_phases(theta) -> FloatArray:  # theta as floats (..., N)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 0:
-        raise ContractError("theta must have shape (..., N), got a scalar")
     return theta
 
 
@@ -145,8 +141,9 @@ def phase_rhs(params: ModelParams, coupling, theta, weights) -> FloatArray:
     Component i is omega_i + (1/N) sum_j weights[i, j] * gamma(theta_j - theta_i).
     The sum runs over every j including j = i.
     """
-    theta, weights = _check_shapes(params.n_nodes, theta, weights)
-    return _Core(params, coupling).phase(weights, coupling.gamma(_phi(theta)))
+    core = _Core(params, coupling)
+    theta, weights = _check_shapes(core.n_nodes, theta, weights)
+    return core.phase(weights, coupling.gamma(_phi(theta)))
 
 
 def weight_rhs(coupling, theta, weights) -> FloatArray:
@@ -154,14 +151,14 @@ def weight_rhs(coupling, theta, weights) -> FloatArray:
 
     This is the raw adaptation field, not divided by epsilon.
     """
-    theta, weights = _check_shapes(_check_phases(theta).shape[-1], theta, weights)
+    theta, weights = _check_shapes(None, theta, weights)
     return -weights + critical_weights(coupling, theta)
 
 
 def critical_weights(coupling, theta) -> FloatArray:
     """Equilibrium weight matrix of the layer dynamics, entry (i, j) =
     target(theta_i, theta_j), evaluated as ``target(u, v)`` at phases (..., N)."""
-    theta = _check_phases(theta)
+    theta = _check_shapes(None, theta)
     return coupling.target(theta[..., :, None], theta[..., None, :])
 
 
@@ -197,8 +194,8 @@ def pair_correction(params: ModelParams, coupling, i: int, j: int, theta) -> flo
     + target_dv(theta_i, theta_j) * omega_j).  Scaled by epsilon/N when summed
     into the field.
     """
-    require_derivatives(coupling, 1)
-    theta = _check_indices(_check_shapes(params.n_nodes, theta), (i, j))
+    n = _Core(params, coupling, 1).n_nodes  # checks params and the slots
+    theta = _check_indices(_check_shapes(n, theta), (i, j))
     ti, tj = theta[i], theta[j]
     return float(-coupling.gamma(tj - ti)
                  * (coupling.target_du(ti, tj) * params.omega[i]

@@ -283,10 +283,10 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
 def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
                        config: IntegrationConfig) -> FloatArray:
     """The canonical phases (samples, S, N) of the full system at each
-    epsilons[r] from theta0 (N,) on its order-1 surface, stepped at config's
-    dt h and sampled like it, in u = [theta, y], y = w - w0(theta): u' = L u
-    + forcing(u), L zero on theta and -1/epsilon on y, the forcing [f, h1]
-    of _Core.terms at y.  The five-stage scheme of stiff order 4 of
+    epsilons[r] from theta0 (N finite phases, which the caller checks) on
+    its order-1 surface, stepped at config's dt h and sampled like it, in u
+    = [theta, y], y = w - w0(theta): u' = L u + forcing(u), L zero on theta
+    and -1/epsilon on y, the forcing [f, h1] of _Core.terms at y.  The five-stage scheme of stiff order 4 of
     Hochbruck & Ostermann (2005, SIAM J. Numer. Anal. 43:1069) takes L
     exactly, so no epsilon guard applies.  With z = h L and nodes c = (0,
     1/2, 1/2, 1, 1/2), stage i is e^(c_i z) u + h sum_j a_ij forcing(U_j)
@@ -295,9 +295,6 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
     the bits of its own one-row run."""
     core = _Core(params, coupling, 1)
     n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (n,) or not np.isfinite(theta0).all():
-        raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
     h = config.dt
     z = np.stack([np.zeros(eps.size), -h / eps], -1)  # on theta and y
     # phi_{j+1}(t) = (phi_j(t) - 1/j!) / t, phi_0 = exp, at z and z / 2 as

@@ -127,6 +127,8 @@ def attraction_study(params: ModelParams, coupling, initial: FullState,
     in [1e-8, half the initial distance].  An empty window is an
     experiment error.
     """
+    if not isinstance(initial, FullState):
+        raise ContractError(f"initial must be a FullState, got {initial!r}")
     d0 = distance_to_slow_manifold(params, coupling, initial.theta,
                                    initial.weights, order=1)
     if d0 < 0.1:
@@ -207,22 +209,23 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     For each epsilon the full system starts on the corrected weight surface
     (suppressing the initial fast transient up to its own higher-order
     error).  The reference is the exponential route, _exponential_stack,
-    which takes the weights' stiffness exactly: it and both reduced fields
-    are stepped at the sample spacing of default_config(epsilon, t_end,
-    dt_factor, max_samples), which is all dt_factor sets, split into equal
-    substeps no longer than MAX_REDUCED_DT = 0.01 at any epsilon.  On the
-    shipped converge model that reference is within 1e-11 of RK4 at epsilon
-    / 20 (1.6e-13 on the 0.001 grid), and at the longest step within 1e-3
-    of the smallest order-1 error (5.7e-10 against 9.1e-6).  The error is
-    the largest phase distance over the sampled window [0, t_end].
-    Requires a 1-d sequence of at least 3 finite epsilon values, strictly
-    decreasing, dt_factor <= 0.1 and t_end a whole number of steps at every
-    epsilon, all checked before any step.  The epsilons that share a sample
-    grid are stepped as two stacks, every row with the bits of its own run.
-    With _cpus() > 1 a _forked child steps every grid's reference while
-    this process steps the reduced stacks; if anything in that split
-    fails, a warning in the child included, every grid is stepped again in
-    one process, reference then reduced, which returns or raises the same.
+    which takes the weights' stiffness exactly, so one sample grid serves
+    the sweep: the finest sample spacing of default_config(epsilon, t_end,
+    dt_factor, max_samples) over the epsilons, which is all dt_factor sets,
+    split into equal substeps no longer than MAX_REDUCED_DT = 0.01.  The
+    reference at every epsilon is one stack, the order-0 field and the
+    order-1 field at every epsilon another, each row with the bits of its
+    own run.  On the shipped converge model that reference is within 1e-11
+    of RK4 at epsilon / 20 (<= 3.8e-13 on the 0.001 grid), and at the
+    longest step within 1e-3 of the smallest order-1 error (5.7e-10
+    against 9.1e-6).  The error is the largest phase distance over the
+    sampled window [0, t_end].  Requires a 1-d sequence of at least 3
+    finite epsilon values, strictly decreasing, dt_factor <= 0.1, t_end a
+    whole number of steps at every epsilon and theta0 N finite phases, all
+    checked before any step.  With _cpus() > 1 a _forked child steps the
+    reference while this process steps the reduced stack; if anything in
+    that split fails, a warning in the child included, both are stepped
+    again in one process, which returns or raises the same.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -234,53 +237,43 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ContractError("epsilons must be positive and strictly decreasing")
-    grids = [_sample_grid(default_config(float(e), t_end, dt_factor,
-                                         max_samples)) for e in eps]
+    # the finest of the epsilons' sample grids, each config a check
+    grid = min((_sample_grid(default_config(float(e), t_end, dt_factor,
+                                            max_samples)) for e in eps),
+               key=lambda g: g.dt * g.sample_every)
     if dt_factor > 0.1:
         raise ContractError(f"dt_factor must be <= 0.1, got {dt_factor}")
+    field = _Core(params_base, coupling, 1,
+                  np.concatenate([[0.0], eps])[:, None, None])
+    theta0, n = np.asarray(theta0, dtype=float), field.n_nodes
+    if theta0.shape != (n,) or not np.isfinite(theta0).all():
+        raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
 
-    groups = [[m for m, g in enumerate(grids) if g == grid]
-              for grid in dict.fromkeys(grids)]
-    errs0 = np.empty(eps.size)
-    errs1 = np.empty(eps.size)
+    def reference():
+        return _named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
+            params_base, coupling, eps, theta0, grid))
 
-    def reference(members):
-        return _named([f"epsilon={eps[m]}" for m in members],
-                      lambda: _exponential_stack(params_base, coupling,
-                                                 eps[members], theta0,
-                                                 grids[members[0]]))
+    def reduced():
+        return _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
+                      lambda: integrate_reduced(field, np.tile(
+                          theta0, (1 + eps.size, 1)), grid).thetas)
 
-    def reduced(members):
-        return _named(["order 0"] + [f"order 1 at epsilon={eps[m]}"
-                                     for m in members],
-                      lambda: integrate_reduced(_Core(
-                          params_base, coupling, 1, np.concatenate(
-                              [[0.0], eps[members]])[:, None, None]),
-                          np.tile(theta0, (1 + len(members), 1)),
-                          grids[members[0]]).thetas)
-
-    def compare(members, phases, thetas):
-        for row, m in enumerate(members):
-            errs0[m] = phase_distance(phases[:, row], thetas[:, 0])
-            errs1[m] = phase_distance(phases[:, row], thetas[:, 1 + row])
-
-    def save_references(file):
+    def save_reference(file):
         # a warning fails the split, so the one-process run gives it once
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for members in groups:
-                np.save(file.buffer, reference(members))
-    split = False  # unless it succeeds: a failure is left to one process
+            np.save(file.buffer, reference())
+    phases = None  # unless the split succeeds: a failure is left to one process
     if _cpus() > 1:
-        with suppress(Exception), _forked(
-                [save_references], lambda: [reduced(ms) for ms in groups],
-                "stepping the references") as (stacks, (file,)):
-            for members, thetas in zip(groups, stacks):
-                compare(members, np.load(file.buffer), thetas)
-            split = True
-    if not split:
-        for members in groups:
-            compare(members, reference(members), reduced(members))
+        with suppress(Exception), _forked([save_reference], reduced,
+                                          "stepping the reference") as split:
+            thetas, phases = split[0], np.load(split[1][0].buffer)
+    if phases is None:
+        phases, thetas = reference(), reduced()
+    errs0 = np.array([phase_distance(phases[:, m], thetas[:, 0])
+                      for m in range(eps.size)])
+    errs1 = np.array([phase_distance(phases[:, m], thetas[:, 1 + m])
+                      for m in range(eps.size)])
 
     degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     fit0, fit1 = (None, None) if degenerate else \

@@ -27,6 +27,17 @@ def no_child_left():
                                       f"{pid} was left unreaped"))
 
 
+def use_cpus(monkeypatch, n):
+    """Let integrate._cpus() see n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call":
         return

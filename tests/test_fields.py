@@ -461,6 +461,15 @@ def test_field_rejects_wrong_shape():
         ReducedField(order=1, params=None, coupling=c)
     with pytest.raises(ContractError, match="weights must have shape"):
         phase_rhs(params, c, np.zeros(3), np.zeros((3, 2)))
+    # the weights' leading axes are the phases', not broadcast against them
+    for call in (lambda t, w: phase_rhs(params, c, t, w),
+                 lambda t, w: weight_rhs(c, t, w)):
+        with pytest.raises(ContractError, match=r"shape \(5, 3, 3\)"):
+            call(np.zeros((5, 3)), np.zeros((2, 3, 3)))
+    with pytest.raises(ContractError, match="ModelParams"):
+        phase_rhs(None, c, np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(ContractError, match="ModelParams"):
+        pair_correction(None, c, 0, 1, np.zeros(3))
     # a scalar phase has no node axis: unchecked, numpy raises IndexError
     with pytest.raises(ContractError, match="scalar"):
         weight_rhs(c, 0.5, np.zeros((1, 1)))

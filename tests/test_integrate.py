@@ -38,6 +38,7 @@ from fastslow import (
 from fastslow import integrate as integrate_module
 from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, \
     _integrate, _sample_times, _write_table
+from conftest import assert_no_child_left, use_cpus
 
 TWO_PI = 2 * np.pi
 
@@ -658,11 +659,6 @@ def test_write_table_rejects_column_names_that_miss_the_parts():
                                             (np.array([0, 1]), [1.0])])
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """Force the CSV split on any table and list the children forked,
@@ -682,11 +678,6 @@ def forks(monkeypatch):
     yield calls
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
 
 
 def csv_parts(n_rows, gathered):

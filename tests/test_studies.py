@@ -35,6 +35,7 @@ from fastslow import (
     weight_correction,
     wrap_phase,
 )
+from conftest import assert_no_child_left, use_cpus
 from test_model import callables_only
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,6 +116,9 @@ def test_distance_is_frobenius():
         distance_to_slow_manifold(params, c, theta, w, order=2)
     with pytest.raises(ContractError, match="weights must have shape"):
         distance_to_slow_manifold(make_params(n=4), c, np.zeros(4), w, 1)
+    with pytest.raises(ContractError, match="weights must have shape"):
+        distance_to_slow_manifold(params, c, np.zeros((5, 3)),
+                                  np.zeros((2, 3, 3)), 1)
     # on a stack (P, N), (P, N, N): each state's np.linalg.norm, bit for bit
     rng = np.random.default_rng(3)
     for n in (3, 7, 16):
@@ -179,6 +183,8 @@ def test_attraction_rejects_on_surface_start():
     config = default_config(params.epsilon, t_end=6 * params.epsilon)
     with pytest.raises(ContractError):
         attraction_study(params, c, state, config)
+    with pytest.raises(ContractError, match="FullState"):
+        attraction_study(params, c, None, config)
 
 
 def test_attraction_short_horizon_has_empty_window():
@@ -264,27 +270,27 @@ def test_convergence_wraps_integration_failure():
                          gamma_d1=np.cos,
                          target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
                          target_dv=lambda u, v: 0.0 * u)
-    for epsilons, t_end, max_samples, failing in [
-            # three sample grids, one full row each: the first grid fails
-            ([0.02, 0.01, 0.005], 0.1, 2000, [0.02]),
-            # one grid of three rows, which share every step: all three
-            # fail in the first
-            ([0.03, 0.015, 0.01], 0.3, 50, [0.03, 0.015, 0.01])]:
+    for epsilons, t_end, max_samples, at in [
+            # three default grids, stepped as one stack on the finest
+            ([0.02, 0.01, 0.005], 0.1, 2000, "t=0.0015 (step 6)"),
+            # one default grid
+            ([0.03, 0.015, 0.01], 0.3, 50, "t=0.006 (step 1)")]:
         with pytest.raises(ExperimentError) as info:
             convergence_study(params, exploding, np.zeros(3), epsilons,
                               t_end=t_end, max_samples=max_samples)
-        # each failing row is named by its own epsilon, not by the sweep
+        # the rows share every step, so all fail in the same one, and each
+        # is named by its own epsilon, not by the sweep
         assert str(info.value).startswith("integration failed at " + ", ".join(
-            f"epsilon={e}" for e in failing) + ": full-system integration "
-            "failed ")
+            f"epsilon={e}" for e in epsilons) + ": full-system integration "
+            "failed in rows 0, 1, 2 at " + at)
         assert str(epsilons) not in str(info.value)
 
 
 def record_runs(monkeypatch):
     """Record every stack the convergence study integrates, in order:
-    ("full", epsilons, config) for a full-system stack and ("reduced",
-    epsilons, config, trajectory) for a reduced stack, whose epsilon is 0
-    in the order-0 row.  A forked child's stacks are not seen here, so the
+    ("full", epsilons, config) for the full-system stack and ("reduced",
+    epsilons, config, trajectory) for the reduced stack, whose epsilon is 0
+    in the order-0 row.  A forked child's stack is not seen here, so the
     study runs in one process."""
     runs = []
     monkeypatch.setattr(studies, "_cpus", lambda: 1)
@@ -306,32 +312,28 @@ def record_runs(monkeypatch):
 
 
 def check_stacks(runs, epsilons, t_end, max_samples):
-    """Each grid is one full stack and then one reduced stack of the order-0
-    field and the order-1 field at the full stack's epsilons, both on the
-    grid _sample_grid(default_config(epsilon)) of each of those epsilons,
-    which steps every epsilon exactly once and samples at the times of each
-    epsilon's own default config."""
-    assert [run[0] for run in runs] == ["full", "reduced"] * (len(runs) // 2)
-    stacked = []
-    for (_, eps_full, grid), (_, eps, reduced_grid, traj) in zip(
-            runs[::2], runs[1::2]):
-        assert eps == [0.0] + eps_full and reduced_grid == grid
-        assert traj.thetas.shape[1] == len(eps)
-        for e in eps_full:
-            config = default_config(e, t_end, 0.05, max_samples)
-            assert studies._sample_grid(config) == grid
-            times = np.arange(0, config.n_steps + 1, config.sample_every) \
-                * config.dt
-            np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
-        stacked += eps_full
-    assert sorted(stacked, reverse=True) == list(epsilons)
+    """One full stack of every epsilon, then one reduced stack of the
+    order-0 field and the order-1 field at every epsilon, both on one grid:
+    the grid _sample_grid(default_config(epsilon)) of an epsilon whose
+    sample spacing is no coarser than any other's, sampled at the times of
+    that epsilon's default config."""
+    assert [run[0] for run in runs] == ["full", "reduced"]
+    (_, eps_full, grid), (_, eps, reduced_grid, traj) = runs
+    assert eps_full == list(epsilons) and eps == [0.0] + eps_full
+    assert reduced_grid == grid and traj.thetas.shape[1] == len(eps)
+    configs = [default_config(e, t_end, 0.05, max_samples) for e in epsilons]
+    spacing = grid.dt * grid.sample_every
+    assert all(spacing <= c.dt * c.sample_every * (1 + 1e-12) for c in configs)
+    config = next(c for c in configs if studies._sample_grid(c) == grid)
+    times = np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
+    np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("epsilons, max_samples, n_reduced", [
     # every full run samples every 0.001 (201 samples): one grid, 5 rows
     ([0.02, 0.01, 0.005, 0.0025], 200, 5),
-    # spacings 0.001/0.0005/0.00025: three grids of 2 rows each
-    ([0.02, 0.01, 0.005], 2000, 6),
+    # spacings 0.001/0.0005/0.00025: one stack of 4 rows on the finest
+    ([0.02, 0.01, 0.005], 2000, 4),
     # every full run samples every 0.025: 3 reduced substeps per sample
     ([0.02, 0.01, 0.005], 8, 4),
 ])
@@ -343,16 +345,14 @@ def test_convergence_integrates_order0_once_per_grid(monkeypatch, epsilons,
     report = convergence_study(params, make_kuramoto(0.6), theta0, epsilons,
                                t_end=0.2, max_samples=max_samples)
     check_stacks(runs, epsilons, 0.2, max_samples)
-    reduced = [run for run in runs if run[0] == "reduced"]
-    # one reduced stack per grid, each with one order-0 row
-    assert len(reduced) == n_reduced - len(epsilons)
-    assert sum(len(run[1]) for run in reduced) == n_reduced
+    # one reduced stack, with one order-0 row
+    _, eps, config, _ = runs[1]
+    assert len(eps) == n_reduced and eps.count(0.0) == 1
     # the fewest equal substeps no longer than MAX_REDUCED_DT per sample
-    for _, _, config, _ in reduced:
-        substeps = config.sample_every
-        assert config.dt <= studies.MAX_REDUCED_DT
-        assert substeps == 1 or config.dt * substeps / (substeps - 1) \
-            > studies.MAX_REDUCED_DT
+    substeps = config.sample_every
+    assert config.dt <= studies.MAX_REDUCED_DT
+    assert substeps == 1 or config.dt * substeps / (substeps - 1) \
+        > studies.MAX_REDUCED_DT
     assert not report.degenerate
 
 
@@ -394,15 +394,12 @@ def test_reduced_step_error_budget(monkeypatch):
     assert np.array_equal(wrap_phase(refs[:, -1]), alone.thetas)
 
 
-def per_epsilon_errors(params, coupling, theta0, epsilons, t_end,
-                       max_samples):
+def per_epsilon_errors(params, coupling, theta0, epsilons, grid):
     """Reduction errors from each epsilon's own one-row exponential run and
-    reduced runs, integrated one at a time on the same sample grids."""
+    reduced runs, integrated one at a time on the sweep's grid."""
     errs = np.empty((2, len(epsilons)))
     for m, e in enumerate(epsilons):
         p = replace(params, epsilon=e)
-        grid = studies._sample_grid(default_config(e, t_end, 0.05,
-                                                   max_samples))
         full = integrate._exponential_stack(params, coupling, [e], theta0,
                                             grid)[:, 0]
         for order in (0, 1):
@@ -414,22 +411,23 @@ def per_epsilon_errors(params, coupling, theta0, epsilons, t_end,
 
 @pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
     ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
+    # spacings 0.001/0.0005/0.00025, stepped on the finest
     ([0.02, 0.01, 0.005], 0.2, 2000, 3),
     # 12, 8 and 4 full steps of epsilon / 20 per sample, one grid
     ([0.03, 0.015, 0.01], 0.3, 50, 1),
 ])
 def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
                                               max_samples, n_grids):
+    assert len({studies._sample_grid(default_config(
+        e, t_end, 0.05, max_samples)) for e in epsilons}) == n_grids
     params = make_params(n=4, seed=11)
     c = make_kuramoto(0.7)
     theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
-    expected = per_epsilon_errors(params, c, theta0, epsilons, t_end,
-                                  max_samples)
     runs = record_runs(monkeypatch)
     report = convergence_study(params, c, theta0, epsilons, t_end=t_end,
                                max_samples=max_samples)
-    assert len(runs) == 2 * n_grids
     check_stacks(runs, epsilons, t_end, max_samples)
+    expected = per_epsilon_errors(params, c, theta0, epsilons, runs[0][2])
     assert np.array_equal(report.errors_order0, expected[0])
     assert np.array_equal(report.errors_order1, expected[1])
 
@@ -526,16 +524,6 @@ def forks(monkeypatch):
     signal.signal(signal.SIGALRM, previous)
 
 
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def report_bytes(report):
     """Every array of a ConvergenceReport, as bytes."""
     fits = [getattr(fit, name) for fit in (report.fit_order0,
@@ -569,9 +557,10 @@ def one_process(monkeypatch, forks, study):
 @pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
     # one grid of four rows
     ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
-    # 0.04 and 0.008, 0.03 and 0.02, 0.025 and 0.0125 share three grids
+    # three default grids, shared by 0.04 and 0.008, 0.03 and 0.02, 0.025
+    # and 0.0125, stepped as one stack on the finest
     ([0.04, 0.03, 0.025, 0.02, 0.0125, 0.008], 0.3, 20, 3),
-    # three grids of one row each
+    # three default grids of one epsilon each
     ([0.02, 0.01, 0.005], 0.2, 2000, 3),
 ])
 def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
@@ -582,7 +571,7 @@ def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
     study = split_case(epsilons, t_end, max_samples)
     one = one_process(monkeypatch, forks, study)
     assert study() == one
-    # one child steps every grid's reference; this process steps none
+    # one child steps the reference; this process steps none
     assert forks == {"fork": 1, "reference": 0}
     assert_no_child_left()
 
@@ -592,8 +581,8 @@ def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
 def test_split_convergence_failure_is_the_one_process_failure(forks,
                                                              monkeypatch):
     # the two cases of test_convergence_wraps_integration_failure: three
-    # grids of one row and one grid of three rows; the split fails and the
-    # study runs again in one process, which raises the same error
+    # default grids and one; the split fails and the study runs again in
+    # one process, which raises the same error
     params = make_params(omega=np.full(3, 1e4))
     exploding = Coupling(gamma=np.sin,
                          target=lambda u, v: np.exp(50.0 * u + 0.0 * v),
@@ -627,7 +616,7 @@ def test_split_convergence_child_without_room_gives_one_process_result(
     monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
                         io.TextIOWrapper(NoRoom(), encoding="utf-8"))
     # the child fails to write its phases; the study runs again in one
-    # process, which steps the one grid's reference
+    # process, which steps the reference
     assert study() == one
     assert forks == {"fork": 1, "reference": 1}
     assert_no_child_left()
@@ -651,7 +640,7 @@ def test_split_convergence_child_that_warns_gives_one_process_warnings(
             given.append(study())
         given.append([str(w.message) for w in seen])
     assert given[:2] == given[2:]
-    assert given[1] == ["the reference warns"] * 3
+    assert given[1] == ["the reference warns"]
     assert forks["fork"] == 1
     assert_no_child_left()
 
@@ -677,3 +666,16 @@ def test_convergence_is_not_split_without_fork_threads_or_cpus(forks,
     assert study() == one
     assert forks == {"fork": 1, "reference": 2}
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("theta0", [[np.nan, 0.0, 0.0], np.zeros(4)],
+                         ids=["nan", "4 phases"])
+def test_convergence_checks_theta0_before_any_fork_or_step(forks, monkeypatch,
+                                                          theta0):
+    def no_step(*args):
+        raise AssertionError("a Runge-Kutta step was taken")
+    monkeypatch.setattr(integrate, "rk4_step", no_step)
+    with pytest.raises(ContractError, match="theta0 must be 3 finite phases"):
+        convergence_study(make_params(), make_kuramoto(0.5), theta0,
+                          [0.02, 0.01, 0.005], t_end=0.2)
+    assert forks == {"fork": 0, "reference": 0}
