@@ -167,7 +167,8 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
                 f"only 'uniform' is supported, got {dist!r}")
         low = _as_float(omega_cfg.get("low", -1.0), "model.omega.low")
         high = _as_float(omega_cfg.get("high", 1.0), "model.omega.high")
-        _expect(low < high, "model.omega", "low must be below high")
+        _expect(0 < high - low < math.inf, "model.omega",
+                "low must be below high, by a finite range")
         rng = seeds.rng("omega", omega_cfg.get("seed"), "model.omega")
         omega = rng.uniform(low, high, n_nodes)
     else:
@@ -207,13 +208,11 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_horizon(cfg: dict, epsilons,
+def _resolve_horizon(cfg: dict, epsilon: float,
                      default_t_end: float = DEFAULT_T_END):
-    """Return (dt_factor, t_end) for runs at each of ``epsilons``.  An unset
-    t_end is ``default_t_end`` rounded up to whole steps at each epsilon in
-    turn until a pass leaves it unchanged.  The pass cap is a policy: a
-    common whole horizon may lie further out, but it has drifted from the
-    default, so the user must set it."""
+    """Return (dt_factor, t_end) for runs at ``epsilon``.  An unset t_end is
+    ``default_t_end``, rounded up to whole steps there if IntegrationConfig
+    refuses it; once is enough, as ceil(steps) * dt is whole steps."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
@@ -224,25 +223,18 @@ def _resolve_horizon(cfg: dict, epsilons,
         t_end = _as_float(block["t_end"], "integration.t_end")
         _expect(t_end > 0, "integration.t_end", "must be > 0")
         return dt_factor, t_end
-    passes = len(epsilons) + 1
-    t_end = default_t_end
-    for _ in range(passes):
-        settled = t_end
-        for epsilon in epsilons:
-            dt = float(epsilon) * dt_factor
-            steps = t_end / dt  # the whole-step test of IntegrationConfig
-            if abs(steps - round(steps)) > 1e-9 * steps:
-                t_end = math.ceil(steps) * dt
-        if t_end == settled:
-            return dt_factor, t_end
-    raise ConfigError(f"integration.t_end: rounding the default horizon up "
-                      f"to whole steps still moved it on pass {passes}; set it")
+    dt, t_end = epsilon * dt_factor, default_t_end
+    try:
+        IntegrationConfig(dt, t_end)
+    except ContractError:
+        t_end = math.ceil(t_end / dt) * dt
+    return dt_factor, t_end
 
 
 def _resolve_integration(cfg: dict, epsilon: float,
                          default_t_end: float = DEFAULT_T_END):
     """Return the IntegrationConfig at this epsilon."""
-    dt_factor, t_end = _resolve_horizon(cfg, [epsilon], default_t_end)
+    dt_factor, t_end = _resolve_horizon(cfg, epsilon, default_t_end)
     try:
         config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
     except ContractError as exc:
@@ -256,10 +248,10 @@ def _resolve_integration(cfg: dict, epsilon: float,
                               f"integration.sample_every") from exc
     # a set stride replaces the default one, which may not exist
     sample_every = _as_int(sample_every, "integration.sample_every")
-    _expect(sample_every >= 1 and config.n_steps % sample_every == 0,
-            "integration.sample_every",
-            f"must be >= 1 and divide the {config.n_steps} steps")
-    return dataclasses.replace(config, sample_every=sample_every)
+    try:
+        return dataclasses.replace(config, sample_every=sample_every)
+    except ContractError as exc:
+        raise ConfigError(f"integration.sample_every: {exc}") from exc
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
@@ -446,7 +438,7 @@ def cmd_converge(raw_config, seeds: SeedBook):
     # convergence_study picks its own stride (at most 2000 samples per run)
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
-    dt_factor, t_end = _resolve_horizon(raw_config, epsilon_list)
+    dt_factor, t_end = _resolve_horizon(raw_config, epsilon_list[-1])
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end, dt_factor=dt_factor)

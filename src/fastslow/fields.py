@@ -45,14 +45,17 @@ from .model import (
 def _check_shapes(n, theta, weights=None):
     """theta as floats (..., N), N = n unless n is None, and weights as
     floats of shape theta.shape + (N,) if given."""
-    theta = np.asarray(theta, dtype=float)
+    try:
+        theta = np.asarray(theta, dtype=float)
+        weights = None if weights is None else np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"non-numeric phases or weights: {exc}") from exc
     n = theta.shape[-1] if n is None and theta.ndim else n
     if theta.shape[-1:] != (n,):
         raise ContractError(f"theta must have shape (..., {n or 'N'}), got "
                             f"{theta.shape or 'a scalar'}")
     if weights is None:
         return theta
-    weights = np.asarray(weights, dtype=float)
     if weights.shape != theta.shape + (n,):
         raise ContractError(f"weights must have shape {theta.shape + (n,)} "
                             f"to match theta, got {weights.shape}")
@@ -62,7 +65,7 @@ def _check_shapes(n, theta, weights=None):
 def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     """theta as floats, one phase vector (N,), or any (..., N) with
     ``stack``; every index must be an int (not a bool) in range(N)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_shapes(None, theta)
     if not (stack or theta.ndim == 1):
         raise ContractError(f"theta must have shape (N,), got {theta.shape}")
     n = theta.shape[-1]

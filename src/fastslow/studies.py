@@ -122,19 +122,19 @@ def attraction_study(params: ModelParams, coupling, initial: FullState,
     """Integrate the full system from off-surface initial data and fit the
     decay of the order-1 manifold distance against fast time.
 
-    The initial distance must be at least 0.1; starting on the surface
-    leaves nothing to fit.  Samples enter the fit while their distance lies
-    in [1e-8, half the initial distance].  An empty window is an
-    experiment error.
+    The initial distance must be finite and at least 0.1; starting on the
+    surface leaves nothing to fit.  Samples enter the fit while their
+    distance lies in [1e-8, half the initial distance].  An empty window is
+    an experiment error.
     """
     if not isinstance(initial, FullState):
         raise ContractError(f"initial must be a FullState, got {initial!r}")
     d0 = distance_to_slow_manifold(params, coupling, initial.theta,
                                    initial.weights, order=1)
-    if d0 < 0.1:
+    if not 0.1 <= d0 < np.inf:
         raise ContractError(
-            f"initial state must start off the surface (distance >= 0.1), "
-            f"got {d0:.3g}")
+            f"initial state must start off the surface (distance >= 0.1) "
+            f"at a finite distance, got {d0:.3g}")
     traj = integrate_full(params, coupling, initial, config)
     dists = distance_to_slow_manifold(params, coupling, traj.thetas,
                                       traj.weights, order=1)
@@ -178,9 +178,9 @@ class ConvergenceReport:
 
 
 def _sample_grid(config: IntegrationConfig) -> IntegrationConfig:
-    """Config that steps a reduced field onto the sample times of a full
-    run with ``config``: one sample per sample spacing dt * sample_every,
-    reached in the fewest equal substeps no longer than MAX_REDUCED_DT."""
+    """Config that steps a reduced field onto the sample times of ``config``,
+    the finest epsilon's default: one sample per spacing dt * sample_every,
+    in the fewest equal substeps no longer than MAX_REDUCED_DT."""
     spacing = config.dt * config.sample_every
     n_samples = config.n_steps // config.sample_every + 1
     substeps = max(1, int(np.ceil(spacing / MAX_REDUCED_DT)))
@@ -210,9 +210,9 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     (suppressing the initial fast transient up to its own higher-order
     error).  The reference is the exponential route, _exponential_stack,
     which takes the weights' stiffness exactly, so one sample grid serves
-    the sweep: the finest sample spacing of default_config(epsilon, t_end,
-    dt_factor, max_samples) over the epsilons, which is all dt_factor sets,
-    split into equal substeps no longer than MAX_REDUCED_DT = 0.01.  The
+    the sweep: the sample spacing of default_config(epsilons[-1], t_end,
+    dt_factor, max_samples) at the finest epsilon, which is all dt_factor
+    sets, split into equal substeps no longer than MAX_REDUCED_DT = 0.01.  The
     reference at every epsilon is one stack, the order-0 field and the
     order-1 field at every epsilon another, each row with the bits of its
     own run.  On the shipped converge model that reference is within 1e-11
@@ -221,7 +221,7 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     against 9.1e-6).  The error is the largest phase distance over the
     sampled window [0, t_end].  Requires a 1-d sequence of at least 3
     finite epsilon values, strictly decreasing, dt_factor <= 0.1, t_end a
-    whole number of steps at every epsilon and theta0 N finite phases, all
+    whole number of steps at the finest epsilon and theta0 N finite phases, all
     checked before any step.  With _cpus() > 1 a _forked child steps the
     reference while this process steps the reduced stack; if anything in
     that split fails, a warning in the child included, both are stepped
@@ -237,15 +237,13 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ContractError("epsilons must be positive and strictly decreasing")
-    # the finest of the epsilons' sample grids, each config a check
-    grid = min((_sample_grid(default_config(float(e), t_end, dt_factor,
-                                            max_samples)) for e in eps),
-               key=lambda g: g.dt * g.sample_every)
+    grid = _sample_grid(default_config(float(eps[-1]), t_end, dt_factor,
+                                       max_samples))
     if dt_factor > 0.1:
         raise ContractError(f"dt_factor must be <= 0.1, got {dt_factor}")
     field = _Core(params_base, coupling, 1,
                   np.concatenate([[0.0], eps])[:, None, None])
-    theta0, n = np.asarray(theta0, dtype=float), field.n_nodes
+    theta0, n = _check_shapes(None, theta0), field.n_nodes
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
 

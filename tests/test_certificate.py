@@ -67,6 +67,11 @@ def test_stencil_rejects_repeated_indices():
     # distinct but not node indices: (0, 4, -1) would be d^2 F_0 / d theta_4^2
     with pytest.raises(ContractError):
         mixed_second_derivative_fd(order1_field(n=5), 0, 4, -1, np.zeros(5))
+    # non-numeric phases: unchecked, numpy raises ValueError
+    with pytest.raises(ContractError, match="non-numeric"):
+        mixed_second_derivative_fd(probe, 0, 1, 2, ["a", "b", "c"])
+    with pytest.raises(ContractError, match="non-numeric"):
+        triplet_mixed_derivative(make_kuramoto(0.5), 0, 1, 2, ["a", "b", "c"])
 
 
 def test_stack_equals_per_point():
@@ -416,6 +421,8 @@ def test_pushforward_validation():
         pushed(np.zeros(4))
     with pytest.raises(ContractError):
         pushed(np.zeros((2, 2)))
+    with pytest.raises(ContractError, match="non-numeric"):
+        pushed(["a", "b", "c"])
 
 
 @pytest.mark.parametrize("perm", [

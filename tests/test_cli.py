@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -353,34 +354,20 @@ def test_attract_default_horizon_is_whole_steps(tmp_path, dt_factor):
 @pytest.mark.parametrize("command,epsilons", [
     ("simulate", {"epsilon": 0.08}),
     ("converge", {"epsilon_list": [0.08, 0.04, 0.02]}),
-    # not a halving list: 2.0013, whole at 0.03, is not whole at 0.02
+    # not a halving list: the rounded horizon need not be whole at 0.03
     ("converge", {"epsilon_list": [0.03, 0.02, 0.01]})])
 def test_default_t_end_is_whole_steps(tmp_path, command, epsilons):
     # 2.0 is not a whole number of steps of 0.07 * epsilon; the default
-    # horizon rounds up to the next whole step of every epsilon
+    # horizon rounds up once, to the next whole step of the finest epsilon
     cfg = copy.deepcopy(SIMULATE if command == "simulate" else CONVERGE)
     cfg["model"].update(epsilons)
     cfg["integration"] = {"dt_factor": 0.07}
     code, out = run(tmp_path, command, cfg, extra=["--quiet"])
     assert code == 0
     t_end = json.loads((out / "report.json").read_text())["t_end"]
-    for epsilon in epsilons.get("epsilon_list", [epsilons.get("epsilon")]):
-        steps = t_end / (0.07 * epsilon)
-        assert abs(steps - round(steps)) < 1e-9
-    # the next common whole step lies beyond 2.0 + 0.07 * 0.08 in each
-    # case (2.0112 and 2.0076), so this pins the smallest one
-    assert 2.0 < t_end < 2.0 + 0.07 * 0.08
-
-
-def test_unsettled_default_t_end_is_config_error(tmp_path, capsys):
-    # rounding up at 0.031, 0.017 and 0.013 in turn still moves the horizon
-    # on the fourth pass; a common whole horizon exists near 2.398, but the
-    # pass cap refuses a default that far from 2.0
-    cfg = copy.deepcopy(CONVERGE)
-    cfg["model"]["epsilon_list"] = [0.031, 0.017, 0.013]
-    cfg["integration"] = {"dt_factor": 0.07}
-    err = expect_config_error(tmp_path, capsys, "converge", cfg)
-    assert "integration.t_end" in err and "pass 4" in err
+    dt = epsilons.get("epsilon_list", [epsilons.get("epsilon")])[-1] * 0.07
+    assert abs(t_end / dt - round(t_end / dt)) < 1e-9
+    assert t_end == math.ceil(2.0 / dt) * dt
 
 
 def test_prime_step_count_needs_sample_every(tmp_path, capsys):
@@ -408,11 +395,11 @@ def test_history_over_the_memory_cap_is_contract_error(tmp_path, capsys):
 
 
 def test_converge_horizon_without_stride_is_error(tmp_path, capsys):
-    # 2003 steps of 0.001 at epsilon 0.02 is prime: under converge's
-    # 2000-sample cap the only stride stores one sample; converge rejects
-    # sample_every, so the message does not offer it
+    # 2003 steps of 0.00025 at the finest epsilon 0.005 is prime: under
+    # converge's 2000-sample cap the only stride stores one sample; converge
+    # rejects sample_every, so the message does not offer it
     cfg = copy.deepcopy(CONVERGE)
-    cfg["integration"] = {"t_end": 2.003}
+    cfg["integration"] = {"t_end": 0.50075}
     err = expect_config_error(tmp_path, capsys, "converge", cfg)
     assert "2003 steps" in err and "sample_every" not in err
 
@@ -528,6 +515,14 @@ def test_wrong_omega_length_is_config_error(tmp_path, capsys):
     cfg["model"]["omega"] = "uniform"
     err = expect_config_error(tmp_path, capsys, "certify", cfg)
     assert err.startswith("config error: model.omega: must be")
+
+
+def test_omega_range_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    # high - low overflows, and no uniform draw can span it
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["model"]["omega"].update(low=-1e308, high=1e308)
+    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+    assert err.startswith("config error: model.omega: low must be below high")
 
 
 def test_two_nodes_cannot_certify(tmp_path, capsys):

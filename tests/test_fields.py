@@ -475,3 +475,16 @@ def test_field_rejects_wrong_shape():
         weight_rhs(c, 0.5, np.zeros((1, 1)))
     with pytest.raises(ContractError, match="scalar"):
         critical_weights(c, 0.5)
+    # non-numeric phases or weights: unchecked, numpy raises ValueError
+    text = ["a", "b", "c"]
+    for call in (lambda: field(text),
+                 lambda: phase_rhs(params, c, text, np.zeros((3, 3))),
+                 lambda: phase_rhs(params, c, np.zeros(3), [text] * 3),
+                 lambda: weight_rhs(c, text, np.zeros((3, 3))),
+                 lambda: critical_weights(c, text),
+                 lambda: slow_manifold(params, c, text),
+                 lambda: weight_correction(params, c, text),
+                 lambda: pair_correction(params, c, 0, 1, text),
+                 lambda: triplet_interaction(c, 0, 1, 2, text)):
+        with pytest.raises(ContractError, match="non-numeric"):
+            call()

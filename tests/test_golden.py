@@ -1,10 +1,13 @@
 """The shipped configs reproduce their committed reports and tables.
 
 Each golden file under tests/golden/ is the report.json that
-``fastslow <cmd> --config configs/<cmd>.json`` wrote before the integrator
-refactor that introduced this test.  The converge report was regenerated
-when the reduced fields moved from the full system's step to its sample
-grid, which moved its floats by at most 2.5e-8 relative, and the converge
+``fastslow <cmd> --config configs/<name>.json`` wrote before the integrator
+refactor that introduced this test; <cmd> is <name> up to its first
+underscore.  The converge_wide report and table, of the 8-epsilon sweep,
+were written later, when every epsilon was already stepped on one sample
+grid; its epsilons share one default sample grid.  The converge report was
+regenerated when the reduced fields moved from the full system's step to
+its sample grid, which moved its floats by at most 2.5e-8 relative, and the converge
 report and table again when the RK4 reference at epsilon / 20 gave way to
 the exponential reference on the sample grid, which moved the errors by
 at most 2.6e-13 absolute (3.7e-9 relative).  Strings, integers, booleans
@@ -65,22 +68,24 @@ def assert_matches(got, want, path="report"):
         assert type(got) is type(want) and got == want, path
 
 
-@pytest.mark.parametrize("command", ["simulate", "certify", "converge", "attract"])
-def test_shipped_config_matches_golden(tmp_path, command):
-    out = tmp_path / command
-    code = main([command, "--config", str(ROOT / "configs" / f"{command}.json"),
+@pytest.mark.parametrize("name", ["simulate", "certify", "converge",
+                                  "converge_wide", "attract"])
+def test_shipped_config_matches_golden(tmp_path, name):
+    command = name.split("_")[0]
+    out = tmp_path / name
+    code = main([command, "--config", str(ROOT / "configs" / f"{name}.json"),
                  "--out", str(out), "--quiet"])
     assert code == 0
     got = json.loads((out / "report.json").read_text(encoding="utf-8"))
     want = json.loads(
-        (ROOT / "tests" / "golden" / f"{command}.report.json")
+        (ROOT / "tests" / "golden" / f"{name}.report.json")
         .read_text(encoding="utf-8"))
     assert_matches(got, want)
     if command == "simulate":
         assert_simulate_table(out / "raw.csv", got)
     else:
         assert_table_matches(out / "raw.csv",
-                             ROOT / "tests" / "golden" / f"{command}.raw.csv",
+                             ROOT / "tests" / "golden" / f"{name}.raw.csv",
                              CSV_INT_COLUMNS[command])
 
 

@@ -176,6 +176,7 @@ def test_attraction_rate_near_one_with_moving_phases():
     assert report.distances[0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_attraction_rejects_on_surface_start():
     params = make_params(epsilon=0.01)
     c = make_kuramoto(0.6)
@@ -185,6 +186,10 @@ def test_attraction_rejects_on_surface_start():
         attraction_study(params, c, state, config)
     with pytest.raises(ContractError, match="FullState"):
         attraction_study(params, c, None, config)
+    # finite weights whose distance overflows leave nothing to fit
+    state = off_surface_state(params, c, norm=1e300)
+    with pytest.raises(ContractError, match="finite distance, got inf"):
+        attraction_study(params, c, state, config)
 
 
 def test_attraction_short_horizon_has_empty_window():
@@ -210,9 +215,16 @@ def test_convergence_validation():
     with pytest.raises(ContractError):
         convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
                           dt_factor=0.2)
-    # t_end = 0.3 is 300 and 600 steps at 0.02 and 0.01, but not whole at 0.014
+    # t_end = 0.3 is 300 and 600 steps at 0.02 and 0.01, but not whole at
+    # the finest epsilon 0.007; at a coarser one it need not be
     with pytest.raises(ContractError, match="whole number of steps"):
-        convergence_study(params, c, theta0, [0.02, 0.014, 0.01], t_end=0.3)
+        convergence_study(params, c, theta0, [0.02, 0.01, 0.007], t_end=0.3)
+    assert convergence_study(params, c, theta0, [0.02, 0.014, 0.01],
+                             t_end=0.3).epsilons.size == 3
+    # unchecked, numpy raises ValueError for non-numeric phases
+    with pytest.raises(ContractError, match="non-numeric"):
+        convergence_study(params, c, ["a", "b", "c"], [0.02, 0.01, 0.005],
+                          t_end=0.2)
 
 
 @pytest.mark.parametrize("epsilons", [
@@ -314,19 +326,36 @@ def record_runs(monkeypatch):
 def check_stacks(runs, epsilons, t_end, max_samples):
     """One full stack of every epsilon, then one reduced stack of the
     order-0 field and the order-1 field at every epsilon, both on one grid:
-    the grid _sample_grid(default_config(epsilon)) of an epsilon whose
-    sample spacing is no coarser than any other's, sampled at the times of
-    that epsilon's default config."""
+    _sample_grid(default_config(epsilon)) of the finest epsilon, sampled at
+    the times of that epsilon's default config."""
     assert [run[0] for run in runs] == ["full", "reduced"]
     (_, eps_full, grid), (_, eps, reduced_grid, traj) = runs
     assert eps_full == list(epsilons) and eps == [0.0] + eps_full
     assert reduced_grid == grid and traj.thetas.shape[1] == len(eps)
-    configs = [default_config(e, t_end, 0.05, max_samples) for e in epsilons]
-    spacing = grid.dt * grid.sample_every
-    assert all(spacing <= c.dt * c.sample_every * (1 + 1e-12) for c in configs)
-    config = next(c for c in configs if studies._sample_grid(c) == grid)
+    config = default_config(epsilons[-1], t_end, 0.05, max_samples)
+    assert grid == studies._sample_grid(config)
     times = np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
     np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
+
+
+def test_convergence_builds_one_default_config(monkeypatch):
+    # the middle epsilon's default grid (spacing 0.001) is finer than the
+    # finest epsilon's (0.0015, 1020 of 2040 steps sampled): the sweep takes
+    # the finest epsilon's, and builds no config at any other epsilon
+    calls, real = [], studies.default_config
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(studies, "default_config", counted)
+    runs = record_runs(monkeypatch)
+    params = make_params(n=3, seed=7)
+    theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
+    convergence_study(params, make_kuramoto(0.6), theta0, [0.03, 0.02, 0.015],
+                      t_end=1.53)
+    assert calls == [(0.015, 1.53, 0.05, 2000)]
+    check_stacks(runs, [0.03, 0.02, 0.015], 1.53, 2000)
+    assert runs[0][2].dt * runs[0][2].sample_every == pytest.approx(0.0015)
 
 
 @pytest.mark.parametrize("epsilons, max_samples, n_reduced", [
