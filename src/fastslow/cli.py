@@ -21,6 +21,7 @@ import json
 import math
 import platform
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -223,11 +224,12 @@ def _resolve_horizon(cfg: dict, epsilon: float,
         t_end = _as_float(block["t_end"], "integration.t_end")
         _expect(t_end > 0, "integration.t_end", "must be > 0")
         return dt_factor, t_end
-    dt, t_end = epsilon * dt_factor, default_t_end
+    dt, t_end = float(epsilon * dt_factor), default_t_end
     try:
         IntegrationConfig(dt, t_end)
-    except ContractError:
-        t_end = math.ceil(t_end / dt) * dt
+    except ContractError:  # dt = 0 or t_end / dt = inf: the caller refuses it
+        with suppress(ArithmeticError):
+            t_end = math.ceil(t_end / dt) * dt
     return dt_factor, t_end
 
 
@@ -435,13 +437,13 @@ def cmd_converge(raw_config, seeds: SeedBook):
     params_base, epsilon_list, coupling = _resolve_model(
         raw_config, "converge", seeds)
     theta0 = _resolve_theta0(raw_config, params_base.n_nodes, seeds)
-    # convergence_study picks its own stride (at most 2000 samples per run)
+    # convergence_study picks its own sample spacing and step
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
     dt_factor, t_end = _resolve_horizon(raw_config, epsilon_list[-1])
 
     result = convergence_study(params_base, coupling, theta0,
-                               epsilon_list, t_end=t_end, dt_factor=dt_factor)
+                               epsilon_list, t_end=t_end)
 
     def fit_dict(fit):
         if fit is None:

@@ -6,9 +6,7 @@ stable for dt below roughly 2.78 * epsilon.  Its runs (simulate, attract)
 enforce the much stricter dt <= epsilon / 10 as a hard error and default
 to epsilon / 20, which keeps the fast transient resolved rather than merely
 stable.  The convergence study's reference, ``_exponential_stack``, takes
-that stiffness exactly instead, at one step size for every epsilon; on
-more than one CPU the study steps it in a ``_forked`` child, as the CSV
-writer formats its later parts.
+that stiffness exactly instead, at one step size for every epsilon.
 
 One loop, ``_integrate``, takes every step of either scheme; every RK4
 full-system run is ``integrate_full``'s, on one flat row.
@@ -69,6 +67,9 @@ class IntegrationConfig:
         if self.dt > self.t_end:
             raise ContractError(
                 f"dt={self.dt} exceeds t_end={self.t_end}")
+        if not math.isfinite(float(self.t_end) / float(self.dt)):
+            raise ContractError(f"t_end={self.t_end} is more steps of "
+                                f"dt={self.dt} than a float can count")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ContractError(
                 f"t_end={self.t_end} is not a whole number of steps of "

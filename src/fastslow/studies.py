@@ -7,7 +7,7 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
-import warnings
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import _Core, _check_shapes, slow_manifold
-from .integrate import IntegrationConfig, _cpus, _exponential_stack, \
-    _forked, default_config, integrate_full, integrate_reduced
+from .integrate import IntegrationConfig, _exponential_stack, \
+    integrate_full, integrate_reduced
 from .model import (
     ContractError,
     ExperimentError,
@@ -24,6 +24,7 @@ from .model import (
     FullState,
     IntegrationError,
     ModelParams,
+    _is_positive,
     phase_distance,
 )
 
@@ -41,9 +42,13 @@ ATTRACTION_WINDOW_CEIL_FRACTION = 0.5
 # slope is fitted
 DEGENERATE_ERROR_FLOOR = 1e-12
 
-# longest step of the convergence study's reduced fields and exponential
-# reference, neither of which is tied to epsilon
+# the convergence study samples at most this far apart and first steps its
+# reference and reduced fields at that spacing, then halves the step until
+# the step-doubling self-gap is at most SELF_GAP_BUDGET times the smallest
+# order-1 error, or fails past MAX_SUBSTEPS steps per sample
 MAX_REDUCED_DT = 0.01
+SELF_GAP_BUDGET = 1e-3
+MAX_SUBSTEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +94,14 @@ def distance_to_slow_manifold(params: ModelParams, coupling, theta, weights,
                               order: int):
     """Frobenius distance from the weights (..., N, N) to the slow manifold
     of the given order at the phases (..., N): a float for one state, one
-    value per leading index for a stack."""
+    value per leading index for a stack, inf where the square overflows."""
     theta, weights = _check_shapes(params.n_nodes, theta, weights)
     gap = weights - slow_manifold(params, coupling, theta, order)
     # the dot product of the flattened gap with itself, as np.linalg.norm
     # takes it, so a stack reproduces the one-state values bit for bit
     g = gap.reshape(gap.shape[:-2] + (-1,))
-    return np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +172,9 @@ class ConvergenceReport:
 
     fits are None when the degenerate flag is set (all errors at machine
     level, nothing to fit; this happens for synchronized starts with zero
-    frequencies).
+    frequencies).  dt is the step of the run the errors come from, and
+    self_gap the largest phase distance between that run and the one at 2 dt,
+    reference or reduced, on their shared samples.
     """
 
     epsilons: FloatArray
@@ -175,18 +183,8 @@ class ConvergenceReport:
     fit_order0: Optional[SlopeFit]
     fit_order1: Optional[SlopeFit]
     degenerate: bool
-
-
-def _sample_grid(config: IntegrationConfig) -> IntegrationConfig:
-    """Config that steps a reduced field onto the sample times of ``config``,
-    the finest epsilon's default: one sample per spacing dt * sample_every,
-    in the fewest equal substeps no longer than MAX_REDUCED_DT."""
-    spacing = config.dt * config.sample_every
-    n_samples = config.n_steps // config.sample_every + 1
-    substeps = max(1, int(np.ceil(spacing / MAX_REDUCED_DT)))
-    return IntegrationConfig(dt=spacing / substeps,
-                             t_end=(n_samples - 1) * spacing,
-                             sample_every=substeps)
+    dt: float
+    self_gap: float
 
 
 def _named(names, step):
@@ -200,32 +198,30 @@ def _named(names, step):
 
 
 def convergence_study(params_base: ModelParams, coupling, theta0,
-                      epsilons: Sequence[float], t_end: float = 2.0,
-                      dt_factor: float = 0.05,
-                      max_samples: int = 2000) -> ConvergenceReport:
+                      epsilons: Sequence[float],
+                      t_end: float = 2.0) -> ConvergenceReport:
     """Compare full-system phases against both reduced fields across an
     epsilon sweep.
 
     For each epsilon the full system starts on the corrected weight surface
     (suppressing the initial fast transient up to its own higher-order
     error).  The reference is the exponential route, _exponential_stack,
-    which takes the weights' stiffness exactly, so one sample grid serves
-    the sweep: the sample spacing of default_config(epsilons[-1], t_end,
-    dt_factor, max_samples) at the finest epsilon, which is all dt_factor
-    sets, split into equal substeps no longer than MAX_REDUCED_DT = 0.01.  The
-    reference at every epsilon is one stack, the order-0 field and the
-    order-1 field at every epsilon another, each row with the bits of its
-    own run.  On the shipped converge model that reference is within 1e-11
-    of RK4 at epsilon / 20 (<= 3.8e-13 on the 0.001 grid), and at the
-    longest step within 1e-3 of the smallest order-1 error (5.7e-10
-    against 9.1e-6).  The error is the largest phase distance over the
-    sampled window [0, t_end].  Requires a 1-d sequence of at least 3
-    finite epsilon values, strictly decreasing, dt_factor <= 0.1, t_end a
-    whole number of steps at the finest epsilon and theta0 N finite phases, all
-    checked before any step.  With _cpus() > 1 a _forked child steps the
-    reference while this process steps the reduced stack; if anything in
-    that split fails, a warning in the child included, both are stepped
-    again in one process, which returns or raises the same.
+    which takes the weights' stiffness exactly, so one step serves the
+    sweep.  Samples are spaced t_end / ceil(t_end / MAX_REDUCED_DT), 0.01 at
+    the default t_end.  The reference at every epsilon is one stack, the
+    order-0 field and the order-1 field at every epsilon another, each row
+    with the bits of its own run; both are stepped at 1, 2, 4, ... equal
+    substeps per sample, each run once.  The step is halved until the
+    self-gap, the largest phase distance between a run and the one at twice
+    its step, reference or reduced, is at most SELF_GAP_BUDGET = 1e-3 times
+    the finer run's smallest order-1 error, or the sweep is degenerate; the
+    finer run's errors are reported.  On the shipped converge model that is
+    h = 0.005, a gap of 5.2e-10 against a budget of 9.1e-9.  A gap still
+    over budget at MAX_SUBSTEPS = 64 substeps is an ExperimentError.  The
+    error is the largest phase distance over the sampled window [0, t_end].
+    Requires a 1-d sequence of at least 3 finite epsilon values, strictly
+    decreasing, t_end > 0 and theta0 N finite phases, all checked before
+    any step.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -237,45 +233,44 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         raise ContractError(f"need at least 3 epsilon values, got {eps.size}")
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ContractError("epsilons must be positive and strictly decreasing")
-    grid = _sample_grid(default_config(float(eps[-1]), t_end, dt_factor,
-                                       max_samples))
-    if dt_factor > 0.1:
-        raise ContractError(f"dt_factor must be <= 0.1, got {dt_factor}")
+    if not _is_positive(t_end):
+        raise ContractError(f"t_end must be > 0, got {t_end!r}")
     field = _Core(params_base, coupling, 1,
                   np.concatenate([[0.0], eps])[:, None, None])
     theta0, n = _check_shapes(None, theta0), field.n_nodes
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
+    spacing = t_end / math.ceil(t_end / MAX_REDUCED_DT)
 
-    def reference():
-        return _named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
-            params_base, coupling, eps, theta0, grid))
+    def run(substeps):  # (reference, reduced) phases
+        grid = IntegrationConfig(dt=spacing / substeps, t_end=t_end,
+                                 sample_every=substeps)
+        return (_named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
+                    params_base, coupling, eps, theta0, grid)),
+                _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
+                       lambda: integrate_reduced(field, np.tile(
+                           theta0, (1 + eps.size, 1)), grid).thetas))
+    substeps, fine = 1, run(1)
+    while True:
+        substeps, coarse, fine = 2 * substeps, fine, run(2 * substeps)
+        phases, thetas = fine
+        # order k's error at epsilon m: the reduced row 0, or 1 + m
+        errs0, errs1 = (np.array([phase_distance(phases[:, m], thetas[:, k * (
+            1 + m)]) for m in range(eps.size)]) for k in (0, 1))
+        gap = max(map(phase_distance, coarse, fine))
+        budget = SELF_GAP_BUDGET * errs1.min()
+        degenerate = bool(np.max([errs0, errs1]) < DEGENERATE_ERROR_FLOOR)
+        if gap <= budget or degenerate:
+            break
+        if substeps == MAX_SUBSTEPS:
+            raise ExperimentError(
+                f"the step-doubling self-gap {gap:.3g} exceeds its budget "
+                f"{budget:.3g}, {SELF_GAP_BUDGET:g} of the smallest order-1 "
+                f"error, at h={spacing / substeps:.3g} ({substeps} substeps)")
 
-    def reduced():
-        return _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
-                      lambda: integrate_reduced(field, np.tile(
-                          theta0, (1 + eps.size, 1)), grid).thetas)
-
-    def save_reference(file):
-        # a warning fails the split, so the one-process run gives it once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            np.save(file.buffer, reference())
-    phases = None  # unless the split succeeds: a failure is left to one process
-    if _cpus() > 1:
-        with suppress(Exception), _forked([save_reference], reduced,
-                                          "stepping the reference") as split:
-            thetas, phases = split[0], np.load(split[1][0].buffer)
-    if phases is None:
-        phases, thetas = reference(), reduced()
-    errs0 = np.array([phase_distance(phases[:, m], thetas[:, 0])
-                      for m in range(eps.size)])
-    errs1 = np.array([phase_distance(phases[:, m], thetas[:, 1 + m])
-                      for m in range(eps.size)])
-
-    degenerate = bool(max(errs0.max(), errs1.max()) < DEGENERATE_ERROR_FLOOR)
     fit0, fit1 = (None, None) if degenerate else \
         (fit_loglog(eps, errs0), fit_loglog(eps, errs1))
     return ConvergenceReport(epsilons=eps, errors_order0=errs0,
                              errors_order1=errs1, fit_order0=fit0,
-                             fit_order1=fit1, degenerate=degenerate)
+                             fit_order1=fit1, degenerate=degenerate,
+                             dt=spacing / substeps, self_gap=gap)

@@ -100,8 +100,7 @@ def test_criterion_3_reduction_error_orders():
     theta0 = rng.uniform(0.0, TWO_PI, 5)
     params = ModelParams(n_nodes=5, omega=omega, epsilon=0.02)
     report = convergence_study(params, make_kuramoto(0.8), theta0,
-                               [0.02, 0.01, 0.005, 0.0025],
-                               t_end=2.0, dt_factor=0.05, max_samples=2000)
+                               [0.02, 0.01, 0.005, 0.0025], t_end=2.0)
     assert not report.degenerate
     assert 0.8 <= report.fit_order0.slope <= 1.2
     assert report.fit_order0.r_squared >= 0.98
@@ -112,10 +111,11 @@ def test_criterion_3_reduction_error_orders():
 
 def test_criterion_3_holds_over_three_decades(tmp_path):
     """configs/converge_wide.json: the shipped converge model at eight
-    epsilons from 0.02 down to 1.25e-4, all on one 0.001 sample grid (2000
-    reference steps where RK4 at epsilon / 20 would take 320 000), keeps
-    the criterion-3 bounds.  Measured: slope0 0.99776, slope1 1.99879,
-    about 1 s."""
+    epsilons from 0.02 down to 1.25e-4, all sampled every 0.01 and stepped
+    at the h = 0.00125 their error budget asks for (3 000 steps of each
+    stack over its four runs, where RK4 at epsilon / 20 would take
+    320 000 for the finest row alone), keeps the criterion-3 bounds.
+    Measured: slope0 0.99776, slope1 1.99879, about 1 s."""
     start = time.perf_counter()
     out = tmp_path / "wide"
     assert main(["converge", "--config",

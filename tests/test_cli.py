@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -394,14 +395,18 @@ def test_history_over_the_memory_cap_is_contract_error(tmp_path, capsys):
         and "integration.sample_every" in err
 
 
-def test_converge_horizon_without_stride_is_error(tmp_path, capsys):
-    # 2003 steps of 0.00025 at the finest epsilon 0.005 is prime: under
-    # converge's 2000-sample cap the only stride stores one sample; converge
-    # rejects sample_every, so the message does not offer it
+def test_converge_horizon_needs_no_whole_steps(tmp_path, capsys):
+    # 2003 steps of 0.00025 at the finest epsilon 0.005, a prime count that
+    # no stride under a sample cap divides: converge samples every
+    # 0.50075 / 51 and steps by its own error budget, not by dt_factor
     cfg = copy.deepcopy(CONVERGE)
     cfg["integration"] = {"t_end": 0.50075}
-    err = expect_config_error(tmp_path, capsys, "converge", cfg)
-    assert "2003 steps" in err and "sample_every" not in err
+    code, out = run(tmp_path, "converge", cfg, extra=["--quiet"])
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["t_end"] == 0.50075 and not report["degenerate"]
+    rows = (out / "raw.csv").read_text().splitlines()
+    assert len(rows) == 2 + len(report["epsilons"])
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +447,19 @@ def test_epsilon_list_on_simulate_is_config_error(tmp_path, capsys):
     expect_config_error(tmp_path, capsys, "simulate", cfg)
 
 
-def test_zero_perturbation_is_config_error(tmp_path, capsys):
+def test_zero_perturbation_is_config_error(tmp_path, capfd):
     cfg = copy.deepcopy(ATTRACT)
     cfg["attract"]["perturbation_norm"] = 0.0
-    err = expect_config_error(tmp_path, capsys, "attract", cfg)
+    err = expect_config_error(tmp_path, capfd, "attract", cfg)
     assert "perturbation_norm" in err
+    # a kick whose starting distance overflows: the contract error alone,
+    # with no numpy overflow warning before it
+    cfg["attract"]["perturbation_norm"] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = expect_config_error(tmp_path, capfd, "attract", cfg)
+    assert err == ("contract error: initial state must start off the surface "
+                   "(distance >= 0.1) at a finite distance, got inf\n")
 
 
 def test_large_dt_factor_is_config_error(tmp_path, capsys):
@@ -454,12 +467,25 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
     cfg["integration"] = {"dt_factor": 0.5}
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert "dt_factor" in err
-    # converge's reference has no step guard: dt_factor sets only its
-    # sample grid, so the message gives the range without a reason
+    # converge's reference has no step guard: dt_factor only rounds its
+    # default horizon, so the message gives the range without a reason
     cfg = copy.deepcopy(CONVERGE)
     cfg["integration"]["dt_factor"] = 0.2
     err = expect_config_error(tmp_path, capsys, "converge", cfg)
     assert err == "config error: integration.dt_factor: must lie in (0, 0.1]\n"
+    # a step of 1e-310, or one that underflows to 0, counts no steps to
+    # t_end, with or without a set t_end: a config error, not an OverflowError
+    cfg = copy.deepcopy(SIMULATE)
+    cfg["model"]["epsilon"] = 1e-300
+    for integration, why in [
+            ({"dt_factor": 1e-10}, "t_end=2.0 is more steps of dt=1e-310 "
+             "than a float can count"),
+            ({"dt_factor": 1e-10, "t_end": 1.0}, "t_end=1.0 is more steps of "
+             "dt=1e-310 than a float can count"),
+            ({"dt_factor": 1e-30}, "dt must be > 0, got 0.0")]:
+        cfg["integration"] = integration
+        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+        assert err == f"config error: integration.t_end: {why}\n"
 
 
 def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys):

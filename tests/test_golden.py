@@ -1,21 +1,27 @@
 """The shipped configs reproduce their committed reports and tables.
 
-Each golden file under tests/golden/ is the report.json that
-``fastslow <cmd> --config configs/<name>.json`` wrote before the integrator
-refactor that introduced this test; <cmd> is <name> up to its first
-underscore.  The converge_wide report and table, of the 8-epsilon sweep,
-were written later, when every epsilon was already stepped on one sample
-grid; its epsilons share one default sample grid.  The converge report was
-regenerated when the reduced fields moved from the full system's step to
-its sample grid, which moved its floats by at most 2.5e-8 relative, and the converge
-report and table again when the RK4 reference at epsilon / 20 gave way to
-the exponential reference on the sample grid, which moved the errors by
-at most 2.6e-13 absolute (3.7e-9 relative).  Strings, integers, booleans
-and list lengths must match exactly; floats must agree to a relative 1e-12, which
-leaves room for last-bit BLAS/SIMD differences between machines.  The
-certify report's noise_floor also passes within FD_ABS_TOL, for the reason
-given below for the fd_value cells: it is the largest |fd_value| of the
-pairwise companion's scan, round-off of structural zeros.
+Each golden file under tests/golden/ is the report.json that ``fastslow
+<cmd> --config configs/<name>.json`` wrote before the integrator refactor
+that introduced this test; <cmd> is <name> up to its first underscore.  The
+converge_wide report and table, of the 8-epsilon sweep, were written later,
+when every epsilon was already stepped on one sample grid.  The converge
+report was regenerated when the reduced fields moved from the full system's
+step to its sample grid, which moved its floats by at most 2.5e-8 relative,
+and the converge report and table again when the RK4 reference at epsilon /
+20 gave way to the exponential reference on the sample grid, which moved
+the errors by at most 2.6e-13 absolute (3.7e-9 relative).  Both converge
+reports and tables were regenerated when the study went from the finest
+epsilon's 0.001 sample grid to samples every 0.01, stepped at the h its
+self-gap budget asks for (0.005 for converge, 0.00125 for converge_wide),
+which moved the errors by at most 3.85e-5 relative, most of it the sampled
+maximum: converge slope0 0.99428344 -> 0.99427749 and slope1 1.99684072 ->
+1.99682660, converge_wide slope0 0.99775829 -> 0.99776173 and slope1
+1.99879190 -> 1.99878920.  Strings, integers, booleans and list lengths
+must match exactly; floats must agree to a relative 1e-12, which leaves
+room for last-bit BLAS/SIMD differences between machines.  The certify
+report's noise_floor also passes within FD_ABS_TOL, for the reason given
+below for the fd_value cells: it is the largest |fd_value| of the pairwise
+companion's scan, round-off of structural zeros.
 
 The certify, converge and attract raw.csv goldens were written before the
 CSV tables moved to one writer.  Their comment line, header and integer

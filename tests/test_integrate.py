@@ -64,6 +64,9 @@ def test_config_validation():
             IntegrationConfig(dt=0.1, t_end=1.0, sample_every=stride)
     assert IntegrationConfig(dt=0.1, t_end=1.0,
                              sample_every=np.int64(5)).sample_every == 5
+    # a step count past the float range, not an OverflowError from n_steps
+    with pytest.raises(ContractError, match="than a float can count"):
+        IntegrationConfig(dt=1e-310, t_end=1.0)
     cfg = IntegrationConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
     # no array, string or None is a step or a horizon

@@ -1,11 +1,4 @@
-import errno
-import io
 import json
-import os
-import signal
-import tempfile
-import threading
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +28,6 @@ from fastslow import (
     weight_correction,
     wrap_phase,
 )
-from conftest import assert_no_child_left, use_cpus
 from test_model import callables_only
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,7 +168,7 @@ def test_attraction_rate_near_one_with_moving_phases():
     assert report.distances[0] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_attraction_rejects_on_surface_start():
     params = make_params(epsilon=0.01)
     c = make_kuramoto(0.6)
@@ -186,7 +178,8 @@ def test_attraction_rejects_on_surface_start():
         attraction_study(params, c, state, config)
     with pytest.raises(ContractError, match="FullState"):
         attraction_study(params, c, None, config)
-    # finite weights whose distance overflows leave nothing to fit
+    # finite weights whose distance overflows leave nothing to fit, and
+    # raise no numpy overflow warning on the way
     state = off_surface_state(params, c, norm=1e300)
     with pytest.raises(ContractError, match="finite distance, got inf"):
         attraction_study(params, c, state, config)
@@ -212,15 +205,10 @@ def test_convergence_validation():
         convergence_study(params, c, theta0, [0.02, 0.01])
     with pytest.raises(ContractError):
         convergence_study(params, c, theta0, [0.01, 0.02, 0.04])
-    with pytest.raises(ContractError):
-        convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
-                          dt_factor=0.2)
-    # t_end = 0.3 is 300 and 600 steps at 0.02 and 0.01, but not whole at
-    # the finest epsilon 0.007; at a coarser one it need not be
-    with pytest.raises(ContractError, match="whole number of steps"):
-        convergence_study(params, c, theta0, [0.02, 0.01, 0.007], t_end=0.3)
-    assert convergence_study(params, c, theta0, [0.02, 0.014, 0.01],
-                             t_end=0.3).epsilons.size == 3
+    for t_end in (0.0, -1.0, np.nan, np.inf, True, "2"):
+        with pytest.raises(ContractError, match="t_end must be > 0"):
+            convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
+                              t_end=t_end)
     # unchecked, numpy raises ValueError for non-numeric phases
     with pytest.raises(ContractError, match="non-numeric"):
         convergence_study(params, c, ["a", "b", "c"], [0.02, 0.01, 0.005],
@@ -233,9 +221,9 @@ def test_convergence_validation():
     [[0.02, 0.01], [0.005]], 0.01, ["a", "b", "c"]])
 def test_convergence_rejects_epsilons_that_are_no_finite_sequence(
         monkeypatch, epsilons):
-    def no_config(*args):
-        raise AssertionError("a config was built")
-    monkeypatch.setattr(studies, "default_config", no_config)
+    def no_field(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(studies, "_Core", no_field)
     with pytest.raises(ContractError, match="epsilons must be a 1-d "
                        "sequence of finite numbers, got "):
         convergence_study(make_params(), make_kuramoto(0.5), np.zeros(3),
@@ -261,7 +249,7 @@ def test_convergence_orders_on_small_sweep():
     c = make_kuramoto(0.6)
     theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
     report = convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
-                               t_end=0.5, max_samples=500)
+                               t_end=0.5)
     assert not report.degenerate
     assert 0.7 <= report.fit_order0.slope <= 1.3
     assert report.fit_order1.slope >= 1.5
@@ -282,14 +270,14 @@ def test_convergence_wraps_integration_failure():
                          gamma_d1=np.cos,
                          target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
                          target_dv=lambda u, v: 0.0 * u)
-    for epsilons, t_end, max_samples, at in [
-            # three default grids, stepped as one stack on the finest
-            ([0.02, 0.01, 0.005], 0.1, 2000, "t=0.0015 (step 6)"),
-            # one default grid
-            ([0.03, 0.015, 0.01], 0.3, 50, "t=0.006 (step 1)")]:
+    for epsilons, t_end, at in [
+            # samples every MAX_REDUCED_DT, the first step that long
+            ([0.02, 0.01, 0.005], 0.1, "t=0.01 (step 1)"),
+            # a horizon shorter than MAX_REDUCED_DT is one sample interval
+            ([0.03, 0.015, 0.01], 0.005, "t=0.005 (step 1)")]:
         with pytest.raises(ExperimentError) as info:
             convergence_study(params, exploding, np.zeros(3), epsilons,
-                              t_end=t_end, max_samples=max_samples)
+                              t_end=t_end)
         # the rows share every step, so all fail in the same one, and each
         # is named by its own epsilon, not by the sweep
         assert str(info.value).startswith("integration failed at " + ", ".join(
@@ -300,18 +288,17 @@ def test_convergence_wraps_integration_failure():
 
 def record_runs(monkeypatch):
     """Record every stack the convergence study integrates, in order:
-    ("full", epsilons, config) for the full-system stack and ("reduced",
-    epsilons, config, trajectory) for the reduced stack, whose epsilon is 0
-    in the order-0 row.  A forked child's stack is not seen here, so the
-    study runs in one process."""
+    ("full", epsilons, config, phases) for the full-system stack and
+    ("reduced", epsilons, config, trajectory) for the reduced stack, whose
+    epsilon is 0 in the order-0 row."""
     runs = []
-    monkeypatch.setattr(studies, "_cpus", lambda: 1)
     real_full = studies._exponential_stack
     real_reduced = studies.integrate_reduced
 
     def full(params, coupling, epsilons, theta0, config):
-        runs.append(("full", list(epsilons), config))
-        return real_full(params, coupling, epsilons, theta0, config)
+        phases = real_full(params, coupling, epsilons, theta0, config)
+        runs.append(("full", list(epsilons), config, phases))
+        return phases
 
     def reduced(field, theta0, config):
         traj = real_reduced(field, theta0, config)
@@ -323,73 +310,85 @@ def record_runs(monkeypatch):
     return runs
 
 
-def check_stacks(runs, epsilons, t_end, max_samples):
-    """One full stack of every epsilon, then one reduced stack of the
-    order-0 field and the order-1 field at every epsilon, both on one grid:
-    _sample_grid(default_config(epsilon)) of the finest epsilon, sampled at
-    the times of that epsilon's default config."""
-    assert [run[0] for run in runs] == ["full", "reduced"]
-    (_, eps_full, grid), (_, eps, reduced_grid, traj) = runs
-    assert eps_full == list(epsilons) and eps == [0.0] + eps_full
-    assert reduced_grid == grid and traj.thetas.shape[1] == len(eps)
-    config = default_config(epsilons[-1], t_end, 0.05, max_samples)
-    assert grid == studies._sample_grid(config)
-    times = np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
-    np.testing.assert_allclose(traj.times, times, rtol=1e-12, atol=0.0)
+def check_stacks(runs, epsilons, t_end, report):
+    """Pairs of one full stack of every epsilon and one reduced stack of the
+    order-0 field and the order-1 field at every epsilon, each pair on one
+    grid: samples every t_end / ceil(t_end / MAX_REDUCED_DT) at 1, 2, 4, ...
+    substeps, each grid stepped once.  Every pair but the last two has a
+    self-gap to the next over the budget; the last two have the report's,
+    within it, and the report's dt is the last grid's."""
+    assert [run[0] for run in runs] == ["full", "reduced"] * (len(runs) // 2)
+    spacing = t_end / np.ceil(t_end / studies.MAX_REDUCED_DT)
+    for k, ((_, eps_full, grid, phases), (_, eps, reduced_grid, traj)) in \
+            enumerate(zip(runs[::2], runs[1::2])):
+        assert eps_full == list(epsilons) and eps == [0.0] + eps_full
+        assert reduced_grid == grid == IntegrationConfig(
+            dt=spacing / 2 ** k, t_end=t_end, sample_every=2 ** k)
+        assert traj.thetas.shape[1] == len(eps)
+        assert phases.shape == traj.thetas[:, 1:].shape
+        np.testing.assert_allclose(traj.times,
+                                   np.arange(traj.n_samples) * spacing,
+                                   rtol=1e-12, atol=0.0)
+        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+    pairs = [(full[3], reduced[3].thetas)
+             for full, reduced in zip(runs[::2], runs[1::2])]
+    assert len(pairs) >= 2 and report.dt == grid.dt
+    for coarse, fine in zip(pairs, pairs[1:]):
+        gap = max(map(phase_distance, coarse, fine))
+        errs1 = [phase_distance(fine[0][:, m], fine[1][:, 1 + m])
+                 for m in range(len(epsilons))]
+        met = gap <= studies.SELF_GAP_BUDGET * min(errs1)
+        if fine is pairs[-1]:
+            assert gap == report.self_gap and (met or report.degenerate)
+            assert np.array_equal(errs1, report.errors_order1)
+        else:
+            assert not met
 
 
-def test_convergence_builds_one_default_config(monkeypatch):
-    # the middle epsilon's default grid (spacing 0.001) is finer than the
-    # finest epsilon's (0.0015, 1020 of 2040 steps sampled): the sweep takes
-    # the finest epsilon's, and builds no config at any other epsilon
-    calls, real = [], studies.default_config
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(studies, "default_config", counted)
+@pytest.mark.parametrize("t_end, n_samples", [
+    (1.53, 154), (1.535, 155), (0.005, 2)])
+def test_convergence_sample_spacing_is_set_by_t_end_alone(monkeypatch, t_end,
+                                                         n_samples):
+    # the fewest equal sample intervals no longer than MAX_REDUCED_DT, the
+    # same for a sweep ten times coarser or finer
     runs = record_runs(monkeypatch)
     params = make_params(n=3, seed=7)
     theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
-    convergence_study(params, make_kuramoto(0.6), theta0, [0.03, 0.02, 0.015],
-                      t_end=1.53)
-    assert calls == [(0.015, 1.53, 0.05, 2000)]
-    check_stacks(runs, [0.03, 0.02, 0.015], 1.53, 2000)
-    assert runs[0][2].dt * runs[0][2].sample_every == pytest.approx(0.0015)
+    for epsilons in ([0.03, 0.02, 0.015], [0.3, 0.02, 0.0015]):
+        runs.clear()
+        report = convergence_study(params, make_kuramoto(0.6), theta0,
+                                   epsilons, t_end=t_end)
+        check_stacks(runs, epsilons, t_end, report)
+        assert runs[1][3].n_samples == n_samples
 
 
-@pytest.mark.parametrize("epsilons, max_samples, n_reduced", [
-    # every full run samples every 0.001 (201 samples): one grid, 5 rows
-    ([0.02, 0.01, 0.005, 0.0025], 200, 5),
-    # spacings 0.001/0.0005/0.00025: one stack of 4 rows on the finest
-    ([0.02, 0.01, 0.005], 2000, 4),
-    # every full run samples every 0.025: 3 reduced substeps per sample
-    ([0.02, 0.01, 0.005], 8, 4),
+@pytest.mark.parametrize("epsilons, n_reduced, substeps", [
+    ([0.02, 0.01, 0.005, 0.0025], 5, 2),
+    ([0.02, 0.005, 0.00125], 4, 4),
+    ([0.01, 0.002, 0.0005], 4, 8),
 ])
 def test_convergence_integrates_order0_once_per_grid(monkeypatch, epsilons,
-                                                     max_samples, n_reduced):
+                                                     n_reduced, substeps):
     runs = record_runs(monkeypatch)
     params = make_params(n=3, seed=7)
     theta0 = np.random.default_rng(8).uniform(0.0, TWO_PI, 3)
     report = convergence_study(params, make_kuramoto(0.6), theta0, epsilons,
-                               t_end=0.2, max_samples=max_samples)
-    check_stacks(runs, epsilons, 0.2, max_samples)
-    # one reduced stack, with one order-0 row
-    _, eps, config, _ = runs[1]
-    assert len(eps) == n_reduced and eps.count(0.0) == 1
-    # the fewest equal substeps no longer than MAX_REDUCED_DT per sample
-    substeps = config.sample_every
-    assert config.dt <= studies.MAX_REDUCED_DT
-    assert substeps == 1 or config.dt * substeps / (substeps - 1) \
-        > studies.MAX_REDUCED_DT
+                               t_end=0.2)
+    check_stacks(runs, epsilons, 0.2, report)
+    # one reduced stack per grid, each with one order-0 row
+    for _, eps, _, _ in runs[1::2]:
+        assert len(eps) == n_reduced and eps.count(0.0) == 1
+    # the step halves from MAX_REDUCED_DT until the self-gap meets its budget
+    assert runs[-1][2].sample_every == substeps
+    assert report.dt == studies.MAX_REDUCED_DT / substeps
     assert not report.degenerate
 
 
 def test_reduced_step_error_budget(monkeypatch):
-    """On the criterion-3 sweep the reduced fields stepped on the sample
-    grid stay within 1e-3 of the smallest order-1 reduction error of the
-    same fields stepped by RK4 at the finest full run's epsilon / 20.
-    About 3.5 s, most of it the 16 000 reference steps."""
+    """On the criterion-3 sweep the reduced fields stepped on the study's
+    last grid stay within 1e-3 of the smallest order-1 reduction error of
+    the same fields stepped by RK4 at the finest epsilon / 20.  About 3 s,
+    most of it the 16 000 reference steps."""
     runs = record_runs(monkeypatch)
     rng = np.random.default_rng(42)
     omega = rng.uniform(-1.0, 1.0, 5)
@@ -397,23 +396,19 @@ def test_reduced_step_error_budget(monkeypatch):
     params = ModelParams(n_nodes=5, omega=omega, epsilon=0.02)
     c = make_kuramoto(0.8)
     epsilons = [0.02, 0.01, 0.005, 0.0025]
-    report = convergence_study(params, c, theta0, epsilons, t_end=2.0,
-                               dt_factor=0.05, max_samples=2000)
-    # all four full runs sample every 0.001: one full stack and one reduced
-    # stack with order 0 once
-    assert [run[0] for run in runs] == ["full", "reduced"]
-    check_stacks(runs, epsilons, 2.0, 2000)
+    report = convergence_study(params, c, theta0, epsilons, t_end=2.0)
+    check_stacks(runs, epsilons, 2.0, report)
     budget = 1e-3 * report.errors_order1.min()
-    _, eps, _, traj = runs[1]
+    _, eps, _, traj = runs[-1]
     # each row's reference is its field stepped as one stack at
-    # epsilon / 20 of the finest epsilon, 8 steps per sample; the order-0
+    # epsilon / 20 of the finest epsilon, 80 steps per sample; the order-0
     # field is the same at every epsilon, and is its row where epsilon is 0
-    stiff = default_config(epsilons[-1], 2.0, 0.05, 2000)
-    assert stiff.sample_every == 8
+    stiff = IntegrationConfig(dt=epsilons[-1] / 20, t_end=2.0,
+                              sample_every=80)
     field = studies._Core(params, c, 1, np.array(eps)[:, None, None])
     assert field(np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
         order=0, params=params, coupling=c)(theta0).tobytes()
-    refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff.dt, 8,
+    refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff.dt, 80,
                                 traj.n_samples, "reduced")
     for row in range(5):
         assert phase_distance(traj.thetas[:, row], refs[:, row]) <= budget
@@ -438,33 +433,29 @@ def per_epsilon_errors(params, coupling, theta0, epsilons, grid):
     return errs
 
 
-@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
-    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
-    # spacings 0.001/0.0005/0.00025, stepped on the finest
-    ([0.02, 0.01, 0.005], 0.2, 2000, 3),
-    # 12, 8 and 4 full steps of epsilon / 20 per sample, one grid
-    ([0.03, 0.015, 0.01], 0.3, 50, 1),
+@pytest.mark.parametrize("epsilons, t_end", [
+    ([0.02, 0.01, 0.005, 0.0025], 0.2),
+    # stepped four times per sample
+    ([0.02, 0.005, 0.00125], 0.2),
+    # samples every 0.01 for 0.3
+    ([0.03, 0.015, 0.01], 0.3),
 ])
-def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end,
-                                              max_samples, n_grids):
-    assert len({studies._sample_grid(default_config(
-        e, t_end, 0.05, max_samples)) for e in epsilons}) == n_grids
+def test_stacked_errors_equal_per_epsilon_runs(monkeypatch, epsilons, t_end):
     params = make_params(n=4, seed=11)
     c = make_kuramoto(0.7)
     theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
     runs = record_runs(monkeypatch)
-    report = convergence_study(params, c, theta0, epsilons, t_end=t_end,
-                               max_samples=max_samples)
-    check_stacks(runs, epsilons, t_end, max_samples)
-    expected = per_epsilon_errors(params, c, theta0, epsilons, runs[0][2])
+    report = convergence_study(params, c, theta0, epsilons, t_end=t_end)
+    check_stacks(runs, epsilons, t_end, report)
+    expected = per_epsilon_errors(params, c, theta0, epsilons, runs[-1][2])
     assert np.array_equal(report.errors_order0, expected[0])
     assert np.array_equal(report.errors_order1, expected[1])
 
 
-def shipped_converge_model():
-    """The params, epsilons and initial phases of configs/converge.json,
+def shipped_converge_model(name="converge"):
+    """The params, epsilons and initial phases of configs/<name>.json,
     drawn from its field seeds as the CLI draws them, and its coupling."""
-    cfg = json.loads((ROOT / "configs" / "converge.json").read_text())
+    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     model, omega = cfg["model"], cfg["model"]["omega"]
     n = model["n_nodes"]
     params = ModelParams(n_nodes=n, omega=np.random.default_rng(
@@ -489,13 +480,14 @@ def phase_lag_coupling(a=0.3, b=1.1):
 def test_exponential_reference_matches_rk4(kind):
     """On the model and epsilons of configs/converge.json, the study's
     exponential reference stays within 1e-11 of RK4 at each epsilon's own
-    epsilon / 20 on the study's 0.001 grid (measured <= 3.8e-13), and at
-    the longest step MAX_REDUCED_DT within 1e-3 of the smallest order-1
-    error of a study stepped there (measured 5.7e-10 against 9.1e-6).  The
-    deviation form reads the target's derivative slots, which RK4 does
-    not, so a wrong slot shows here: the difference form of make_kuramoto,
-    the (u, v) slots alone and a phase-lag coupling.  About 2.5 s each,
-    most of it the 30 000 one-row RK4 steps."""
+    epsilon / 20 at h = 0.001 (measured <= 3.8e-13), and at the longest
+    step MAX_REDUCED_DT and the study's own step within 1e-3 of the
+    smallest order-1 error of the study (measured 5.7e-10 against 9.1e-6
+    at the longest step).  The study's self-gap bounds its reference's
+    error.  The deviation form reads the target's derivative slots, which
+    RK4 does not, so a wrong slot shows here: the difference form of
+    make_kuramoto, the (u, v) slots alone and a phase-lag coupling.  About
+    2.5 s each, most of it the 30 000 one-row RK4 steps."""
     params, epsilons, theta0, coupling = shipped_converge_model()
     coupling = {"kuramoto": coupling,
                 "uv_slots": callables_only(drop=("target_diff",
@@ -509,202 +501,47 @@ def test_exponential_reference_matches_rk4(kind):
         rk4.append(integrate_full(at, coupling, start, IntegrationConfig(
             dt=e / 20, t_end=2.0, sample_every=round(0.02 / e))).thetas)
     rk4 = np.stack(rk4, 1)  # sampled every 0.001
-    grid = studies._sample_grid(default_config(epsilons[-1], 2.0, 0.05,
-                                               2000))
-    assert grid == IntegrationConfig(dt=0.001, t_end=2.0)
-    exponential = integrate._exponential_stack(params, coupling, epsilons,
-                                               theta0, grid)
+    exponential = integrate._exponential_stack(
+        params, coupling, epsilons, theta0, IntegrationConfig(dt=0.001,
+                                                              t_end=2.0))
     assert phase_distance(exponential, rk4) <= 1e-11
-    longest = IntegrationConfig(dt=studies.MAX_REDUCED_DT, t_end=2.0)
-    assert studies._sample_grid(default_config(
-        epsilons[-1], 2.0, 0.05, 200)) == longest
-    errors = convergence_study(params, coupling, theta0, epsilons,
-                               max_samples=200).errors_order1
-    coarse = integrate._exponential_stack(params, coupling, epsilons,
-                                          theta0, longest)
-    assert phase_distance(coarse, rk4[::10]) <= 1e-3 * errors.min()
+    report = convergence_study(params, coupling, theta0, epsilons)
+    budget = 1e-3 * report.errors_order1.min()
+    for h in (studies.MAX_REDUCED_DT, report.dt):
+        coarse = integrate._exponential_stack(
+            params, coupling, epsilons, theta0, IntegrationConfig(
+                dt=h, t_end=2.0, sample_every=round(0.01 / h)))
+        assert phase_distance(coarse, rk4[::10]) <= budget
+    assert phase_distance(coarse, rk4[::10]) <= report.self_gap
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Run studies on two CPUs, and list the children forked, through a
-    wrapped os.fork, and the references stepped in this process, through a
-    wrapped studies._exponential_stack.  A study still waiting on a child
-    after 60 s fails instead of hanging."""
-    def hung(signum, frame):
-        raise TimeoutError("the study still waits on a child after 60 s")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    calls = {"fork": 0, "reference": 0}
-    fork, reference = os.fork, studies._exponential_stack
-
-    def counting_fork():
-        calls["fork"] += 1
-        return fork()
-
-    def counting_reference(*args):
-        calls["reference"] += 1
-        return reference(*args)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(studies, "_exponential_stack", counting_reference)
-    use_cpus(monkeypatch, 2)
-    yield calls
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+@pytest.mark.parametrize("name, dt", [("converge", 0.005),
+                                      ("converge_wide", 0.00125)])
+def test_convergence_meets_its_self_gap_budget(name, dt):
+    params, epsilons, theta0, coupling = shipped_converge_model(name)
+    report = convergence_study(params, coupling, theta0, epsilons)
+    assert report.self_gap <= 1e-3 * report.errors_order1.min()
+    assert report.dt == dt
 
 
-def report_bytes(report):
-    """Every array of a ConvergenceReport, as bytes."""
-    fits = [getattr(fit, name) for fit in (report.fit_order0,
-                                           report.fit_order1)
-            for name in ("xs", "ys", "slope", "intercept", "r_squared")]
-    return [np.asarray(a).tobytes() for a in [
-        report.epsilons, report.errors_order0, report.errors_order1] + fits]
-
-
-def split_case(epsilons=(0.02, 0.01, 0.005, 0.0025), t_end=0.2,
-               max_samples=200):
-    """A study whose report bytes are returned on each call; by default one
-    grid of four rows."""
-    params = make_params(n=4, seed=11)
-    theta0 = np.random.default_rng(12).uniform(0.0, TWO_PI, 4)
-    return lambda: report_bytes(convergence_study(
-        params, make_kuramoto(0.7), theta0, list(epsilons), t_end=t_end,
-        max_samples=max_samples))
-
-
-def one_process(monkeypatch, forks, study):
-    """study() on one CPU, with the counts of forks reset after it."""
-    use_cpus(monkeypatch, 1)
-    result = study()
-    assert forks["fork"] == 0
-    forks.update(fork=0, reference=0)
-    use_cpus(monkeypatch, 2)
-    return result
-
-
-@pytest.mark.parametrize("epsilons, t_end, max_samples, n_grids", [
-    # one grid of four rows
-    ([0.02, 0.01, 0.005, 0.0025], 0.2, 200, 1),
-    # three default grids, shared by 0.04 and 0.008, 0.03 and 0.02, 0.025
-    # and 0.0125, stepped as one stack on the finest
-    ([0.04, 0.03, 0.025, 0.02, 0.0125, 0.008], 0.3, 20, 3),
-    # three default grids of one epsilon each
-    ([0.02, 0.01, 0.005], 0.2, 2000, 3),
-])
-def test_split_convergence_has_the_bits_of_one_process(forks, monkeypatch,
-                                                      epsilons, t_end,
-                                                      max_samples, n_grids):
-    assert len({studies._sample_grid(default_config(
-        e, t_end, 0.05, max_samples)) for e in epsilons}) == n_grids
-    study = split_case(epsilons, t_end, max_samples)
-    one = one_process(monkeypatch, forks, study)
-    assert study() == one
-    # one child steps the reference; this process steps none
-    assert forks == {"fork": 1, "reference": 0}
-    assert_no_child_left()
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_split_convergence_failure_is_the_one_process_failure(forks,
-                                                             monkeypatch):
-    # the two cases of test_convergence_wraps_integration_failure: three
-    # default grids and one; the split fails and the study runs again in
-    # one process, which raises the same error
-    params = make_params(omega=np.full(3, 1e4))
-    exploding = Coupling(gamma=np.sin,
-                         target=lambda u, v: np.exp(50.0 * u + 0.0 * v),
-                         gamma_d1=np.cos,
-                         target_du=lambda u, v: 50.0 * np.exp(50.0 * u + 0.0 * v),
-                         target_dv=lambda u, v: 0.0 * u)
-    for epsilons, t_end, max_samples in [([0.02, 0.01, 0.005], 0.1, 2000),
-                                         ([0.03, 0.015, 0.01], 0.3, 50)]:
-        texts = []
-        for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
-            with pytest.raises(ExperimentError) as info:
-                convergence_study(params, exploding, np.zeros(3), epsilons,
-                                  t_end=t_end, max_samples=max_samples)
-            texts.append(str(info.value))
-        assert texts[0] == texts[1]
-        assert texts[0].startswith(f"integration failed at epsilon={epsilons[0]}")
-        assert forks["fork"] == 1
-        forks["fork"] = 0
-        assert_no_child_left()
-
-
-def test_split_convergence_child_without_room_gives_one_process_result(
-        forks, monkeypatch):
-    study = split_case()
-    one = one_process(monkeypatch, forks, study)
-
-    class NoRoom(io.BytesIO):
-        def write(self, data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
-                        io.TextIOWrapper(NoRoom(), encoding="utf-8"))
-    # the child fails to write its phases; the study runs again in one
-    # process, which steps the reference
-    assert study() == one
-    assert forks == {"fork": 1, "reference": 1}
-    assert_no_child_left()
-
-
-def test_split_convergence_child_that_warns_gives_one_process_warnings(
-        forks, monkeypatch):
-    # a warning in the child fails the split, so that it is given once, by
-    # this process, and not again on the child's stderr
-    study = split_case(epsilons=(0.02, 0.01, 0.005), max_samples=2000)
-    reference = studies._exponential_stack
-
-    def warning_reference(*args):
-        warnings.warn("the reference warns", RuntimeWarning)
-        return reference(*args)
-    monkeypatch.setattr(studies, "_exponential_stack", warning_reference)
-    given = []
-    for cpus in (1, 2):
-        use_cpus(monkeypatch, cpus)
-        with pytest.warns(RuntimeWarning, match="the reference warns") as seen:
-            given.append(study())
-        given.append([str(w.message) for w in seen])
-    assert given[:2] == given[2:]
-    assert given[1] == ["the reference warns"]
-    assert forks["fork"] == 1
-    assert_no_child_left()
-
-
-def test_convergence_is_not_split_without_fork_threads_or_cpus(forks,
-                                                               monkeypatch):
-    study = split_case()
-    one = one_process(monkeypatch, forks, study)
-    # another thread alive
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert study() == one
-    finally:
-        stop.set()
-        thread.join(10)
-    assert not thread.is_alive()
-    assert forks == {"fork": 0, "reference": 1}
-    assert study() == one
-    assert forks == {"fork": 1, "reference": 1}
-    monkeypatch.delattr(os, "fork")
-    assert study() == one
-    assert forks == {"fork": 1, "reference": 2}
-    assert_no_child_left()
+def test_convergence_past_its_self_gap_budget_is_experiment_error():
+    # down to epsilon = 1e-6 the order-1 errors (~1e-13) reach the
+    # reference's round-off, which no step can bring within the budget
+    params, _, theta0, coupling = shipped_converge_model()
+    with pytest.raises(ExperimentError, match=r"self-gap \S+ exceeds its "
+                       r"budget \S+, 0.001 of the smallest order-1 error, at "
+                       r"h=0.000156 \(64 substeps\)"):
+        convergence_study(params, coupling, theta0, [1e-4, 1e-5, 1e-6],
+                          t_end=0.2)
 
 
 @pytest.mark.parametrize("theta0", [[np.nan, 0.0, 0.0], np.zeros(4)],
                          ids=["nan", "4 phases"])
-def test_convergence_checks_theta0_before_any_fork_or_step(forks, monkeypatch,
-                                                          theta0):
+def test_convergence_checks_theta0_before_any_step(monkeypatch, theta0):
     def no_step(*args):
-        raise AssertionError("a Runge-Kutta step was taken")
+        raise AssertionError("a step was taken")
     monkeypatch.setattr(integrate, "rk4_step", no_step)
+    monkeypatch.setattr(studies, "_exponential_stack", no_step)
     with pytest.raises(ContractError, match="theta0 must be 3 finite phases"):
         convergence_study(make_params(), make_kuramoto(0.5), theta0,
                           [0.02, 0.01, 0.005], t_end=0.2)
-    assert forks == {"fork": 0, "reference": 0}
