@@ -34,7 +34,6 @@ from .fields import (
 from .integrate import (
     IntegrationConfig,
     Trajectory,
-    default_config,
     integrate_full,
     integrate_reduced,
     rk4_step,
@@ -88,7 +87,6 @@ __all__ = [
     "certify_nonpairwise",
     "convergence_study",
     "critical_weights",
-    "default_config",
     "default_scan_points",
     "distance_to_slow_manifold",
     "fit_loglog",

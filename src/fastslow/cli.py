@@ -15,13 +15,11 @@ digits; both spellings parse back to the same double.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
 import platform
 import sys
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +35,8 @@ from .certificate import (
     scan_mixed_derivatives,
 )
 from .fields import ReducedField, critical_weights, slow_manifold
-from .integrate import (IntegrationConfig, _write_table, default_config,
-                        integrate_full, trajectory_to_csv)
+from .integrate import (IntegrationConfig, _write_table, integrate_full,
+                        trajectory_to_csv)
 from .model import (
     ContractError,
     ExperimentError,
@@ -209,51 +207,33 @@ def _resolve_model(cfg: dict, command: str, seeds: SeedBook):
     return params, epsilon_list, coupling
 
 
-def _resolve_horizon(cfg: dict, epsilon: float,
-                     default_t_end: float = DEFAULT_T_END):
-    """Return (dt_factor, t_end) for runs at ``epsilon``.  An unset t_end is
-    ``default_t_end``, rounded up to whole steps there if IntegrationConfig
-    refuses it; once is enough, as ceil(steps) * dt is whole steps."""
+def _resolve_horizon(cfg: dict, default_t_end: float = DEFAULT_T_END):
+    """Return (dt_factor, t_end); an unset t_end is ``default_t_end``."""
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
     # surfaced at parse time so a converge sweep rejects before any run
     _expect(0 < dt_factor <= 0.1, "integration.dt_factor",
             "must lie in (0, 0.1]")
-    if "t_end" in block:
-        t_end = _as_float(block["t_end"], "integration.t_end")
-        _expect(t_end > 0, "integration.t_end", "must be > 0")
-        return dt_factor, t_end
-    dt, t_end = float(epsilon * dt_factor), default_t_end
-    try:
-        IntegrationConfig(dt, t_end)
-    except ContractError:  # dt = 0 or t_end / dt = inf: the caller refuses it
-        with suppress(ArithmeticError):
-            t_end = math.ceil(t_end / dt) * dt
+    t_end = _as_float(block.get("t_end", default_t_end), "integration.t_end")
+    _expect(t_end > 0, "integration.t_end", "must be > 0")
     return dt_factor, t_end
 
 
 def _resolve_integration(cfg: dict, epsilon: float,
                          default_t_end: float = DEFAULT_T_END):
-    """Return the IntegrationConfig at this epsilon."""
-    dt_factor, t_end = _resolve_horizon(cfg, epsilon, default_t_end)
-    try:
-        config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
-    except ContractError as exc:
-        raise ConfigError(f"integration.t_end: {exc}") from exc
+    """Return IntegrationConfig.spanning(t_end, epsilon * dt_factor,
+    sample_every): steps of at most epsilon * dt_factor that end on t_end."""
+    dt_factor, t_end = _resolve_horizon(cfg, default_t_end)
     sample_every = _get_block(cfg, "integration").get("sample_every")
-    if sample_every is None:
-        try:
-            return default_config(epsilon, t_end, dt_factor)
-        except ContractError as exc:  # only a set stride can mend a sparse one
-            raise ConfigError(f"integration.t_end: {exc}, or set "
-                              f"integration.sample_every") from exc
-    # a set stride replaces the default one, which may not exist
-    sample_every = _as_int(sample_every, "integration.sample_every")
+    if sample_every is not None:
+        sample_every = _as_int(sample_every, "integration.sample_every")
+        _expect(sample_every >= 1, "integration.sample_every", "must be >= 1")
     try:
-        return dataclasses.replace(config, sample_every=sample_every)
-    except ContractError as exc:
-        raise ConfigError(f"integration.sample_every: {exc}") from exc
+        return IntegrationConfig.spanning(t_end, epsilon * dt_factor,
+                                          sample_every)
+    except ContractError as exc:  # a step or a step count past float range
+        raise ConfigError(f"integration.t_end: {exc}") from exc
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):
@@ -437,10 +417,10 @@ def cmd_converge(raw_config, seeds: SeedBook):
     params_base, epsilon_list, coupling = _resolve_model(
         raw_config, "converge", seeds)
     theta0 = _resolve_theta0(raw_config, params_base.n_nodes, seeds)
-    # convergence_study picks its own sample spacing and step
+    # convergence_study grids t_end itself; dt_factor is only echoed
     _expect("sample_every" not in _get_block(raw_config, "integration"),
             "integration.sample_every", "is not used by converge; remove it")
-    dt_factor, t_end = _resolve_horizon(raw_config, epsilon_list[-1])
+    dt_factor, t_end = _resolve_horizon(raw_config)
 
     result = convergence_study(params_base, coupling, theta0,
                                epsilon_list, t_end=t_end)

@@ -25,7 +25,7 @@ import shutil
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,9 +51,9 @@ MIN_VALUES_PER_PART = 2 ** 17
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon and sampling stride, all in slow time.  The
-    horizon t_end must be a whole number of steps dt, and sample_every
-    must divide that number, so that the last sample is at t_end."""
+    """Step size, horizon and sampling stride, all in slow time.  t_end
+    must be a whole number of steps dt, and sample_every must divide that
+    number, so that the last sample is at t_end; see ``spanning``."""
 
     dt: float
     t_end: float
@@ -84,35 +84,30 @@ class IntegrationConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-
-def default_config(epsilon: float, t_end: float, dt_factor: float = 0.05,
-                   max_samples: int = MAX_DEFAULT_SAMPLES) -> IntegrationConfig:
-    """Config with dt = epsilon * dt_factor, sampled at the smallest stride
-    that divides the step count and stores at most max_samples rows after
-    the initial one.  Raises ContractError when that stride stores fewer
-    than 1 % of the rows the cap allows (a step count with no divisor near
-    n_steps / max_samples, such as a prime or twice a prime), or when
-    max_samples is not an int >= 1."""
-    if not (_is_int(max_samples) and max_samples >= 1):
-        raise ContractError(f"max_samples must be an int >= 1, got {max_samples!r}")
-    if not (_is_positive(epsilon) and _is_positive(dt_factor)):
-        raise ContractError(f"epsilon and dt_factor must be > 0, got "
-                            f"{epsilon!r} and {dt_factor!r}")
-    config = IntegrationConfig(dt=epsilon * dt_factor, t_end=t_end)
-    n_steps = config.n_steps
-    # the smallest such stride is n_steps // k for the largest divisor k of
-    # n_steps with k <= max_samples: at most max_samples tries
-    k = min(n_steps, max_samples)
-    while n_steps % k:
-        k -= 1
-    sample_every = n_steps // k
-    # the 1 % floor is a policy: it keeps 10 001 = 73 * 137 steps (137 rows)
-    if 100 * k < min(n_steps, max_samples):
-        raise ContractError(
-            f"the smallest stride that divides the {n_steps} steps and "
-            f"stores at most {max_samples} samples is {sample_every}, which "
-            f"stores only {k}; choose another t_end")
-    return replace(config, sample_every=sample_every)
+    @classmethod
+    def spanning(cls, t_end: float, max_dt: float,
+                 sample_every: Optional[int] = None) -> "IntegrationConfig":
+        """The grid of [0, t_end] in the fewest equal steps of at most
+        max_dt whose count the stride divides: n = ceil(t_end / max_dt)
+        rounded up to a multiple of sample_every, or else of ceil(n /
+        MAX_DEFAULT_SAMPLES), which stores 5 000 to 10 000 samples past n =
+        10 000.  Raises ContractError for a t_end or max_dt not finite and
+        > 0, a stride not a positive integer, or steps past float range."""
+        if not (_is_positive(t_end) and _is_positive(max_dt)):
+            raise ContractError(f"t_end and max_dt must be > 0, got "
+                                f"{t_end!r} and {max_dt!r}")
+        if sample_every is not None and not (_is_int(sample_every)
+                                             and sample_every >= 1):
+            raise ContractError(f"sample_every must be a positive integer, "
+                                f"got {sample_every!r}")
+        try:  # ceil(inf), or a step count past the float range
+            n = math.ceil(t_end / max_dt)
+            stride = int(sample_every or -(-n // MAX_DEFAULT_SAMPLES))
+            dt = t_end / (-(-n // stride) * stride)
+        except OverflowError:
+            raise ContractError(f"t_end={t_end} is more steps of max_dt="
+                                f"{max_dt} than a float can count") from None
+        return cls(dt=dt, t_end=t_end, sample_every=stride)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +134,7 @@ class Trajectory:
         gaps = np.diff(t)
         if np.any(gaps <= 0):
             raise ContractError("times must be strictly increasing")
-        # np.arange(...) * dt rounds each time by about one ulp of t
+        # np.linspace rounds each time by about one ulp of t
         if np.max(np.abs(gaps - gaps[0])) > 1e-12 * max(1.0, abs(t[-1])):
             raise ContractError(
                 "times must be uniformly spaced to 1e-12 * max(1, |t_end|)")
@@ -191,7 +186,7 @@ def _check_finite(out, scheme: str) -> None:
 
 def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
                n_samples: int, what: str, stored: Optional[int] = None,
-               step=None) -> FloatArray:
+               step=None, mend="shorten integration.t_end") -> FloatArray:
     """Take ``substeps`` steps step(rhs, state, dt), rk4_step by default,
     between two samples, and return the first ``stored`` columns (all by
     default) at n_samples sample times, the initial state first.
@@ -201,17 +196,17 @@ def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
     as a flat row, on which numpy is faster.
     ``what`` names the system in the error raised when a step fails, with
     the time, the step and, in a stack of more than one row, the failing
-    rows.  A history over MAX_HISTORY_BYTES raises ContractError before it
-    is allocated.
+    rows.  A history over MAX_HISTORY_BYTES raises ContractError, which
+    ends with ``mend``, before it is allocated.
     """
     step = rk4_step if step is None else step
     stack = np.array(state, dtype=float, ndmin=2)
     kept = stack[:, :stored]
-    if 8 * n_samples * kept.size > MAX_HISTORY_BYTES:
+    needs = 8.0 * n_samples * kept.size
+    if needs > MAX_HISTORY_BYTES:
         raise ContractError(
-            f"the {what} history of {n_samples} samples needs "
-            f"{8 * n_samples * kept.size} bytes, over MAX_HISTORY_BYTES = "
-            f"{MAX_HISTORY_BYTES}; raise integration.sample_every")
+            f"the {what} history of {n_samples:.3g} samples needs {needs:.3g} "
+            f"bytes, over MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}; {mend}")
     rows = np.empty((n_samples,) + kept.shape)
     rows[0] = kept
     active = stack[0] if len(stack) == 1 else stack
@@ -231,10 +226,16 @@ def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
     return rows if state.ndim == 2 else rows[:, 0]
 
 
-def _sample_times(config: IntegrationConfig) -> FloatArray:
+def _samples(config: IntegrationConfig) -> int:
+    """The number of samples on config's grid, the initial one included."""
     if not isinstance(config, IntegrationConfig):
         raise ContractError(f"config must be an IntegrationConfig, got {config!r}")
-    return np.arange(0, config.n_steps + 1, config.sample_every) * config.dt
+    return config.n_steps // config.sample_every + 1
+
+
+def _sample_times(config: IntegrationConfig) -> FloatArray:
+    """config's sample times, uniform from 0 to exactly t_end."""
+    return np.linspace(0.0, config.t_end, _samples(config))
 
 
 def _full_rhs(params: ModelParams, coupling):
@@ -261,7 +262,7 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
     fast weight relaxation is only trustworthy well inside its stability
     region.  The weights are a view of the stepped rows.
     """
-    times, rhs = _sample_times(config), _full_rhs(params, coupling)
+    n_samples, rhs = _samples(config), _full_rhs(params, coupling)
     if not isinstance(initial, FullState):
         raise ContractError(f"initial must be a FullState, got {initial!r}")
     n = params.n_nodes
@@ -275,9 +276,10 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
             f"{params.epsilon / 10.0}")
     rows = _integrate(rhs, np.concatenate([initial.theta,
                                            initial.weights.ravel()]),
-                      config.dt, config.sample_every, times.size,
-                      "full-system")
-    return Trajectory(times=times, thetas=wrap_phase(rows[:, :n]),
+                      config.dt, config.sample_every, n_samples,
+                      "full-system", mend="raise integration.sample_every")
+    return Trajectory(times=_sample_times(config),
+                      thetas=wrap_phase(rows[:, :n]),
                       weights=rows[:, n:].reshape(-1, n, n))
 
 
@@ -340,7 +342,7 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
     start = np.concatenate([np.tile(theta0, (eps.size, 1)), (
         eps[:, None, None] * core.terms(theta0)[3]).reshape(eps.size, -1)], -1)
     return wrap_phase(_integrate(forcing, start, h, config.sample_every,
-                                 _sample_times(config).size, "full-system",
+                                 _samples(config), "full-system",
                                  stored=n, step=step))
 
 
@@ -349,16 +351,15 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     from a stack (S, N) that the field evaluates in one call, giving thetas
     (samples, S, N).  No epsilon guard applies; the reduced field carries
     no fast relaxation."""
-    theta0 = np.asarray(initial_theta, dtype=float)
+    theta0, n_samples = np.asarray(initial_theta, dtype=float), _samples(config)
     n = field.n_nodes
     if theta0.shape[-1:] != (n,) or theta0.ndim > 2:
         raise ContractError(
             f"initial theta must have shape ({n},) or (S, {n}), got "
             f"{theta0.shape}")
-    times = _sample_times(config)
     rows = _integrate(field, theta0, config.dt, config.sample_every,
-                      times.size, "reduced")
-    return Trajectory(times=times, thetas=wrap_phase(rows))
+                      n_samples, "reduced")
+    return Trajectory(times=_sample_times(config), thetas=wrap_phase(rows))
 
 
 def _cpus() -> int:
@@ -375,8 +376,8 @@ def _forked(jobs, own, what: str):
     """Call each of ``jobs`` on its own unlinked UTF-8 temporary file (bytes
     go to its buffer) in a forked child, which leaves by os._exit only,
     while this process calls ``own()``.  Reaps every child, also when
-    ``own`` raises, then yields own's result and the files, rewound.  A
-    failed child raises ChildProcessError naming ``what`` it did, from 1."""
+    ``own`` raises, then yields the files, rewound.  A failed child raises
+    ChildProcessError naming ``what`` it did, from 1."""
     pids = []
     with ExitStack() as opened:
         files = [opened.enter_context(tempfile.TemporaryFile(
@@ -391,7 +392,7 @@ def _forked(jobs, own, what: str):
                         os._exit(0)
                     finally:
                         os._exit(1)
-            result = own()
+            own()
         finally:
             failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
         if failed:
@@ -399,7 +400,7 @@ def _forked(jobs, own, what: str):
                                     f"{len(jobs) + 1} failed")
         for file in files:
             file.seek(0)
-        yield result, files
+        yield files
 
 
 def _write_table(stream, columns, parts) -> None:
@@ -462,7 +463,7 @@ def _write_table(stream, columns, parts) -> None:
     with _forked([lambda out, lo=lo, hi=hi: write(out, lo, hi) for lo, hi in
                   zip(bounds[1:-1], bounds[2:])],
                  lambda: write(stream, 0, bounds[1]),
-                 "formatting CSV parts") as (_, files):
+                 "formatting CSV parts") as files:
         for part in files:
             shutil.copyfileobj(part, stream)
 

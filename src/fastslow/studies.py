@@ -7,7 +7,6 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -240,19 +239,20 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     theta0, n = _check_shapes(None, theta0), field.n_nodes
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
-    spacing = t_end / math.ceil(t_end / MAX_REDUCED_DT)
 
-    def run(substeps):  # (reference, reduced) phases
-        grid = IntegrationConfig(dt=spacing / substeps, t_end=t_end,
-                                 sample_every=substeps)
+    def grid(substeps):  # samples t_end / ceil(t_end / MAX_REDUCED_DT) apart
+        return IntegrationConfig.spanning(t_end, MAX_REDUCED_DT / substeps,
+                                          substeps)
+
+    def run(config):  # (reference, reduced) phases
         return (_named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
-                    params_base, coupling, eps, theta0, grid)),
+                    params_base, coupling, eps, theta0, config)),
                 _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
                        lambda: integrate_reduced(field, np.tile(
-                           theta0, (1 + eps.size, 1)), grid).thetas))
-    substeps, fine = 1, run(1)
+                           theta0, (1 + eps.size, 1)), config).thetas))
+    substeps, fine = 1, run(grid(1))
     while True:
-        substeps, coarse, fine = 2 * substeps, fine, run(2 * substeps)
+        substeps, coarse, fine = 2 * substeps, fine, run(grid(2 * substeps))
         phases, thetas = fine
         # order k's error at epsilon m: the reduced row 0, or 1 + m
         errs0, errs1 = (np.array([phase_distance(phases[:, m], thetas[:, k * (
@@ -266,11 +266,11 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
             raise ExperimentError(
                 f"the step-doubling self-gap {gap:.3g} exceeds its budget "
                 f"{budget:.3g}, {SELF_GAP_BUDGET:g} of the smallest order-1 "
-                f"error, at h={spacing / substeps:.3g} ({substeps} substeps)")
+                f"error, at h={grid(substeps).dt:.3g} ({substeps} substeps)")
 
     fit0, fit1 = (None, None) if degenerate else \
         (fit_loglog(eps, errs0), fit_loglog(eps, errs1))
     return ConvergenceReport(epsilons=eps, errors_order0=errs0,
                              errors_order1=errs1, fit_order0=fit0,
                              fit_order1=fit1, degenerate=degenerate,
-                             dt=spacing / substeps, self_gap=gap)
+                             dt=grid(substeps).dt, self_gap=gap)

@@ -340,45 +340,49 @@ def test_attract_reports_rate(tmp_path, capsys):
 
 @pytest.mark.parametrize("dt_factor", [0.07, 0.09])
 def test_attract_default_horizon_is_whole_steps(tmp_path, dt_factor):
-    # 6 fast-time units are not a whole number of these steps; the default
-    # horizon rounds up to the next whole step instead of being rejected
+    # 6 fast-time units are not a whole number of steps of dt_factor; the
+    # horizon stays 6 and is cut into the fewest equal steps no longer
     cfg = copy.deepcopy(ATTRACT)
     cfg["integration"] = {"dt_factor": dt_factor}
     code, out = run(tmp_path, "attract", cfg, extra=["--quiet"])
     assert code == 0
     rows = (out / "raw.csv").read_text().splitlines()[2:]
-    steps = float(rows[-1].split(",")[0]) / dt_factor
-    assert abs(steps - round(steps)) < 1e-9
-    assert 6.0 <= round(steps) * dt_factor < 6.0 + dt_factor
+    fast_times = np.array([float(row.split(",")[0]) for row in rows])
+    assert len(rows) == math.ceil(6.0 / dt_factor) + 1
+    assert fast_times[-1] == 6.0 and np.diff(fast_times).max() <= dt_factor
 
 
 @pytest.mark.parametrize("command,epsilons", [
     ("simulate", {"epsilon": 0.08}),
     ("converge", {"epsilon_list": [0.08, 0.04, 0.02]}),
-    # not a halving list: the rounded horizon need not be whole at 0.03
     ("converge", {"epsilon_list": [0.03, 0.02, 0.01]})])
 def test_default_t_end_is_whole_steps(tmp_path, command, epsilons):
     # 2.0 is not a whole number of steps of 0.07 * epsilon; the default
-    # horizon rounds up once, to the next whole step of the finest epsilon
+    # horizon stays 2.0, which simulate cuts into the fewest equal steps no
+    # longer and converge into its own grid
     cfg = copy.deepcopy(SIMULATE if command == "simulate" else CONVERGE)
     cfg["model"].update(epsilons)
     cfg["integration"] = {"dt_factor": 0.07}
     code, out = run(tmp_path, command, cfg, extra=["--quiet"])
     assert code == 0
-    t_end = json.loads((out / "report.json").read_text())["t_end"]
-    dt = epsilons.get("epsilon_list", [epsilons.get("epsilon")])[-1] * 0.07
-    assert abs(t_end / dt - round(t_end / dt)) < 1e-9
-    assert t_end == math.ceil(2.0 / dt) * dt
+    report = json.loads((out / "report.json").read_text())
+    assert report["t_end"] == 2.0
+    if command == "simulate":
+        assert report["n_samples"] == math.ceil(2.0 / (0.08 * 0.07)) + 1
 
 
-def test_prime_step_count_needs_sample_every(tmp_path, capsys):
-    # 10 007 steps is prime: the only stride under the 10 000-sample cap
-    # would store just the first and last rows
+def test_prime_step_count_rounds_up_to_the_default_stride(tmp_path):
+    # 10 007 steps of 0.01 * 0.05 is prime: the default stride 2 rounds it
+    # up to 10 008 steps, 5 005 samples that end on t_end
     cfg = copy.deepcopy(SIMULATE)
     cfg["model"]["epsilon"] = 0.01
     cfg["integration"] = {"t_end": 5.0035}
-    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-    assert "10007 steps" in err and "integration.sample_every" in err
+    config = _resolve_integration(cfg, 0.01)
+    assert (config.n_steps, config.sample_every) == (10_008, 2)
+    code, out = run(tmp_path, "simulate", cfg, extra=["--quiet"])
+    report = json.loads((out / "report.json").read_text())
+    assert code == 0 and (report["n_samples"], report["t_end"]) == (5005,
+                                                                   5.0035)
     # a set stride is taken as it is
     cfg["integration"]["sample_every"] = 1
     config = _resolve_integration(cfg, 0.01)
@@ -392,7 +396,20 @@ def test_history_over_the_memory_cap_is_contract_error(tmp_path, capsys):
     cfg["integration"] = {"t_end": 5.0, "sample_every": 1}
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert err.startswith("contract error") and "bytes" in err \
-        and "integration.sample_every" in err
+        and err.endswith("; raise integration.sample_every\n")
+    # horizons so long that the sample counts have 300 digits: refused
+    # before any sample time is built, in three significant digits, and
+    # converge, which picks its own stride, is offered a shorter t_end
+    for command, config, mend in [
+            ("simulate", SIMULATE, "raise integration.sample_every"),
+            ("converge", CONVERGE, "shorten integration.t_end")]:
+        cfg = copy.deepcopy(config)
+        cfg["integration"] = {"t_end": 1e300}
+        if command == "simulate":
+            cfg["integration"]["sample_every"] = 1
+        err = expect_config_error(tmp_path, capsys, command, cfg)
+        assert err.startswith("contract error") and " samples needs " in err \
+            and err.endswith(f"; {mend}\n") and len(err) < 200
 
 
 def test_converge_horizon_needs_no_whole_steps(tmp_path, capsys):
@@ -467,8 +484,8 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
     cfg["integration"] = {"dt_factor": 0.5}
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert "dt_factor" in err
-    # converge's reference has no step guard: dt_factor only rounds its
-    # default horizon, so the message gives the range without a reason
+    # converge's reference has no step guard: dt_factor is only echoed,
+    # so the message gives the range without a reason
     cfg = copy.deepcopy(CONVERGE)
     cfg["integration"]["dt_factor"] = 0.2
     err = expect_config_error(tmp_path, capsys, "converge", cfg)
@@ -478,28 +495,34 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
     cfg = copy.deepcopy(SIMULATE)
     cfg["model"]["epsilon"] = 1e-300
     for integration, why in [
-            ({"dt_factor": 1e-10}, "t_end=2.0 is more steps of dt=1e-310 "
+            ({"dt_factor": 1e-10}, "t_end=2.0 is more steps of max_dt=1e-310 "
              "than a float can count"),
             ({"dt_factor": 1e-10, "t_end": 1.0}, "t_end=1.0 is more steps of "
-             "dt=1e-310 than a float can count"),
-            ({"dt_factor": 1e-30}, "dt must be > 0, got 0.0")]:
+             "max_dt=1e-310 than a float can count"),
+            ({"dt_factor": 1e-30}, "t_end and max_dt must be > 0, got 2.0 "
+             "and 0.0")]:
         cfg["integration"] = integration
         err = expect_config_error(tmp_path, capsys, "simulate", cfg)
         assert err == f"config error: integration.t_end: {why}\n"
 
 
-def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys):
+def test_t_end_off_the_step_grid_ends_on_it(tmp_path):
+    # 0.01 * 0.03 = 3e-4 does not divide t_end = 0.5: 1667 steps of 0.5 /
+    # 1667 do, with or without a set stride, and the last sample is 0.5 to
+    # the bit, not the 0.49999999999999994 of 1667 * (0.5 / 1667)
     cfg = copy.deepcopy(SIMULATE)
-    # dt = 0.02 * 0.03 = 6e-4 does not divide t_end = 0.5, and no stride
-    # can mend that, so neither spelling offers one
+    cfg["model"]["epsilon"] = 0.01
     cfg["integration"] = {"t_end": 0.5, "dt_factor": 0.03}
     for stride in (None, 1):
         if stride is not None:
             cfg["integration"]["sample_every"] = stride
-        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-        assert err.startswith("config error: integration.t_end: t_end=0.5 "
-                              "is not a whole number") \
-            and "sample_every" not in err
+        config = _resolve_integration(cfg, 0.01)
+        assert (config.n_steps, config.dt) == (1667, 0.5 / 1667)
+        code, out = run(tmp_path, "simulate", cfg, extra=["--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert code == 0 and (report["n_samples"], report["t_end"]) == (1668,
+                                                                       0.5)
+        assert (out / "raw.csv").read_text().splitlines()[-1].startswith("0.5,")
 
 
 def test_sample_every_on_converge_is_config_error(tmp_path, capsys):
@@ -509,12 +532,22 @@ def test_sample_every_on_converge_is_config_error(tmp_path, capsys):
     assert "integration.sample_every" in err
 
 
-def test_sample_every_must_divide_the_steps(tmp_path, capsys):
+def test_sample_every_rounds_the_steps_up(tmp_path, capsys):
+    # 500 steps of dt = 0.001: a stride of 3 takes 501 shorter steps, so
+    # that the last sample is still at 0.5
     cfg = copy.deepcopy(SIMULATE)
-    # 500 steps of dt = 0.001: a stride of 3 would end the samples at 0.498
     cfg["integration"]["sample_every"] = 3
-    err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-    assert "integration.sample_every" in err
+    config = _resolve_integration(cfg, 0.02)
+    assert (config.n_steps, config.sample_every, config.dt) == (501, 3,
+                                                                0.5 / 501)
+    code, out = run(tmp_path, "simulate", cfg, extra=["--quiet"])
+    report = json.loads((out / "report.json").read_text())
+    assert code == 0 and (report["n_samples"], report["t_end"]) == (168, 0.5)
+    # a stride that is no positive integer is the stride's error
+    for stride, why in [(0, "must be >= 1"), (2.0, "must be an integer")]:
+        cfg["integration"]["sample_every"] = stride
+        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+        assert err.startswith(f"config error: integration.sample_every: {why}")
 
 
 def test_missing_seed_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import errno
 import io
+import math
 import os
 import re
 import signal
@@ -7,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -24,7 +24,6 @@ from fastslow import (
     ReducedField,
     Trajectory,
     critical_weights,
-    default_config,
     integrate_full,
     integrate_reduced,
     make_kuramoto,
@@ -36,8 +35,8 @@ from fastslow import (
     wrap_phase,
 )
 from fastslow import integrate as integrate_module
-from fastslow.integrate import MAX_HISTORY_BYTES, _full_rhs, \
-    _integrate, _sample_times, _write_table
+from fastslow.integrate import MAX_DEFAULT_SAMPLES, MAX_HISTORY_BYTES, \
+    _full_rhs, _integrate, _sample_times, _write_table
 from conftest import assert_no_child_left, use_cpus
 
 TWO_PI = 2 * np.pi
@@ -75,8 +74,6 @@ def test_config_validation():
             IntegrationConfig(dt=bad, t_end=1.0)
         with pytest.raises(ContractError, match="t_end must be > 0"):
             IntegrationConfig(dt=0.1, t_end=bad)
-    with pytest.raises(ContractError, match="epsilon and dt_factor"):
-        default_config("a", 1.0)
     # a run needs a config
     field = ReducedField(order=0, params=ModelParams(
         n_nodes=2, omega=np.zeros(2), epsilon=0.1), coupling=make_kuramoto(0.5))
@@ -84,55 +81,66 @@ def test_config_validation():
         integrate_reduced(field, np.zeros(2), None)
 
 
-def test_default_config_caps_samples():
-    cfg = default_config(epsilon=0.01, t_end=2.0, max_samples=100)
-    assert cfg.dt == pytest.approx(5e-4)
-    assert cfg.n_steps == 4000
-    assert cfg.n_steps / cfg.sample_every <= 100
-    # 10 001 = 73 * 137 steps: stride 2 would drop the last one, so the
-    # stride is the smallest divisor >= 2
-    cfg = default_config(epsilon=0.01, t_end=5.0005)
-    assert cfg.n_steps == 10_001
-    assert cfg.sample_every == 73
-    # 10 007 steps is prime, and 20 014 = 2 * 10 007 has no divisor from 3
-    # to 10 006: the strides 10 007 would store only one or two samples
-    with pytest.raises(ContractError, match="10007 steps.*only 1;"):
-        default_config(epsilon=0.01, t_end=5.0035)
-    with pytest.raises(ContractError, match="20014 steps.*only 2;"):
-        default_config(epsilon=0.01, t_end=10.007)
+@pytest.mark.parametrize("t_end, max_dt, sample_every, steps, dt", [
+    # the shipped simulate and attract grids: dt is epsilon * dt_factor
+    (2.0, 0.01 * 0.05, None, 4000, 0.01 * 0.05),
+    (6 * 0.01, 0.01 * 0.05, None, 120, 0.01 * 0.05),
+    # 10 007 steps is prime: stride 2 rounds it up to 10 008
+    (5.0035, 0.01 * 0.05, None, 10_008, None),
+    # off the grid of max_dt: a step a little shorter ends on t_end
+    (0.5, 0.01 * 0.03, None, 1667, None),
+    (6 * 0.01, 0.01 * 0.07, None, 86, None),
+    # a set stride of 3 rounds 500 steps up to 501
+    (0.5, 0.02 * 0.05, 3, 501, None),
+    # the default stride past MAX_DEFAULT_SAMPLES steps
+    (10_001.0, 1.0, None, 10_002, None),
+    (14_000.0, 0.07, None, 200_000, 0.07),
+    (1e9, 1.0, None, 10 ** 9, 1.0),
+    # converge's grids: samples t_end / ceil(t_end / 0.01) apart, each
+    # stepped 2^k times, so dt is that spacing / 2^k to the bit
+    (1.535, 0.01 / 8, 8, 1232, 1.535 / 154 / 8),
+    (0.50075, 0.01 / 2, 2, 102, 0.50075 / 51 / 2),
+    (2.0, 0.01 / 64, 64, 12_800, 0.01 / 64),
+    (0.005, 0.01 / 4, 4, 4, 0.005 / 4)])
+def test_spanning_takes_the_fewest_steps_the_stride_divides(
+        t_end, max_dt, sample_every, steps, dt):
+    grid = IntegrationConfig.spanning(t_end, max_dt, sample_every)
+    n = math.ceil(t_end / max_dt)
+    stride = sample_every or -(-n // MAX_DEFAULT_SAMPLES)
+    assert (grid.n_steps, grid.sample_every, grid.t_end) == (steps, stride,
+                                                             t_end)
+    assert steps % stride == 0 and steps - stride < n <= steps
+    assert grid.dt <= max_dt and (dt is None or grid.dt == dt)
+    assert abs(steps * grid.dt - t_end) <= 1e-9 * t_end
+    if sample_every is None and n > MAX_DEFAULT_SAMPLES:
+        assert 5000 <= steps // stride <= MAX_DEFAULT_SAMPLES
 
 
-@pytest.mark.parametrize("max_samples", [1, 2, 7, 100, 1000])
-def test_default_config_stride_matches_linear_search(max_samples):
-    for n_steps in range(1, 2001):
-        stride = max(1, -(-n_steps // max_samples))
-        while n_steps % stride:
-            stride += 1
-        if 100 * (n_steps // stride) < min(n_steps, max_samples):
-            with pytest.raises(ContractError, match=f"is {stride}, which"):
-                default_config(1.0, float(n_steps), 1.0, max_samples)
-        else:
-            cfg = default_config(1.0, float(n_steps), 1.0, max_samples)
-            assert (cfg.n_steps, cfg.sample_every) == (n_steps, stride)
-
-
-@pytest.mark.parametrize("max_samples", [0, -3, True, 2.0, None])
-def test_default_config_rejects_a_sample_cap_that_is_not_a_count(max_samples):
-    with pytest.raises(ContractError, match="max_samples must be an int >= 1"):
-        default_config(epsilon=0.01, t_end=2.0, max_samples=max_samples)
-
-
-def test_default_config_rejects_a_long_prime_grid_promptly():
-    # 40 000 003 steps is prime; the search tries at most max_samples strides
-    start = time.perf_counter()
-    with pytest.raises(ContractError, match="40000003 steps.*only 1;"):
-        default_config(epsilon=1.0, t_end=4_000_000.3, dt_factor=0.1)
-    assert time.perf_counter() - start < 1.0
+@pytest.mark.parametrize("t_end, max_dt, sample_every, match", [
+    (0.0, 0.1, None, "t_end and max_dt must be > 0"),
+    (-1.0, 0.1, None, "t_end and max_dt must be > 0"),
+    (np.inf, 0.1, None, "t_end and max_dt must be > 0"),
+    (np.nan, 0.1, None, "t_end and max_dt must be > 0"),
+    ("2", 0.1, None, "t_end and max_dt must be > 0"),
+    (1.0, 0.0, None, "t_end and max_dt must be > 0"),
+    (1.0, True, None, "t_end and max_dt must be > 0"),
+    (2.0, 1e-310, None, "t_end=2.0 is more steps of max_dt=1e-310 than"),
+    (1.0, 0.1, 0, "sample_every must be a positive integer, got 0"),
+    (1.0, 0.1, -2, "sample_every must be a positive integer"),
+    (1.0, 0.1, 2.0, "sample_every must be a positive integer"),
+    (1.0, 0.1, True, "sample_every must be a positive integer"),
+    # a stride past the float range rounds the steps up past it
+    pytest.param(1.0, 0.1, 10 ** 400, "than a float can count",
+                 id="stride-past-the-float-range")])
+def test_spanning_rejects(t_end, max_dt, sample_every, match):
+    with pytest.raises(ContractError, match=match):
+        IntegrationConfig.spanning(t_end, max_dt, sample_every)
 
 
 def test_trajectory_spacing_bound_scales_with_the_horizon():
-    # at t near 1.4e4 the gaps of np.arange(...) * dt differ by about 1.5e-12
-    times = _sample_times(default_config(0.7, 14000.0, 0.1))
+    # at t near 1.4e4 the gaps of np.linspace differ by about 1.5e-12
+    times = _sample_times(IntegrationConfig(dt=0.07, t_end=14000.0,
+                                            sample_every=20))
     assert Trajectory(times=times, thetas=np.zeros((times.size, 1))).n_samples \
         == 10_001
     with pytest.raises(ContractError, match="uniformly spaced"):
@@ -512,7 +520,7 @@ def test_history_over_the_memory_cap_is_rejected_before_allocating():
     assert _sample_times(config).size == 10_001
     tracemalloc.start()
     try:
-        with pytest.raises(ContractError, match=r"needs 12833283200 bytes.*"
+        with pytest.raises(ContractError, match=r"needs 1\.28e\+10 bytes.*"
                            r"integration\.sample_every"):
             integrate_full(params, coupling, state, config)
         peak = tracemalloc.get_traced_memory()[1]

@@ -17,7 +17,6 @@ from fastslow import (
     attraction_study,
     convergence_study,
     critical_weights,
-    default_config,
     distance_to_slow_manifold,
     fit_loglog,
     integrate_full,
@@ -148,7 +147,7 @@ def test_attraction_rate_exact_for_frozen_phases():
     params = make_params(epsilon=0.01, omega=np.zeros(3))
     c = frozen_phase_coupling()
     state = off_surface_state(params, c)
-    config = default_config(params.epsilon, t_end=6 * params.epsilon)
+    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
     report = attraction_study(params, c, state, config)
     assert report.fitted_rate_per_fast_time == pytest.approx(1.0, abs=1e-6)
     assert report.residual < 1e-6
@@ -159,7 +158,7 @@ def test_attraction_rate_near_one_with_moving_phases():
     params = make_params(epsilon=0.01, seed=3)
     c = make_kuramoto(0.6)
     state = off_surface_state(params, c, seed=4)
-    config = default_config(params.epsilon, t_end=6 * params.epsilon)
+    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
     report = attraction_study(params, c, state, config)
     assert 0.9 <= report.fitted_rate_per_fast_time <= 1.1
     assert report.n_points >= 2
@@ -173,7 +172,7 @@ def test_attraction_rejects_on_surface_start():
     params = make_params(epsilon=0.01)
     c = make_kuramoto(0.6)
     state = off_surface_state(params, c, norm=0.01)
-    config = default_config(params.epsilon, t_end=6 * params.epsilon)
+    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
     with pytest.raises(ContractError):
         attraction_study(params, c, state, config)
     with pytest.raises(ContractError, match="FullState"):
@@ -209,6 +208,11 @@ def test_convergence_validation():
         with pytest.raises(ContractError, match="t_end must be > 0"):
             convergence_study(params, c, theta0, [0.02, 0.01, 0.005],
                               t_end=t_end)
+    # a history past MAX_HISTORY_BYTES is refused before it is allocated,
+    # and the stride that converge picks itself is not offered as a mend
+    with pytest.raises(ContractError, match=r"history of 1e\+11 samples "
+                       r"needs 7\.2e\+12 bytes.*shorten integration\.t_end$"):
+        convergence_study(params, c, theta0, [0.02, 0.01, 0.005], t_end=1e9)
     # unchecked, numpy raises ValueError for non-numeric phases
     with pytest.raises(ContractError, match="non-numeric"):
         convergence_study(params, c, ["a", "b", "c"], [0.02, 0.01, 0.005],
