@@ -25,6 +25,7 @@ from .fields import ReducedField, _check_indices, _check_shapes
 from .model import (
     ContractError,
     FloatArray,
+    _floats,
     _is_int,
     missing_derivatives,
     require_derivatives,
@@ -183,7 +184,7 @@ def scan_mixed_derivatives(field, points,
     by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
     each row the same bits as an unshared stencil.
     """
-    points = np.asarray(points, dtype=float)
+    points = _floats(points, "points")
     if points.ndim != 2 or not len(points):
         raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
     if not np.all(np.isfinite(points)):
@@ -240,7 +241,7 @@ def certify_nonpairwise(field, points=None,
         raise ContractError(
             f"certification needs at least 3 nodes, got {n}")
     points = default_scan_points(n) if points is None \
-        else np.asarray(points, dtype=float)
+        else _floats(points, "points")
     rows = scan_mixed_derivatives(field, points, fd_step)
     best = rows[np.argmax(np.abs(rows[:, 4]))]
 
@@ -312,12 +313,12 @@ class PushforwardField:
     def __post_init__(self):
         perm = _check_permutation(self.permutation, self.base.n_nodes)
         object.__setattr__(self, "permutation", tuple(int(p) for p in perm))
-        object.__setattr__(self, "shifts",
-                           tuple(float(s) for s in self.shifts))
-        if len(self.shifts) != self.base.n_nodes:
+        shifts = _floats(self.shifts, "shifts")
+        if shifts.shape != (self.base.n_nodes,):
             raise ContractError("shifts length must match the node count")
-        if not np.all(np.isfinite(self.shifts)):
+        if not np.all(np.isfinite(shifts)):
             raise ContractError("shifts must be finite")
+        object.__setattr__(self, "shifts", tuple(shifts.tolist()))
 
     @property
     def n_nodes(self) -> int:

@@ -223,17 +223,23 @@ def _resolve_horizon(cfg: dict, default_t_end: float = DEFAULT_T_END):
 def _resolve_integration(cfg: dict, epsilon: float,
                          default_t_end: float = DEFAULT_T_END):
     """Return IntegrationConfig.spanning(t_end, epsilon * dt_factor,
-    sample_every): steps of at most epsilon * dt_factor that end on t_end."""
+    sample_every): steps of at most epsilon * dt_factor that end on t_end,
+    sample_every at most as many as those steps."""
     dt_factor, t_end = _resolve_horizon(cfg, default_t_end)
     sample_every = _get_block(cfg, "integration").get("sample_every")
     if sample_every is not None:
         sample_every = _as_int(sample_every, "integration.sample_every")
         _expect(sample_every >= 1, "integration.sample_every", "must be >= 1")
     try:
-        return IntegrationConfig.spanning(t_end, epsilon * dt_factor,
-                                          sample_every)
+        config = IntegrationConfig.spanning(t_end, epsilon * dt_factor,
+                                            sample_every)
     except ContractError as exc:  # a step or a step count past float range
         raise ConfigError(f"integration.t_end: {exc}") from exc
+    n = math.ceil(t_end / (epsilon * dt_factor))
+    _expect(config.sample_every <= n, "integration.sample_every",
+            f"must be at most the {n} steps of t_end / (epsilon * "
+            f"dt_factor), got {sample_every}")
+    return config
 
 
 def _resolve_theta0(cfg: dict, n_nodes: int, seeds: SeedBook):

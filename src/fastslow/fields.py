@@ -37,6 +37,7 @@ from .model import (
     ContractError,
     FloatArray,
     ModelParams,
+    _floats,
     _is_int,
     require_derivatives,
 )
@@ -45,11 +46,8 @@ from .model import (
 def _check_shapes(n, theta, weights=None):
     """theta as floats (..., N), N = n unless n is None, and weights as
     floats of shape theta.shape + (N,) if given."""
-    try:
-        theta = np.asarray(theta, dtype=float)
-        weights = None if weights is None else np.asarray(weights, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractError(f"non-numeric phases or weights: {exc}") from exc
+    theta = _floats(theta, "phases")
+    weights = None if weights is None else _floats(weights, "weights")
     n = theta.shape[-1] if n is None and theta.ndim else n
     if theta.shape[-1:] != (n,):
         raise ContractError(f"theta must have shape (..., {n or 'N'}), got "

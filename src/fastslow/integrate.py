@@ -9,7 +9,9 @@ stable.  The convergence study's reference, ``_exponential_stack``, takes
 that stiffness exactly instead, at one step size for every epsilon.
 
 One loop, ``_integrate``, takes every step of either scheme; every RK4
-full-system run is ``integrate_full``'s, on one flat row.
+full-system run is ``integrate_full``'s, on one flat row.  ``_write_table``
+writes raw.csv in this process, the "%.17g" of every value spelled in
+bulk by ``_spell``.
 
 Phases are canonicalized only in stored snapshots.  The carried state is
 left unwrapped so that stage arithmetic never crosses the branch cut.
@@ -19,12 +21,8 @@ rhs returned, so an rhs may hand out read-only or cached arrays.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import shutil
-import tempfile
-import threading
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +35,7 @@ from .model import (
     FullState,
     IntegrationError,
     ModelParams,
+    _floats,
     _is_int,
     _is_positive,
     wrap_phase,
@@ -45,8 +44,8 @@ from .model import (
 MAX_DEFAULT_SAMPLES = 10_000
 # bytes of stored history one run may allocate
 MAX_HISTORY_BYTES = 2 * 1024 ** 3
-# values per forked CSV part: over twice the break-even measured on 2 CPUs
-MIN_VALUES_PER_PART = 2 ** 17
+# values per _spell call and slots per write of _write_table
+BLOCK_VALUES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class Trajectory:
     weights: Optional[FloatArray] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _floats(self.times, "times")
         if t.ndim != 1 or t.size < 2:
             raise ContractError("times must be a 1-d array with >= 2 entries")
         if not np.all(np.isfinite(t)):
@@ -139,12 +138,12 @@ class Trajectory:
             raise ContractError(
                 "times must be uniformly spaced to 1e-12 * max(1, |t_end|)")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
+        object.__setattr__(self, "thetas", _floats(self.thetas, "thetas"))
         if self.thetas.shape[:1] != t.shape:
             raise ContractError("thetas row count must match times")
         if self.weights is not None:
             object.__setattr__(self, "weights",
-                               np.asarray(self.weights, dtype=float))
+                               _floats(self.weights, "weights"))
             if self.weights.shape != self.thetas.shape + self.thetas.shape[-1:]:
                 raise ContractError("weights must have shape thetas.shape + (N,)")
 
@@ -351,7 +350,7 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     from a stack (S, N) that the field evaluates in one call, giving thetas
     (samples, S, N).  No epsilon guard applies; the reduced field carries
     no fast relaxation."""
-    theta0, n_samples = np.asarray(initial_theta, dtype=float), _samples(config)
+    theta0, n_samples = _floats(initial_theta, "initial theta"), _samples(config)
     n = field.n_nodes
     if theta0.shape[-1:] != (n,) or theta0.ndim > 2:
         raise ContractError(
@@ -362,62 +361,113 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     return Trajectory(times=_sample_times(config), thetas=wrap_phase(rows))
 
 
-def _cpus() -> int:
-    """The CPUs a forked child may use; 1 without POSIX os.fork or with a
-    second Python thread alive, whose locks a child inherits in any state."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
+@functools.cache
+def _tables():
+    """_spell's tables, built on first use.  At index 281 + k, k in [-281,
+    297]: the least double >= 10**k, and 10**k as hi + lo (hi correctly
+    rounded, lo the rest rounded) with hi's Dekker halves hh and hi - hh.
+    For 0000..9999, the ASCII as a little-endian word and the trailing
+    zeros.  The masks keeping K digits of bytes 8-23; the words of bytes
+    0-7 by (sign, kind, d0) and of bytes 24-31 by E + 400; and per P the
+    byte moves that put the point after digit P."""
+    hi, lo = [], []
+    for k in range(-281, 298):  # 10**k = num / den exactly
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        p, q = (num / den).as_integer_ratio()
+        hi.append(p / q)
+        lo.append((num * q - p * den) / (den * q))
+    hi, lo = np.array(hi), np.array(lo)
+    least = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
+    hh = hi * 134217729.0  # 2**27 + 1
+    hh -= hh - hi
+    d = np.arange(10000)
+    ascii4 = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], -1)
+    ascii4 = (ascii4 + 48).astype("<u1").view("<u4")[:, 0].astype(np.uint64)
+    zeros = sum((d % 10 ** i == 0).astype(np.uint8) for i in range(1, 5))
+    keep = np.arange(16) < np.arange(18)[:, None] - 1
+    keep = (keep * np.uint8(255)).view("<u8")
+    lead = b"".join(sign + text.replace(b"d", b"%d" % d0)
+                    for sign in (b"\0", b"-")
+                    for text in (b"\0\0\0\0\0\0d", b"\0\0\0\0\0d.",
+                                 b"0.\0\0\0\0d", b"0.0\0\0\0d",
+                                 b"0.00\0\0d", b"0.000\0d")
+                    for d0 in range(10))
+    exp = b"".join(b"\0" * 8 if -4 <= e <= 16 else  # %g's fixed notation
+                   (b"e%+03d" % e).ljust(8, b"\0") for e in range(-400, 401))
+    moves = np.tile(np.arange(32), (16, 1))
+    for p in range(1, 16):
+        moves[p, 6:8 + p] = [*range(7, 8 + p), 32]  # 32: the point
+    return (least, hi, hh, hi - hh, lo, ascii4, zeros, keep,
+            np.frombuffer(lead, "<u8"), np.frombuffer(exp, "<u8"), moves)
 
 
-@contextmanager
-def _forked(jobs, own, what: str):
-    """Call each of ``jobs`` on its own unlinked UTF-8 temporary file (bytes
-    go to its buffer) in a forked child, which leaves by os._exit only,
-    while this process calls ``own()``.  Reaps every child, also when
-    ``own`` raises, then yields the files, rewound.  A failed child raises
-    ChildProcessError naming ``what`` it did, from 1."""
-    pids = []
-    with ExitStack() as opened:
-        files = [opened.enter_context(tempfile.TemporaryFile(
-            "w+", encoding="utf-8")) for _ in jobs]
-        try:
-            for job, file in zip(jobs, files):
-                pids.append(os.fork())
-                if pids[-1] == 0:  # the child
-                    try:
-                        job(file)
-                        file.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            own()
-        finally:
-            failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
-        if failed:
-            raise ChildProcessError(f"the children {what} {failed} of "
-                                    f"{len(jobs) + 1} failed")
-        for file in files:
-            file.seek(0)
-        yield files
+def _spell(values):
+    """The bytes of "%.17g" % v for each value in a 32-byte slot (m, 32),
+    NUL where no character falls: slot[slot != 0] is the text.  Bytes 0-7
+    hold the sign, "0." and zeros below 1, and d0; bytes 8-23 digits 1-16
+    (trailing zeros past the integer part NUL); 24-28 the exponent; 31 is
+    left for a separator.  The digits round |v| * 10**(16 - E), computed
+    to 1e-14 with Dekker's exact product (numpy has no FMA).  Zero, |v|
+    outside [1e-280, 1e280] and values within 1e-6 of a tie go to "%"."""
+    least, hi, hh, hl, lo, ascii4, zeros, keep, lead, exp, moves = _tables()
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    slow = ~((a >= 1e-280) & (a <= 1e280))
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)  # one off next to 10**E
+    e += (a >= least[e + 282]) * 1 - (a < least[e + 281])
+    k = 297 - e  # the index of 10**(16 - E)
+    hi, hh, hl, lo = hi[k], hh[k], hl[k], lo[k]
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    digits = a * hi
+    rest = ((ah * hh - digits) + ah * hl + al * hh) + al * hl + a * lo
+    whole = np.rint(rest)
+    slow = np.flatnonzero(slow | (np.abs(rest - whole) > 0.5 - 1e-6))
+    digits = digits.astype(np.int64) + whole.astype(np.int64)
+    carry = digits == 10 ** 17  # 99999999999999999.5 and up
+    digits -= carry * (9 * 10 ** 16)
+    e += carry
+    high, low = np.divmod(digits, 10 ** 8)
+    d0, mid = np.divmod(high, 10 ** 8)
+    (g1, g2), (g3, g4) = np.divmod(mid, 10000), np.divmod(low, 10000)
+    kept = 17 - np.where(low, np.where(g4, zeros[g4], 4 + zeros[g3]),
+                         8 + np.where(g2, zeros[g2], 4 + zeros[g1]))
+    sci = (e < -4) | (e >= 17)
+    # kind 0: d0 at 7; 1: d0 at 6 and the point at 7; 2 + z: "0." z zeros
+    kind = np.where((e < 0) & ~sci, 1 - e, (kept > 1) & ((e == 0) | sci))
+    cut = np.where(sci, kept, np.maximum(kept, e + 1))
+    slots = np.empty((v.size, 4), "<u8")
+    slots[:, 0] = lead[(np.signbit(v) * 6 + kind) * 10 + d0]
+    slots[:, 1] = (ascii4[g1] | ascii4[g2] << 32) & keep[cut, 0]
+    slots[:, 2] = (ascii4[g3] | ascii4[g4] << 32) & keep[cut, 1]
+    slots[:, 3] = exp[e + 400]
+    out = slots.view(np.uint8)
+    inner = np.flatnonzero((e >= 1) & (e <= 15) & (kept > e + 1))
+    text = np.insert(out[inner], 32, ord("."), 1)  # d0..dE move back a byte
+    out[inner] = np.take_along_axis(text, moves[e[inner]], 1)
+    out[slow] = np.frombuffer(b"".join((b"%.17g" % x).ljust(32, b"\0")
+                                       for x in v[slow].tolist()),
+                              np.uint8).reshape(-1, 32)
+    return out
 
 
 def _write_table(stream, columns, parts) -> None:
     """Write a CSV header, then the rows that the ``parts`` fill column
-    after column, each value "%.17g" (an integral value below 2**53 prints
-    as an integer), 64 rows per write so that no string or list holds the
-    whole table.  A part is an array (rows,) or (rows, k), or a pair
-    (index, table) standing for table[index], each of whose table rows is
-    formatted once.  Before writing, raises ContractError if the names do
-    not match the parts' columns, the parts differ in row count, an index
-    is not an integer inside its table, or a value is non-finite, naming
-    the first (in a gathered table, else in the output) by row and column.
+    after column, each value the bytes of "%.17g" (an integral value below
+    2**53 prints as an integer), spelled by _spell.  A part is an array
+    (rows,) or (rows, k), or a pair (index, table) standing for
+    table[index], whose table is spelled once and its slots gathered.
+    Before writing, raises ContractError if the names do not match the
+    parts' columns, the parts differ in row count, an index is not an
+    integer inside its table, or a value is non-finite, naming the first
+    (in a gathered table, else in the output) by row and column.
 
-    The rows go in P runs of 64-row blocks, P = rows x ungathered columns
-    // MIN_VALUES_PER_PART, at most the blocks and _cpus(); the runs after
-    the first are formatted by _forked children and copied in order."""
-    sources, bad, first, values = [], [], 0, 0
+    The other parts are spelled in calls of about BLOCK_VALUES values and
+    written BLOCK_VALUES slots (128 kB) at a time at most, so that no array
+    or string holds the whole table."""
+    sources, bad, first = [], [], 0
     for part in parts:
         index, table = part if isinstance(part, tuple) else (None, part)
         table = np.asarray(table, dtype=float)
@@ -433,39 +483,40 @@ def _write_table(stream, columns, parts) -> None:
             r, c = np.argwhere(~np.isfinite(table))[0]
             bad.append((index is None, r, first + c))
         first += table.shape[1]
-        values += 0 if index is not None else table.shape[1]
-        spec = ",".join(["%.17g"] * table.shape[1])
-        if index is not None:  # format each row once, gather it as "%s"
-            table = np.array([spec % tuple(r) for r in table.tolist()], object)
-            spec = "%s"
-        sources.append((index, table, spec))
+        sources.append((index, table))
     if len(columns) != first:
         raise ContractError(f"{len(columns)} CSV column names for {first} columns")
     if bad:
         plain, r, c = min(bad)
         where = "CSV row" if plain else "gathered table row"
         raise ContractError(f"non-finite value in {where} {r}, column {columns[c]}")
-    n_rows = {len(t if i is None else i) for i, t, _ in sources}
+    n_rows = {len(t if i is None else i) for i, t in sources}
     if len(n_rows) != 1:
         raise ContractError(f"the CSV parts have {sorted(n_rows)} rows")
-    n, row = n_rows.pop(), ",".join(spec for *_, spec in sources) + "\n"
-
-    def write(out, lo, hi):  # rows lo to hi, lo on a 64-row block bound
-        for at in range(lo, hi, 64):
-            block = np.column_stack([table[at:at + 64] if index is None else
-                                     table[index[at:at + 64]]
-                                     for index, table, _ in sources])
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
-    blocks = -(-n // 64)
-    n_parts = max(1, min(_cpus(), blocks, n * values // MIN_VALUES_PER_PART))
-    bounds = [64 * (blocks * p // n_parts) for p in range(n_parts)] + [n]
+    n, plain = n_rows.pop(), [t for i, t in sources if i is None]
+    # a part is a column range of the spelled block, or a table spelled
+    # once whose slots are gathered by its index
+    pieces, width = [], 0
+    for index, table in sources:
+        if index is None:
+            pieces.append(slice(width, width + table.shape[1]))
+            width += table.shape[1]
+        else:
+            pieces.append((index, _spell(table).reshape(table.shape + (32,))))
+    rows = max(1, BLOCK_VALUES // first)  # per write
+    step = rows * max(1, BLOCK_VALUES // (rows * width or 1))  # per _spell
+    ends = np.frombuffer(b"," * (first - 1) + b"\n", np.uint8)
     stream.write(",".join(columns) + "\n")
-    with _forked([lambda out, lo=lo, hi=hi: write(out, lo, hi) for lo, hi in
-                  zip(bounds[1:-1], bounds[2:])],
-                 lambda: write(stream, 0, bounds[1]),
-                 "formatting CSV parts") as files:
-        for part in files:
-            shutil.copyfileobj(part, stream)
+    for at in range(0, n, step):
+        spelled = _spell(np.column_stack([t[at:at + step] for t in plain])
+                         ).reshape(-1, width, 32) if plain else None
+        for lo in range(at, min(at + step, n), rows):
+            ours = spelled[lo - at:lo - at + rows] if plain else None
+            block = ours if len(plain) == len(sources) else np.concatenate(
+                [ours[:, p] if isinstance(p, slice) else
+                 p[1][p[0][lo:lo + rows]] for p in pieces], 1)
+            block[..., 31] = ends
+            stream.write(block[block != 0].tobytes().decode("ascii"))
 
 
 def trajectory_to_csv(traj: Trajectory, stream) -> None:

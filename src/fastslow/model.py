@@ -54,13 +54,21 @@ def _is_positive(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """x as floats, or ContractError naming ``what`` for non-numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"non-numeric {what}: {exc}") from exc
+
+
 def wrap_phase(x):
     """Map angles to the canonical representative in [0, 2*pi).
 
     Accepts scalars or arrays.  Non-finite input is rejected because a NaN
     phase silently poisons every downstream trigonometric evaluation.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "phases")
     if not np.all(np.isfinite(x)):
         raise ContractError("phase values must be finite")
     wrapped = np.mod(x, TWO_PI, out=np.empty_like(x))
@@ -79,8 +87,7 @@ def phase_distance(a, b) -> float:
     the torus.  On stacks of phase vectors it is the maximum over every
     sample and component.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _floats(a, "phases"), _floats(b, "phases")
     if a.shape != b.shape:
         raise ContractError(f"phase vectors differ in shape: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -113,7 +120,7 @@ class ModelParams:
         if not (_is_int(self.n_nodes) and self.n_nodes >= 1):
             raise ContractError(
                 f"n_nodes must be an int >= 1, got {self.n_nodes!r}")
-        om = np.asarray(self.omega, dtype=float)
+        om = _floats(self.omega, "omega")
         if om.shape != (self.n_nodes,):
             raise ContractError(
                 f"omega must have shape ({self.n_nodes},), got {om.shape}")
@@ -132,8 +139,7 @@ class FullState:
     weights: FloatArray
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        th, w = _floats(self.theta, "theta"), _floats(self.weights, "weights")
         if th.ndim != 1:
             raise ContractError("theta must be a 1-d array")
         n = th.shape[0]

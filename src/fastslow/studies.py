@@ -23,6 +23,7 @@ from .model import (
     FullState,
     IntegrationError,
     ModelParams,
+    _floats,
     _is_positive,
     phase_distance,
 )
@@ -68,8 +69,7 @@ class SlopeFit:
 
 
 def fit_loglog(xs, ys) -> SlopeFit:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _floats(xs, "xs"), _floats(ys, "ys")
     if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
         raise ContractError("need two equally long 1-d arrays with >= 2 points")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):

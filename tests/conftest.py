@@ -15,9 +15,8 @@ _acceptance_outcomes = []
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """The convergence study and the raw.csv writer fork children and must
-    reap each before they return or raise; a child still running or left
-    unreaped after a test fails that test."""
+    """fastslow runs in one process: a test that leaves a child process
+    running or unreaped fails."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -25,17 +24,6 @@ def no_child_left():
         return
     pytest.fail("a child process " + ("is still running" if pid == 0 else
                                       f"{pid} was left unreaped"))
-
-
-def use_cpus(monkeypatch, n):
-    """Let integrate._cpus() see n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_runtest_logreport(report):

@@ -264,6 +264,8 @@ def test_certify_rejects_non_finite_points():
         points[2, 3] = bad
         with pytest.raises(ContractError, match="finite"):
             certify_nonpairwise(order1_field(n=5), points=points)
+    with pytest.raises(ContractError, match="non-numeric points"):
+        certify_nonpairwise(order1_field(n=3), points=[["a", "b", "c"]])
 
 
 class CountingField:
@@ -412,6 +414,9 @@ def test_pushforward_validation():
         PushforwardField(base=field, permutation=(0, 1, 1), shifts=(0.0,) * 3)
     with pytest.raises(ContractError, match="shifts length"):
         PushforwardField(base=field, permutation=(1, 2, 0), shifts=(0.0,) * 2)
+    with pytest.raises(ContractError, match="non-numeric shifts"):
+        PushforwardField(base=field, permutation=(1, 2, 0),
+                         shifts=["a", "b", "c"])
     pushed = PushforwardField(base=field, permutation=(1, 2, 0),
                               shifts=(0.0,) * 3)
     assert pushed.permutation == (1, 2, 0)

@@ -2,8 +2,8 @@ import copy
 import io
 import json
 import math
-import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,24 +84,22 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
 
 
 def test_simulate_csv_is_the_same_split_or_not(tmp_path, monkeypatch):
-    # 1001 samples of 13 values: one part by default, three when forced
-    cfg = copy.deepcopy(SIMULATE)
-    cfg["integration"] = {"t_end": 1.0, "sample_every": 1}
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    code, out = run(tmp_path / "one", "simulate", cfg, ["--quiet"])
-    assert code == 0 and not forks
-    monkeypatch.setattr(integrate, "MIN_VALUES_PER_PART", 1)
-    code, split = run(tmp_path / "split", "simulate", cfg, ["--quiet"])
-    assert code == 0 and len(forks) == 2
-    assert (split / "raw.csv").read_bytes() == (out / "raw.csv").read_bytes()
-    assert (out / "raw.csv").read_text().count("\n") == 2 + 1001
+    # the shipped simulate run, 4001 samples of 31 values: its raw.csv has
+    # the bytes of "%.17g" on the values it holds, written in 128 kB blocks
+    # or one row per write and per kernel call
+    cfg = json.loads((Path(__file__).parents[1] / "configs" /
+                      "simulate.json").read_text())
+    code, out = run(tmp_path / "blocks", "simulate", cfg, ["--quiet"])
+    assert code == 0
+    monkeypatch.setattr(integrate, "BLOCK_VALUES", 1)
+    code, rows = run(tmp_path / "rows", "simulate", cfg, ["--quiet"])
+    assert code == 0
+    text = (out / "raw.csv").read_text()
+    assert (rows / "raw.csv").read_text() == text
+    values = np.loadtxt(out / "raw.csv", delimiter=",", skiprows=2, ndmin=2)
+    assert values.shape == (4001, 1 + 5 + 25)
+    assert text.split("\n", 2)[2] == "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
 
 
 def test_simulate_starts_from_explicit_weights(tmp_path):
@@ -548,6 +546,15 @@ def test_sample_every_rounds_the_steps_up(tmp_path, capsys):
         cfg["integration"]["sample_every"] = stride
         err = expect_config_error(tmp_path, capsys, "simulate", cfg)
         assert err.startswith(f"config error: integration.sample_every: {why}")
+    # a stride past the 500 steps is refused before any step, not taken as
+    # 10**12 steps of 5e-13; all 500 steps in one sample are fine
+    cfg["integration"]["sample_every"] = 500
+    assert _resolve_integration(cfg, 0.02).n_steps == 500
+    for stride in (501, 10 ** 12):
+        cfg["integration"]["sample_every"] = stride
+        err = expect_config_error(tmp_path, capsys, "simulate", cfg)
+        assert err.startswith("config error: integration.sample_every: must "
+                              "be at most the 500 steps")
 
 
 def test_missing_seed_is_config_error(tmp_path, capsys):

@@ -1,18 +1,14 @@
-import errno
 import io
 import math
 import os
-import re
-import signal
-import subprocess
-import sys
-import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastslow import (
     ContractError,
@@ -37,7 +33,6 @@ from fastslow import (
 from fastslow import integrate as integrate_module
 from fastslow.integrate import MAX_DEFAULT_SAMPLES, MAX_HISTORY_BYTES, \
     _full_rhs, _integrate, _sample_times, _write_table
-from conftest import assert_no_child_left, use_cpus
 
 TWO_PI = 2 * np.pi
 
@@ -552,6 +547,14 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((3, 2)))
     with pytest.raises(ContractError, match="row count"):
         Trajectory(times=[0.0, 1.0], thetas=0.5)
+    with pytest.raises(ContractError, match="non-numeric times"):
+        Trajectory(times=["a", "b", "c"], thetas=np.zeros((3, 2)))
+    # and the phases integrate_reduced starts from
+    field = ReducedField(0, ModelParams(3, np.zeros(3), 0.1),
+                         make_kuramoto(0.5))
+    with pytest.raises(ContractError, match="non-numeric initial theta"):
+        integrate_reduced(field, ["a", "b", "c"],
+                          IntegrationConfig(dt=0.1, t_end=1.0))
     t = Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 2)))
     assert t.weights is None
     # weights must have N x N entries per sample for the N phases
@@ -670,27 +673,6 @@ def test_write_table_rejects_column_names_that_miss_the_parts():
                                             (np.array([0, 1]), [1.0])])
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Force the CSV split on any table and list the children forked,
-    through a wrapped os.fork.  A writer still waiting on a child after
-    60 s fails instead of hanging."""
-    def hung(signum, frame):
-        raise TimeoutError("the CSV writer still waits on a child after 60 s")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    calls, fork = [], os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return fork()
-    monkeypatch.setattr(integrate_module, "MIN_VALUES_PER_PART", 1)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    yield calls
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 def csv_parts(n_rows, gathered):
     """Parts of a trajectory-shaped table, or of a certify-shaped one whose
     triples and points are gathered by index."""
@@ -706,123 +688,140 @@ def csv_parts(n_rows, gathered):
              rng.normal(size=(n_rows, 3))])
 
 
+def percent_csv(columns, parts):
+    """The CSV _write_table writes, built value by value with "%.17g"."""
+    table = np.column_stack([np.asarray(p[1], dtype=float)[p[0]]
+                             if isinstance(p, tuple) else p for p in parts])
+    return ",".join(columns) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+
+
+class Writes(io.StringIO):
+    """A text stream that counts its writes."""
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
 @pytest.mark.parametrize("gathered", [False, True])
 @pytest.mark.parametrize("n_parts", [2, 3])
 @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 4001])
-def test_split_csv_has_the_bytes_of_one_part(forks, monkeypatch, n_rows,
-                                             n_parts, gathered):
+def test_split_csv_has_the_bytes_of_one_part(monkeypatch, n_rows, n_parts,
+                                             gathered):
+    # n_parts writes of whole rows, each spelled in its own _spell call,
+    # give the bytes of one write and of "%"
     columns, parts = csv_parts(n_rows, gathered)
-    use_cpus(monkeypatch, 1)
-    one = io.StringIO()
+    monkeypatch.setattr(integrate_module, "BLOCK_VALUES",
+                        n_rows * len(columns))
+    one = Writes()
     _write_table(one, columns, parts)
-    assert not forks
-    use_cpus(monkeypatch, n_parts)
-    split = io.StringIO()
+    assert one.calls == 2
+    per_part = -(-n_rows // n_parts)
+    monkeypatch.setattr(integrate_module, "BLOCK_VALUES",
+                        per_part * len(columns))
+    split = Writes()
     _write_table(split, columns, parts)
-    # a part is at least one 64-row block: up to 64 rows fork no child
-    assert len(forks) == min(n_parts, -(-n_rows // 64)) - 1
-    assert split.getvalue() == one.getvalue()
+    assert split.calls == 1 + -(-n_rows // per_part)
+    assert split.getvalue() == one.getvalue() == percent_csv(columns, parts)
     assert one.getvalue().count("\n") == n_rows + 1
-    assert_no_child_left()
 
 
-def test_csv_is_written_in_one_part_without_fork_threads_or_cpus(forks,
-                                                                 monkeypatch):
-    columns, parts = csv_parts(200, False)
-    use_cpus(monkeypatch, 1)
-    expected = io.StringIO()
-    _write_table(expected, columns, parts)
-    assert not forks
-
-    def written():
-        buf = io.StringIO()
-        _write_table(buf, columns, parts)
-        assert buf.getvalue() == expected.getvalue()
-        return len(forks)
-    use_cpus(monkeypatch, 2)
-    # another thread alive
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert written() == 0
-    finally:
-        stop.set()
-        thread.join(10)
-    assert not thread.is_alive()
-    assert written() == 1
-    # without sched_getaffinity the CPU count is os.cpu_count()
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert written() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert written() == 2
-    monkeypatch.delattr(os, "fork")
-    assert written() == 2
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("n_parts", [2, 3])
-def test_failed_csv_child_raises_and_no_child_is_left(forks, monkeypatch,
-                                                      n_parts):
-    use_cpus(monkeypatch, n_parts)
+def test_csv_is_written_in_one_part_without_fork_threads_or_cpus(
+        monkeypatch):
+    # one process and one thread write the whole table
+    def refused(*args):
+        raise AssertionError("the CSV writer started a process or thread")
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    monkeypatch.setattr(os, "sched_getaffinity", refused, raising=False)
     columns, parts = csv_parts(4001, False)
-    temporary = tempfile.TemporaryFile
-
-    def no_room(text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def full(*args, **kwargs):  # only the children write these files
-        part = temporary(*args, **kwargs)
-        part.write = no_room
-        return part
-    monkeypatch.setattr(tempfile, "TemporaryFile", full)
-    with pytest.raises(ChildProcessError, match=re.escape(
-            f"CSV parts {list(range(1, n_parts))} of {n_parts} failed")):
-        _write_table(io.StringIO(), columns, parts)
-    assert_no_child_left()
+    buf = io.StringIO()
+    _write_table(buf, columns, parts)
+    assert buf.getvalue() == percent_csv(columns, parts)
 
 
-@pytest.mark.parametrize("n_parts", [2, 3])
-def test_csv_children_are_reaped_when_the_stream_fails(forks, monkeypatch,
-                                                      n_parts):
-    # the parent fails on its own part while its children still format
-    use_cpus(monkeypatch, n_parts)
+@pytest.mark.parametrize("failing_write", [2, 3])
+def test_csv_stream_failure_leaves_whole_rows(monkeypatch, failing_write):
+    # the stream fails on its second or third write: the error goes out
+    # as it is, and every write before it held whole rows
     columns, parts = csv_parts(4001, False)
+    monkeypatch.setattr(integrate_module, "BLOCK_VALUES", 100 * len(columns))
 
-    class Full(io.StringIO):
+    class Full(Writes):
         def write(self, text):
-            if self.tell() > 100_000:
+            if self.calls + 1 == failing_write:
                 raise OSError("disk full")
             return super().write(text)
+    stream = Full()
     with pytest.raises(OSError, match="disk full"):
-        _write_table(Full(), columns, parts)
-    assert len(forks) == n_parts - 1
-    assert_no_child_left()
+        _write_table(stream, columns, parts)
+    expected = percent_csv(columns, parts).split("\n")
+    assert stream.getvalue() == "\n".join(
+        expected[:1 + 100 * (failing_write - 2)]) + "\n"
 
 
-CHILD_PEAK = """
-import os, resource, sys
-import numpy as np
-from fastslow import integrate
-os.sched_getaffinity = lambda pid: {0, 1}
-table = np.random.default_rng(1).normal(size=(30_000, 64))
-with open(sys.argv[1], "w") as stream:
-    integrate._write_table(stream, [f"c{k}" for k in range(64)], [table])
-print(os.path.getsize(sys.argv[1]), *(resource.getrusage(who).ru_maxrss
-      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
-"""
+def spelled(values):
+    """_spell's slots as text, one string per value."""
+    slots = integrate_module._spell(values)
+    return [bytes(s[s != 0]).decode("ascii") for s in slots]
 
 
-def test_csv_child_memory_does_not_grow_with_its_part(tmp_path):
-    # the child writes its 19 MB part block by block, so its peak stays
-    # below its parent's, which holds the table; a part held as one string
-    # puts the child 25 MB above it
-    src = os.path.dirname(os.path.dirname(integrate_module.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD_PEAK, str(tmp_path / "raw.csv")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, check=True).stdout
-    size, own_kb, children_kb = map(int, out.split())
-    assert size > 38_000_000
-    assert children_kb < own_kb + 4096
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_spelling_kernel_has_the_bytes_of_percent(values):
+    assert spelled(values) == ["%.17g" % v for v in values]
+
+
+def test_spelling_kernel_on_every_binade_and_its_edges():
+    rng = np.random.default_rng(20261020)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    integers = np.floor(rng.random(20_000)
+                        * 10.0 ** rng.integers(0, 18, 20_000))
+    halves = np.floor(rng.random(20_000) * 10.0 ** rng.integers(0, 16, 20_000))
+    # exact ties: odd multiples of 2**-k with 18 significant digits, the
+    # last a 5, which "%" rounds to even
+    ties = [x for x in (int(n) / 2.0 ** k for k in range(1, 80) for n in
+                        rng.integers(2 ** 40, 2 ** 52, 200) | 1)
+            if len(Decimal(x).as_tuple().digits) == 18]
+    assert len(ties) > 200
+    values = np.concatenate([
+        # 100 000 doubles drawn from their bits: every binade and sign
+        rng.integers(0, 2 ** 64 - 2 ** 52, 100_000, np.uint64).view(float),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [float(f"{m}e{k}") for k in range(-300, 300, 7) for m in
+         ("9.99999999999999995", "9.99999999999999985",
+          "1.00000000000000005")],
+        halves + 0.5, (halves + 0.5) / 10.0 ** rng.integers(1, 20, 20_000),
+        rng.integers(1, 2 ** 52, 5_000, np.int64).view(float),  # subnormal
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        integers, 10.0 ** np.arange(18), 10.0 ** np.arange(18) - 1,
+        2.0 ** np.arange(64), ties])
+    values = values[np.isfinite(values)]
+    values = np.concatenate([values, -values])
+    assert len(values) > 200_000
+    assert spelled(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_csv_writer_memory_does_not_grow_with_the_table():
+    # the 38 MB text of a 30 000 x 64 table is spelled and written block
+    # by block: the writer's own peak stays near one block's 1 MB, where
+    # the whole text as one string would be 38 MB
+    table = np.random.default_rng(1).normal(size=(30_000, 64))
+
+    class Count:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+    stream = Count()
+    tracemalloc.start()
+    try:
+        _write_table(stream, [f"c{k}" for k in range(64)], [table])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.size > 38_000_000
+    assert peak < 4 * 2 ** 20

@@ -56,6 +56,9 @@ def test_wrap_phase_rejects_nonfinite():
         wrap_phase(np.nan)
     with pytest.raises(ContractError):
         wrap_phase(np.array([0.0, np.inf]))
+    # unchecked, numpy raises ValueError for non-numeric phases
+    with pytest.raises(ContractError, match="non-numeric phases"):
+        wrap_phase(["a", "b", "c"])
 
 
 @given(finite_angles)
@@ -78,6 +81,8 @@ def test_phase_distance_examples():
 def test_phase_distance_shape_mismatch():
     with pytest.raises(ContractError):
         phase_distance(np.zeros(3), np.zeros(4))
+    with pytest.raises(ContractError, match="non-numeric phases"):
+        phase_distance(np.zeros(3), ["a", "b", "c"])
     # non-finite phases are rejected as wrap_phase rejects them, silently
     # and without numpy's RuntimeWarning
     for a, b in (([np.nan], [0.0]), ([0.0], [np.inf]), ([-np.inf], [1.0])):
@@ -109,6 +114,8 @@ def test_model_params_validation():
         ModelParams(n_nodes=2, omega=np.zeros(2), epsilon=0.0)
     with pytest.raises(ContractError):
         ModelParams(n_nodes=2, omega=np.array([np.nan, 0.0]), epsilon=0.1)
+    with pytest.raises(ContractError, match="non-numeric omega"):
+        ModelParams(n_nodes=3, omega=["a", "b", "c"], epsilon=0.1)
     # no array, string or None is an epsilon
     for epsilon in (np.array([0.1, 0.2]), "a", None):
         with pytest.raises(ContractError, match="epsilon must be > 0"):
@@ -138,6 +145,8 @@ def test_full_state_validation():
         FullState(theta=np.array([np.nan, 0.0]), weights=np.zeros((2, 2)))
     with pytest.raises(ContractError, match="1-d"):
         FullState(theta=np.zeros((1, 2)), weights=np.zeros((2, 2)))
+    with pytest.raises(ContractError, match="non-numeric theta"):
+        FullState(theta=["a", "b", "c"], weights=np.zeros((3, 3)))
     s = FullState(theta=np.zeros(2), weights=np.ones((2, 2)))
     assert s.n_nodes == 2
 

@@ -53,6 +53,8 @@ def test_fit_loglog_flags_scatter():
 def test_fit_loglog_validation():
     with pytest.raises(ContractError):
         fit_loglog(np.array([0.1]), np.array([1.0]))
+    with pytest.raises(ContractError, match="non-numeric xs"):
+        fit_loglog(["a", "b", "c"], [1e-2, 1e-3, 1e-4])
     with pytest.raises(ContractError):
         fit_loglog(np.array([0.1, 0.2]), np.array([1.0, 1.0]))  # increasing
     with pytest.raises(ContractError):
