@@ -16,6 +16,8 @@ them; neither replaces the other.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +29,7 @@ from .model import (
     FloatArray,
     _floats,
     _is_int,
+    _is_positive,
     missing_derivatives,
     require_derivatives,
     wrap_phase,
@@ -73,23 +76,27 @@ def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
     offset with the whole stack.  Truncation error is O(step^2).  The
     indices must be pairwise distinct node indices; the pairwise-vanishing
     statement this certificate rests on says nothing about repeated
-    indices.
+    indices.  A step that collapses the stencil is a ContractError.
     """
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
-    if not (np.isfinite(step) and step > 0):
-        raise ContractError(f"step must be > 0, got {step}")
     theta = _check_indices(theta, (i, j, k), stack=True)
-    n = theta.shape[-1]
-    ej = np.zeros(n)
-    ek = np.zeros(n)
-    ej[j] = step
-    ek[k] = step
-    val = (field(theta + ej + ek)[..., i]
-           - field(theta + ej - ek)[..., i]
-           - field(theta - ej + ek)[..., i]
-           + field(theta - ej - ek)[..., i])
-    return val / (4.0 * step * step)
+    scale = 4.0 * step * step if _is_positive(step) else 0.0
+    collapses = not sys.float_info.min <= scale < np.inf
+    # no theta absorbs a step above ulp(|theta|_2), which is >= ulp(max |theta|)
+    if not collapses and step <= math.ulp(math.sqrt(np.vdot(theta, theta))):
+        moved = theta[..., (j, k)]
+        collapses = np.any((moved + step == moved) | (moved - step == moved))
+    if collapses:
+        raise ContractError(f"step={step!r} must be a finite real > 0 with 4 "
+                            f"step^2 a normal double that no theta_{j} or "
+                            f"theta_{k} absorbs")
+    ej, ek = np.zeros(theta.shape[-1]), np.zeros(theta.shape[-1])
+    ej[j] = ek[k] = step
+    plus, minus = theta + ej, theta - ej
+    val = (field(plus + ek)[..., i] - field(plus - ek)[..., i]
+           - field(minus + ek)[..., i] + field(minus - ek)[..., i])
+    return val / scale
 
 
 def _mixed_derivative_of_triplet(coupling, a: float, b: float, d: float) -> float:
@@ -276,23 +283,24 @@ def certify_nonpairwise(field, points=None,
 def node_respecting_transform(theta, permutation, shifts) -> FloatArray:
     """Relabel nodes by a permutation and shift each phase, component i of
     the output being theta[permutation[i]] + shifts[i], canonicalized."""
-    theta = np.asarray(theta, dtype=float)
-    perm = _check_permutation(permutation, theta.shape[0])
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != theta.shape:
-        raise ContractError(
-            f"shifts must have shape {theta.shape}, got {shifts.shape}")
-    if not np.all(np.isfinite(shifts)):
-        raise ContractError("shifts must be finite")
+    theta = _check_indices(theta, ())  # one phase vector (N,)
+    perm, shifts = _check_transform(permutation, shifts, theta.shape[0])
     return wrap_phase(theta[perm] + shifts)
 
 
-def _check_permutation(permutation, n: int) -> np.ndarray:
+def _check_transform(permutation, shifts, n: int):
+    """The permutation as ints rearranging 0..n-1 and n finite shifts."""
     if np.ndim(permutation) != 1 or not all(_is_int(p) for p in permutation) \
             or sorted(permutation) != list(range(n)):
         raise ContractError(
             f"permutation must hold ints rearranging 0..{n - 1}, got {permutation}")
-    return np.asarray(permutation, dtype=int)
+    shifts = _floats(shifts, "shifts")
+    if shifts.shape != (n,):
+        raise ContractError(f"shifts length must match the node count {n}, "
+                            f"got shape {shifts.shape}")
+    if not np.all(np.isfinite(shifts)):
+        raise ContractError("shifts must be finite")
+    return np.asarray(permutation, dtype=int), shifts
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,13 +319,9 @@ class PushforwardField:
     shifts: tuple
 
     def __post_init__(self):
-        perm = _check_permutation(self.permutation, self.base.n_nodes)
+        perm, shifts = _check_transform(self.permutation, self.shifts,
+                                        self.base.n_nodes)
         object.__setattr__(self, "permutation", tuple(int(p) for p in perm))
-        shifts = _floats(self.shifts, "shifts")
-        if shifts.shape != (self.base.n_nodes,):
-            raise ContractError("shifts length must match the node count")
-        if not np.all(np.isfinite(shifts)):
-            raise ContractError("shifts must be finite")
         object.__setattr__(self, "shifts", tuple(shifts.tolist()))
 
     @property
@@ -346,11 +350,14 @@ def pushforward_certificate_invariance(field, permutation, shifts, point,
     permutation applied to each index) and the transformed point.  The two
     agree up to FD tolerance.
     """
-    point = np.asarray(point, dtype=float)
-    i, j, k = triple
+    try:
+        i, j, k = triple
+    except (TypeError, ValueError):
+        raise ContractError(f"triple must be three node indices, got "
+                            f"{triple!r}") from None
     before = mixed_second_derivative_fd(field, i, j, k, point, fd_step)
-    pushed = PushforwardField(base=field, permutation=tuple(permutation),
-                              shifts=tuple(shifts))
+    pushed = PushforwardField(base=field, permutation=permutation,
+                              shifts=shifts)
     inv = pushed.inverse
     moved_point = node_respecting_transform(point, permutation, shifts)
     after = mixed_second_derivative_fd(

@@ -302,12 +302,14 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
         "created_at": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }
-    write_json(out_dir / "manifest.json", manifest)
+    # written last: a manifest sits only beside outputs its run wrote in full
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     if "json" in formats:
         write_json(out_dir / "report.json", report)
     if "csv" in formats:
         with (out_dir / "raw.csv").open("w", encoding="utf-8") as stream:
             write_csv(stream)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------

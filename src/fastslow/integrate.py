@@ -8,6 +8,8 @@ to epsilon / 20, which keeps the fast transient resolved rather than merely
 stable.  The convergence study's reference, ``_exponential_stack``, takes
 that stiffness exactly instead, at one step size for every epsilon.
 
+Every run steps on an ``IntegrationConfig``, a whole number of steps over
+t_end that fixes the step and the sample times; its ``Trajectory`` carries it.
 One loop, ``_integrate``, takes every step of either scheme; every RK4
 full-system run is ``integrate_full``'s, on one flat row.  ``_write_table``
 writes raw.csv in this process, the "%.17g" of every value spelled in
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,38 +53,41 @@ BLOCK_VALUES = 2 ** 12
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon and sampling stride, all in slow time.  t_end
-    must be a whole number of steps dt, and sample_every must divide that
-    number, so that the last sample is at t_end; see ``spanning``."""
+    """The grid of [0, t_end] in slow time: n_steps steps of dt = t_end /
+    n_steps, sampled every sample_every (which divides n_steps) at
+    ``times``, n_samples of them from 0 to exactly t_end; see ``spanning``."""
 
-    dt: float
     t_end: float
+    n_steps: int
     sample_every: int = 1
 
     def __post_init__(self):
-        if not _is_positive(self.dt):
-            raise ContractError(f"dt must be > 0, got {self.dt!r}")
         if not _is_positive(self.t_end):
             raise ContractError(f"t_end must be > 0, got {self.t_end!r}")
-        if self.dt > self.t_end:
-            raise ContractError(
-                f"dt={self.dt} exceeds t_end={self.t_end}")
-        if not math.isfinite(float(self.t_end) / float(self.dt)):
-            raise ContractError(f"t_end={self.t_end} is more steps of "
-                                f"dt={self.dt} than a float can count")
-        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ContractError(
-                f"t_end={self.t_end} is not a whole number of steps of "
-                f"dt={self.dt}")
+        if not (_is_int(self.n_steps)
+                and 1 <= self.n_steps <= sys.float_info.max):
+            raise ContractError(f"n_steps must be an integer >= 1 that a "
+                                f"float can count, got {self.n_steps!r}")
         if not _is_int(self.sample_every) or self.sample_every < 1 \
                 or self.n_steps % self.sample_every:
             raise ContractError(
                 f"sample_every must be a positive integer dividing the "
-                f"{self.n_steps} steps, got {self.sample_every}")
+                f"{self.n_steps} steps, got {self.sample_every!r}")
+        if not self.dt > 0:
+            raise ContractError(f"dt = t_end / n_steps underflows to 0 at "
+                                f"t_end={self.t_end!r}, n_steps={self.n_steps}")
 
     @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+    def dt(self) -> float:
+        return self.t_end / self.n_steps
+
+    @property
+    def n_samples(self) -> int:
+        return self.n_steps // self.sample_every + 1
+
+    @property
+    def times(self) -> FloatArray:
+        return np.linspace(0.0, self.t_end, self.n_samples)
 
     @classmethod
     def spanning(cls, t_end: float, max_dt: float,
@@ -102,45 +108,39 @@ class IntegrationConfig:
         try:  # ceil(inf), or a step count past the float range
             n = math.ceil(t_end / max_dt)
             stride = int(sample_every or -(-n // MAX_DEFAULT_SAMPLES))
-            dt = t_end / (-(-n // stride) * stride)
+            steps = -(-n // stride) * stride
+            float(steps)
         except OverflowError:
             raise ContractError(f"t_end={t_end} is more steps of max_dt="
                                 f"{max_dt} than a float can count") from None
-        return cls(dt=dt, t_end=t_end, sample_every=stride)
+        return cls(t_end, steps, stride)
+
+
+def _check_grid(grid) -> None:
+    if not isinstance(grid, IntegrationConfig):
+        raise ContractError(f"the grid must be an IntegrationConfig, got {grid!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled trajectory.
+    """A trajectory sampled on ``grid``, an IntegrationConfig.
 
-    ``thetas`` has one row per stored sample (phases canonical in [0, 2*pi)),
-    of shape (N,), or (S, N) for a stack of S trajectories; ``weights`` is
-    the matching stack of weight matrices, or None for phase-only
-    trajectories.  Times are uniform with spacing
-    dt * sample_every.
+    ``thetas`` has one row per sample time grid.times (phases canonical in
+    [0, 2*pi)), of shape (N,), or (S, N) for a stack of S trajectories;
+    ``weights`` is the matching stack of weight matrices, or None for
+    phase-only trajectories.
     """
 
-    times: FloatArray
+    grid: IntegrationConfig
     thetas: FloatArray
     weights: Optional[FloatArray] = None
 
     def __post_init__(self):
-        t = _floats(self.times, "times")
-        if t.ndim != 1 or t.size < 2:
-            raise ContractError("times must be a 1-d array with >= 2 entries")
-        if not np.all(np.isfinite(t)):
-            raise ContractError("times must be finite")
-        gaps = np.diff(t)
-        if np.any(gaps <= 0):
-            raise ContractError("times must be strictly increasing")
-        # np.linspace rounds each time by about one ulp of t
-        if np.max(np.abs(gaps - gaps[0])) > 1e-12 * max(1.0, abs(t[-1])):
-            raise ContractError(
-                "times must be uniformly spaced to 1e-12 * max(1, |t_end|)")
-        object.__setattr__(self, "times", t)
+        _check_grid(self.grid)
         object.__setattr__(self, "thetas", _floats(self.thetas, "thetas"))
-        if self.thetas.shape[:1] != t.shape:
-            raise ContractError("thetas row count must match times")
+        if self.thetas.shape[:1] != (self.n_samples,):
+            raise ContractError(f"thetas must have one row per sample, "
+                                f"{self.n_samples}, got {self.thetas.shape}")
         if self.weights is not None:
             object.__setattr__(self, "weights",
                                _floats(self.weights, "weights"))
@@ -148,8 +148,12 @@ class Trajectory:
                 raise ContractError("weights must have shape thetas.shape + (N,)")
 
     @property
+    def times(self) -> FloatArray:
+        return self.grid.times
+
+    @property
     def n_samples(self) -> int:
-        return self.times.size
+        return self.grid.n_samples
 
 
 def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
@@ -183,12 +187,12 @@ def _check_finite(out, scheme: str) -> None:
                                    np.atleast_2d(out)).all(-1)))
 
 
-def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
-               n_samples: int, what: str, stored: Optional[int] = None,
-               step=None, mend="shorten integration.t_end") -> FloatArray:
-    """Take ``substeps`` steps step(rhs, state, dt), rk4_step by default,
-    between two samples, and return the first ``stored`` columns (all by
-    default) at n_samples sample times, the initial state first.
+def _integrate(rhs, state: FloatArray, grid: IntegrationConfig, what: str,
+               stored: Optional[int] = None, step=None,
+               mend="shorten integration.t_end") -> FloatArray:
+    """Step ``state`` over ``grid``, step(rhs, state, grid.dt) at a time,
+    rk4_step by default, and return the first ``stored`` columns (all by
+    default) at its grid.n_samples sample times, the initial state first.
 
     ``state`` is one flat row (D,), giving rows (n_samples, D), or a stack
     (S, D), giving rows (n_samples, S, D); a stack of one row is stepped
@@ -199,6 +203,7 @@ def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
     ends with ``mend``, before it is allocated.
     """
     step = rk4_step if step is None else step
+    dt, substeps, n_samples = grid.dt, grid.sample_every, grid.n_samples
     stack = np.array(state, dtype=float, ndmin=2)
     kept = stack[:, :stored]
     needs = 8.0 * n_samples * kept.size
@@ -225,18 +230,6 @@ def _integrate(rhs, state: FloatArray, dt: float, substeps: int,
     return rows if state.ndim == 2 else rows[:, 0]
 
 
-def _samples(config: IntegrationConfig) -> int:
-    """The number of samples on config's grid, the initial one included."""
-    if not isinstance(config, IntegrationConfig):
-        raise ContractError(f"config must be an IntegrationConfig, got {config!r}")
-    return config.n_steps // config.sample_every + 1
-
-
-def _sample_times(config: IntegrationConfig) -> FloatArray:
-    """config's sample times, uniform from 0 to exactly t_end."""
-    return np.linspace(0.0, config.t_end, _samples(config))
-
-
 def _full_rhs(params: ModelParams, coupling):
     """The full-system rhs on one flat row [theta, weights.ravel()],
     phase_rhs and weight_rhs / epsilon at one evaluation of the coupling.
@@ -261,7 +254,8 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
     fast weight relaxation is only trustworthy well inside its stability
     region.  The weights are a view of the stepped rows.
     """
-    n_samples, rhs = _samples(config), _full_rhs(params, coupling)
+    _check_grid(config)
+    rhs = _full_rhs(params, coupling)
     if not isinstance(initial, FullState):
         raise ContractError(f"initial must be a FullState, got {initial!r}")
     n = params.n_nodes
@@ -275,11 +269,9 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
             f"{params.epsilon / 10.0}")
     rows = _integrate(rhs, np.concatenate([initial.theta,
                                            initial.weights.ravel()]),
-                      config.dt, config.sample_every, n_samples,
-                      "full-system", mend="raise integration.sample_every")
-    return Trajectory(times=_sample_times(config),
-                      thetas=wrap_phase(rows[:, :n]),
-                      weights=rows[:, n:].reshape(-1, n, n))
+                      config, "full-system", mend="raise integration.sample_every")
+    return Trajectory(config, wrap_phase(rows[:, :n]),
+                      rows[:, n:].reshape(-1, n, n))
 
 
 def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
@@ -340,8 +332,7 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
         return u
     start = np.concatenate([np.tile(theta0, (eps.size, 1)), (
         eps[:, None, None] * core.terms(theta0)[3]).reshape(eps.size, -1)], -1)
-    return wrap_phase(_integrate(forcing, start, h, config.sample_every,
-                                 _samples(config), "full-system",
+    return wrap_phase(_integrate(forcing, start, config, "full-system",
                                  stored=n, step=step))
 
 
@@ -350,15 +341,18 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     from a stack (S, N) that the field evaluates in one call, giving thetas
     (samples, S, N).  No epsilon guard applies; the reduced field carries
     no fast relaxation."""
-    theta0, n_samples = _floats(initial_theta, "initial theta"), _samples(config)
-    n = field.n_nodes
+    theta0 = _floats(initial_theta, "initial theta")
+    _check_grid(config)
+    n = getattr(field, "n_nodes", None)
+    if not (callable(field) and _is_int(n)):
+        raise ContractError(f"field must be a callable phase field with an "
+                            f"int n_nodes, got {field!r}")
     if theta0.shape[-1:] != (n,) or theta0.ndim > 2:
         raise ContractError(
             f"initial theta must have shape ({n},) or (S, {n}), got "
             f"{theta0.shape}")
-    rows = _integrate(field, theta0, config.dt, config.sample_every,
-                      n_samples, "reduced")
-    return Trajectory(times=_sample_times(config), thetas=wrap_phase(rows))
+    return Trajectory(config, wrap_phase(_integrate(field, theta0, config,
+                                                    "reduced")))
 
 
 @functools.cache

@@ -186,7 +186,6 @@ class Coupling:
     gamma_d2: Optional[PhaseFn] = None
     target_du: Optional[PhaseFn] = None
     target_dv: Optional[PhaseFn] = None
-    target_duu: Optional[PhaseFn] = None
     target_duv: Optional[PhaseFn] = None
     target_dvv: Optional[PhaseFn] = None
     target_diff: Optional[PhaseFn] = None
@@ -263,9 +262,6 @@ class KuramotoCoupling:
 
     def target_dv(self, u, v):
         return _cos_target_d1(v - u)
-
-    def target_duu(self, u, v):
-        return -np.cos(u - v)
 
     def target_duv(self, u, v):
         return np.cos(u - v)

@@ -149,7 +149,7 @@ def test_criterion_4_attraction_rate_is_epsilon_free():
         noise = rng.standard_normal((5, 5))
         noise *= 1.0 / np.linalg.norm(noise)
         state = FullState(theta=theta0, weights=surface + noise)
-        config = IntegrationConfig(dt=epsilon / 20, t_end=6 * epsilon)
+        config = IntegrationConfig(6 * epsilon, 120)
         rates.append(attraction_study(params, coupling, state, config)
                      .fitted_rate_per_fast_time)
 

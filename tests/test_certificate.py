@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,22 @@ def test_stencil_rejects_repeated_indices():
         mixed_second_derivative_fd(probe, 0, 1, 1, np.zeros(3))
     with pytest.raises(ContractError):
         mixed_second_derivative_fd(probe, 0, 1, 2, np.zeros(3), step=0.0)
+    # a step that is no finite real > 0 or whose 4 step^2 is no normal
+    # double: 1e-300 would divide by 0, 1e300 by inf
+    for step in ("a", None, True, np.nan, np.inf, -1e-3, 1e-300, 1e300):
+        with pytest.raises(ContractError, match=re.escape(f"step={step!r}")):
+            mixed_second_derivative_fd(probe, 0, 1, 2, np.zeros(3), step=step)
+    # a step that some point's theta_j or theta_k absorbs: 1.0 + 1e-154 is
+    # 1.0, so that stencil would difference equal points, where 0.0 does not
+    points = np.zeros((2, 3))
+    points[1, 0] = 1.0  # theta_i is not moved
+    assert mixed_second_derivative_fd(probe, 0, 1, 2, points, 1e-154).shape \
+        == (2,)
+    for m in (1, 2):
+        points[1, m] = 1.0
+        with pytest.raises(ContractError, match="no theta_1 or theta_2 "
+                           "absorbs"):
+            mixed_second_derivative_fd(probe, 0, 1, 2, points, 1e-154)
     # distinct but not node indices: (0, 4, -1) would be d^2 F_0 / d theta_4^2
     with pytest.raises(ContractError):
         mixed_second_derivative_fd(order1_field(n=5), 0, 4, -1, np.zeros(5))
@@ -359,6 +376,10 @@ def test_node_respecting_transform_validation():
         node_respecting_transform(theta, [0, 1, 2], np.zeros(4))
     with pytest.raises(ContractError):
         node_respecting_transform(theta, [0, 1, 2], np.array([0.0, np.inf, 0.0]))
+    with pytest.raises(ContractError, match="non-numeric phases"):
+        node_respecting_transform(["a", "b", "c"], [0, 1, 2], np.zeros(3))
+    with pytest.raises(ContractError, match="non-numeric shifts"):
+        node_respecting_transform(theta, [0, 1, 2], ["a", "b", "c"])
 
 
 def test_pushforward_pure_permutation_values():
@@ -428,6 +449,13 @@ def test_pushforward_validation():
         pushed(np.zeros((2, 2)))
     with pytest.raises(ContractError, match="non-numeric"):
         pushed(["a", "b", "c"])
+    with pytest.raises(ContractError, match="non-numeric phases"):
+        pushforward_certificate_invariance(field, (1, 2, 0), np.zeros(3),
+                                           ["a", "b", "c"], (0, 1, 2))
+    for triple in ((0, 1), 2, None):
+        with pytest.raises(ContractError, match="three node indices"):
+            pushforward_certificate_invariance(field, (1, 2, 0), np.zeros(3),
+                                               anchor_point(3), triple)
 
 
 @pytest.mark.parametrize("perm", [

@@ -179,6 +179,42 @@ def test_unencodable_report_is_contract_error(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith("contract error: ")
 
 
+def test_manifest_is_written_last_and_only_beside_its_outputs(
+        tmp_path, capsys, monkeypatch):
+    """A run removes the manifest of the run before and writes its own
+    last, so a run that fails while writing leaves no manifest echoing a
+    config whose outputs are not there."""
+    written = []
+
+    def recording(path, obj):
+        written.append(path.name)
+        return write_json(path, obj)
+    monkeypatch.setattr("fastslow.cli.write_json", recording)
+    code, out = run(tmp_path, "certify", CERTIFY, extra=["--quiet"])
+    assert code == 0 and written == ["report.json", "manifest.json"]
+    report = (out / "report.json").read_bytes()
+    monkeypatch.setitem(COMMANDS, "certify",
+                        lambda raw, seeds: ({"value": math.nan}, None, ""))
+    cfg = dict(CERTIFY, certify={"n_random_points": 10, "fd_step": 0.002})
+    assert run(tmp_path, "certify", cfg)[0] == 2
+    assert capsys.readouterr().err.startswith("contract error: ")
+    assert not (out / "manifest.json").exists()
+    assert (out / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("fd_step", [1e-300, 1e-154, 1e300])
+def test_step_that_collapses_the_stencil_is_contract_error(tmp_path, capfd,
+                                                           fd_step):
+    # 4 step^2 underflows, theta absorbs the step, or 4 step^2 overflows:
+    # refused before any file is written, with no numpy warning
+    cfg = dict(CERTIFY, certify={"n_random_points": 10, "fd_step": fd_step})
+    code, out = run(tmp_path, "certify", cfg)
+    assert code == 2 and not out.exists()
+    err = capfd.readouterr().err
+    assert err.startswith(f"contract error: step={fd_step!r}") \
+        and err.count("\n") == 1
+
+
 def test_seed_override_changes_results(tmp_path):
     _, base = run(tmp_path / "a", "simulate", SIMULATE)
     code, moved = run(tmp_path / "b", "simulate", SIMULATE, extra=["--seed", "99"])

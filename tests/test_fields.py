@@ -376,10 +376,9 @@ def test_one_coupling_evaluation_per_call(case, want):
     coupling = counting_coupling(base, counts, slots)
     if case.endswith("full"):
         state = FullState(theta=theta, weights=critical_weights(base, theta))
-        dt = params.epsilon / 20
         # one RK4 step calls the rhs four times
         integrate_full(params, coupling, state,
-                       IntegrationConfig(dt=dt, t_end=dt))
+                       IntegrationConfig(params.epsilon / 20, 1))
         calls = 4
     else:
         field = ReducedField(order=int(case[-1]), params=params,

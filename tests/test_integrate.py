@@ -32,48 +32,58 @@ from fastslow import (
 )
 from fastslow import integrate as integrate_module
 from fastslow.integrate import MAX_DEFAULT_SAMPLES, MAX_HISTORY_BYTES, \
-    _full_rhs, _integrate, _sample_times, _write_table
+    _full_rhs, _integrate, _write_table
 
 TWO_PI = 2 * np.pi
 
 
 def test_config_validation():
+    for t_end in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ContractError, match="t_end must be > 0"):
+            IntegrationConfig(t_end, 10)
+    # a step count is an int >= 1: neither a bool nor a float, even a whole one
+    for steps in (0, -3, True, 10.0, np.float64(10.0), None, "10"):
+        with pytest.raises(ContractError, match="n_steps must be an integer"):
+            IntegrationConfig(1.0, steps)
+    assert IntegrationConfig(1.0, np.int64(10)).n_steps == 10
     with pytest.raises(ContractError):
-        IntegrationConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ContractError):
-        IntegrationConfig(dt=0.1, t_end=0.0)
-    with pytest.raises(ContractError):
-        IntegrationConfig(dt=2.0, t_end=1.0)
-    with pytest.raises(ContractError):
-        IntegrationConfig(dt=0.1, t_end=1.0, sample_every=0)
-    # 1.0 / 0.3 is not a whole number of steps; rounding would stop at 0.9
-    with pytest.raises(ContractError, match="whole number of steps"):
-        IntegrationConfig(dt=0.3, t_end=1.0)
+        IntegrationConfig(1.0, 10, sample_every=0)
     # 3 does not divide 10 steps; the last sample would be at 0.9
     with pytest.raises(ContractError, match="dividing the 10 steps"):
-        IntegrationConfig(dt=0.1, t_end=1.0, sample_every=3)
+        IntegrationConfig(1.0, 10, sample_every=3)
     # a stride is an int: neither a bool nor a float, even a whole one
     for stride in (True, 2.0, np.float64(5.0)):
         with pytest.raises(ContractError, match="positive integer"):
-            IntegrationConfig(dt=0.1, t_end=1.0, sample_every=stride)
-    assert IntegrationConfig(dt=0.1, t_end=1.0,
+            IntegrationConfig(1.0, 10, sample_every=stride)
+    assert IntegrationConfig(1.0, 10,
                              sample_every=np.int64(5)).sample_every == 5
-    # a step count past the float range, not an OverflowError from n_steps
-    with pytest.raises(ContractError, match="than a float can count"):
-        IntegrationConfig(dt=1e-310, t_end=1.0)
-    cfg = IntegrationConfig(dt=0.1, t_end=1.0)
-    assert cfg.n_steps == 10
-    # no array, string or None is a step or a horizon
+    # a count past the float range, which has no float step, and a step
+    # that underflows to 0
+    with pytest.raises(ContractError, match="that a float can count"):
+        IntegrationConfig(1.0, 10 ** 400)
+    with pytest.raises(ContractError, match="underflows to 0"):
+        IntegrationConfig(5e-324, 2)
+    # dt, the sample count and the sample times all follow from the steps
+    cfg = IntegrationConfig(1.0, 10, 2)
+    assert (cfg.dt, cfg.n_samples) == (0.1, 6)
+    assert cfg.times.tolist() == np.linspace(0.0, 1.0, 6).tolist()
+    # the last sample is t_end itself, each step t_end / n_steps: no dt can
+    # stamp a last time that its steps do not reach
+    cfg = IntegrationConfig(0.3000000002, 3)
+    assert (cfg.dt, cfg.times[-1]) == (0.3000000002 / 3, 0.3000000002)
+    # no array, string or None is a horizon
     for bad in (np.array([0.1, 0.2]), "a", None):
-        with pytest.raises(ContractError, match="dt must be > 0"):
-            IntegrationConfig(dt=bad, t_end=1.0)
         with pytest.raises(ContractError, match="t_end must be > 0"):
-            IntegrationConfig(dt=0.1, t_end=bad)
+            IntegrationConfig(bad, 10)
     # a run needs a config
     field = ReducedField(order=0, params=ModelParams(
         n_nodes=2, omega=np.zeros(2), epsilon=0.1), coupling=make_kuramoto(0.5))
     with pytest.raises(ContractError, match="IntegrationConfig"):
         integrate_reduced(field, np.zeros(2), None)
+    # and a field: a callable with a node count
+    for bad in (None, np.zeros(2)):
+        with pytest.raises(ContractError, match="callable phase field"):
+            integrate_reduced(bad, np.zeros(2), IntegrationConfig(1.0, 10))
 
 
 @pytest.mark.parametrize("t_end, max_dt, sample_every, steps, dt", [
@@ -130,16 +140,6 @@ def test_spanning_takes_the_fewest_steps_the_stride_divides(
 def test_spanning_rejects(t_end, max_dt, sample_every, match):
     with pytest.raises(ContractError, match=match):
         IntegrationConfig.spanning(t_end, max_dt, sample_every)
-
-
-def test_trajectory_spacing_bound_scales_with_the_horizon():
-    # at t near 1.4e4 the gaps of np.linspace differ by about 1.5e-12
-    times = _sample_times(IntegrationConfig(dt=0.07, t_end=14000.0,
-                                            sample_every=20))
-    assert Trajectory(times=times, thetas=np.zeros((times.size, 1))).n_samples \
-        == 10_001
-    with pytest.raises(ContractError, match="uniformly spaced"):
-        Trajectory(times=[0.0, 1.0, 1.5], thetas=np.zeros((3, 1)))
 
 
 def test_rk4_scalar_decay():
@@ -260,12 +260,12 @@ def test_full_rejects_large_dt():
         calls.append(d.shape)
         return coupling.gamma(d)
     counting = Coupling(gamma=gamma, target=coupling.target)
-    cfg = IntegrationConfig(dt=params.epsilon / 5, t_end=1.0)
+    cfg = IntegrationConfig(1.0, 250)
     with pytest.raises(ContractError, match="stability guard"):
         integrate_full(params, counting, state, cfg)
     assert calls == []
     # dt exactly at the guard is allowed
-    ok = IntegrationConfig(dt=params.epsilon / 10, t_end=params.epsilon)
+    ok = IntegrationConfig(params.epsilon, 10)
     traj = integrate_full(params, counting, state, ok)
     assert calls
     # a view of the stepped rows, not a copy of the history
@@ -275,7 +275,7 @@ def test_full_rejects_large_dt():
 def test_full_rejects_node_mismatch():
     params, coupling, state = setup_full(n=3)
     other = FullState(theta=np.zeros(4), weights=np.zeros((4, 4)))
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=0.1)
+    cfg = IntegrationConfig(0.1, 100)
     with pytest.raises(ContractError):
         integrate_full(params, coupling, other, cfg)
     with pytest.raises(ContractError, match="FullState"):
@@ -297,7 +297,7 @@ def test_synchronized_state_is_stationary():
     theta0 = np.full(n, 1.25)
     state = FullState(theta=theta0,
                       weights=critical_weights(coupling, theta0))
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=1.0)
+    cfg = IntegrationConfig(1.0, 1000)
     traj = integrate_full(params, coupling, state, cfg)
     assert phase_distance(traj.thetas[-1], theta0) < 1e-12
     assert np.max(np.abs(traj.weights[-1] - state.weights)) < 1e-12
@@ -315,7 +315,7 @@ def test_frozen_phases_relax_at_unit_fast_rate():
     theta0 = rng.uniform(0.0, TWO_PI, n)
     w_star = critical_weights(coupling, theta0)
     w0 = w_star + rng.normal(size=(n, n))
-    cfg = IntegrationConfig(dt=eps / 20, t_end=3 * eps)
+    cfg = IntegrationConfig(3 * eps, 60)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=w0), cfg)
     decay = np.exp(-traj.times[-1] / eps)
@@ -333,7 +333,7 @@ def test_two_node_antisymmetry():
     theta0 = np.array([0.7, -0.7])
     state = FullState(theta=theta0,
                       weights=critical_weights(coupling, theta0))
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=2.0)
+    cfg = IntegrationConfig(2.0, 2000)
     traj = integrate_full(params, coupling, state, cfg)
     mirrored = (-traj.thetas[:, ::-1]) % TWO_PI
     err = np.abs(traj.thetas - mirrored)
@@ -352,8 +352,7 @@ def test_weights_stay_bounded_at_guard_step():
     rng = np.random.default_rng(3)
     theta0 = rng.uniform(0.0, TWO_PI, 4)
     w0 = rng.uniform(-(alpha + 2), alpha + 2, (4, 4))
-    cfg = IntegrationConfig(dt=params.epsilon / 10, t_end=10.0,
-                            sample_every=10)
+    cfg = IntegrationConfig(10.0, 2000, sample_every=10)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=w0), cfg)
     assert np.max(np.abs(traj.weights)) <= alpha + 2 + 1e-12
@@ -361,7 +360,7 @@ def test_weights_stay_bounded_at_guard_step():
 
 def test_snapshots_are_canonical():
     params, coupling, state = setup_full(seed=4)
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=5.0, sample_every=50)
+    cfg = IntegrationConfig(5.0, 5000, sample_every=50)
     traj = integrate_full(params, coupling, state, cfg)
     assert np.all(traj.thetas >= 0.0)
     assert np.all(traj.thetas < TWO_PI)
@@ -375,7 +374,7 @@ def test_full_reports_failure_location():
     params, _, state = setup_full(seed=5)
     exploding = Coupling(gamma=lambda d: np.exp(0.0 * d + 800.0),
                          target=lambda u, v: u * 0.0 + v * 0.0)
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=1.0)
+    cfg = IntegrationConfig(1.0, 1000)
     with pytest.raises(IntegrationError, match=r"^full-system integration "
                        r"failed at t=.*\(step 1\)"):
         integrate_full(params, exploding, state, cfg)
@@ -391,7 +390,7 @@ def test_reduced_rigid_rotation():
     params = ModelParams(n_nodes=n, omega=np.full(n, 0.3), epsilon=0.01)
     field = ReducedField(order=1, params=params, coupling=make_kuramoto(0.5))
     theta0 = np.full(n, 1.0)
-    cfg = IntegrationConfig(dt=0.01, t_end=2.0)
+    cfg = IntegrationConfig(2.0, 200)
     traj = integrate_reduced(field, theta0, cfg)
     want = (theta0 + 0.3 * traj.times[-1]) % TWO_PI
     assert phase_distance(traj.thetas[-1], want) < 1e-12
@@ -404,9 +403,9 @@ def test_reduced_step_halving():
     field = ReducedField(order=1, params=params, coupling=make_kuramoto(0.7))
     theta0 = np.array([0.1, 2.0, 4.0])
     coarse = integrate_reduced(field, theta0,
-                               IntegrationConfig(dt=0.02, t_end=2.0))
+                               IntegrationConfig(2.0, 100))
     fine = integrate_reduced(field, theta0,
-                             IntegrationConfig(dt=0.01, t_end=2.0))
+                             IntegrationConfig(2.0, 200))
     assert phase_distance(coarse.thetas[-1], fine.thetas[-1]) < 1e-8
 
 
@@ -422,12 +421,11 @@ def test_full_rhs_matches_public_fields():
         return np.concatenate([phase_rhs(params, coupling, theta, w),
                                dw.ravel()])
 
-    dt = params.epsilon / 20
-    traj = integrate_full(params, coupling, state,
-                          IntegrationConfig(dt=dt, t_end=3 * dt))
+    cfg = IntegrationConfig(3 * params.epsilon / 20, 3)
+    traj = integrate_full(params, coupling, state, cfg)
     flat = np.concatenate([state.theta, state.weights.ravel()])
     for step in range(1, 4):
-        flat = rk4_step(rhs, flat, dt)
+        flat = rk4_step(rhs, flat, cfg.dt)
         assert np.array_equal(traj.thetas[step], wrap_phase(flat[:n]))
         assert np.array_equal(traj.weights[step], flat[n:].reshape(n, n))
 
@@ -487,7 +485,7 @@ def test_full_rhs_reads_its_state_and_returns_fresh_memory():
 
 def test_stack_failure_names_rows_on_their_own_step_grid():
     # y' = y, except that row 0 blows up once it passes 1.5, which it does
-    # within the fifth step of dt 0.1 (in the third sample spacing), while
+    # within the fifth step of 0.6 / 6 (in the third sample spacing), while
     # row 1 steps on as before
     def rhs(state):
         out = state.copy()
@@ -498,7 +496,7 @@ def test_stack_failure_names_rows_on_their_own_step_grid():
     with pytest.raises(IntegrationError,
                        match=r"^x integration failed in rows 0 at t=0\.5 "
                              r"\(step 5\): non-finite") as info:
-        _integrate(rhs, np.ones((2, 3)), 0.1, 2, 4, "x")
+        _integrate(rhs, np.ones((2, 3)), IntegrationConfig(0.6, 6, 2), "x")
     assert info.value.rows == (0,)
 
 
@@ -511,8 +509,8 @@ def test_history_over_the_memory_cap_is_rejected_before_allocating():
     coupling = make_kuramoto(0.7)
     theta = np.linspace(0.0, 6.0, n)
     state = FullState(theta=theta, weights=critical_weights(coupling, theta))
-    config = IntegrationConfig(dt=0.0005, t_end=5.0)
-    assert _sample_times(config).size == 10_001
+    config = IntegrationConfig(5.0, 10_000)
+    assert config.n_samples == 10_001
     tracemalloc.start()
     try:
         with pytest.raises(ContractError, match=r"needs 1\.28e\+10 bytes.*"
@@ -527,7 +525,7 @@ def test_history_over_the_memory_cap_is_rejected_before_allocating():
 
 def test_integration_is_deterministic():
     params, coupling, state = setup_full(seed=7)
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=0.5)
+    cfg = IntegrationConfig(0.5, 500)
     a = integrate_full(params, coupling, state, cfg)
     b = integrate_full(params, coupling, state, cfg)
     assert np.array_equal(a.thetas, b.thetas)
@@ -535,35 +533,30 @@ def test_integration_is_deterministic():
 
 
 def test_trajectory_validation():
-    with pytest.raises(ContractError):
-        Trajectory(times=np.array([0.0, 1.0, 1.5]), thetas=np.zeros((3, 2)))
-    for times, match in [([0.0], ">= 2 entries"), ([1.0, 0.0], "increasing"),
-                         ([0.0, np.nan], "finite"), ([0, 1, np.inf], "finite"),
-                         ([np.nan] * 3, "finite")]:
-        # unchecked, NaN compares false in the increasing and spacing tests
-        with pytest.raises(ContractError, match=match):
-            Trajectory(times=np.array(times), thetas=np.zeros((len(times), 2)))
-    with pytest.raises(ContractError):
-        Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((3, 2)))
-    with pytest.raises(ContractError, match="row count"):
-        Trajectory(times=[0.0, 1.0], thetas=0.5)
-    with pytest.raises(ContractError, match="non-numeric times"):
-        Trajectory(times=["a", "b", "c"], thetas=np.zeros((3, 2)))
+    # the times are the grid's: a times array is no grid
+    for grid in (np.array([0.0, 1.0]), None):
+        with pytest.raises(ContractError, match="grid must be an "
+                           "IntegrationConfig"):
+            Trajectory(grid, np.zeros((2, 2)))
+    grid = IntegrationConfig(1.0, 1)
+    for thetas in (np.zeros((3, 2)), np.zeros((1, 2)), 0.5):
+        with pytest.raises(ContractError, match="one row per sample, 2"):
+            Trajectory(grid, thetas)
+    with pytest.raises(ContractError, match="non-numeric thetas"):
+        Trajectory(grid, [["a", "b"], ["c", "d"]])
     # and the phases integrate_reduced starts from
     field = ReducedField(0, ModelParams(3, np.zeros(3), 0.1),
                          make_kuramoto(0.5))
     with pytest.raises(ContractError, match="non-numeric initial theta"):
         integrate_reduced(field, ["a", "b", "c"],
-                          IntegrationConfig(dt=0.1, t_end=1.0))
-    t = Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 2)))
-    assert t.weights is None
+                          IntegrationConfig(1.0, 10))
+    t = Trajectory(grid, np.zeros((2, 2)))
+    assert t.weights is None and t.times.tolist() == [0.0, 1.0]
     # weights must have N x N entries per sample for the N phases
     with pytest.raises(ContractError, match=r"thetas.shape \+ \(N,\)"):
-        Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 4)),
-                   weights=np.zeros((2, 3, 3)))
+        Trajectory(grid, np.zeros((2, 4)), weights=np.zeros((2, 3, 3)))
     with pytest.raises(ContractError, match=r"thetas.shape \+ \(N,\)"):
-        Trajectory(times=np.array([0.0, 1.0]), thetas=np.zeros((2, 3)),
-                   weights=np.zeros((2, 9)))
+        Trajectory(grid, np.zeros((2, 3)), weights=np.zeros((2, 9)))
 
 
 def test_stacked_trajectory_is_not_written_as_csv():
@@ -571,7 +564,7 @@ def test_stacked_trajectory_is_not_written_as_csv():
         n_nodes=3, omega=np.zeros(3), epsilon=0.01),
         coupling=make_kuramoto(0.5))
     traj = integrate_reduced(field, np.zeros((2, 3)),
-                             IntegrationConfig(dt=0.1, t_end=0.2))
+                             IntegrationConfig(0.2, 2))
     assert traj.thetas.shape == (3, 2, 3)
     buf = io.StringIO()
     with pytest.raises(ContractError, match=r"thetas \(samples, N\)"):
@@ -581,7 +574,7 @@ def test_stacked_trajectory_is_not_written_as_csv():
 
 def test_csv_round_trip():
     params, coupling, state = setup_full(seed=8)
-    cfg = IntegrationConfig(dt=params.epsilon / 20, t_end=0.1, sample_every=10)
+    cfg = IntegrationConfig(0.1, 100, sample_every=10)
     traj = integrate_full(params, coupling, state, cfg)
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
@@ -610,7 +603,7 @@ def test_csv_round_trip():
     # a non-finite value is rejected, not written as nan
     weights = traj.weights.copy()
     weights[-1, 0, 1] = np.nan
-    bad = Trajectory(times=traj.times, thetas=traj.thetas, weights=weights)
+    bad = Trajectory(traj.grid, traj.thetas, weights)
     with pytest.raises(ContractError):
         trajectory_to_csv(bad, io.StringIO())
 

@@ -290,8 +290,6 @@ def test_derivative_consistency_on_grid():
           _central(lambda u: c.target(u, grid_v), grid_u))
     check(c.target_dv(grid_u, grid_v),
           _central(lambda v: c.target(grid_u, v), grid_v))
-    check(c.target_duu(grid_u, grid_v),
-          _central(lambda u: c.target_du(u, grid_v), grid_u))
     check(c.target_duv(grid_u, grid_v),
           _central(lambda v: c.target_du(grid_u, v), grid_v))
     check(c.target_dvv(grid_u, grid_v),
@@ -367,7 +365,7 @@ def test_callables_only_coupling_gives_kuramoto_bits():
 def _attract(params, coupling, theta):
     kicked = FullState(theta=theta, weights=np.ones((3, 3)))
     return attraction_study(params, coupling, kicked,
-                            IntegrationConfig(dt=1e-3, t_end=0.1))
+                            IntegrationConfig(0.1, 100))
 
 
 # each entry point that needs derivatives, and the order it needs

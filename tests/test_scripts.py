@@ -1,7 +1,7 @@
-"""Smoke runs of the example scripts under scripts/ with small arguments.
+"""Smoke runs of the example script under scripts/ with small arguments.
 
-The scripts import only the public package API, so a renamed or removed
-export breaks them; each run must exit 0 and end on its summary line.
+The script imports only the public package API, so a renamed or removed
+export breaks it; a run must exit 0 and end on its summary line.
 """
 
 import os
@@ -16,9 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script, args, last_line_start", [
     ("alpha_sweep.py", ["--alphas", "0.7"], "0.70"),
-    ("reduction_error.py", ["--nodes", "3", "--t-end", "0.1"], "slope order 1:"),
-    ("relaxation_profile.py", ["--nodes", "3"], "fitted rate per fast time unit:"),
-], ids=["alpha_sweep", "reduction_error", "relaxation_profile"])
+], ids=["alpha_sweep"])
 def test_script_runs(script, args, last_line_start):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

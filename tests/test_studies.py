@@ -149,7 +149,7 @@ def test_attraction_rate_exact_for_frozen_phases():
     params = make_params(epsilon=0.01, omega=np.zeros(3))
     c = frozen_phase_coupling()
     state = off_surface_state(params, c)
-    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
+    config = IntegrationConfig(6 * params.epsilon, 120)
     report = attraction_study(params, c, state, config)
     assert report.fitted_rate_per_fast_time == pytest.approx(1.0, abs=1e-6)
     assert report.residual < 1e-6
@@ -160,7 +160,7 @@ def test_attraction_rate_near_one_with_moving_phases():
     params = make_params(epsilon=0.01, seed=3)
     c = make_kuramoto(0.6)
     state = off_surface_state(params, c, seed=4)
-    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
+    config = IntegrationConfig(6 * params.epsilon, 120)
     report = attraction_study(params, c, state, config)
     assert 0.9 <= report.fitted_rate_per_fast_time <= 1.1
     assert report.n_points >= 2
@@ -174,7 +174,7 @@ def test_attraction_rejects_on_surface_start():
     params = make_params(epsilon=0.01)
     c = make_kuramoto(0.6)
     state = off_surface_state(params, c, norm=0.01)
-    config = IntegrationConfig(dt=params.epsilon / 20, t_end=6 * params.epsilon)
+    config = IntegrationConfig(6 * params.epsilon, 120)
     with pytest.raises(ContractError):
         attraction_study(params, c, state, config)
     with pytest.raises(ContractError, match="FullState"):
@@ -192,8 +192,7 @@ def test_attraction_short_horizon_has_empty_window():
     params = make_params(epsilon=0.01, seed=5)
     c = make_kuramoto(0.6)
     state = off_surface_state(params, c, seed=6)
-    config = IntegrationConfig(dt=params.epsilon / 20,
-                               t_end=0.1 * params.epsilon)
+    config = IntegrationConfig(0.1 * params.epsilon, 2)
     with pytest.raises(ExperimentError):
         attraction_study(params, c, state, config)
 
@@ -324,12 +323,14 @@ def check_stacks(runs, epsilons, t_end, report):
     self-gap to the next over the budget; the last two have the report's,
     within it, and the report's dt is the last grid's."""
     assert [run[0] for run in runs] == ["full", "reduced"] * (len(runs) // 2)
-    spacing = t_end / np.ceil(t_end / studies.MAX_REDUCED_DT)
+    intervals = int(np.ceil(t_end / studies.MAX_REDUCED_DT))
+    spacing = t_end / intervals
     for k, ((_, eps_full, grid, phases), (_, eps, reduced_grid, traj)) in \
             enumerate(zip(runs[::2], runs[1::2])):
         assert eps_full == list(epsilons) and eps == [0.0] + eps_full
         assert reduced_grid == grid == IntegrationConfig(
-            dt=spacing / 2 ** k, t_end=t_end, sample_every=2 ** k)
+            t_end, intervals * 2 ** k, 2 ** k)
+        assert grid.dt == spacing / 2 ** k
         assert traj.thetas.shape[1] == len(eps)
         assert phases.shape == traj.thetas[:, 1:].shape
         np.testing.assert_allclose(traj.times,
@@ -409,13 +410,13 @@ def test_reduced_step_error_budget(monkeypatch):
     # each row's reference is its field stepped as one stack at
     # epsilon / 20 of the finest epsilon, 80 steps per sample; the order-0
     # field is the same at every epsilon, and is its row where epsilon is 0
-    stiff = IntegrationConfig(dt=epsilons[-1] / 20, t_end=2.0,
-                              sample_every=80)
+    stiff = IntegrationConfig(2.0, 16_000, sample_every=80)
     field = studies._Core(params, c, 1, np.array(eps)[:, None, None])
     assert field(np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
         order=0, params=params, coupling=c)(theta0).tobytes()
-    refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff.dt, 80,
-                                traj.n_samples, "reduced")
+    assert stiff.n_samples == traj.n_samples
+    refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff,
+                                "reduced")
     for row in range(5):
         assert phase_distance(traj.thetas[:, row], refs[:, row]) <= budget
     # a stacked row has the bits of its own run
@@ -505,18 +506,17 @@ def test_exponential_reference_matches_rk4(kind):
         start = FullState(theta=theta0,
                           weights=slow_manifold(at, coupling, theta0))
         rk4.append(integrate_full(at, coupling, start, IntegrationConfig(
-            dt=e / 20, t_end=2.0, sample_every=round(0.02 / e))).thetas)
+            2.0, round(40 / e), sample_every=round(0.02 / e))).thetas)
     rk4 = np.stack(rk4, 1)  # sampled every 0.001
     exponential = integrate._exponential_stack(
-        params, coupling, epsilons, theta0, IntegrationConfig(dt=0.001,
-                                                              t_end=2.0))
+        params, coupling, epsilons, theta0, IntegrationConfig(2.0, 2000))
     assert phase_distance(exponential, rk4) <= 1e-11
     report = convergence_study(params, coupling, theta0, epsilons)
     budget = 1e-3 * report.errors_order1.min()
     for h in (studies.MAX_REDUCED_DT, report.dt):
         coarse = integrate._exponential_stack(
             params, coupling, epsilons, theta0, IntegrationConfig(
-                dt=h, t_end=2.0, sample_every=round(0.01 / h)))
+                2.0, round(2.0 / h), sample_every=round(0.01 / h)))
         assert phase_distance(coarse, rk4[::10]) <= budget
     assert phase_distance(coarse, rk4[::10]) <= report.self_gap
 
