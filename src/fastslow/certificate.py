@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ReducedField, _check_indices, _check_shapes
+from .fields import ReducedField, _check_field, _check_indices, _check_shapes
 from .model import (
     ContractError,
     FloatArray,
@@ -78,9 +78,9 @@ def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
     statement this certificate rests on says nothing about repeated
     indices.  A step that collapses the stencil is a ContractError.
     """
+    theta = _check_indices(theta, (i, j, k), stack=True)
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
-    theta = _check_indices(theta, (i, j, k), stack=True)
     scale = 4.0 * step * step if _is_positive(step) else 0.0
     collapses = not sys.float_info.min <= scale < np.inf
     # no theta absorbs a step above ulp(|theta|_2), which is >= ulp(max |theta|)
@@ -140,10 +140,10 @@ def triplet_mixed_derivative(coupling, i: int, j: int, k: int, theta) -> float:
     one of the two differentiation variables.  Multiply by epsilon / N^2
     to obtain the corresponding contribution at field level.
     """
+    theta = _check_indices(theta, (i, j, k))
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
     require_derivatives(coupling, 2)
-    theta = _check_indices(theta, (i, j, k))
     direct = _mixed_derivative_of_triplet(coupling, theta[i], theta[j], theta[k])
     swapped = _mixed_derivative_of_triplet(coupling, theta[i], theta[k], theta[j])
     return direct + swapped
@@ -191,9 +191,9 @@ def scan_mixed_derivatives(field, points,
     by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
     each row the same bits as an unshared stencil.
     """
-    points = _floats(points, "points")
-    if points.ndim != 2 or not len(points):
-        raise ContractError(f"points must be a (P >= 1, N) stack, got {points.shape}")
+    n, points = _check_field(field), _floats(points, "points")
+    if points.ndim != 2 or not len(points) or points.shape[1] != n:
+        raise ContractError(f"points must be a (P >= 1, {n}) stack, got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ContractError("scan points must be finite")
     outputs = {}
@@ -204,7 +204,7 @@ def scan_mixed_derivatives(field, points,
             outputs[key] = field(stack)
         return outputs[key]
 
-    triples = list(itertools.permutations(range(field.n_nodes), 3))
+    triples = list(itertools.permutations(range(n), 3))
     values = [mixed_second_derivative_fd(shared, i, j, k, points, fd_step)
               for i, j, k in triples]
     return np.column_stack([
@@ -243,7 +243,7 @@ def certify_nonpairwise(field, points=None,
     Returns the report at the maximizer of |FD value|; ties resolve to the
     lexicographically first (i, j, k, point index).
     """
-    n = field.n_nodes
+    n = _check_field(field)
     if n < 3:
         raise ContractError(
             f"certification needs at least 3 nodes, got {n}")
@@ -320,7 +320,7 @@ class PushforwardField:
 
     def __post_init__(self):
         perm, shifts = _check_transform(self.permutation, self.shifts,
-                                        self.base.n_nodes)
+                                        _check_field(self.base))
         object.__setattr__(self, "permutation", tuple(int(p) for p in perm))
         object.__setattr__(self, "shifts", tuple(shifts.tolist()))
 
@@ -355,9 +355,9 @@ def pushforward_certificate_invariance(field, permutation, shifts, point,
     except (TypeError, ValueError):
         raise ContractError(f"triple must be three node indices, got "
                             f"{triple!r}") from None
-    before = mixed_second_derivative_fd(field, i, j, k, point, fd_step)
     pushed = PushforwardField(base=field, permutation=permutation,
                               shifts=shifts)
+    before = mixed_second_derivative_fd(field, i, j, k, point, fd_step)
     inv = pushed.inverse
     moved_point = node_respecting_transform(point, permutation, shifts)
     after = mixed_second_derivative_fd(

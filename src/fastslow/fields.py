@@ -73,6 +73,14 @@ def _check_indices(theta, indices, stack: bool = False) -> FloatArray:
     return theta
 
 
+def _check_field(field) -> int:
+    """The node count of a phase field: a callable with an int n_nodes."""
+    if not (callable(field) and _is_int(getattr(field, "n_nodes", None))):
+        raise ContractError(f"field must be a callable phase field with an "
+                            f"int n_nodes, got {field!r}")
+    return field.n_nodes
+
+
 def _phi(theta) -> FloatArray:  # phi_ij = theta_j - theta_i at (..., N)
     return theta[..., None, :] - theta[..., :, None]
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import _Core
+from .fields import _Core, _check_field
 from .model import (
     ContractError,
     FloatArray,
@@ -97,7 +97,7 @@ class IntegrationConfig:
         rounded up to a multiple of sample_every, or else of ceil(n /
         MAX_DEFAULT_SAMPLES), which stores 5 000 to 10 000 samples past n =
         10 000.  Raises ContractError for a t_end or max_dt not finite and
-        > 0, a stride not a positive integer, or steps past float range."""
+        > 0, a stride not an integer in [1, n], or n past float range."""
         if not (_is_positive(t_end) and _is_positive(max_dt)):
             raise ContractError(f"t_end and max_dt must be > 0, got "
                                 f"{t_end!r} and {max_dt!r}")
@@ -105,15 +105,16 @@ class IntegrationConfig:
                                              and sample_every >= 1):
             raise ContractError(f"sample_every must be a positive integer, "
                                 f"got {sample_every!r}")
-        try:  # ceil(inf), or a step count past the float range
+        try:  # ceil(inf)
             n = math.ceil(t_end / max_dt)
-            stride = int(sample_every or -(-n // MAX_DEFAULT_SAMPLES))
-            steps = -(-n // stride) * stride
-            float(steps)
         except OverflowError:
             raise ContractError(f"t_end={t_end} is more steps of max_dt="
                                 f"{max_dt} than a float can count") from None
-        return cls(t_end, steps, stride)
+        stride = int(sample_every or -(-n // MAX_DEFAULT_SAMPLES))
+        if stride > n:
+            raise ContractError(f"sample_every must be at most the {n} steps "
+                                f"of t_end / max_dt, got {sample_every}")
+        return cls(t_end, -(-n // stride) * stride, stride)
 
 
 def _check_grid(grid) -> None:
@@ -123,7 +124,7 @@ def _check_grid(grid) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A trajectory sampled on ``grid``, an IntegrationConfig.
+    """A trajectory sampled at grid.times, ``grid`` an IntegrationConfig.
 
     ``thetas`` has one row per sample time grid.times (phases canonical in
     [0, 2*pi)), of shape (N,), or (S, N) for a stack of S trajectories;
@@ -138,22 +139,14 @@ class Trajectory:
     def __post_init__(self):
         _check_grid(self.grid)
         object.__setattr__(self, "thetas", _floats(self.thetas, "thetas"))
-        if self.thetas.shape[:1] != (self.n_samples,):
+        if self.thetas.shape[:1] != (self.grid.n_samples,):
             raise ContractError(f"thetas must have one row per sample, "
-                                f"{self.n_samples}, got {self.thetas.shape}")
+                                f"{self.grid.n_samples}, got {self.thetas.shape}")
         if self.weights is not None:
             object.__setattr__(self, "weights",
                                _floats(self.weights, "weights"))
             if self.weights.shape != self.thetas.shape + self.thetas.shape[-1:]:
                 raise ContractError("weights must have shape thetas.shape + (N,)")
-
-    @property
-    def times(self) -> FloatArray:
-        return self.grid.times
-
-    @property
-    def n_samples(self) -> int:
-        return self.grid.n_samples
 
 
 def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
@@ -343,10 +336,7 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     no fast relaxation."""
     theta0 = _floats(initial_theta, "initial theta")
     _check_grid(config)
-    n = getattr(field, "n_nodes", None)
-    if not (callable(field) and _is_int(n)):
-        raise ContractError(f"field must be a callable phase field with an "
-                            f"int n_nodes, got {field!r}")
+    n = _check_field(field)
     if theta0.shape[-1:] != (n,) or theta0.ndim > 2:
         raise ContractError(
             f"initial theta must have shape ({n},) or (S, {n}), got "
@@ -523,8 +513,8 @@ def trajectory_to_csv(traj: Trajectory, stream) -> None:
         raise ContractError(f"CSV needs thetas (samples, N), got {traj.thetas.shape}")
     n = traj.thetas.shape[1]
     cols = ["time"] + [f"theta_{i + 1}" for i in range(n)]
-    parts = [traj.times, traj.thetas]
+    parts = [traj.grid.times, traj.thetas]
     if traj.weights is not None:
         cols += [f"a_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-        parts.append(traj.weights.reshape(traj.n_samples, n * n))
+        parts.append(traj.weights.reshape(-1, n * n))
     _write_table(stream, cols, parts)

@@ -143,7 +143,7 @@ def attraction_study(params: ModelParams, coupling, initial: FullState,
     traj = integrate_full(params, coupling, initial, config)
     dists = distance_to_slow_manifold(params, coupling, traj.thetas,
                                       traj.weights, order=1)
-    fast_times = traj.times / params.epsilon
+    fast_times = config.times / params.epsilon
     ceil = ATTRACTION_WINDOW_CEIL_FRACTION * d0
     mask = (dists >= ATTRACTION_WINDOW_FLOOR) & (dists <= ceil)
     if np.count_nonzero(mask) < 2:
@@ -206,21 +206,21 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     (suppressing the initial fast transient up to its own higher-order
     error).  The reference is the exponential route, _exponential_stack,
     which takes the weights' stiffness exactly, so one step serves the
-    sweep.  Samples are spaced t_end / ceil(t_end / MAX_REDUCED_DT), 0.01 at
-    the default t_end.  The reference at every epsilon is one stack, the
-    order-0 field and the order-1 field at every epsilon another, each row
-    with the bits of its own run; both are stepped at 1, 2, 4, ... equal
-    substeps per sample, each run once.  The step is halved until the
-    self-gap, the largest phase distance between a run and the one at twice
-    its step, reference or reduced, is at most SELF_GAP_BUDGET = 1e-3 times
-    the finer run's smallest order-1 error, or the sweep is degenerate; the
-    finer run's errors are reported.  On the shipped converge model that is
-    h = 0.005, a gap of 5.2e-10 against a budget of 9.1e-9.  A gap still
-    over budget at MAX_SUBSTEPS = 64 substeps is an ExperimentError.  The
-    error is the largest phase distance over the sampled window [0, t_end].
-    Requires a 1-d sequence of at least 3 finite epsilon values, strictly
-    decreasing, t_end > 0 and theta0 N finite phases, all checked before
-    any step.
+    sweep.  It samples on spanning(t_end, MAX_REDUCED_DT, 1), n intervals
+    0.01 apart at the default t_end.  The reference at every epsilon is one
+    stack, the order-0 field and the order-1 field at every epsilon another,
+    each row with the bits of its own run; both are stepped on
+    IntegrationConfig(t_end, n * s, s), s = 1, 2, 4, ..., each run once.
+    The step is halved until the self-gap, the largest phase distance
+    between a run and the one at twice its step, reference or reduced, is at
+    most SELF_GAP_BUDGET = 1e-3 times the finer run's smallest order-1
+    error, or the sweep is degenerate; the finer run's errors are reported.
+    On the shipped converge model that is h = 0.005, a gap of 5.2e-10
+    against a budget of 9.1e-9.  A gap still over budget at MAX_SUBSTEPS =
+    64 substeps is an ExperimentError.  The error is the largest phase
+    distance over the sampled window [0, t_end].  Requires a 1-d sequence
+    of at least 3 finite epsilon values, strictly decreasing, t_end > 0 and
+    theta0 N finite phases, all checked before any step.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -239,10 +239,10 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     theta0, n = _check_shapes(None, theta0), field.n_nodes
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
+    intervals = IntegrationConfig.spanning(t_end, MAX_REDUCED_DT, 1).n_steps
 
-    def grid(substeps):  # samples t_end / ceil(t_end / MAX_REDUCED_DT) apart
-        return IntegrationConfig.spanning(t_end, MAX_REDUCED_DT / substeps,
-                                          substeps)
+    def grid(substeps):  # the sample grid, each interval in equal substeps
+        return IntegrationConfig(t_end, intervals * substeps, substeps)
 
     def run(config):  # (reference, reduced) phases
         return (_named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(

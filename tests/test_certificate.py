@@ -84,6 +84,11 @@ def test_stencil_rejects_repeated_indices():
     # distinct but not node indices: (0, 4, -1) would be d^2 F_0 / d theta_4^2
     with pytest.raises(ContractError):
         mixed_second_derivative_fd(order1_field(n=5), 0, 4, -1, np.zeros(5))
+    # an index that is no int is the indices' error, checked before the
+    # distinctness test would hash it
+    with pytest.raises(ContractError, match=re.escape(
+            "indices ([0], 1, 2) are not ints or out of range for 3 nodes")):
+        mixed_second_derivative_fd(probe, [0], 1, 2, np.zeros(3))
     # non-numeric phases: unchecked, numpy raises ValueError
     with pytest.raises(ContractError, match="non-numeric"):
         mixed_second_derivative_fd(probe, 0, 1, 2, ["a", "b", "c"])
@@ -141,6 +146,9 @@ def test_triplet_mixed_derivative_requires_second_order():
         triplet_mixed_derivative(make_kuramoto(0.1), 0, 1, 2, np.zeros((2, 3)))
     with pytest.raises(ContractError, match="out of range"):
         triplet_mixed_derivative(make_kuramoto(0.1), 0, 1, 3, np.zeros(3))
+    with pytest.raises(ContractError, match=re.escape(
+            "indices ([0], 1, 2) are not ints or out of range for 3 nodes")):
+        triplet_mixed_derivative(make_kuramoto(0.1), [0], 1, 2, np.zeros(3))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -271,6 +279,23 @@ def test_certify_empty_points_rejected():
         certify_nonpairwise(order1_field(), points=anchor_point(3))
     with pytest.raises(ContractError, match="stack"):
         scan_mixed_derivatives(order1_field(), np.zeros(3))
+    # points of another node count are the points' error, not the indices'
+    with pytest.raises(ContractError, match=re.escape(
+            "points must be a (P >= 1, 3) stack, got (2, 2)")):
+        certify_nonpairwise(order1_field(), points=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: certify_nonpairwise(None),
+    lambda: scan_mixed_derivatives(None, np.zeros((1, 3))),
+    lambda: PushforwardField(base=None, permutation=(0, 1, 2),
+                             shifts=(0.0, 0.0, 0.0)),
+    lambda: pushforward_certificate_invariance(
+        None, (0, 1, 2), np.zeros(3), np.zeros(3), (0, 1, 2))])
+def test_entry_points_reject_a_non_field(call):
+    with pytest.raises(ContractError, match="field must be a callable phase "
+                       "field with an int n_nodes, got None"):
+        call()
 
 
 def test_certify_rejects_non_finite_points():

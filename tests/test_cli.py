@@ -202,6 +202,27 @@ def test_manifest_is_written_last_and_only_beside_its_outputs(
     assert (out / "report.json").read_bytes() == report
 
 
+@pytest.mark.parametrize("formats, kept", [
+    (["json"], {"manifest.json", "report.json"}),
+    (["csv"], {"manifest.json", "raw.csv"})])
+def test_a_dropped_format_leaves_no_earlier_output(tmp_path, formats, kept):
+    # a run into the directory of a run with both formats removes the
+    # output its own formats leave out, so no raw.csv ending at t = 0.5
+    # sits beside a report and manifest of t_end 0.2
+    assert run(tmp_path, "simulate", SIMULATE, extra=["--quiet"])[0] == 0
+    cfg = dict(SIMULATE, integration={"t_end": 0.2},
+               output={"formats": formats})
+    code, out = run(tmp_path, "simulate", cfg, extra=["--quiet"])
+    assert code == 0 and {p.name for p in out.iterdir()} == kept
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["integration"]["t_end"] == 0.2
+    if "raw.csv" in kept:
+        assert (out / "raw.csv").read_text().splitlines()[-1].startswith(
+            "0.20000000000000001,")
+    else:
+        assert json.loads((out / "report.json").read_text())["t_end"] == 0.2
+
+
 @pytest.mark.parametrize("fd_step", [1e-300, 1e-154, 1e300])
 def test_step_that_collapses_the_stencil_is_contract_error(tmp_path, capfd,
                                                            fd_step):
@@ -537,7 +558,7 @@ def test_large_dt_factor_is_config_error(tmp_path, capsys):
              "and 0.0")]:
         cfg["integration"] = integration
         err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-        assert err == f"config error: integration.t_end: {why}\n"
+        assert err == f"config error: integration: {why}\n"
 
 
 def test_t_end_off_the_step_grid_ends_on_it(tmp_path):
@@ -578,10 +599,11 @@ def test_sample_every_rounds_the_steps_up(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert code == 0 and (report["n_samples"], report["t_end"]) == (168, 0.5)
     # a stride that is no positive integer is the stride's error
-    for stride, why in [(0, "must be >= 1"), (2.0, "must be an integer")]:
+    for stride in (0, 2.0):
         cfg["integration"]["sample_every"] = stride
         err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-        assert err.startswith(f"config error: integration.sample_every: {why}")
+        assert err == (f"config error: integration: sample_every must be a "
+                       f"positive integer, got {stride!r}\n")
     # a stride past the 500 steps is refused before any step, not taken as
     # 10**12 steps of 5e-13; all 500 steps in one sample are fine
     cfg["integration"]["sample_every"] = 500
@@ -589,8 +611,8 @@ def test_sample_every_rounds_the_steps_up(tmp_path, capsys):
     for stride in (501, 10 ** 12):
         cfg["integration"]["sample_every"] = stride
         err = expect_config_error(tmp_path, capsys, "simulate", cfg)
-        assert err.startswith("config error: integration.sample_every: must "
-                              "be at most the 500 steps")
+        assert err == (f"config error: integration: sample_every must be at "
+                       f"most the 500 steps of t_end / max_dt, got {stride}\n")
 
 
 def test_missing_seed_is_config_error(tmp_path, capsys):

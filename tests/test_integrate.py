@@ -101,12 +101,8 @@ def test_config_validation():
     (10_001.0, 1.0, None, 10_002, None),
     (14_000.0, 0.07, None, 200_000, 0.07),
     (1e9, 1.0, None, 10 ** 9, 1.0),
-    # converge's grids: samples t_end / ceil(t_end / 0.01) apart, each
-    # stepped 2^k times, so dt is that spacing / 2^k to the bit
-    (1.535, 0.01 / 8, 8, 1232, 1.535 / 154 / 8),
-    (0.50075, 0.01 / 2, 2, 102, 0.50075 / 51 / 2),
-    (2.0, 0.01 / 64, 64, 12_800, 0.01 / 64),
-    (0.005, 0.01 / 4, 4, 4, 0.005 / 4)])
+    # all steps in one sample
+    (0.5, 0.001, 500, 500, 0.001)])
 def test_spanning_takes_the_fewest_steps_the_stride_divides(
         t_end, max_dt, sample_every, steps, dt):
     grid = IntegrationConfig.spanning(t_end, max_dt, sample_every)
@@ -134,8 +130,11 @@ def test_spanning_takes_the_fewest_steps_the_stride_divides(
     (1.0, 0.1, -2, "sample_every must be a positive integer"),
     (1.0, 0.1, 2.0, "sample_every must be a positive integer"),
     (1.0, 0.1, True, "sample_every must be a positive integer"),
-    # a stride past the float range rounds the steps up past it
-    pytest.param(1.0, 0.1, 10 ** 400, "than a float can count",
+    # a stride above the steps is refused, not taken as 10**12 steps
+    (0.5, 0.001, 10 ** 12, "sample_every must be at most the 500 steps"),
+    (0.5, 0.001, 501, "sample_every must be at most the 500 steps"),
+    # a stride that rounds steps inside the float range up past it
+    pytest.param(1.7e308, 0.95, 10 ** 307, "that a float can count",
                  id="stride-past-the-float-range")])
 def test_spanning_rejects(t_end, max_dt, sample_every, match):
     with pytest.raises(ContractError, match=match):
@@ -318,7 +317,7 @@ def test_frozen_phases_relax_at_unit_fast_rate():
     cfg = IntegrationConfig(3 * eps, 60)
     traj = integrate_full(params, coupling,
                           FullState(theta=theta0, weights=w0), cfg)
-    decay = np.exp(-traj.times[-1] / eps)
+    decay = np.exp(-traj.grid.times[-1] / eps)
     want = w_star + (w0 - w_star) * decay
     # RK4 truncation at dt = eps/20 accumulates to about 1e-8 here
     assert np.max(np.abs(traj.weights[-1] - want)) < 1e-7
@@ -392,7 +391,7 @@ def test_reduced_rigid_rotation():
     theta0 = np.full(n, 1.0)
     cfg = IntegrationConfig(2.0, 200)
     traj = integrate_reduced(field, theta0, cfg)
-    want = (theta0 + 0.3 * traj.times[-1]) % TWO_PI
+    want = (theta0 + 0.3 * traj.grid.times[-1]) % TWO_PI
     assert phase_distance(traj.thetas[-1], want) < 1e-12
 
 
@@ -551,7 +550,7 @@ def test_trajectory_validation():
         integrate_reduced(field, ["a", "b", "c"],
                           IntegrationConfig(1.0, 10))
     t = Trajectory(grid, np.zeros((2, 2)))
-    assert t.weights is None and t.times.tolist() == [0.0, 1.0]
+    assert t.weights is None and t.grid.times.tolist() == [0.0, 1.0]
     # weights must have N x N entries per sample for the N phases
     with pytest.raises(ContractError, match=r"thetas.shape \+ \(N,\)"):
         Trajectory(grid, np.zeros((2, 4)), weights=np.zeros((2, 3, 3)))
@@ -585,7 +584,7 @@ def test_csv_round_trip():
     assert header[:1 + n] == ["time"] + [f"theta_{i}" for i in range(1, n + 1)]
     assert header[1 + n] == "a_1_1"
     assert len(header) == 1 + n + n * n
-    assert len(lines) - 1 == traj.n_samples
+    assert len(lines) - 1 == traj.grid.n_samples
     # 17 significant digits reproduce the doubles exactly
     parsed = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     assert np.array_equal(parsed[:, 1:1 + n], traj.thetas)

@@ -14,5 +14,5 @@ def test_readme_tour_runs(capsys):
     tour = {}
     exec(compile(blocks[0], str(README), "exec"), tour)
     assert capsys.readouterr().out.startswith("NonpairwiseCertified (")
-    assert tour["velocities"].shape == (tour["reduced"].n_samples, 5)
+    assert tour["velocities"].shape == (tour["config"].n_samples, 5)
     assert tour["rows"].shape == (60 * 51, 5)

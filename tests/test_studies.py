@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,10 +334,10 @@ def check_stacks(runs, epsilons, t_end, report):
         assert grid.dt == spacing / 2 ** k
         assert traj.thetas.shape[1] == len(eps)
         assert phases.shape == traj.thetas[:, 1:].shape
-        np.testing.assert_allclose(traj.times,
-                                   np.arange(traj.n_samples) * spacing,
+        np.testing.assert_allclose(traj.grid.times,
+                                   np.arange(traj.grid.n_samples) * spacing,
                                    rtol=1e-12, atol=0.0)
-        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+        assert traj.grid.times[-1] == pytest.approx(t_end, rel=1e-12)
     pairs = [(full[3], reduced[3].thetas)
              for full, reduced in zip(runs[::2], runs[1::2])]
     assert len(pairs) >= 2 and report.dt == grid.dt
@@ -353,7 +354,7 @@ def check_stacks(runs, epsilons, t_end, report):
 
 
 @pytest.mark.parametrize("t_end, n_samples", [
-    (1.53, 154), (1.535, 155), (0.005, 2)])
+    (2.0, 201), (1.53, 154), (1.535, 155), (0.50075, 52), (0.005, 2)])
 def test_convergence_sample_spacing_is_set_by_t_end_alone(monkeypatch, t_end,
                                                          n_samples):
     # the fewest equal sample intervals no longer than MAX_REDUCED_DT, the
@@ -366,7 +367,11 @@ def test_convergence_sample_spacing_is_set_by_t_end_alone(monkeypatch, t_end,
         report = convergence_study(params, make_kuramoto(0.6), theta0,
                                    epsilons, t_end=t_end)
         check_stacks(runs, epsilons, t_end, report)
-        assert runs[1][3].n_samples == n_samples
+        assert runs[1][3].grid.n_samples == n_samples
+        # the step is the sample spacing over the s substeps to the bit,
+        # also where s exceeds the one sample interval of t_end = 0.005
+        s = runs[-1][2].sample_every
+        assert s >= 2 and report.dt == t_end / math.ceil(t_end / 0.01) / s
 
 
 @pytest.mark.parametrize("epsilons, n_reduced, substeps", [
@@ -414,7 +419,7 @@ def test_reduced_step_error_budget(monkeypatch):
     field = studies._Core(params, c, 1, np.array(eps)[:, None, None])
     assert field(np.tile(theta0, (5, 1)))[0].tobytes() == ReducedField(
         order=0, params=params, coupling=c)(theta0).tobytes()
-    assert stiff.n_samples == traj.n_samples
+    assert stiff.n_samples == traj.grid.n_samples
     refs = integrate._integrate(field, np.tile(theta0, (5, 1)), stiff,
                                 "reduced")
     for row in range(5):
