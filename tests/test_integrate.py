@@ -101,6 +101,8 @@ def test_config_validation():
     (10_001.0, 1.0, None, 10_002, None),
     (14_000.0, 0.07, None, 200_000, 0.07),
     (1e9, 1.0, None, 10 ** 9, 1.0),
+    # a set stride of 8 rounds 1228 steps up to 1232, each 1.535 / 154 / 8
+    (1.535, 0.01 / 8, 8, 1232, 1.535 / 154 / 8),
     # all steps in one sample
     (0.5, 0.001, 500, 500, 0.001)])
 def test_spanning_takes_the_fewest_steps_the_stride_divides(
