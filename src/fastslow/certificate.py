@@ -189,7 +189,9 @@ def scan_mixed_derivatives(field, points,
     and are the same bits for (j, k) and (k, j), so the field is evaluated
     once per distinct stack, keyed on its bytes, and that output is shared
     by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
-    each row the same bits as an unshared stencil.
+    each row the same bits as an unshared stencil.  A value that is not
+    finite is a ContractError naming its triple and point index, the first
+    in row order.
     """
     n, points = _check_field(field), _floats(points, "points")
     if points.ndim != 2 or not len(points) or points.shape[1] != n:
@@ -205,12 +207,15 @@ def scan_mixed_derivatives(field, points,
         return outputs[key]
 
     triples = list(itertools.permutations(range(n), 3))
-    values = [mixed_second_derivative_fd(shared, i, j, k, points, fd_step)
-              for i, j, k in triples]
+    values = np.ravel([mixed_second_derivative_fd(shared, *t, points, fd_step)
+                       for t in triples])
+    if not np.isfinite(values).all():
+        r = np.flatnonzero(~np.isfinite(values))[0]
+        raise ContractError(f"the FD value of triple {triples[r // len(points)]} "
+                            f"at point {r % len(points)} is not finite: {values[r]}")
     return np.column_stack([
         np.repeat(np.reshape(triples, (-1, 3)), len(points), axis=0),
-        np.tile(np.arange(len(points)), len(triples)),
-        np.reshape(values, -1)])
+        np.tile(np.arange(len(points)), len(triples)), values])
 
 
 def _pairwise_reference(field):
@@ -241,7 +246,8 @@ def certify_nonpairwise(field, points=None,
     which is the honest outcome for a pairwise field.
 
     Returns the report at the maximizer of |FD value|; ties resolve to the
-    lexicographically first (i, j, k, point index).
+    lexicographically first (i, j, k, point index).  A scan value that is
+    not finite is a ContractError, raised before anything is decided.
     """
     n = _check_field(field)
     if n < 3:

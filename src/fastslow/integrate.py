@@ -129,7 +129,7 @@ class Trajectory:
     ``thetas`` has one row per sample time grid.times (phases canonical in
     [0, 2*pi)), of shape (N,), or (S, N) for a stack of S trajectories;
     ``weights`` is the matching stack of weight matrices, or None for
-    phase-only trajectories.
+    phase-only trajectories.  Every value is finite.
     """
 
     grid: IntegrationConfig
@@ -139,14 +139,21 @@ class Trajectory:
     def __post_init__(self):
         _check_grid(self.grid)
         object.__setattr__(self, "thetas", _floats(self.thetas, "thetas"))
-        if self.thetas.shape[:1] != (self.grid.n_samples,):
+        if self.thetas.shape[:1] != (self.grid.n_samples,) \
+                or self.thetas.ndim not in (2, 3):
             raise ContractError(f"thetas must have one row per sample, "
-                                f"{self.grid.n_samples}, got {self.thetas.shape}")
+                                f"{self.grid.n_samples}, each (N,) or (S, N), "
+                                f"got {self.thetas.shape}")
         if self.weights is not None:
             object.__setattr__(self, "weights",
                                _floats(self.weights, "weights"))
             if self.weights.shape != self.thetas.shape + self.thetas.shape[-1:]:
                 raise ContractError("weights must have shape thetas.shape + (N,)")
+        for name in ("thetas", "weights"):
+            x = getattr(self, name)  # min and max show nan and inf in place
+            if x is not None and not np.isfinite(
+                    [x.min(initial=0.0), x.max(initial=0.0)]).all():
+                raise ContractError(f"{name} must be finite")
 
 
 def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
@@ -333,7 +340,8 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     """Integrate a phase-only reduced field from one phase vector (N,), or
     from a stack (S, N) that the field evaluates in one call, giving thetas
     (samples, S, N).  No epsilon guard applies; the reduced field carries
-    no fast relaxation."""
+    no fast relaxation.  A field value at the start of another shape than
+    the start's is a ContractError, raised before any step."""
     theta0 = _floats(initial_theta, "initial theta")
     _check_grid(config)
     n = _check_field(field)
@@ -341,6 +349,10 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
         raise ContractError(
             f"initial theta must have shape ({n},) or (S, {n}), got "
             f"{theta0.shape}")
+    out = np.shape(field(theta0))
+    if out != theta0.shape:
+        raise ContractError(f"the field must return the shape {theta0.shape} "
+                            f"of the phases it is given, got {out}")
     return Trajectory(config, wrap_phase(_integrate(field, theta0, config,
                                                     "reduced")))
 
@@ -443,62 +455,40 @@ def _write_table(stream, columns, parts) -> None:
     2**53 prints as an integer), spelled by _spell.  A part is an array
     (rows,) or (rows, k), or a pair (index, table) standing for
     table[index], whose table is spelled once and its slots gathered.
-    Before writing, raises ContractError if the names do not match the
-    parts' columns, the parts differ in row count, an index is not an
-    integer inside its table, or a value is non-finite, naming the first
-    (in a gathered table, else in the output) by row and column.
+
+    It only formats: its callers pass parts of equal length, integer
+    indices inside their tables, one name per column, a part not gathered
+    and finite values.  Trajectory and scan_mixed_derivatives refuse a
+    non-finite value; converge's errors are phase_distance's, finite for
+    finite phases, and attract's distances fall from a finite start.
 
     The other parts are spelled in calls of about BLOCK_VALUES values and
     written BLOCK_VALUES slots (128 kB) at a time at most, so that no array
     or string holds the whole table."""
-    sources, bad, first = [], [], 0
+    pieces, plain, width = [], [], 0
     for part in parts:
         index, table = part if isinstance(part, tuple) else (None, part)
         table = np.asarray(table, dtype=float)
         table = table[:, None] if table.ndim == 1 else table
-        if index is not None:
-            index = np.asarray(index)
-            if index.dtype.kind not in "iu" or index.ndim != 1 \
-                    or np.any((index < 0) | (index >= len(table))):
-                raise ContractError(f"CSV column {first + 1}: the index must "
-                                    f"hold integers in [0, {len(table)})")
-        # min and max show nan and inf without a temporary array
-        if table.size and not np.isfinite([table.min(), table.max()]).all():
-            r, c = np.argwhere(~np.isfinite(table))[0]
-            bad.append((index is None, r, first + c))
-        first += table.shape[1]
-        sources.append((index, table))
-    if len(columns) != first:
-        raise ContractError(f"{len(columns)} CSV column names for {first} columns")
-    if bad:
-        plain, r, c = min(bad)
-        where = "CSV row" if plain else "gathered table row"
-        raise ContractError(f"non-finite value in {where} {r}, column {columns[c]}")
-    n_rows = {len(t if i is None else i) for i, t in sources}
-    if len(n_rows) != 1:
-        raise ContractError(f"the CSV parts have {sorted(n_rows)} rows")
-    n, plain = n_rows.pop(), [t for i, t in sources if i is None]
-    # a part is a column range of the spelled block, or a table spelled
-    # once whose slots are gathered by its index
-    pieces, width = [], 0
-    for index, table in sources:
-        if index is None:
+        if index is None:  # a column range of the spelled block
             pieces.append(slice(width, width + table.shape[1]))
+            plain.append(table)
             width += table.shape[1]
-        else:
+        else:  # spelled once, its slots gathered by its index
             pieces.append((index, _spell(table).reshape(table.shape + (32,))))
-    rows = max(1, BLOCK_VALUES // first)  # per write
-    step = rows * max(1, BLOCK_VALUES // (rows * width or 1))  # per _spell
-    ends = np.frombuffer(b"," * (first - 1) + b"\n", np.uint8)
+    n, rows = len(plain[0]), max(1, BLOCK_VALUES // len(columns))  # per write
+    step = rows * max(1, BLOCK_VALUES // (rows * width))  # per _spell
+    ends = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     stream.write(",".join(columns) + "\n")
     for at in range(0, n, step):
         spelled = _spell(np.column_stack([t[at:at + step] for t in plain])
-                         ).reshape(-1, width, 32) if plain else None
+                         ).reshape(-1, width, 32)
         for lo in range(at, min(at + step, n), rows):
-            ours = spelled[lo - at:lo - at + rows] if plain else None
-            block = ours if len(plain) == len(sources) else np.concatenate(
-                [ours[:, p] if isinstance(p, slice) else
-                 p[1][p[0][lo:lo + rows]] for p in pieces], 1)
+            block = spelled[lo - at:lo - at + rows]
+            if len(plain) < len(pieces):
+                block = np.concatenate([block[:, p] if isinstance(p, slice)
+                                        else p[1][p[0][lo:lo + rows]]
+                                        for p in pieces], 1)
             block[..., 31] = ends
             stream.write(block[block != 0].tobytes().decode("ascii"))
 

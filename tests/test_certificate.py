@@ -285,6 +285,31 @@ def test_certify_empty_points_rejected():
         certify_nonpairwise(order1_field(), points=np.zeros((2, 2)))
 
 
+class OverflowingProbe:
+    """Component 2 is inf where theta_0 + theta_1 > 1.0015, which at the
+    default step h = 1e-3 the stencil stack theta + h e_0 + h e_1 alone
+    reaches from theta_0 + theta_1 = 1; zero elsewhere."""
+
+    n_nodes = 3
+
+    def __call__(self, theta):
+        out = np.zeros_like(theta)
+        out[..., 2] = np.where(theta[..., 0] + theta[..., 1] > 1.0015,
+                               np.inf, 0.0)
+        return out
+
+
+def test_a_non_finite_scan_value_is_refused():
+    points = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    message = re.escape("the FD value of triple (2, 0, 1) at point 1 is "
+                        "not finite: inf")
+    with pytest.raises(ContractError, match=message):
+        scan_mixed_derivatives(OverflowingProbe(), points)
+    # certify decides on no nan: it raises before it returns a report
+    with pytest.raises(ContractError, match=message):
+        certify_nonpairwise(OverflowingProbe(), points)
+
+
 @pytest.mark.parametrize("call", [
     lambda: certify_nonpairwise(None),
     lambda: scan_mixed_derivatives(None, np.zeros((1, 3))),

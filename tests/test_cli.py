@@ -296,6 +296,25 @@ def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats)
         assert scanned == []
 
 
+@pytest.mark.parametrize("formats", [["csv"], ["csv", "json"]])
+def test_certify_refuses_an_overflowing_field(tmp_path, capsys, formats):
+    """alpha = 1e308 is finite, but the field it makes overflows: the scan
+    refuses its first non-finite value before certify decides, so no
+    output is written and the run is a contract error."""
+    cfg = copy.deepcopy(CERTIFY)
+    cfg["model"]["coupling"]["alpha"] = 1e308
+    cfg["certify"]["n_random_points"] = 2
+    cfg["output"] = {"formats": formats}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out = run(tmp_path, "certify", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the FD value of triple (0, 1, 2) at point 0 is not finite" in err
+    for name in ("manifest.json", "report.json", "raw.csv"):
+        assert not (out / name).exists()
+
+
 def test_certify_table_bytes(tmp_path, monkeypatch):
     scans = []
 

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -410,6 +411,19 @@ def test_reduced_step_halving():
     assert phase_distance(coarse.thetas[-1], fine.thetas[-1]) < 1e-8
 
 
+def test_reduced_rejects_a_field_of_the_wrong_shape():
+    calls = []
+
+    def field(theta):
+        calls.append(theta.shape)
+        return np.zeros(2)
+    field.n_nodes = 3
+    with pytest.raises(ContractError, match=r"return the shape \(3,\) of the "
+                       r"phases it is given, got \(2,\)"):
+        integrate_reduced(field, np.zeros(3), IntegrationConfig(1.0, 2))
+    assert calls == [(3,)]  # one call, before any step
+
+
 def test_full_rhs_matches_public_fields():
     """integrate_full steps exactly the rhs made of the public phase_rhs
     and weight_rhs / epsilon, to the last bit."""
@@ -543,6 +557,19 @@ def test_trajectory_validation():
     for thetas in (np.zeros((3, 2)), np.zeros((1, 2)), 0.5):
         with pytest.raises(ContractError, match="one row per sample, 2"):
             Trajectory(grid, thetas)
+    # each row is (N,) or (S, N): no scalar rows and no deeper stacks
+    for thetas in (np.zeros(2), np.zeros((2, 1, 1, 3))):
+        with pytest.raises(ContractError, match=re.escape(
+                f"each (N,) or (S, N), got {thetas.shape}")):
+            Trajectory(grid, thetas)
+    # a non-finite phase or weight is refused where it is made
+    thetas, weights = np.zeros((2, 3)), np.ones((2, 3, 3))
+    thetas[1, 2] = np.nan
+    with pytest.raises(ContractError, match="thetas must be finite"):
+        Trajectory(grid, thetas)
+    weights[0, 1, 0] = np.inf
+    with pytest.raises(ContractError, match="weights must be finite"):
+        Trajectory(grid, np.zeros((2, 3)), weights)
     with pytest.raises(ContractError, match="non-numeric thetas"):
         Trajectory(grid, [["a", "b"], ["c", "d"]])
     # and the phases integrate_reduced starts from
@@ -601,70 +628,12 @@ def test_csv_round_trip():
     assert buf.getvalue() == ("index,value\n0,-0\n1,4.9406564584124654e-324\n"
                               "2,1.7976931348623157e+308\n3,2\n")
 
-    # a non-finite value is rejected, not written as nan
+    # a non-finite value is rejected, not written as nan: no trajectory
+    # holds one
     weights = traj.weights.copy()
     weights[-1, 0, 1] = np.nan
-    bad = Trajectory(traj.grid, traj.thetas, weights)
-    with pytest.raises(ContractError):
-        trajectory_to_csv(bad, io.StringIO())
-
-
-@pytest.mark.parametrize("lengths", [(64, 100), (100, 70)])
-def test_write_table_rejects_unequal_parts(lengths):
-    buf = io.StringIO()
-    with pytest.raises(ContractError, match=r"parts have \[\d+, \d+\] rows"):
-        _write_table(buf, ["a", "b"], [np.arange(float(m)) for m in lengths])
-    with pytest.raises(ContractError, match=r"parts have \[\d+, \d+\] rows"):
-        _write_table(buf, ["a", "b"], [np.arange(float(lengths[0])),
-                                       (np.zeros(lengths[1], int), [1.0])])
-    assert buf.getvalue() == ""
-
-
-@pytest.mark.parametrize("index", [[0, 3], [-1, 0], [0.0, 1.0], [[0, 1]]])
-def test_write_table_rejects_bad_gather_index(index):
-    buf = io.StringIO()
-    with pytest.raises(ContractError, match=r"integers in \[0, 3\)"):
-        _write_table(buf, ["a", "b"], [np.arange(2.0),
-                                       (np.array(index), [1.0, 2.0, 3.0])])
-    assert buf.getvalue() == ""
-
-
-def test_write_table_names_the_non_finite_cell():
-    a, b = np.arange(200.0), np.ones((200, 2))
-    b[150, 1] = np.nan
-    b[160, 0] = np.inf
-    buf = io.StringIO()
-    with pytest.raises(ContractError, match="row 150, column c$"):
-        _write_table(buf, ["a", "b", "c"], [a, b])
-    assert buf.getvalue() == ""
-    # the first offending row wins over an earlier part's later row
-    a[170] = -np.inf
-    with pytest.raises(ContractError, match="row 150, column c$"):
-        _write_table(io.StringIO(), ["a", "b", "c"], [a, b])
-    # a gathered table is checked whole, before any row is written, even
-    # where no output row points to its bad row
-    buf = io.StringIO()
-    with pytest.raises(ContractError, match="gathered table row 2, column b$"):
-        _write_table(buf, ["a", "b"], [np.arange(4.0), (
-            np.zeros(4, int), np.array([1.0, 2.0, np.nan]))])
-    assert buf.getvalue() == ""
-
-
-def test_write_table_rejects_column_names_that_miss_the_parts():
-    for names in (["a", "b"], ["a", "b", "c", "d"]):
-        buf = io.StringIO()
-        with pytest.raises(ContractError, match=f"{len(names)} CSV column "
-                           "names for 3 columns"):
-            _write_table(buf, names, [np.arange(2.0), np.ones((2, 2))])
-        assert buf.getvalue() == ""
-    # a bad cell or index in a column past the names is a contract error too
-    b = np.ones((2, 2))
-    b[1, 1] = np.nan
-    with pytest.raises(ContractError, match="2 CSV column names for 3"):
-        _write_table(io.StringIO(), ["a", "b"], [np.arange(2.0), b])
-    with pytest.raises(ContractError, match=r"integers in \[0, 1\)"):
-        _write_table(io.StringIO(), ["a"], [np.arange(2.0),
-                                            (np.array([0, 1]), [1.0])])
+    with pytest.raises(ContractError, match="weights must be finite"):
+        Trajectory(traj.grid, traj.thetas, weights)
 
 
 def csv_parts(n_rows, gathered):
