@@ -67,6 +67,23 @@ class CertificateReport:
     noise_floor: float
 
 
+def _stencil_scale(theta, step, pairs) -> float:
+    """4 step^2, the stencil's divisor; a step that collapses the stencil
+    moving theta_j and theta_k for a (j, k) in ``pairs`` is a ContractError."""
+    scale = 4.0 * step * step if _is_positive(step) else 0.0
+    normal = sys.float_info.min <= scale < np.inf
+    # no theta absorbs a step above ulp(|theta|_2), which is >= ulp(max |theta|)
+    if normal and step > math.ulp(math.sqrt(np.vdot(theta, theta))):
+        return scale
+    for j, k in pairs:
+        moved = theta[..., (j, k)]
+        if not normal or np.any((moved + step == moved) | (moved - step == moved)):
+            raise ContractError(f"step={step!r} must be a finite real > 0 with 4 "
+                                f"step^2 a normal double that no theta_{j} or "
+                                f"theta_{k} absorbs")
+    return scale
+
+
 def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
                                step: float = DEFAULT_FD_STEP):
     """Central 4-point estimate of d^2 field_i / (d theta_j d theta_k).
@@ -81,16 +98,7 @@ def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
     theta = _check_indices(theta, (i, j, k), stack=True)
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
-    scale = 4.0 * step * step if _is_positive(step) else 0.0
-    collapses = not sys.float_info.min <= scale < np.inf
-    # no theta absorbs a step above ulp(|theta|_2), which is >= ulp(max |theta|)
-    if not collapses and step <= math.ulp(math.sqrt(np.vdot(theta, theta))):
-        moved = theta[..., (j, k)]
-        collapses = np.any((moved + step == moved) | (moved - step == moved))
-    if collapses:
-        raise ContractError(f"step={step!r} must be a finite real > 0 with 4 "
-                            f"step^2 a normal double that no theta_{j} or "
-                            f"theta_{k} absorbs")
+    scale = _stencil_scale(theta, step, [(j, k)])
     ej, ek = np.zeros(theta.shape[-1]), np.zeros(theta.shape[-1])
     ej[j] = ek[k] = step
     plus, minus = theta + ej, theta - ej
@@ -183,32 +191,30 @@ def scan_mixed_derivatives(field, points,
     Returns a (T * P, 5) array of rows (i, j, k, point_index, value) over
     the T ordered triples of distinct nodes and the P rows of ``points``,
     ordered lexicographically in (i, j, k, point_index).  That fixed order
-    makes the downstream argmax tie-breaking deterministic.  Each triple is
-    one stencil over the whole stack, so the field must accept a stack
-    (P, N).  The four stencil stacks theta +- e_j +- e_k do not depend on i
-    and are the same bits for (j, k) and (k, j), so the field is evaluated
-    once per distinct stack, keyed on its bytes, and that output is shared
-    by the 2(N - 2) triples that use it: 2 N(N - 1) field calls per scan,
-    each row the same bits as an unshared stencil.  A value that is not
-    finite is a ContractError naming its triple and point index, the first
-    in row order.
+    makes the downstream argmax tie-breaking deterministic.  The stencil
+    stacks theta +- e_j +- e_k do not depend on i and are the same for
+    (j, k) and (k, j), so each node pair j < k is one field call on its
+    four stacks joined, (4P, N), serving its 2(N - 2) triples: N(N - 1)/2
+    calls per scan.  Contract: the field's value at a row is that row's
+    alone, whatever else its stack holds, so each value has the bits of
+    mixed_second_derivative_fd at its triple.  A step that collapses the
+    stencil of a triple, or a value that is not finite, is a ContractError
+    for the first such triple in row order, the step before any field call.
     """
     n, points = _check_field(field), _floats(points, "points")
     if points.ndim != 2 or not len(points) or points.shape[1] != n:
         raise ContractError(f"points must be a (P >= 1, {n}) stack, got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ContractError("scan points must be finite")
-    outputs = {}
-
-    def shared(stack):
-        key = stack.tobytes()
-        if key not in outputs:
-            outputs[key] = field(stack)
-        return outputs[key]
-
     triples = list(itertools.permutations(range(n), 3))
-    values = np.ravel([mixed_second_derivative_fd(shared, *t, points, fd_step)
-                       for t in triples])
+    scale = _stencil_scale(points, fd_step, [t[1:] for t in triples])
+    by_pair, e = {}, fd_step * np.eye(n)
+    for j, k in itertools.combinations(range(n), 2):
+        plus, minus = points + e[j], points - e[j]
+        a, b, c, d = np.split(field(np.concatenate(
+            [plus + e[k], plus - e[k], minus + e[k], minus - e[k]])), 4)
+        by_pair[j, k], by_pair[k, j] = a - b - c + d, a - c - b + d
+    values = np.concatenate([by_pair[j, k][:, i] for i, j, k in triples]) / scale
     if not np.isfinite(values).all():
         r = np.flatnonzero(~np.isfinite(values))[0]
         raise ContractError(f"the FD value of triple {triples[r // len(points)]} "
@@ -247,7 +253,9 @@ def certify_nonpairwise(field, points=None,
 
     Returns the report at the maximizer of |FD value|; ties resolve to the
     lexicographically first (i, j, k, point index).  A scan value that is
-    not finite is a ContractError, raised before anything is decided.
+    not finite, or a maximizer whose value differs in any bit from
+    mixed_second_derivative_fd at its point alone (a field that breaks the
+    scan's contract), is a ContractError, raised before anything is decided.
     """
     n = _check_field(field)
     if n < 3:
@@ -267,6 +275,11 @@ def certify_nonpairwise(field, points=None,
     threshold = max(10.0 * noise_floor, MIN_THRESHOLD)
 
     i, j, k, g = (int(x) for x in best[:4])
+    confirmed = mixed_second_derivative_fd(field, i, j, k, points[g], fd_step)
+    if np.float64(confirmed).tobytes() != best[4].tobytes():
+        raise ContractError(f"triple {(i, j, k)} at point {g} is {float(best[4])!r}"
+                            f" in the scan but {float(confirmed)!r} by its own "
+                            "stencil: a field's row must not depend on its stack")
     decision = DECISION_CERTIFIED if abs(best[4]) > threshold else DECISION_NO_EVIDENCE
 
     analytic = None

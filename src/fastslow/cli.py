@@ -551,9 +551,11 @@ def main(argv=None) -> int:
         raw_config = read_config(args.config)
         seeds = SeedBook(override=args.seed, top_seed=raw_config.get("seed"))
         out_dir, formats = _resolve_output(raw_config, args.out)
-        report, write_csv, summary = COMMANDS[args.command](raw_config, seeds)
-        _write_outputs(out_dir, formats, args.command, raw_config, seeds,
-                       report, write_csv)
+        # the program's own checks refuse every non-finite value, in one line
+        with np.errstate(all="ignore"):
+            report, write_csv, summary = COMMANDS[args.command](raw_config, seeds)
+            _write_outputs(out_dir, formats, args.command, raw_config, seeds,
+                           report, write_csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -336,15 +336,16 @@ def test_certify_rejects_non_finite_points():
 
 
 class CountingField:
-    """Wraps a field and counts the calls it gets."""
+    """Wraps a field and counts the calls it gets and the points they hold."""
 
     def __init__(self, field):
         self.field = field
         self.n_nodes = field.n_nodes
-        self.calls = 0
+        self.calls = self.rows = 0
 
     def __call__(self, theta):
         self.calls += 1
+        self.rows += len(np.atleast_2d(theta))
         return self.field(theta)
 
 
@@ -375,13 +376,14 @@ def scan_field(kind, n):
 @pytest.mark.parametrize("kind", ["order0", "order1", "phase_lag", "pushforward"])
 def test_shared_scan_equals_per_triple_stencils(kind, n):
     """The scan evaluates each of the 4 N(N - 1) / 2 distinct stencil stacks
-    once, and every row is bit for bit the stencil of its own triple on the
-    bare field."""
+    once, in one field call per node pair, and every row is bit for bit the
+    stencil of its own triple on the bare field."""
     field = scan_field(kind, n)
     points = default_scan_points(n, seed=n, n_random=10)
     counting = CountingField(field)
     rows = scan_mixed_derivatives(counting, points)
-    assert counting.calls == 4 * n * (n - 1) // 2
+    assert counting.calls == n * (n - 1) // 2
+    assert counting.rows == 4 * n * (n - 1) // 2 * len(points)
     triples = list(itertools.permutations(range(n), 3))
     expected = [mixed_second_derivative_fd(field, i, j, k, points)
                 for i, j, k in triples]
@@ -389,6 +391,49 @@ def test_shared_scan_equals_per_triple_stencils(kind, n):
     assert np.array_equal(rows[:, 4], np.concatenate(expected))
     if kind != "order0":  # order 0 is pairwise: round-off only
         assert np.abs(rows[:, 4]).max() > 1e-6
+
+
+class StackSizeProbe:
+    """Component 0 is theta_1 * theta_2 times the number of rows in the
+    stack it is called with: a field whose value at a point depends on the
+    rest of its stack, against the scan's contract."""
+
+    n_nodes = 3
+
+    def __call__(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros_like(theta)
+        out[..., 0] = theta[..., 1] * theta[..., 2] * len(theta)
+        return out
+
+
+def test_certify_confirms_the_winner_by_its_own_stencil():
+    # a step of 2^-7 keeps the stencil exact: the scan's stack holds 4 * 2
+    # rows, the single-point stencil's 3 phases
+    points = np.array([[0.0, 1.0, 2.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(ContractError, match=re.escape(
+            "triple (0, 1, 2) at point 0 is 8.0 in the scan but 3.0 by its "
+            "own stencil: a field's row must not depend on its stack")):
+        certify_nonpairwise(StackSizeProbe(), points=points, fd_step=2.0 ** -7)
+
+
+@pytest.mark.parametrize("point, fd_step, triple", [
+    ((0.0, 0.0, 0.0), 1e-300, (0, 1, 2)),  # 4 step^2 underflows
+    ((1e20, 0.5, 0.5), 1e-3, (1, 0, 2))])  # theta_0 absorbs the step
+def test_scan_refuses_a_collapsing_step_before_any_field_call(point, fd_step,
+                                                              triple):
+    # the stencil's own message for the first triple in row order that the
+    # step collapses, raised before the scan calls the field
+    _, j, k = triple
+    message = re.escape(f"step={fd_step!r} must be a finite real > 0 with 4 "
+                        f"step^2 a normal double that no theta_{j} or "
+                        f"theta_{k} absorbs")
+    counting = CountingField(BilinearProbe())
+    with pytest.raises(ContractError, match=message):
+        scan_mixed_derivatives(counting, [point], fd_step)
+    assert counting.calls == 0
+    with pytest.raises(ContractError, match=message):
+        mixed_second_derivative_fd(counting, *triple, [point], fd_step)
 
 
 def test_certify_tie_resolves_to_first_candidate():

@@ -300,19 +300,40 @@ def test_certify_table_is_formatted_only_for_csv(tmp_path, monkeypatch, formats)
 def test_certify_refuses_an_overflowing_field(tmp_path, capsys, formats):
     """alpha = 1e308 is finite, but the field it makes overflows: the scan
     refuses its first non-finite value before certify decides, so no
-    output is written and the run is a contract error."""
+    output is written and the run is a contract error, whose one line is
+    all stderr holds: numpy warns of nothing on the way."""
     cfg = copy.deepcopy(CERTIFY)
     cfg["model"]["coupling"]["alpha"] = 1e308
     cfg["certify"]["n_random_points"] = 2
     cfg["output"] = {"formats": formats}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out = run(tmp_path, "certify", cfg)
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, "certify", cfg, extra=["--quiet"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "the FD value of triple (0, 1, 2) at point 0 is not finite" in err
+    assert capsys.readouterr().err == ("contract error: the FD value of "
+                                       "triple (0, 1, 2) at point 0 is not "
+                                       "finite: nan\n")
     for name in ("manifest.json", "report.json", "raw.csv"):
         assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("simulate", 2, "contract error: theta and weights must be finite\n"),
+    ("converge", 3, "runtime error: integration failed at epsilon=0.02, "
+     "epsilon=0.01, epsilon=0.005, epsilon=0.0025: full-system integration "
+     "failed in rows 0, 1, 2, 3 at t=0.01 (step 1): non-finite value in "
+     "exponential stage\n")], ids=["simulate", "converge"])
+def test_an_overflowing_field_prints_one_stderr_line(tmp_path, capsys, command,
+                                                     code, message):
+    # the shipped config at alpha = 1e308: the program's own refusal is the
+    # one line stderr holds, where numpy would warn of overflow and nan
+    cfg = json.loads((Path(__file__).parents[1] / "configs" /
+                      f"{command}.json").read_text())
+    cfg["model"]["coupling"]["alpha"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, command, cfg, extra=["--quiet"])[0] == code
+    assert capsys.readouterr().err == message
 
 
 def test_certify_table_bytes(tmp_path, monkeypatch):
