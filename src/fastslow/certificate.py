@@ -42,7 +42,8 @@ DEFAULT_RANDOM_POINTS = 50
 DECISION_CERTIFIED = "NonpairwiseCertified"
 DECISION_NO_EVIDENCE = "NoEvidence"
 
-# FD values below max(10 * measured pairwise noise floor, this) never certify
+# FD values up to max(10 * the pairwise companion's largest |FD| at the
+# winning point, this) never certify
 MIN_THRESHOLD = 1e-6
 
 
@@ -55,6 +56,9 @@ class CertificateReport:
     derivative of the bare triplet double sum at the same tuple (without
     the epsilon / N^2 prefactor carried by the field); it is present only
     when the scanned field exposes coupling data of second order.
+    ``noise_floor`` is the largest |FD value| of the pairwise companion over
+    every triple at ``point`` (0 with no companion), and ``threshold`` is
+    max(10 * noise_floor, MIN_THRESHOLD).
     """
 
     index_triple: tuple
@@ -200,6 +204,7 @@ def scan_mixed_derivatives(field, points,
     mixed_second_derivative_fd at its triple.  A step that collapses the
     stencil of a triple, or a value that is not finite, is a ContractError
     for the first such triple in row order, the step before any field call.
+    Below 3 nodes T = 0: the table is empty and the field is not called.
     """
     n, points = _check_field(field), _floats(points, "points")
     if points.ndim != 2 or not len(points) or points.shape[1] != n:
@@ -207,6 +212,8 @@ def scan_mixed_derivatives(field, points,
     if not np.all(np.isfinite(points)):
         raise ContractError("scan points must be finite")
     triples = list(itertools.permutations(range(n), 3))
+    if not triples:  # fewer than 3 nodes: T = 0
+        return np.empty((0, 5))
     scale = _stencil_scale(points, fd_step, [t[1:] for t in triples])
     by_pair, e = {}, fd_step * np.eye(n)
     for j, k in itertools.combinations(range(n), 2):
@@ -246,10 +253,12 @@ def certify_nonpairwise(field, points=None,
     certified nonpairwise.
 
     The decision threshold is max(10 * noise_floor, 1e-6), where the noise
-    floor is the largest |FD value| of the same scan applied to a pairwise
-    reference field (the uncorrected member of the family).
-    Self-calibration means an order-0 field can never certify itself,
-    which is the honest outcome for a pairwise field.
+    floor is the largest |FD value| over every triple at the maximizer's
+    point of a pairwise reference field (the uncorrected member of the
+    family): a scan of that one point, N(N - 1)/2 field calls of 4 rows.
+    An order-0 field is its own reference and reads the floor from its own
+    rows at that point, so |fd| <= noise floor: it can never certify
+    itself, which is the honest outcome for a pairwise field.
 
     Returns the report at the maximizer of |FD value|; ties resolve to the
     lexicographically first (i, j, k, point index).  A scan value that is
@@ -265,16 +274,16 @@ def certify_nonpairwise(field, points=None,
         else _floats(points, "points")
     rows = scan_mixed_derivatives(field, points, fd_step)
     best = rows[np.argmax(np.abs(rows[:, 4]))]
+    i, j, k, g = (int(x) for x in best[:4])
 
     noise_floor = 0.0
     reference = _pairwise_reference(field)
-    if reference is not None:
-        ref_rows = rows if reference is field \
-            else scan_mixed_derivatives(reference, points, fd_step)
+    if reference is not None:  # row r of a scan is at point r % P
+        ref_rows = rows[g::len(points)] if reference is field \
+            else scan_mixed_derivatives(reference, points[g:g + 1], fd_step)
         noise_floor = float(np.abs(ref_rows[:, 4]).max())
     threshold = max(10.0 * noise_floor, MIN_THRESHOLD)
 
-    i, j, k, g = (int(x) for x in best[:4])
     confirmed = mixed_second_derivative_fd(field, i, j, k, points[g], fd_step)
     if np.float64(confirmed).tobytes() != best[4].tobytes():
         raise ContractError(f"triple {(i, j, k)} at point {g} is {float(best[4])!r}"

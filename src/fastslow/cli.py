@@ -35,8 +35,8 @@ from .certificate import (
     scan_mixed_derivatives,
 )
 from .fields import ReducedField, critical_weights, slow_manifold
-from .integrate import (IntegrationConfig, _write_table, integrate_full,
-                        trajectory_to_csv)
+from .integrate import (MAX_HISTORY_BYTES, IntegrationConfig, _write_table,
+                        integrate_full, trajectory_to_csv)
 from .model import (
     ContractError,
     ExperimentError,
@@ -376,6 +376,12 @@ def cmd_certify(raw_config, seeds: SeedBook):
     n_random = _as_int(block.get("n_random_points", DEFAULT_RANDOM_POINTS),
                        "certify.n_random_points")
     _expect(n_random >= 0, "certify.n_random_points", "must be >= 0")
+    # the scan's (T * P, 5) rows or one pair call's (4P, N, N) array
+    n = params.n_nodes
+    needs = 8 * (n_random + 1) * max(5 * n * (n - 1) * (n - 2), 4 * n * n)
+    _expect(needs <= MAX_HISTORY_BYTES, "certify.n_random_points",
+            f"a scan of {n_random + 1} points needs {needs:.3g} bytes, over "
+            f"MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}")
     grid_seed = _as_seed(block.get("grid_seed", DEFAULT_SCAN_SEED),
                          "certify.grid_seed")
 

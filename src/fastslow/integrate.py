@@ -454,7 +454,9 @@ def _write_table(stream, columns, parts) -> None:
     after column, each value the bytes of "%.17g" (an integral value below
     2**53 prints as an integer), spelled by _spell.  A part is an array
     (rows,) or (rows, k), or a pair (index, table) standing for
-    table[index], whose table is spelled once and its slots gathered.
+    table[index], whose table is spelled once, its separators put in
+    place and each of its rows compacted once into a NUL-padded byte row
+    (m, W), W its longest row text, that the writes gather.
 
     It only formats: its callers pass parts of equal length, integer
     indices inside their tables, one name per column, a part not gathered
@@ -462,34 +464,42 @@ def _write_table(stream, columns, parts) -> None:
     non-finite value; converge's errors are phase_distance's, finite for
     finite phases, and attract's distances fall from a finite start.
 
-    The other parts are spelled in calls of about BLOCK_VALUES values and
-    written BLOCK_VALUES slots (128 kB) at a time at most, so that no array
-    or string holds the whole table."""
-    pieces, plain, width = [], [], 0
+    The other parts are spelled in calls of about BLOCK_VALUES values, each
+    call's separators set once, and written BLOCK_VALUES slots (128 kB) at
+    a time at most, so that no array or string holds the whole table."""
+    ends = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    pieces, plain, plain_seps, width = [], [], [], 0
     for part in parts:
         index, table = part if isinstance(part, tuple) else (None, part)
         table = np.asarray(table, dtype=float)
         table = table[:, None] if table.ndim == 1 else table
-        if index is None:  # a column range of the spelled block
-            pieces.append(slice(width, width + table.shape[1]))
+        seps, ends = ends[:table.shape[1]], ends[table.shape[1]:]
+        if index is None:  # a byte range of the spelled rows
+            pieces.append(slice(32 * width, 32 * (width + len(seps))))
             plain.append(table)
-            width += table.shape[1]
-        else:  # spelled once, its slots gathered by its index
-            pieces.append((index, _spell(table).reshape(table.shape + (32,))))
+            plain_seps.extend(seps)
+            width += len(seps)
+        else:  # each row's text once, left-aligned and NUL-padded
+            slots = _spell(table).reshape(len(table), -1)
+            slots[:, 31::32] = seps
+            keep = slots != 0
+            text = np.zeros((len(table), keep.sum(1).max(initial=0)), np.uint8)
+            text[keep.nonzero()[0], keep.cumsum(1)[keep] - 1] = slots[keep]
+            pieces.append((index, text))
     n, rows = len(plain[0]), max(1, BLOCK_VALUES // len(columns))  # per write
     step = rows * max(1, BLOCK_VALUES // (rows * width))  # per _spell
-    ends = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    plain_seps = np.array(plain_seps, np.uint8)
     stream.write(",".join(columns) + "\n")
     for at in range(0, n, step):
         spelled = _spell(np.column_stack([t[at:at + step] for t in plain])
-                         ).reshape(-1, width, 32)
+                         ).reshape(-1, 32 * width)
+        spelled[:, 31::32] = plain_seps
         for lo in range(at, min(at + step, n), rows):
             block = spelled[lo - at:lo - at + rows]
             if len(plain) < len(pieces):
                 block = np.concatenate([block[:, p] if isinstance(p, slice)
                                         else p[1][p[0][lo:lo + rows]]
                                         for p in pieces], 1)
-            block[..., 31] = ends
             stream.write(block[block != 0].tobytes().decode("ascii"))
 
 

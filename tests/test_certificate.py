@@ -15,6 +15,7 @@ from fastslow import (
     PushforwardField,
     ReducedField,
     anchor_point,
+    certificate,
     certify_nonpairwise,
     default_scan_points,
     make_kuramoto,
@@ -237,15 +238,48 @@ def test_certify_order1_on_default_grid():
     assert report.threshold == pytest.approx(1e-6)
 
 
-def test_certify_order0_is_never_evidence():
+def recorded_scans(monkeypatch):
+    """The points of every scan certify_nonpairwise makes, in order."""
+    scans = []
+
+    def recording(field, points, *args):
+        scans.append(np.array(points))
+        return scan_mixed_derivatives(field, points, *args)
+    monkeypatch.setattr(certificate, "scan_mixed_derivatives", recording)
+    return scans
+
+
+def test_certify_order0_is_never_evidence(monkeypatch):
     params = ModelParams(n_nodes=3, omega=np.array([0.3, -0.1, 0.8]),
                          epsilon=0.01)
     field = ReducedField(order=0, params=params, coupling=make_kuramoto(0.7))
+    scans = recorded_scans(monkeypatch)
     report = certify_nonpairwise(field)
     assert report.decision == DECISION_NO_EVIDENCE
     assert report.analytic_value is None
-    # self-calibration: the noise floor comes from the field's own scan
+    # self-calibration: the noise floor comes from the field's own rows at
+    # the winning point, with no second scan
+    assert len(scans) == 1
     assert abs(report.fd_value) <= report.noise_floor
+
+
+@pytest.mark.parametrize("kind", ["order1", "phase_lag", "pushforward"])
+def test_noise_floor_is_the_companion_at_the_winning_point(monkeypatch, kind):
+    # the companion is scanned at the winner's point alone, and by the
+    # scan's row-locality its largest |value| there has the bits of the
+    # rows at that point of a full companion scan
+    field = scan_field(kind, 5)
+    points = default_scan_points(5, seed=5, n_random=10)
+    scans = recorded_scans(monkeypatch)
+    report = certify_nonpairwise(field, points)
+    g = int(np.flatnonzero((points == report.point).all(1))[0])
+    assert [s.shape for s in scans] == [points.shape, (1, 5)]
+    assert np.array_equal(scans[1], points[g:g + 1])
+    rows = scan_mixed_derivatives(certificate._pairwise_reference(field),
+                                  points)
+    assert report.noise_floor == np.abs(rows[rows[:, 3] == g, 4]).max()
+    assert report.threshold == max(10.0 * report.noise_floor,
+                                   certificate.MIN_THRESHOLD)
 
 
 def test_certify_on_synchronized_grid_finds_nothing():
@@ -269,6 +303,18 @@ def test_certify_needs_three_nodes():
     field = ReducedField(order=1, params=params, coupling=make_kuramoto(0.5))
     with pytest.raises(ContractError):
         certify_nonpairwise(field)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scan_of_fewer_than_three_nodes_is_empty(n):
+    # no triple of distinct nodes: the (T * P, 5) table with T = 0, and
+    # no field call
+    params = ModelParams(n_nodes=n, omega=np.zeros(n), epsilon=0.01)
+    counting = CountingField(ReducedField(order=1, params=params,
+                                          coupling=make_kuramoto(0.5)))
+    rows = scan_mixed_derivatives(counting, np.zeros((2, n)))
+    assert rows.shape == (0, 5)
+    assert counting.calls == 0
 
 
 def test_certify_empty_points_rejected():

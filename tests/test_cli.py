@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastslow import ContractError, integrate
+from fastslow import ContractError, ExperimentError, integrate
 from fastslow.certificate import scan_mixed_derivatives
 from fastslow.cli import COMMANDS, _resolve_integration, main, write_json
-from fastslow.integrate import _write_table
+from fastslow.integrate import MAX_HISTORY_BYTES, _write_table
 
 SIMULATE = {
     "model": {
@@ -687,6 +687,28 @@ def test_omega_range_beyond_the_float_range_is_config_error(tmp_path, capsys):
     cfg["model"]["omega"].update(low=-1e308, high=1e308)
     err = expect_config_error(tmp_path, capsys, "simulate", cfg)
     assert err.startswith("config error: model.omega: low must be below high")
+
+
+@pytest.mark.parametrize("n_random", [10 ** 12, 255_652])
+def test_certify_point_count_over_the_memory_cap_is_config_error(
+        tmp_path, capsys, monkeypatch, n_random):
+    # at N = 7 a point costs 8 * max(5 N (N - 1)(N - 2), 4 N^2) = 8400
+    # bytes of scan rows; 255 653 points are the fewest over
+    # MAX_HISTORY_BYTES, refused before the points are drawn
+    def reached(*args, **kwargs):
+        raise ExperimentError("scan points drawn")
+    monkeypatch.setattr("fastslow.cli.default_scan_points", reached)
+    cfg = copy.deepcopy(CERTIFY)
+    cfg["model"].update(n_nodes=7, omega=[0.0] * 7)
+    cfg["certify"]["n_random_points"] = n_random
+    err = expect_config_error(tmp_path, capsys, "certify", cfg)
+    assert err.startswith("config error: certify.n_random_points: a scan of "
+                          f"{n_random + 1} points needs ")
+    assert err.endswith(f"over MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}\n")
+    # one point fewer passes the cap and goes on to draw its points
+    cfg["certify"]["n_random_points"] = 255_651
+    assert run(tmp_path, "certify", cfg)[0] == 3
+    assert capsys.readouterr().err == "runtime error: scan points drawn\n"
 
 
 def test_two_nodes_cannot_certify(tmp_path, capsys):

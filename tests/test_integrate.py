@@ -637,14 +637,20 @@ def test_csv_round_trip():
 
 
 def csv_parts(n_rows, gathered):
-    """Parts of a trajectory-shaped table, or of a certify-shaped one whose
-    triples and points are gathered by index."""
+    """Parts of a trajectory-shaped table, of a certify-shaped one whose
+    triples and points are gathered by index, or ("last") of one whose last
+    column is gathered from rows whose texts differ in length."""
     rng = np.random.default_rng(n_rows)
     if not gathered:
         return ([f"c{k}" for k in range(21)],
                 [np.arange(n_rows) * 0.25, rng.random((n_rows, 4)),
                  rng.normal(size=(n_rows, 16))])
     r, p = np.arange(n_rows), 5
+    if gathered == "last":
+        values = np.concatenate([np.arange(13), [-0.0, 5e-324, 1e300]])
+        return (["t", "x", "y", "index", "value"],
+                [r * 0.25, rng.normal(size=(n_rows, 2)),
+                 (r * 7 % 16, np.column_stack([np.arange(16), values]))])
     return (["i", "j", "k", "point", "x", "y", "fd", "fd2", "fd3"],
             [(r // p, rng.integers(0, 4, (-(-n_rows // p), 3))),
              (r % p, np.column_stack([np.arange(p), rng.random((p, 2))])),
@@ -668,7 +674,7 @@ class Writes(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("gathered", [False, True])
+@pytest.mark.parametrize("gathered", [False, True, "last"])
 @pytest.mark.parametrize("n_parts", [2, 3])
 @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 4001])
 def test_split_csv_has_the_bytes_of_one_part(monkeypatch, n_rows, n_parts,
