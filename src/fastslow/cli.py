@@ -7,9 +7,10 @@ config so the emitted manifest is self-describing.
 
 Exit codes: 0 success, 2 config or contract error, 3 runtime or numerical
 failure.  Outputs per run: manifest.json (config echo, resolved seeds,
-versions, timestamp), report.json, raw.csv.  The JSON files spell each
-float as its shortest round-trip repr, raw.csv with 17 significant
-digits; both spellings parse back to the same double.
+versions, timestamp; converge's step and self-gap as ``diagnostics``),
+report.json, raw.csv.  The JSON files spell each float as its shortest
+round-trip repr, raw.csv with 17 significant digits; both spellings
+parse back to the same double.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
-                   seeds: SeedBook, report: dict, write_csv) -> None:
+                   seeds: SeedBook, report: dict, write_csv,
+                   diagnostics=None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -294,6 +296,8 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
         "created_at": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     # a manifest is written last, beside only the outputs its own run wrote
     for name, kind in [("manifest.json", None), ("report.json", "json"),
                        ("raw.csv", "csv")]:
@@ -309,7 +313,7 @@ def _write_outputs(out_dir: Path, formats: set, command: str, raw_config: dict,
 
 # ---------------------------------------------------------------------------
 # subcommands: each validates its config blocks, runs, and returns
-# (report, write_csv, summary_line); main writes raw.csv with
+# (report, write_csv, summary[, diagnostics]); main writes raw.csv with
 # write_csv(stream), so a long trajectory is never one string in memory,
 # and a run without csv output never builds or formats its table
 
@@ -452,15 +456,19 @@ def cmd_converge(raw_config, seeds: SeedBook):
         "dt_factor": dt_factor,
     }
 
+    diagnostics = {"h": result.dt, "substeps": result.substeps,
+                   "self_gap": result.self_gap,
+                   "self_gap_budget": result.self_gap_budget}
+
     def write_csv(stream):
         stream.write("# reduction errors against epsilon\n")
         _write_table(stream, ["epsilon", "error_order0", "error_order1"], [
             result.epsilons, result.errors_order0, result.errors_order1])
     if result.degenerate:
-        return report, write_csv, \
-            "degenerate case: errors at machine precision, no slopes fitted"
+        return report, write_csv, "degenerate case: errors at machine " \
+            "precision, no slopes fitted", diagnostics
     return report, write_csv, (f"slope0={result.fit_order0.slope!r} "
-                              f"slope1={result.fit_order1.slope!r}")
+                              f"slope1={result.fit_order1.slope!r}"), diagnostics
 
 
 def cmd_attract(raw_config, seeds: SeedBook):
@@ -559,9 +567,10 @@ def main(argv=None) -> int:
         out_dir, formats = _resolve_output(raw_config, args.out)
         # the program's own checks refuse every non-finite value, in one line
         with np.errstate(all="ignore"):
-            report, write_csv, summary = COMMANDS[args.command](raw_config, seeds)
+            report, write_csv, summary, *diagnostics = COMMANDS[args.command](
+                raw_config, seeds)
             _write_outputs(out_dir, formats, args.command, raw_config, seeds,
-                           report, write_csv)
+                           report, write_csv, *diagnostics)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

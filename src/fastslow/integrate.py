@@ -275,7 +275,7 @@ def integrate_full(params: ModelParams, coupling, initial: FullState,
 
 
 def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
-                       config: IntegrationConfig) -> FloatArray:
+                       config: IntegrationConfig, paired: bool = False):
     """The canonical phases (samples, S, N) of the full system at each
     epsilons[r] from theta0 (N finite phases, which the caller checks) on
     its order-1 surface, stepped at config's dt h and sampled like it, in u
@@ -286,11 +286,19 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
     1/2, 1/2, 1, 1/2), stage i is e^(c_i z) u + h sum_j a_ij forcing(U_j)
     and the step e^z u + h sum_i b_i forcing(U_i); on theta it is a
     Runge-Kutta method of order 4.  Needs the order-1 slots; each row has
-    the bits of its own one-row run."""
+    the bits of its own one-row run.
+
+    ``paired`` also steps the rows on IntegrationConfig(t_end, 2 n_steps,
+    2 sample_every) and returns (coarse, fine), each with the bits of its
+    own run: the S rows stacked twice, h a column, each step of config
+    sweeps the stages of all 2S rows, then of the fine rows alone.  A failed
+    pair is stepped again as its two runs, coarse first, to fail as they do."""
     core = _Core(params, coupling, 1)
     n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
-    h = config.dt
-    z = np.stack([np.zeros(eps.size), -h / eps], -1)  # on theta and y
+    grids = [config, IntegrationConfig(config.t_end, 2 * config.n_steps, 2 *
+             config.sample_every)] if paired else [config]
+    h = np.repeat([grid.dt for grid in grids], eps.size)[:, None]  # per row
+    z = np.stack([np.zeros(h.size), -h[:, 0] / np.tile(eps, len(grids))], -1)
     # phi_{j+1}(t) = (phi_j(t) - 1/j!) / t, phi_0 = exp, at z and z / 2 as
     # the mean over 32 points of the unit circle around each (Kassam &
     # Trefethen 2005, SIAM J. Sci. Comput. 26:1214): 1e-14 relative, also
@@ -313,13 +321,15 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
         (np.exp(z / 2), q1 / 2 - 2 * a52 - a54, a52, a52, a54),
         (np.exp(z), p1 - 3 * p2 + 4 * p3, None, None, 4 * p3 - p2,
          4 * p2 - 8 * p3)]]
+    fine = [[None if a is None else a[-eps.size:] for a in row]
+            for row in table]
 
     def forcing(u):  # on a flat row or a stack of them
         _, _, f, h1 = core.terms(u[..., :n],
                                  u[..., n:].reshape(u.shape[:-1] + (n, n)))
         return np.concatenate((f, h1.reshape(f.shape[:-1] + (n * n,))), -1)
 
-    def step(rhs, state, _):  # like rk4_step, rhs the forcing, h built in
+    def sweep(rhs, state, table):  # one step of the rows table covers
         u, ks = state, []
         for e, *row in table:
             ks.append(rhs(u))
@@ -327,13 +337,26 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
             for a, k in zip(row, ks):
                 if a is not None:
                     u += a * k
+        return u
+
+    def step(rhs, state, _):  # like rk4_step, rhs the forcing, h built in
+        u = sweep(rhs, state, table)
+        if paired:  # a value not finite stays so through the fine sweep
+            u[eps.size:] = sweep(rhs, u[eps.size:], fine)
         if not math.isfinite(np.vdot(u, u)):
             _check_finite(u, "exponential")
         return u
     start = np.concatenate([np.tile(theta0, (eps.size, 1)), (
         eps[:, None, None] * core.terms(theta0)[3]).reshape(eps.size, -1)], -1)
-    return wrap_phase(_integrate(forcing, start, config, "full-system",
-                                 stored=n, step=step))
+    try:
+        phases = wrap_phase(_integrate(forcing, np.tile(start, (
+            len(grids), 1)), config, "full-system", stored=n, step=step))
+    except IntegrationError:
+        if paired:
+            return tuple(_exponential_stack(params, coupling, eps, theta0,
+                                            grid) for grid in grids)
+        raise
+    return (phases[:, :eps.size], phases[:, eps.size:]) if paired else phases
 
 
 def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:

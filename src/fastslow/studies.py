@@ -7,6 +7,7 @@ report can always be re-derived from its own raw data.
 
 from __future__ import annotations
 
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -171,9 +172,10 @@ class ConvergenceReport:
 
     fits are None when the degenerate flag is set (all errors at machine
     level, nothing to fit; this happens for synchronized starts with zero
-    frequencies).  dt is the step of the run the errors come from, and
-    self_gap the largest phase distance between that run and the one at 2 dt,
-    reference or reduced, on their shared samples.
+    frequencies).  dt is the step of the run the errors come from, one of
+    ``substeps`` per sample, and self_gap the largest phase distance between
+    that run and the one at 2 dt, reference or reduced, on their shared
+    samples, within self_gap_budget unless the sweep is degenerate.
     """
 
     epsilons: FloatArray
@@ -183,7 +185,9 @@ class ConvergenceReport:
     fit_order1: Optional[SlopeFit]
     degenerate: bool
     dt: float
+    substeps: int
     self_gap: float
+    self_gap_budget: float
 
 
 def _named(names, step):
@@ -210,7 +214,8 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     0.01 apart at the default t_end.  The reference at every epsilon is one
     stack, the order-0 field and the order-1 field at every epsilon another,
     each row with the bits of its own run; both are stepped on
-    IntegrationConfig(t_end, n * s, s), s = 1, 2, 4, ..., each run once.
+    IntegrationConfig(t_end, n * s, s), s = 1, 2, 4, ..., each run once,
+    the reference's first two runs as one paired stack.
     The step is halved until the self-gap, the largest phase distance
     between a run and the one at twice its step, reference or reduced, is at
     most SELF_GAP_BUDGET = 1e-3 times the finer run's smallest order-1
@@ -219,8 +224,10 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     against a budget of 9.1e-9.  A gap still over budget at MAX_SUBSTEPS =
     64 substeps is an ExperimentError.  The error is the largest phase
     distance over the sampled window [0, t_end].  Requires a 1-d sequence
-    of at least 3 finite epsilon values, strictly decreasing, t_end > 0 and
-    theta0 N finite phases, all checked before any step.
+    of at least 3 finite epsilon values, strictly decreasing, t_end > 0
+    whose finest step t_end / n / MAX_SUBSTEPS is a normal float (t_end of
+    about 1.4e-306 or more) and theta0 N finite phases, all checked before
+    any step.
     """
     eps = np.full(1, np.nan)  # kept if epsilons is no 1-d sequence of numbers
     with suppress(TypeError, ValueError):
@@ -240,19 +247,28 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     if theta0.shape != (n,) or not np.isfinite(theta0).all():
         raise ContractError(f"theta0 must be {n} finite phases, got {theta0!r}")
     intervals = IntegrationConfig.spanning(t_end, MAX_REDUCED_DT, 1).n_steps
+    if t_end / intervals / MAX_SUBSTEPS < sys.float_info.min:
+        raise ContractError(f"t_end={t_end!r} is too short: its finest step "
+                            f"t_end / {intervals} / {MAX_SUBSTEPS} is below "
+                            f"the least normal float {sys.float_info.min!r}")
 
     def grid(substeps):  # the sample grid, each interval in equal substeps
         return IntegrationConfig(t_end, intervals * substeps, substeps)
 
-    def run(config):  # (reference, reduced) phases
-        return (_named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
-                    params_base, coupling, eps, theta0, config)),
-                _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
-                       lambda: integrate_reduced(field, np.tile(
-                           theta0, (1 + eps.size, 1)), config).thetas))
-    substeps, fine = 1, run(grid(1))
+    def reference(config, paired=False):
+        return _named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
+            params_base, coupling, eps, theta0, config, paired=paired))
+
+    def reduced(config):
+        return _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
+                      lambda: integrate_reduced(field, np.tile(
+                          theta0, (1 + eps.size, 1)), config).thetas)
+    refs = list(reference(grid(1), paired=True))  # s = 1 and 2, one stack
+    substeps, fine = 1, (refs.pop(0), reduced(grid(1)))
     while True:
-        substeps, coarse, fine = 2 * substeps, fine, run(grid(2 * substeps))
+        substeps, coarse = 2 * substeps, fine
+        fine = (refs.pop() if refs else reference(grid(substeps)),
+                reduced(grid(substeps)))
         phases, thetas = fine
         # order k's error at epsilon m: the reduced row 0, or 1 + m
         errs0, errs1 = (np.array([phase_distance(phases[:, m], thetas[:, k * (
@@ -273,4 +289,5 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     return ConvergenceReport(epsilons=eps, errors_order0=errs0,
                              errors_order1=errs1, fit_order0=fit0,
                              fit_order1=fit1, degenerate=degenerate,
-                             dt=grid(substeps).dt, self_gap=gap)
+                             dt=grid(substeps).dt, substeps=substeps,
+                             self_gap=gap, self_gap_budget=budget)

@@ -421,6 +421,24 @@ def test_converge_degenerate_message(tmp_path, capsys):
     assert report["fit_order0"] is None
 
 
+def test_shipped_converge_manifest_records_its_step_and_self_gap(tmp_path):
+    """The manifest's diagnostics hold the study's step, its substeps per
+    sample and the self-gap within its budget, which report.json leaves
+    out: 5.2e-10 against 9.1e-9 at h = 0.005 on configs/converge.json."""
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                         / "converge.json").read_text())
+    code, out = run(tmp_path, "converge", config, extra=["--quiet"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert list(diagnostics) == ["h", "substeps", "self_gap",
+                                 "self_gap_budget"]
+    assert diagnostics["h"] == 0.005 and diagnostics["substeps"] == 2
+    assert 5e-10 < diagnostics["self_gap"] < 5.3e-10
+    assert 9e-9 < diagnostics["self_gap_budget"] < 9.1e-9
+    assert "self_gap" not in json.loads((out / "report.json").read_text())
+
+
 def test_attract_reports_rate(tmp_path, capsys):
     code, out = run(tmp_path, "attract", ATTRACT)
     assert code == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,7 +214,7 @@ def test_convergence_validation():
     # a history past MAX_HISTORY_BYTES is refused before it is allocated,
     # and the stride that converge picks itself is not offered as a mend
     with pytest.raises(ContractError, match=r"history of 1e\+11 samples "
-                       r"needs 7\.2e\+12 bytes.*shorten integration\.t_end$"):
+                       r"needs 1\.44e\+13 bytes.*shorten integration\.t_end$"):
         convergence_study(params, c, theta0, [0.02, 0.01, 0.005], t_end=1e9)
     # unchecked, numpy raises ValueError for non-numeric phases
     with pytest.raises(ContractError, match="non-numeric"):
@@ -293,23 +294,31 @@ def test_convergence_wraps_integration_failure():
 
 
 def record_runs(monkeypatch):
-    """Record every stack the convergence study integrates, in order:
+    """Record every stack the convergence study integrates, in the order of
+    their grids' substeps, the full one first on each grid:
     ("full", epsilons, config, phases) for the full-system stack and
     ("reduced", epsilons, config, trajectory) for the reduced stack, whose
-    epsilon is 0 in the order-0 row."""
+    epsilon is 0 in the order-0 row.  A paired full call is recorded as the
+    two runs it carries, on config and on the grid of twice its steps."""
     runs = []
     real_full = studies._exponential_stack
     real_reduced = studies.integrate_reduced
 
-    def full(params, coupling, epsilons, theta0, config):
-        phases = real_full(params, coupling, epsilons, theta0, config)
-        runs.append(("full", list(epsilons), config, phases))
+    def log(*run):
+        runs.append(run)
+        runs.sort(key=lambda run: run[2].sample_every)  # stable
+
+    def full(params, coupling, epsilons, theta0, config, paired=False):
+        phases = real_full(params, coupling, epsilons, theta0, config, paired)
+        grids = [config, IntegrationConfig(config.t_end, 2 * config.n_steps,
+                                           2 * config.sample_every)]
+        for grid, run in zip(grids, phases if paired else [phases]):
+            log("full", list(epsilons), grid, run)
         return phases
 
     def reduced(field, theta0, config):
         traj = real_reduced(field, theta0, config)
-        runs.append(("reduced", field.epsilon.ravel().tolist(), config,
-                     traj))
+        log("reduced", field.epsilon.ravel().tolist(), config, traj)
         return traj
     monkeypatch.setattr(studies, "_exponential_stack", full)
     monkeypatch.setattr(studies, "integrate_reduced", reduced)
@@ -556,3 +565,115 @@ def test_convergence_checks_theta0_before_any_step(monkeypatch, theta0):
     with pytest.raises(ContractError, match="theta0 must be 3 finite phases"):
         convergence_study(make_params(), make_kuramoto(0.5), theta0,
                           [0.02, 0.01, 0.005], t_end=0.2)
+
+
+# the smallest t_end whose finest step t_end / 1 / 64 is a normal float:
+# just below 64 times the least, it rounds up to the least
+LEAST_T_END = float(np.nextafter(64 * sys.float_info.min, 0.0))
+
+
+@pytest.mark.parametrize("t_end, refused", [
+    (5e-324, True), (float(np.nextafter(LEAST_T_END, 0.0)), True),
+    (LEAST_T_END, False)])
+def test_convergence_checks_t_end_floor_before_any_step(monkeypatch, t_end,
+                                                        refused):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(integrate, "rk4_step", no_step)
+    monkeypatch.setattr(studies, "_exponential_stack", no_step)
+    with pytest.raises(ContractError, match=f"^t_end={t_end!r} is too short: "
+                       r"its finest step t_end / 1 / 64 is below the least "
+                       "normal float") if refused else \
+            pytest.raises(AssertionError, match="a step was taken"):
+        convergence_study(make_params(), make_kuramoto(0.5), np.zeros(3),
+                          [0.02, 0.01, 0.005], t_end=t_end)
+
+
+def drifting_coupling(low, high):
+    """No coupling (gamma = 0), so every phase drifts at its own omega, and
+    a target whose d/du is nan while u lies in (low, high)."""
+    return Coupling(gamma=lambda phi: 0.0 * phi,
+                    target=lambda u, v: 0.0 * (u + v),
+                    gamma_d1=lambda phi: 0.0 * phi,
+                    target_du=lambda u, v: np.where(
+                        (low < u + 0.0 * v) & (u < high), np.nan, 0.0),
+                    target_dv=lambda u, v: 0.0 * (u + v))
+
+
+@pytest.mark.parametrize("low, high, at", [
+    # the fine run's second stage, h / 4 in, fails its first step
+    (0.002, 0.003, "t=0.005 (step 1)"),
+    # its second step fails, the second sweep of the pair's first step
+    (0.007, 0.008, "t=0.01 (step 2)")])
+def test_convergence_reports_a_failed_fine_reference_in_its_own_steps(
+        low, high, at):
+    # the phases drift at omega = 1 from 0; the coarse run at h = 0.01
+    # evaluates them at multiples of 0.005 only, which the window misses
+    epsilons = [0.02, 0.01, 0.005]
+    with pytest.raises(ExperimentError) as info:
+        convergence_study(make_params(omega=np.ones(3)),
+                          drifting_coupling(low, high), np.zeros(3), epsilons,
+                          t_end=0.1)
+    assert str(info.value) == "integration failed at " + ", ".join(
+        f"epsilon={e}" for e in epsilons) + ": full-system integration " \
+        "failed in rows 0, 1, 2 at " + at + ": non-finite value in " \
+        "exponential stage"
+
+
+def random_model(n, kind):
+    rng = np.random.default_rng(5)
+    params = ModelParams(n_nodes=n, omega=rng.uniform(-1.0, 1.0, n),
+                         epsilon=0.02)
+    coupling = {"kuramoto": make_kuramoto(0.8),
+                "uv_slots": callables_only(drop=("target_diff",
+                                                 "target_diff_d1")),
+                "phase_lag": phase_lag_coupling()}[kind]
+    return params, coupling, rng.uniform(0.0, TWO_PI, n)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+@pytest.mark.parametrize("kind", ["kuramoto", "uv_slots", "phase_lag"])
+@pytest.mark.parametrize("epsilons, substeps", [
+    ([0.02, 0.01, 0.005, 0.0025], 2),
+    # configs/converge_wide.json's sweep
+    ([0.02, 0.01, 0.005, 0.0025, 0.001, 0.0005, 0.00025, 0.000125], 16)])
+def test_reference_pair_rows_equal_their_own_runs(monkeypatch, n, kind,
+                                                  epsilons, substeps):
+    """The study steps its reference's runs at s = 1 and 2 as one paired
+    stack and every later run alone; every one has the bytes of a run of
+    its own on its grid, for the difference-form slots, the (u, v) slots
+    and a phase-lag coupling."""
+    params, coupling, theta0 = random_model(n, kind)
+    runs, calls = record_runs(monkeypatch), []
+    recorded = studies._exponential_stack
+
+    def spy(*args, **kwargs):
+        calls.append((args[4].sample_every, kwargs.get("paired", False)))
+        return recorded(*args, **kwargs)
+    monkeypatch.setattr(studies, "_exponential_stack", spy)
+    report = convergence_study(params, coupling, theta0, epsilons, t_end=0.2)
+    check_stacks(runs, epsilons, 0.2, report)
+    assert report.substeps == substeps
+    assert calls == [(1, True)] + [(2 ** k, False) for k in range(
+        2, substeps.bit_length())]
+    for _, eps, grid, phases in runs[::2]:
+        alone = integrate._exponential_stack(params, coupling, eps, theta0,
+                                             grid)
+        assert phases.tobytes() == alone.tobytes()
+
+
+def test_reference_forcing_calls_on_shipped_converge(monkeypatch):
+    """configs/converge.json stops at s = 2: its paired reference makes 10
+    forcing calls per sample interval, 2 000 over its 200, and evaluates
+    the start once; two runs of their own made 3 000 and two."""
+    calls = {"start": 0, "forcing": 0}
+
+    class Counted(integrate._Core):
+        def terms(self, theta, y=None):
+            calls["start" if y is None else "forcing"] += 1
+            return super().terms(theta, y)
+    monkeypatch.setattr(integrate, "_Core", Counted)
+    params, epsilons, theta0, coupling = shipped_converge_model()
+    report = convergence_study(params, coupling, theta0, epsilons)
+    assert report.substeps == 2 and report.dt == 0.005
+    assert calls == {"start": 1, "forcing": 2000}
