@@ -49,7 +49,6 @@ from .certificate import (
     default_scan_points,
     mixed_second_derivative_fd,
     node_respecting_transform,
-    pushforward_certificate_invariance,
     scan_mixed_derivatives,
     triplet_mixed_derivative,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "pair_correction",
     "phase_distance",
     "phase_rhs",
-    "pushforward_certificate_invariance",
     "rk4_step",
     "scan_mixed_derivatives",
     "slow_manifold",

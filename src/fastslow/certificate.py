@@ -188,6 +188,15 @@ def default_scan_points(n_nodes: int, seed: int = DEFAULT_SCAN_SEED,
                       rng.uniform(0.0, 2.0 * np.pi, (n_random, n_nodes))])
 
 
+def _scan_bytes(n: int, n_points: int) -> int:
+    """Bytes a scan of a reduced field of n nodes at P = n_points holds at
+    its peak: under 256 a triple in index tuples and views, and N(N - 1)
+    by-pair values (P, N) beside one pair call's at most 7 arrays (4P, N,
+    N) or beside the (T, P, 5) table and its finite check, under 6TP doubles."""
+    per_point = n * (n - 1) + max(6 * (n - 1) * (n - 2), 28 * n)
+    return 8 * n * (32 * (n - 1) * (n - 2) + n_points * per_point)
+
+
 def scan_mixed_derivatives(field, points,
                            fd_step: float = DEFAULT_FD_STEP) -> FloatArray:
     """FD mixed derivatives of every (triple, point) candidate.
@@ -221,22 +230,24 @@ def scan_mixed_derivatives(field, points,
         a, b, c, d = np.split(field(np.concatenate(
             [plus + e[k], plus - e[k], minus + e[k], minus - e[k]])), 4)
         by_pair[j, k], by_pair[k, j] = a - b - c + d, a - c - b + d
-    values = np.concatenate([by_pair[j, k][:, i] for i, j, k in triples]) / scale
-    if not np.isfinite(values).all():
-        r = np.flatnonzero(~np.isfinite(values))[0]
-        raise ContractError(f"the FD value of triple {triples[r // len(points)]} "
-                            f"at point {r % len(points)} is not finite: {values[r]}")
-    return np.column_stack([
-        np.repeat(np.reshape(triples, (-1, 3)), len(points), axis=0),
-        np.tile(np.arange(len(points)), len(triples)), values])
+    rows = np.empty((len(triples), len(points), 5))  # no temporary table
+    rows[..., :3] = np.reshape(triples, (-1, 1, 3))
+    rows[..., 3] = np.arange(len(points))
+    values = rows.reshape(-1, 5)[:, 4]
+    np.concatenate([by_pair[j, k][:, i] for i, j, k in triples], out=values)
+    values /= scale
+    bad = np.argwhere(~np.isfinite(rows[..., 4]))
+    if len(bad):
+        t, g = bad[0]
+        raise ContractError(f"the FD value of triple {triples[t]} at point {g} "
+                            f"is not finite: {rows[t, g, 4]}")
+    return rows.reshape(-1, 5)
 
 
 def _pairwise_reference(field):
     """A field from the same family that is pairwise by construction, used
     to measure the FD noise floor.  None when no such companion exists."""
     if isinstance(field, ReducedField):
-        if field.order == 0:
-            return field
         return ReducedField(order=0, params=field.params, coupling=field.coupling)
     if isinstance(field, PushforwardField):
         ref = _pairwise_reference(field.base)
@@ -256,9 +267,9 @@ def certify_nonpairwise(field, points=None,
     floor is the largest |FD value| over every triple at the maximizer's
     point of a pairwise reference field (the uncorrected member of the
     family): a scan of that one point, N(N - 1)/2 field calls of 4 rows.
-    An order-0 field is its own reference and reads the floor from its own
-    rows at that point, so |fd| <= noise floor: it can never certify
-    itself, which is the honest outcome for a pairwise field.
+    An order-0 field's reference has its rows there, by the scan's row
+    locality, so |fd| <= noise floor: it can never certify itself, which
+    is the honest outcome for a pairwise field.
 
     Returns the report at the maximizer of |FD value|; ties resolve to the
     lexicographically first (i, j, k, point index).  A scan value that is
@@ -276,12 +287,9 @@ def certify_nonpairwise(field, points=None,
     best = rows[np.argmax(np.abs(rows[:, 4]))]
     i, j, k, g = (int(x) for x in best[:4])
 
-    noise_floor = 0.0
     reference = _pairwise_reference(field)
-    if reference is not None:  # row r of a scan is at point r % P
-        ref_rows = rows[g::len(points)] if reference is field \
-            else scan_mixed_derivatives(reference, points[g:g + 1], fd_step)
-        noise_floor = float(np.abs(ref_rows[:, 4]).max())
+    noise_floor = 0.0 if reference is None else float(np.abs(
+        scan_mixed_derivatives(reference, points[g:g + 1], fd_step)[:, 4]).max())
     threshold = max(10.0 * noise_floor, MIN_THRESHOLD)
 
     confirmed = mixed_second_derivative_fd(field, i, j, k, points[g], fd_step)
@@ -356,38 +364,10 @@ class PushforwardField:
     def n_nodes(self) -> int:
         return self.base.n_nodes
 
-    @property
-    def inverse(self) -> np.ndarray:
-        """Inverse permutation, with inverse[permutation[i]] == i."""
-        return np.argsort(self.permutation)
-
     def __call__(self, y) -> FloatArray:
         y = _check_shapes(self.n_nodes, y)
-        inv = self.inverse
+        inv = np.argsort(self.permutation)  # inv[permutation[i]] == i
         shifts = np.asarray(self.shifts, dtype=float)
         theta = y[..., inv] - shifts[inv]
         return self.base(theta)[..., np.asarray(self.permutation, dtype=int)]
 
-
-def pushforward_certificate_invariance(field, permutation, shifts, point,
-                                       triple, fd_step: float = DEFAULT_FD_STEP):
-    """FD mixed derivative before and after a shift-and-permute pushforward.
-
-    ``before`` is taken at (triple, point) on the original field.  ``after``
-    is taken on the pushed-forward field at the relabeled triple (inverse
-    permutation applied to each index) and the transformed point.  The two
-    agree up to FD tolerance.
-    """
-    try:
-        i, j, k = triple
-    except (TypeError, ValueError):
-        raise ContractError(f"triple must be three node indices, got "
-                            f"{triple!r}") from None
-    pushed = PushforwardField(base=field, permutation=permutation,
-                              shifts=shifts)
-    before = mixed_second_derivative_fd(field, i, j, k, point, fd_step)
-    inv = pushed.inverse
-    moved_point = node_respecting_transform(point, permutation, shifts)
-    after = mixed_second_derivative_fd(
-        pushed, int(inv[i]), int(inv[j]), int(inv[k]), moved_point, fd_step)
-    return before, after

@@ -31,6 +31,7 @@ from .certificate import (
     DEFAULT_RANDOM_POINTS,
     DEFAULT_SCAN_SEED,
     DECISION_CERTIFIED,
+    _scan_bytes,
     certify_nonpairwise,
     default_scan_points,
     scan_mixed_derivatives,
@@ -213,7 +214,7 @@ def _resolve_horizon(cfg: dict, default_t_end: float = DEFAULT_T_END):
     block = _get_block(cfg, "integration")
     dt_factor = _as_float(block.get("dt_factor", DEFAULT_DT_FACTOR),
                           "integration.dt_factor")
-    # surfaced at parse time so a converge sweep rejects before any run
+    # checked here for every command, converge too, which only echoes it
     _expect(0 < dt_factor <= 0.1, "integration.dt_factor",
             "must lie in (0, 0.1]")
     t_end = _as_float(block.get("t_end", default_t_end), "integration.t_end")
@@ -380,9 +381,7 @@ def cmd_certify(raw_config, seeds: SeedBook):
     n_random = _as_int(block.get("n_random_points", DEFAULT_RANDOM_POINTS),
                        "certify.n_random_points")
     _expect(n_random >= 0, "certify.n_random_points", "must be >= 0")
-    # the scan's (T * P, 5) rows or one pair call's (4P, N, N) array
-    n = params.n_nodes
-    needs = 8 * (n_random + 1) * max(5 * n * (n - 1) * (n - 2), 4 * n * n)
+    needs = _scan_bytes(params.n_nodes, n_random + 1)
     _expect(needs <= MAX_HISTORY_BYTES, "certify.n_random_points",
             f"a scan of {n_random + 1} points needs {needs:.3g} bytes, over "
             f"MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}")

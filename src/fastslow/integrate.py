@@ -386,9 +386,8 @@ def _tables():
     297]: the least double >= 10**k, and 10**k as hi + lo (hi correctly
     rounded, lo the rest rounded) with hi's Dekker halves hh and hi - hh.
     For 0000..9999, the ASCII as a little-endian word and the trailing
-    zeros.  The masks keeping K digits of bytes 8-23; the words of bytes
-    0-7 by (sign, kind, d0) and of bytes 24-31 by E + 400; and per P the
-    byte moves that put the point after digit P."""
+    zeros.  The masks keeping K digits of bytes 8-23; and the words of
+    bytes 0-7 by (sign, kind, d0) and of bytes 24-31 by E + 400."""
     hi, lo = [], []
     for k in range(-281, 298):  # 10**k = num / den exactly
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
@@ -413,11 +412,8 @@ def _tables():
                     for d0 in range(10))
     exp = b"".join(b"\0" * 8 if -4 <= e <= 16 else  # %g's fixed notation
                    (b"e%+03d" % e).ljust(8, b"\0") for e in range(-400, 401))
-    moves = np.tile(np.arange(32), (16, 1))
-    for p in range(1, 16):
-        moves[p, 6:8 + p] = [*range(7, 8 + p), 32]  # 32: the point
     return (least, hi, hh, hi - hh, lo, ascii4, zeros, keep,
-            np.frombuffer(lead, "<u8"), np.frombuffer(exp, "<u8"), moves)
+            np.frombuffer(lead, "<u8"), np.frombuffer(exp, "<u8"))
 
 
 def _spell(values):
@@ -427,8 +423,9 @@ def _spell(values):
     (trailing zeros past the integer part NUL); 24-28 the exponent; 31 is
     left for a separator.  The digits round |v| * 10**(16 - E), computed
     to 1e-14 with Dekker's exact product (numpy has no FMA).  Zero, |v|
-    outside [1e-280, 1e280] and values within 1e-6 of a tie go to "%"."""
-    least, hi, hh, hl, lo, ascii4, zeros, keep, lead, exp, moves = _tables()
+    outside [1e-280, 1e280], values within 1e-6 of a tie and values of 10
+    or more with digits past the point go to "%"."""
+    least, hi, hh, hl, lo, ascii4, zeros, keep, lead, exp = _tables()
     v = np.asarray(values, dtype=float).ravel()
     a = np.abs(v)
     slow = ~((a >= 1e-280) & (a <= 1e280))
@@ -443,7 +440,7 @@ def _spell(values):
     digits = a * hi
     rest = ((ah * hh - digits) + ah * hl + al * hh) + al * hl + a * lo
     whole = np.rint(rest)
-    slow = np.flatnonzero(slow | (np.abs(rest - whole) > 0.5 - 1e-6))
+    slow |= np.abs(rest - whole) > 0.5 - 1e-6
     digits = digits.astype(np.int64) + whole.astype(np.int64)
     carry = digits == 10 ** 17  # 99999999999999999.5 and up
     digits -= carry * (9 * 10 ** 16)
@@ -453,6 +450,7 @@ def _spell(values):
     (g1, g2), (g3, g4) = np.divmod(mid, 10000), np.divmod(low, 10000)
     kept = 17 - np.where(low, np.where(g4, zeros[g4], 4 + zeros[g3]),
                          8 + np.where(g2, zeros[g2], 4 + zeros[g1]))
+    slow = np.flatnonzero(slow | (e >= 1) & (kept > e + 1))
     sci = (e < -4) | (e >= 17)
     # kind 0: d0 at 7; 1: d0 at 6 and the point at 7; 2 + z: "0." z zeros
     kind = np.where((e < 0) & ~sci, 1 - e, (kept > 1) & ((e == 0) | sci))
@@ -463,9 +461,6 @@ def _spell(values):
     slots[:, 2] = (ascii4[g3] | ascii4[g4] << 32) & keep[cut, 1]
     slots[:, 3] = exp[e + 400]
     out = slots.view(np.uint8)
-    inner = np.flatnonzero((e >= 1) & (e <= 15) & (kept > e + 1))
-    text = np.insert(out[inner], 32, ord("."), 1)  # d0..dE move back a byte
-    out[inner] = np.take_along_axis(text, moves[e[inner]], 1)
     out[slow] = np.frombuffer(b"".join((b"%.17g" % x).ljust(32, b"\0")
                                        for x in v[slow].tolist()),
                               np.uint8).reshape(-1, 32)

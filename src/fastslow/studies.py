@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import _Core, _check_shapes, slow_manifold
-from .integrate import IntegrationConfig, _exponential_stack, \
+from .integrate import BLOCK_VALUES, IntegrationConfig, _exponential_stack, \
     integrate_full, integrate_reduced
 from .model import (
     ContractError,
@@ -142,8 +142,12 @@ def attraction_study(params: ModelParams, coupling, initial: FullState,
             f"initial state must start off the surface (distance >= 0.1) "
             f"at a finite distance, got {d0:.3g}")
     traj = integrate_full(params, coupling, initial, config)
-    dists = distance_to_slow_manifold(params, coupling, traj.thetas,
-                                      traj.weights, order=1)
+    # BLOCK_VALUES phases a block: the pass adds at most about the history
+    block = max(1, BLOCK_VALUES // params.n_nodes)
+    dists = np.concatenate([distance_to_slow_manifold(
+        params, coupling, traj.thetas[at:at + block],
+        traj.weights[at:at + block], order=1)
+        for at in range(0, len(traj.thetas), block)])
     fast_times = config.times / params.epsilon
     ceil = ATTRACTION_WINDOW_CEIL_FRACTION * d0
     mask = (dists >= ATTRACTION_WINDOW_FLOOR) & (dists <= ceil)

@@ -21,7 +21,6 @@ from fastslow import (
     make_kuramoto,
     mixed_second_derivative_fd,
     node_respecting_transform,
-    pushforward_certificate_invariance,
     scan_mixed_derivatives,
     triplet_mixed_derivative,
 )
@@ -257,9 +256,14 @@ def test_certify_order0_is_never_evidence(monkeypatch):
     report = certify_nonpairwise(field)
     assert report.decision == DECISION_NO_EVIDENCE
     assert report.analytic_value is None
-    # self-calibration: the noise floor comes from the field's own rows at
-    # the winning point, with no second scan
-    assert len(scans) == 1
+    # self-calibration: the companion scanned at the winning point is an
+    # order-0 field of the same family, whose rows there are the field's
+    # own, so the floor has the bits of the first scan's rows at that point
+    points = scans[0]
+    g = int(np.flatnonzero((points == report.point).all(1))[0])
+    assert [s.shape for s in scans] == [points.shape, (1, 3)]
+    rows = scan_mixed_derivatives(field, points)
+    assert report.noise_floor == np.abs(rows[rows[:, 3] == g, 4]).max()
     assert abs(report.fd_value) <= report.noise_floor
 
 
@@ -280,6 +284,15 @@ def test_noise_floor_is_the_companion_at_the_winning_point(monkeypatch, kind):
     assert report.noise_floor == np.abs(rows[rows[:, 3] == g, 4]).max()
     assert report.threshold == max(10.0 * report.noise_floor,
                                    certificate.MIN_THRESHOLD)
+
+
+def test_a_field_without_companion_has_no_noise_floor():
+    pushed = PushforwardField(base=BilinearProbe(), permutation=(2, 0, 1),
+                              shifts=(0.1, 0.2, 0.3))
+    assert certificate._pairwise_reference(pushed) is None
+    report = certify_nonpairwise(pushed)
+    assert report.noise_floor == 0.0
+    assert report.threshold == certificate.MIN_THRESHOLD
 
 
 def test_certify_on_synchronized_grid_finds_nothing():
@@ -360,9 +373,7 @@ def test_a_non_finite_scan_value_is_refused():
     lambda: certify_nonpairwise(None),
     lambda: scan_mixed_derivatives(None, np.zeros((1, 3))),
     lambda: PushforwardField(base=None, permutation=(0, 1, 2),
-                             shifts=(0.0, 0.0, 0.0)),
-    lambda: pushforward_certificate_invariance(
-        None, (0, 1, 2), np.zeros(3), np.zeros(3), (0, 1, 2))])
+                             shifts=(0.0, 0.0, 0.0))])
 def test_entry_points_reject_a_non_field(call):
     with pytest.raises(ContractError, match="field must be a callable phase "
                        "field with an int n_nodes, got None"):
@@ -534,16 +545,30 @@ def test_pushforward_pure_permutation_values():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
+def transported_fd(field, permutation, shifts, point, triple):
+    """The FD mixed derivative at (triple, point) before and after a
+    shift-and-permute pushforward: after is taken on the pushed field at
+    the triple relabeled by the inverse permutation and the moved point."""
+    i, j, k = triple
+    pushed = PushforwardField(base=field, permutation=permutation,
+                              shifts=shifts)
+    inv = np.argsort(permutation)
+    moved_point = node_respecting_transform(point, permutation, shifts)
+    after = mixed_second_derivative_fd(
+        pushed, int(inv[i]), int(inv[j]), int(inv[k]), moved_point)
+    return mixed_second_derivative_fd(field, i, j, k, point), after
+
+
 def test_pushforward_identity_is_exact():
     field = order1_field()
-    before, after = pushforward_certificate_invariance(
+    before, after = transported_fd(
         field, (0, 1, 2), np.zeros(3), anchor_point(3), (0, 1, 2))
     assert before == after
 
 
 def test_pushforward_global_shift_preserves_fd():
     field = order1_field(omega=np.array([0.4, 0.0, -0.3]))
-    before, after = pushforward_certificate_invariance(
+    before, after = transported_fd(
         field, (0, 1, 2), np.full(3, 1.0), anchor_point(3), (0, 1, 2))
     assert abs(before - after) < 1e-6
     assert abs(before) > 1e-5  # the compared value is not trivially zero
@@ -553,7 +578,7 @@ def test_pushforward_permutation_preserves_fd():
     field = order1_field(omega=np.array([0.4, 0.0, -0.3]))
     rng = np.random.default_rng(9)
     point = rng.uniform(0.0, TWO_PI, 3)
-    before, after = pushforward_certificate_invariance(
+    before, after = transported_fd(
         field, (1, 2, 0), rng.uniform(0.0, TWO_PI, 3), point, (0, 1, 2))
     assert abs(before - after) < 1e-6
 
@@ -562,7 +587,7 @@ def test_pushforward_of_pairwise_field_stays_silent():
     params = ModelParams(n_nodes=3, omega=np.array([0.2, 0.5, -0.1]),
                          epsilon=0.01)
     base = ReducedField(order=0, params=params, coupling=make_kuramoto(0.6))
-    before, after = pushforward_certificate_invariance(
+    before, after = transported_fd(
         base, (2, 1, 0), np.array([0.3, 2.0, 4.4]), anchor_point(3), (0, 1, 2))
     assert abs(before) < 1e-8
     assert abs(after) < 1e-8
@@ -590,13 +615,6 @@ def test_pushforward_validation():
         pushed(np.zeros((2, 2)))
     with pytest.raises(ContractError, match="non-numeric"):
         pushed(["a", "b", "c"])
-    with pytest.raises(ContractError, match="non-numeric phases"):
-        pushforward_certificate_invariance(field, (1, 2, 0), np.zeros(3),
-                                           ["a", "b", "c"], (0, 1, 2))
-    for triple in ((0, 1), 2, None):
-        with pytest.raises(ContractError, match="three node indices"):
-            pushforward_certificate_invariance(field, (1, 2, 0), np.zeros(3),
-                                               anchor_point(3), triple)
 
 
 @pytest.mark.parametrize("perm", [

@@ -179,6 +179,19 @@ def test_unencodable_report_is_contract_error(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith("contract error: ")
 
 
+def test_an_unexpected_failure_is_exit_3_in_one_line(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(raw, seeds):
+        raise KeyError("lost")
+    monkeypatch.setitem(COMMANDS, "certify", broken)
+    code, out = run(tmp_path, "certify", CERTIFY)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("unexpected failure: KeyError") \
+        and err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "manifest.json").exists()
+
+
 def test_manifest_is_written_last_and_only_beside_its_outputs(
         tmp_path, capsys, monkeypatch):
     """A run removes the manifest of the run before and writes its own
@@ -707,12 +720,12 @@ def test_omega_range_beyond_the_float_range_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: model.omega: low must be below high")
 
 
-@pytest.mark.parametrize("n_random", [10 ** 12, 255_652])
+@pytest.mark.parametrize("n_random", [10 ** 12, 161_121])
 def test_certify_point_count_over_the_memory_cap_is_config_error(
         tmp_path, capsys, monkeypatch, n_random):
-    # at N = 7 a point costs 8 * max(5 N (N - 1)(N - 2), 4 N^2) = 8400
-    # bytes of scan rows; 255 653 points are the fewest over
-    # MAX_HISTORY_BYTES, refused before the points are drawn
+    # at N = 7 a scan holds 53 760 bytes and 13 328 per point at its peak;
+    # 161 122 points are the fewest over MAX_HISTORY_BYTES, refused before
+    # the points are drawn
     def reached(*args, **kwargs):
         raise ExperimentError("scan points drawn")
     monkeypatch.setattr("fastslow.cli.default_scan_points", reached)
@@ -724,7 +737,7 @@ def test_certify_point_count_over_the_memory_cap_is_config_error(
                           f"{n_random + 1} points needs ")
     assert err.endswith(f"over MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}\n")
     # one point fewer passes the cap and goes on to draw its points
-    cfg["certify"]["n_random_points"] = 255_651
+    cfg["certify"]["n_random_points"] = 161_120
     assert run(tmp_path, "certify", cfg)[0] == 3
     assert capsys.readouterr().err == "runtime error: scan points drawn\n"
 

@@ -774,6 +774,17 @@ def test_spelling_kernel_on_every_binade_and_its_edges():
     assert spelled(values) == ["%.17g" % v for v in values.tolist()]
 
 
+def test_spelling_kernel_with_digits_on_both_sides_of_the_point():
+    # exponent 1 to 15 with fractional digits: the "%" fallback's values
+    rng = np.random.default_rng(35)
+    drawn = rng.random(5_000) * 10.0 ** rng.integers(2, 17, 5_000)
+    values = np.concatenate([[12.5, 3141592.6535, 999999999999999.9,
+                              10.000000000000002, 99.999999999999986],
+                             drawn[(drawn >= 10) & (drawn % 1 != 0)]])
+    values = np.concatenate([values, -values])
+    assert spelled(values) == ["%.17g" % v for v in values.tolist()]
+
+
 def test_csv_writer_memory_does_not_grow_with_the_table():
     # the 38 MB text of a 30 000 x 64 table is spelled and written block
     # by block: the writer's own peak stays near one block's 1 MB, where

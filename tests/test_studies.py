@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,6 +157,34 @@ def test_attraction_rate_exact_for_frozen_phases():
     assert report.fitted_rate_per_fast_time == pytest.approx(1.0, abs=1e-6)
     assert report.residual < 1e-6
     assert report.epsilon == params.epsilon
+
+
+def test_attraction_distance_pass_adds_about_the_history(monkeypatch):
+    # 8 samples of N = 12 a block: the pass over 121 samples holds one
+    # block's surface beside the history, not the whole history's surface
+    monkeypatch.setattr(studies, "BLOCK_VALUES", 96)
+    params = make_params(n=12, epsilon=0.01, seed=3)
+    c = make_kuramoto(0.6)
+    seen = {}
+
+    def integrate_then_mark(*args):
+        seen["traj"] = integrate_full(*args)
+        tracemalloc.reset_peak()
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        return seen["traj"]
+    monkeypatch.setattr(studies, "integrate_full", integrate_then_mark)
+    tracemalloc.start()
+    try:
+        report = attraction_study(params, c, off_surface_state(params, c),
+                                  IntegrationConfig(6 * params.epsilon, 120))
+        added = tracemalloc.get_traced_memory()[1] - seen["before"]
+    finally:
+        tracemalloc.stop()
+    traj = seen["traj"]
+    assert traj.weights.shape == (121, 12, 12)
+    assert added <= traj.weights.nbytes
+    whole = distance_to_slow_manifold(params, c, traj.thetas, traj.weights, 1)
+    assert report.distances.tobytes() == whole.tobytes()
 
 
 def test_attraction_rate_near_one_with_moving_phases():
