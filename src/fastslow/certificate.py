@@ -8,9 +8,9 @@ negative outcome is reported as absence of evidence, never as a proof of
 pairwiseness.
 
 Two evaluation routes are kept deliberately separate: a 4-point central
-finite-difference stencil applied to any callable field, and an exact
-chain-rule differentiation of the triplet-interaction terms.  Tests compare
-them; neither replaces the other.
+finite-difference stencil applied to any callable field, and the exact
+mixed derivative of the triplet interaction summed over its harmonic table.
+Tests compare them; neither replaces the other.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class CertificateReport:
     field at the maximizing tuple.  ``analytic_value`` is the exact mixed
     derivative of the bare triplet double sum at the same tuple (without
     the epsilon / N^2 prefactor carried by the field); it is present only
-    when the scanned field exposes coupling data of second order.
+    when the scanned field's coupling has a triplet harmonic table.
     ``noise_floor`` is the largest |FD value| of the pairwise companion over
     every triple at ``point`` (0 with no companion), and ``threshold`` is
     max(10 * noise_floor, MIN_THRESHOLD).
@@ -111,54 +111,27 @@ def mixed_second_derivative_fd(field, i: int, j: int, k: int, theta,
     return val / scale
 
 
-def _mixed_derivative_of_triplet(coupling, a: float, b: float, d: float) -> float:
-    """Exact d^2/(db dd) of the triplet interaction with phases (a, b, d)
-    in the (first, second, third) slots.
-
-    The interaction is
-        t = - gamma(b - a) * target_du(a, b) * target(a, d) * gamma(d - a)
-            - gamma(b - a) * target_dv(a, b) * target(b, d) * gamma(d - b)
-    and both factors in each product depend on at most one of (b, d) except
-    the final target * gamma pair in the second summand, which needs the
-    product rule in both variables.
-    """
-    c = coupling
-    g_ba = c.gamma(b - a)
-    g1_ba = c.gamma_d1(b - a)
-    # first summand: (b-dependent prefix) * (d-dependent suffix)
-    d_prefix_db = g1_ba * c.target_du(a, b) + g_ba * c.target_duv(a, b)
-    d_suffix_dd = c.target_dv(a, d) * c.gamma(d - a) \
-        + c.target(a, d) * c.gamma_d1(d - a)
-    first = -d_prefix_db * d_suffix_dd
-    # second summand: suffix target(b, d) * gamma(d - b) depends on both
-    suffix_dd = c.target_dv(b, d) * c.gamma(d - b) \
-        + c.target(b, d) * c.gamma_d1(d - b)
-    suffix_dd_db = (c.target_duv(b, d) * c.gamma(d - b)
-                    - c.target_dv(b, d) * c.gamma_d1(d - b)
-                    + c.target_du(b, d) * c.gamma_d1(d - b)
-                    - c.target(b, d) * c.gamma_d2(d - b))
-    second = -(g1_ba * c.target_dv(a, b) * suffix_dd
-               + g_ba * c.target_dvv(a, b) * suffix_dd
-               + g_ba * c.target_dv(a, b) * suffix_dd_db)
-    return float(first + second)
-
-
 def triplet_mixed_derivative(coupling, i: int, j: int, k: int, theta) -> float:
     """Exact mixed derivative d^2/(d theta_j d theta_k) of the sum of the
     two triplet interactions with node i first and (j, k) in either order.
 
     Only those two summands of the full double sum survive the mixed
     derivative when i, j, k are pairwise distinct: every other term misses
-    one of the two differentiation variables.  Multiply by epsilon / N^2
-    to obtain the corresponding contribution at field level.
+    one of the two differentiation variables.  Each row a * sin(m . theta)
+    of the coupling's harmonic table gives a * (-m_j m_k) * sin(m . theta),
+    its (j, k) part summed first so that swapping j and k keeps every bit.
+    Times epsilon / N^2 this is the contribution at field level.
     """
     theta = _check_indices(theta, (i, j, k))
     if len({i, j, k}) != 3:
         raise ContractError(f"indices must be pairwise distinct, got ({i}, {j}, {k})")
     require_derivatives(coupling, 2)
-    direct = _mixed_derivative_of_triplet(coupling, theta[i], theta[j], theta[k])
-    swapped = _mixed_derivative_of_triplet(coupling, theta[i], theta[k], theta[j])
-    return direct + swapped
+    m, a = coupling.triplet_harmonics()
+    mi, mj, mk = np.asarray(m).T
+    head = mi * theta[i]
+    return float(np.sum(a * (-mj * mk) * (
+        np.sin(head + (mj * theta[j] + mk * theta[k]))
+        + np.sin(head + (mk * theta[j] + mj * theta[k])))))
 
 
 def anchor_point(n_nodes: int) -> FloatArray:
@@ -190,11 +163,12 @@ def default_scan_points(n_nodes: int, seed: int = DEFAULT_SCAN_SEED,
 
 def _scan_bytes(n: int, n_points: int) -> int:
     """Bytes a scan of a reduced field of n nodes at P = n_points holds at
-    its peak: under 256 a triple in index tuples and views, and N(N - 1)
-    by-pair values (P, N) beside one pair call's at most 7 arrays (4P, N,
-    N) or beside the (T, P, 5) table and its finite check, under 6TP doubles."""
-    per_point = n * (n - 1) + max(6 * (n - 1) * (n - 2), 28 * n)
-    return 8 * n * (32 * (n - 1) * (n - 2) + n_points * per_point)
+    its peak: 8 KiB of Python objects, the (T, 3) triple indices, and the
+    (N, N, P, N) by-pair values beside one pair call's at most 8 arrays (4P,
+    N, N) or beside the (T, P, 5) table and its finite check, under 6TP
+    doubles."""
+    per_point = n * n + max(6 * (n - 1) * (n - 2), 32 * n)
+    return 8192 + 8 * n * (3 * (n - 1) * (n - 2) + n_points * per_point)
 
 
 def scan_mixed_derivatives(field, points,
@@ -220,27 +194,30 @@ def scan_mixed_derivatives(field, points,
         raise ContractError(f"points must be a (P >= 1, {n}) stack, got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ContractError("scan points must be finite")
-    triples = list(itertools.permutations(range(n), 3))
-    if not triples:  # fewer than 3 nodes: T = 0
+    off = ~np.eye(n, dtype=bool)  # off[j, k]: j != k
+    triples = np.argwhere(off[:, :, None] & off[:, None] & off)
+    if not len(triples):  # fewer than 3 nodes: T = 0
         return np.empty((0, 5))
-    scale = _stencil_scale(points, fd_step, [t[1:] for t in triples])
-    by_pair, e = {}, fd_step * np.eye(n)
+    scale = _stencil_scale(points, fd_step, ((j, k) for _, j, k in triples))
+    by_pair, e = np.empty((n, n) + points.shape), fd_step * np.eye(n)
     for j, k in itertools.combinations(range(n), 2):
         plus, minus = points + e[j], points - e[j]
         a, b, c, d = np.split(field(np.concatenate(
             [plus + e[k], plus - e[k], minus + e[k], minus - e[k]])), 4)
         by_pair[j, k], by_pair[k, j] = a - b - c + d, a - c - b + d
     rows = np.empty((len(triples), len(points), 5))  # no temporary table
-    rows[..., :3] = np.reshape(triples, (-1, 1, 3))
+    rows[..., :3] = triples[:, None]
     rows[..., 3] = np.arange(len(points))
-    values = rows.reshape(-1, 5)[:, 4]
-    np.concatenate([by_pair[j, k][:, i] for i, j, k in triples], out=values)
-    values /= scale
+    block = len(triples) // n  # the (N - 1)(N - 2) triples of each i
+    for i in range(n):  # a gather of all T values would be a (T, P) temporary
+        rows[i * block:(i + 1) * block, :, 4] = \
+            by_pair[..., i][off & off[i] & off[i, :, None]]
+    rows[..., 4] /= scale
     bad = np.argwhere(~np.isfinite(rows[..., 4]))
     if len(bad):
         t, g = bad[0]
-        raise ContractError(f"the FD value of triple {triples[t]} at point {g} "
-                            f"is not finite: {rows[t, g, 4]}")
+        raise ContractError(f"the FD value of triple {tuple(triples[t].tolist())} "
+                            f"at point {g} is not finite: {rows[t, g, 4]}")
     return rows.reshape(-1, 5)
 
 

@@ -166,37 +166,37 @@ class Coupling:
     ``gamma`` is the phase-difference coupling entering the phase equation;
     ``target`` is the adaptation target the weights relax toward.  Both must
     be 2*pi-periodic in every argument and broadcast elementwise over numpy
-    arrays.  Derivatives are optional: supply the slots ``DERIVATIVE_SLOTS``
-    lists for the intended operations (order 1 for the corrected reduced
-    field, order 2 for the analytic certificate).  Any object with these
-    callables as attributes works alike; no other method is needed.
-    Derivatives may be closed form or finite-difference backed; either way
-    they must be consistent with the function one order below.
+    arrays.  The other slots are optional: supply those ``DERIVATIVE_SLOTS``
+    lists for the intended operations (order 1, the derivatives, for the
+    corrected reduced field; order 2, the triplet harmonic table, for the
+    analytic certificate).  Any object with these callables as attributes
+    works alike; no other method is needed.  Derivatives may be closed form
+    or finite-difference backed; either way they must be consistent with
+    the function one order below.
 
     Naming: ``gamma_d1`` is d gamma / d phi, ``target_du`` and ``target_dv``
-    are the partials in the first and second slot, and so on for second
-    order.  A target of phi = v - u alone may add both target_diff(phi) =
-    target(u, v) and target_diff_d1 = d/dv = -d/du, which the fields then use
-    in place of the (u, v) slots; those stay required.
+    are the partials in the first and second slot.  A target of phi = v - u
+    alone may add both target_diff(phi) = target(u, v) and target_diff_d1 =
+    d/dv = -d/du, which the fields then use in place of the (u, v) slots;
+    those stay required.  ``triplet_harmonics()`` returns integer rows m
+    (R, 3) and amplitudes a (R,): triplet_interaction(i, j, k) is the sum
+    of a * sin(m_i theta_i + m_j theta_j + m_k theta_k).
     """
 
     gamma: PhaseFn
     target: PhaseFn
     gamma_d1: Optional[PhaseFn] = None
-    gamma_d2: Optional[PhaseFn] = None
     target_du: Optional[PhaseFn] = None
     target_dv: Optional[PhaseFn] = None
-    target_duv: Optional[PhaseFn] = None
-    target_dvv: Optional[PhaseFn] = None
     target_diff: Optional[PhaseFn] = None
     target_diff_d1: Optional[PhaseFn] = None
+    triplet_harmonics: Optional[PhaseFn] = None
 
 
-# the derivative slots an operation of each order needs: order 1 is the
-# corrected surface and field, order 2 the analytic certificate
+# the slots an operation of each order needs: order 1 is the corrected
+# surface and field, order 2 the analytic certificate's harmonic table
 DERIVATIVE_SLOTS = {0: (), 1: ("gamma_d1", "target_du", "target_dv"),
-                    2: ("gamma_d1", "target_du", "target_dv",
-                        "gamma_d2", "target_duv", "target_dvv")}
+                    2: ("triplet_harmonics",)}
 
 
 def missing_derivatives(coupling, order: int) -> list:
@@ -225,7 +225,9 @@ def _cos_target_d1(phi):  # 0.0 - sin, not -sin: at u == v, phi = +0 = sin(u - v
 @dataclass(frozen=True)
 class KuramotoCoupling:
     """Adaptive Kuramoto coupling: gamma(phi) = sin(phi),
-    target(u, v) = alpha + cos(u - v), all derivatives in closed form.
+    target(u, v) = alpha + cos(u - v), all derivatives and the triplet
+    harmonic table in closed form; the table's (2, -1, -1) row is the
+    triadic coupling of Skardal & Arenas 2019 (PRL 122:248301).
 
     Structurally interchangeable with :class:`Coupling` (bound methods in
     place of stored callables).
@@ -245,9 +247,6 @@ class KuramotoCoupling:
     def gamma_d1(self, phi):
         return np.cos(phi)
 
-    def gamma_d2(self, phi):
-        return -np.sin(phi)
-
     def target_diff(self, phi):
         return _cos_target(self.alpha, phi)
 
@@ -263,11 +262,13 @@ class KuramotoCoupling:
     def target_dv(self, u, v):
         return _cos_target_d1(v - u)
 
-    def target_duv(self, u, v):
-        return np.cos(u - v)
-
-    def target_dvv(self, u, v):
-        return -np.cos(u - v)
+    def triplet_harmonics(self):
+        a = self.alpha
+        return (np.array([(0, 1, -1), (1, 0, -1), (1, -2, 1), (2, -3, 1),
+                          (2, -1, -1), (3, -2, -1), (0, 2, -2), (2, 0, -2),
+                          (2, -4, 2), (4, -2, -2)]),
+                np.array([-a / 2, a / 2, a / 4, -a / 4, a / 4, -a / 4,
+                          -3 / 8, 3 / 8, -1 / 8, -1 / 8]))
 
 
 def make_kuramoto(alpha: float) -> KuramotoCoupling:

@@ -114,13 +114,14 @@ def test_stack_equals_per_point():
 
 
 def test_triplet_mixed_derivative_star_value():
-    c = make_kuramoto(0.7)
-    theta = np.array([0.0, np.pi / 2, 0.0])
-    assert triplet_mixed_derivative(c, 0, 1, 2, theta) == \
-        pytest.approx(-0.7, abs=1e-12)
-    # the anchor value is proportional to alpha
-    assert triplet_mixed_derivative(make_kuramoto(0.0), 0, 1, 2, theta) == \
-        pytest.approx(0.0, abs=1e-12)
+    for alpha, theta, value in [
+            (0.7, (0.0, np.pi / 2, 0.0), -0.7),
+            (0.0, (0.0, np.pi / 2, 0.0), 0.0),  # the anchor value is -alpha
+            # the eighth-lattice witness: claim 3 does not rest on alpha != 0
+            (0.0, (0.0, 0.0, np.pi / 4), -2.0),
+            (0.7, (0.0, 0.0, np.pi / 4), -2.0 - (1.0 - np.sqrt(2.0) / 4.0) * 0.7)]:
+        got = triplet_mixed_derivative(make_kuramoto(alpha), 0, 1, 2, np.array(theta))
+        assert got == pytest.approx(value, abs=1e-12)
 
 
 def test_triplet_mixed_derivative_symmetric_in_jk():

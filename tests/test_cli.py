@@ -720,11 +720,11 @@ def test_omega_range_beyond_the_float_range_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: model.omega: low must be below high")
 
 
-@pytest.mark.parametrize("n_random", [10 ** 12, 161_121])
+@pytest.mark.parametrize("n_random", [10 ** 12, 140_467])
 def test_certify_point_count_over_the_memory_cap_is_config_error(
         tmp_path, capsys, monkeypatch, n_random):
-    # at N = 7 a scan holds 53 760 bytes and 13 328 per point at its peak;
-    # 161 122 points are the fewest over MAX_HISTORY_BYTES, refused before
+    # at N = 7 a scan holds 13 232 bytes and 15 288 per point at its peak;
+    # 140 468 points are the fewest over MAX_HISTORY_BYTES, refused before
     # the points are drawn
     def reached(*args, **kwargs):
         raise ExperimentError("scan points drawn")
@@ -737,7 +737,7 @@ def test_certify_point_count_over_the_memory_cap_is_config_error(
                           f"{n_random + 1} points needs ")
     assert err.endswith(f"over MAX_HISTORY_BYTES = {MAX_HISTORY_BYTES}\n")
     # one point fewer passes the cap and goes on to draw its points
-    cfg["certify"]["n_random_points"] = 161_120
+    cfg["certify"]["n_random_points"] = 140_466
     assert run(tmp_path, "certify", cfg)[0] == 3
     assert capsys.readouterr().err == "runtime error: scan points drawn\n"
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -168,6 +169,23 @@ def test_kuramoto_rejects_nonfinite_alpha():
             KuramotoCoupling(alpha=alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.7, 0.0])
+def test_triplet_harmonics_are_the_spectrum_of_the_kernel(alpha):
+    """The FFT of triplet_interaction on a 16^3 grid has coefficient
+    -i a / 2 at each row m of the table and +i a / 2 at -m, and every other
+    coefficient is below 1e-15.  Every |m| <= 4 < 8, so nothing aliases."""
+    c = make_kuramoto(alpha)
+    grid = np.arange(16) * TWO_PI / 16
+    kernel = [triplet_interaction(c, 0, 1, 2, np.array(theta))
+              for theta in itertools.product(grid, repeat=3)]
+    spectrum = np.fft.fftn(np.reshape(kernel, (16, 16, 16))) / 16 ** 3
+    m, a = c.triplet_harmonics()
+    assert m.shape == (10, 3) and a.shape == (10,)
+    table = np.zeros_like(spectrum)
+    table[tuple(m.T)], table[tuple(-m.T)] = -0.5j * a, 0.5j * a
+    assert np.max(np.abs(spectrum - table)) < 1e-15
+
+
 def _periodicity_points():
     rng = np.random.default_rng(3)
     return rng.uniform(-TWO_PI, 2 * TWO_PI, size=(20, 2))
@@ -285,15 +303,10 @@ def test_derivative_consistency_on_grid():
         assert np.max(np.abs(analytic - fd)) < FD_TOL
 
     check(c.gamma_d1(grid_u), _central(c.gamma, grid_u))
-    check(c.gamma_d2(grid_u), _central(c.gamma_d1, grid_u))
     check(c.target_du(grid_u, grid_v),
           _central(lambda u: c.target(u, grid_v), grid_u))
     check(c.target_dv(grid_u, grid_v),
           _central(lambda v: c.target(grid_u, v), grid_v))
-    check(c.target_duv(grid_u, grid_v),
-          _central(lambda v: c.target_du(grid_u, v), grid_v))
-    check(c.target_dvv(grid_u, grid_v),
-          _central(lambda v: c.target_dv(grid_u, v), grid_v))
 
 
 def test_generic_coupling_capability_flags():
@@ -306,8 +319,7 @@ def test_generic_coupling_capability_flags():
                      target_du=lambda u, v: -np.sin(u - v),
                      target_dv=lambda u, v: np.sin(u - v))
     assert missing_derivatives(first, 1) == []
-    assert missing_derivatives(first, 2) == ["gamma_d2", "target_duv",
-                                             "target_dvv"]
+    assert missing_derivatives(first, 2) == ["triplet_harmonics"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +329,15 @@ def test_generic_coupling_capability_flags():
 SLOTS = [f.name for f in dataclasses.fields(Coupling)]
 
 
+def test_every_coupling_slot_is_a_kuramoto_method():
+    # callables_only copies these methods, and perfbench's tracer counts
+    # model.<slot> only for slots it finds in KuramotoCoupling.__dict__
+    for name in SLOTS:
+        assert callable(KuramotoCoupling.__dict__.get(name)), name
+
+
 def callables_only(drop=(), calls=None):
-    """The eleven slot callables of make_kuramoto(0.7) on a plain namespace,
+    """The slot callables of make_kuramoto(0.7) on a plain namespace,
     with no other attribute, less the slots in ``drop``.  When ``calls``
     is a list, every evaluation appends its slot name to it."""
     base = make_kuramoto(0.7)
