@@ -158,7 +158,7 @@ class Trajectory:
 
 def rk4_step(rhs, state: FloatArray, dt) -> FloatArray:
     """One classical Runge-Kutta step on a flat state array, or on a stack
-    of them (S, D) with dt a float, a column (S, 1) or an array (S, D).
+    of them (..., D) with dt a float or an array that broadcasts to it.
     Bit for bit it is state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     with stages at state + 0.5 * dt * k, and it writes only into arrays it
     allocated: never into ``state`` or an array ``rhs`` returned.  Raises
@@ -189,23 +189,44 @@ def _check_finite(out, scheme: str) -> None:
 
 def _integrate(rhs, state: FloatArray, grid: IntegrationConfig, what: str,
                stored: Optional[int] = None, step=None,
-               mend="shorten integration.t_end") -> FloatArray:
+               mend="shorten integration.t_end", paired: bool = False):
     """Step ``state`` over ``grid``, step(rhs, state, grid.dt) at a time,
     rk4_step by default, and return the first ``stored`` columns (all by
     default) at its grid.n_samples sample times, the initial state first.
 
     ``state`` is one flat row (D,), giving rows (n_samples, D), or a stack
-    (S, D), giving rows (n_samples, S, D); a stack of one row is stepped
-    as a flat row, on which numpy is faster.
+    (S, D), or deeper, giving rows (n_samples, S, D); a stack of one row is
+    stepped as a flat row, on which numpy is faster.
     ``what`` names the system in the error raised when a step fails, with
     the time, the step and, in a stack of more than one row, the failing
     rows.  A history over MAX_HISTORY_BYTES raises ContractError, which
     ends with ``mend``, before it is allocated.
+
+    ``paired`` also steps ``state`` on _doubled(grid) and returns (coarse
+    rows, fine rows), each with the bits of its own run: stacked on a
+    leading axis of 2, both take step(rhs, pair, (dt, dt / 2) as a column),
+    then the fine run its second half alone.  A failed pair is stepped
+    again as its two runs, coarse first, to fail as they do.
     """
     step = rk4_step if step is None else step
+    if paired:
+        fine = _doubled(grid)
+        dts = np.reshape([grid.dt, fine.dt], (2,) + (1,) * np.ndim(state))
+
+        def pair(rhs, u, _):  # both runs' step of grid, then fine's second
+            u = step(rhs, u, dts)
+            u[1] = step(rhs, u[1], fine.dt)
+            return u
+        try:
+            rows = _integrate(rhs, np.stack([state, state]), grid, what,
+                              stored, pair, mend)
+        except IntegrationError:
+            return tuple(_integrate(rhs, state, g, what, stored, step, mend)
+                         for g in (grid, fine))
+        return rows[:, 0], rows[:, 1]
     dt, substeps, n_samples = grid.dt, grid.sample_every, grid.n_samples
     stack = np.array(state, dtype=float, ndmin=2)
-    kept = stack[:, :stored]
+    kept = stack[..., :stored]
     needs = 8.0 * n_samples * kept.size
     if needs > MAX_HISTORY_BYTES:
         raise ContractError(
@@ -227,7 +248,11 @@ def _integrate(rhs, state: FloatArray, grid: IntegrationConfig, what: str,
                                        f"t={n * dt:.6g} (step {n}): {exc}",
                                        failed) from exc
         rows[sample] = kept
-    return rows if state.ndim == 2 else rows[:, 0]
+    return rows if state.ndim >= 2 else rows[:, 0]
+
+
+def _doubled(g: IntegrationConfig):  # g's samples at twice its steps
+    return IntegrationConfig(g.t_end, 2 * g.n_steps, 2 * g.sample_every)
 
 
 def _full_rhs(params: ModelParams, coupling):
@@ -286,50 +311,43 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
     1/2, 1/2, 1, 1/2), stage i is e^(c_i z) u + h sum_j a_ij forcing(U_j)
     and the step e^z u + h sum_i b_i forcing(U_i); on theta it is a
     Runge-Kutta method of order 4.  Needs the order-1 slots; each row has
-    the bits of its own one-row run.
-
-    ``paired`` also steps the rows on IntegrationConfig(t_end, 2 n_steps,
-    2 sample_every) and returns (coarse, fine), each with the bits of its
-    own run: the S rows stacked twice, h a column, each step of config
-    sweeps the stages of all 2S rows, then of the fine rows alone.  A failed
-    pair is stepped again as its two runs, coarse first, to fail as they do."""
+    the bits of its own one-row run, and ``paired`` is _integrate's."""
     core = _Core(params, coupling, 1)
-    n, eps = params.n_nodes, np.asarray(epsilons, dtype=float)
-    grids = [config, IntegrationConfig(config.t_end, 2 * config.n_steps, 2 *
-             config.sample_every)] if paired else [config]
-    h = np.repeat([grid.dt for grid in grids], eps.size)[:, None]  # per row
-    z = np.stack([np.zeros(h.size), -h[:, 0] / np.tile(eps, len(grids))], -1)
-    # phi_{j+1}(t) = (phi_j(t) - 1/j!) / t, phi_0 = exp, at z and z / 2 as
-    # the mean over 32 points of the unit circle around each (Kassam &
-    # Trefethen 2005, SIAM J. Sci. Comput. 26:1214): 1e-14 relative, also
-    # at z = 0 and wherever the quotients cancel
-    t = np.stack([z, z / 2])[..., None] \
-        + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-    phis = [(np.exp(t) - 1.0) / t]
-    for c in (1.0, 0.5):
-        phis.append((phis[-1] - c) / t)
-    (p1, q1), (p2, q2), (p3, q3) = (p.mean(-1).real for p in phis)
-    a52 = q2 / 2 - p3 + p2 / 4 - q3 / 2
-    a54 = q2 / 4 - a52
-    # (e^(c_i z), a_i1, ..., a_i,i-1) for stages 2 to 5, then the output,
-    # at the state's shape: column 0 on theta's n entries, 1 on y's n * n
-    table = [[None if a is None else np.repeat(a * (h if k else 1.0),
-                                               [n, n * n], -1)
-              for k, a in enumerate(row)] for row in [
-        (np.exp(z / 2), q1 / 2), (np.exp(z / 2), q1 / 2 - q2, q2),
-        (np.exp(z), p1 - 2 * p2, p2, p2),
-        (np.exp(z / 2), q1 / 2 - 2 * a52 - a54, a52, a52, a54),
-        (np.exp(z), p1 - 3 * p2 + 4 * p3, None, None, 4 * p3 - p2,
-         4 * p2 - 8 * p3)]]
-    fine = [[None if a is None else a[-eps.size:] for a in row]
-            for row in table]
+    n, eps, tables = params.n_nodes, np.asarray(epsilons, dtype=float), {}
+
+    def stage_table(h):  # at a step h, a float or the pair's (2, 1, 1)
+        z = np.concatenate(np.broadcast_arrays(0.0, -h / eps[:, None]), -1)
+        # phi_{j+1}(t) = (phi_j(t) - 1/j!) / t, phi_0 = exp, at z and z / 2
+        # as the mean over 32 points of the unit circle around each (Kassam
+        # & Trefethen 2005, SIAM J. Sci. Comput. 26:1214): 1e-14 relative,
+        # also at z = 0 and wherever the quotients cancel
+        t = np.stack([z, z / 2])[..., None] \
+            + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        phis = [(np.exp(t) - 1.0) / t]
+        for c in (1.0, 0.5):
+            phis.append((phis[-1] - c) / t)
+        (p1, q1), (p2, q2), (p3, q3) = (p.mean(-1).real for p in phis)
+        a52 = q2 / 2 - p3 + p2 / 4 - q3 / 2
+        a54 = q2 / 4 - a52
+        # (e^(c_i z), a_i1, ..., a_i,i-1) for stages 2 to 5, then the
+        # output, at the state's shape: column 0 on theta, 1 on y
+        return [[None if a is None else np.repeat(a * (h if k else 1.0),
+                                                  [n, n * n], -1)
+                 for k, a in enumerate(row)] for row in [
+            (np.exp(z / 2), q1 / 2), (np.exp(z / 2), q1 / 2 - q2, q2),
+            (np.exp(z), p1 - 2 * p2, p2, p2),
+            (np.exp(z / 2), q1 / 2 - 2 * a52 - a54, a52, a52, a54),
+            (np.exp(z), p1 - 3 * p2 + 4 * p3, None, None, 4 * p3 - p2,
+             4 * p2 - 8 * p3)]]
 
     def forcing(u):  # on a flat row or a stack of them
         _, _, f, h1 = core.terms(u[..., :n],
                                  u[..., n:].reshape(u.shape[:-1] + (n, n)))
         return np.concatenate((f, h1.reshape(f.shape[:-1] + (n * n,))), -1)
 
-    def sweep(rhs, state, table):  # one step of the rows table covers
+    def step(rhs, state, h):  # like rk4_step, rhs the forcing
+        key = np.asarray(h).tobytes()
+        table = tables.get(key) or tables.setdefault(key, stage_table(h))
         u, ks = state, []
         for e, *row in table:
             ks.append(rhs(u))
@@ -337,34 +355,25 @@ def _exponential_stack(params: ModelParams, coupling, epsilons, theta0,
             for a, k in zip(row, ks):
                 if a is not None:
                     u += a * k
-        return u
-
-    def step(rhs, state, _):  # like rk4_step, rhs the forcing, h built in
-        u = sweep(rhs, state, table)
-        if paired:  # a value not finite stays so through the fine sweep
-            u[eps.size:] = sweep(rhs, u[eps.size:], fine)
         if not math.isfinite(np.vdot(u, u)):
             _check_finite(u, "exponential")
         return u
     start = np.concatenate([np.tile(theta0, (eps.size, 1)), (
         eps[:, None, None] * core.terms(theta0)[3]).reshape(eps.size, -1)], -1)
-    try:
-        phases = wrap_phase(_integrate(forcing, np.tile(start, (
-            len(grids), 1)), config, "full-system", stored=n, step=step))
-    except IntegrationError:
-        if paired:
-            return tuple(_exponential_stack(params, coupling, eps, theta0,
-                                            grid) for grid in grids)
-        raise
-    return (phases[:, :eps.size], phases[:, eps.size:]) if paired else phases
+    rows = _integrate(forcing, start, config, "full-system", stored=n,
+                      step=step, paired=paired)
+    return tuple(map(wrap_phase, rows)) if paired else wrap_phase(rows)
 
 
-def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajectory:
+def integrate_reduced(field, initial_theta, config: IntegrationConfig,
+                      paired: bool = False):
     """Integrate a phase-only reduced field from one phase vector (N,), or
     from a stack (S, N) that the field evaluates in one call, giving thetas
     (samples, S, N).  No epsilon guard applies; the reduced field carries
     no fast relaxation.  A field value at the start of another shape than
-    the start's is a ContractError, raised before any step."""
+    the start's is a ContractError, raised before any step.  ``paired`` is
+    _integrate's, giving a Trajectory on config and one at twice its steps;
+    the field then evaluates the pair (2,) + the start's shape in one call."""
     theta0 = _floats(initial_theta, "initial theta")
     _check_grid(config)
     n = _check_field(field)
@@ -376,8 +385,11 @@ def integrate_reduced(field, initial_theta, config: IntegrationConfig) -> Trajec
     if out != theta0.shape:
         raise ContractError(f"the field must return the shape {theta0.shape} "
                             f"of the phases it is given, got {out}")
-    return Trajectory(config, wrap_phase(_integrate(field, theta0, config,
-                                                    "reduced")))
+    rows = _integrate(field, theta0, config, "reduced", paired=paired)
+    if paired:
+        return tuple(Trajectory(grid, wrap_phase(run))
+                     for grid, run in zip((config, _doubled(config)), rows))
+    return Trajectory(config, wrap_phase(rows))
 
 
 @functools.cache

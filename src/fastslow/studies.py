@@ -219,7 +219,7 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
     stack, the order-0 field and the order-1 field at every epsilon another,
     each row with the bits of its own run; both are stepped on
     IntegrationConfig(t_end, n * s, s), s = 1, 2, 4, ..., each run once,
-    the reference's first two runs as one paired stack.
+    each stack's runs at s = 1 and 2 as one pair (integrate._integrate).
     The step is halved until the self-gap, the largest phase distance
     between a run and the one at twice its step, reference or reduced, is at
     most SELF_GAP_BUDGET = 1e-3 times the finer run's smallest order-1
@@ -263,16 +263,17 @@ def convergence_study(params_base: ModelParams, coupling, theta0,
         return _named([f"epsilon={e}" for e in eps], lambda: _exponential_stack(
             params_base, coupling, eps, theta0, config, paired=paired))
 
-    def reduced(config):
-        return _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
+    def reduced(config, paired=False):
+        runs = _named(["order 0"] + [f"order 1 at epsilon={e}" for e in eps],
                       lambda: integrate_reduced(field, np.tile(
-                          theta0, (1 + eps.size, 1)), config).thetas)
-    refs = list(reference(grid(1), paired=True))  # s = 1 and 2, one stack
-    substeps, fine = 1, (refs.pop(0), reduced(grid(1)))
+                          theta0, (1 + eps.size, 1)), config, paired=paired))
+        return tuple(run.thetas for run in runs) if paired else runs.thetas
+    pairs = list(zip(reference(grid(1), True), reduced(grid(1), True)))
+    substeps, fine = 1, pairs.pop(0)
     while True:
         substeps, coarse = 2 * substeps, fine
-        fine = (refs.pop() if refs else reference(grid(substeps)),
-                reduced(grid(substeps)))
+        fine = pairs.pop() if pairs else (reference(grid(substeps)),
+                                          reduced(grid(substeps)))
         phases, thetas = fine
         # order k's error at epsilon m: the reduced row 0, or 1 + m
         errs0, errs1 = (np.array([phase_distance(phases[:, m], thetas[:, k * (

@@ -515,6 +515,37 @@ def test_stack_failure_names_rows_on_their_own_step_grid():
     assert info.value.rows == (0,)
 
 
+@pytest.mark.parametrize("low, high, coarse_fails", [
+    # 0.045 = 4.5 steps of 0.01: a coarse stage, and a fine one
+    (0.044, 0.046, True),
+    # 0.0325 = 6.5 fine steps of 0.005, in the first half of a coarse step
+    (0.032, 0.033, False),
+    # 0.0375 = 7.5 fine steps, in the fine run's second half alone
+    (0.037, 0.038, False)], ids=["coarse", "fine first half",
+                                 "fine second half"])
+def test_failed_pair_fails_as_its_two_runs(low, high, coarse_fails):
+    """Every phase drifts at 1 until row 1, started at 0, lies in (low,
+    high); a paired run raises the error of the two runs stepped on their
+    own, the coarse one first, with its text and rows."""
+    def field(theta):
+        return np.where((low < theta) & (theta < high), np.nan, 1.0)
+    field.n_nodes = 2
+    theta0 = np.array([[1.0, 1.0], [0.0, 0.0]])
+    config = IntegrationConfig(0.1, 10)
+    fine = IntegrationConfig(0.1, 20, 2)
+    errors = []
+    for grid in (config, fine):
+        try:
+            integrate_reduced(field, theta0, grid)
+        except IntegrationError as exc:
+            errors.append(exc)
+    assert len(errors) == 1 + coarse_fails
+    with pytest.raises(IntegrationError) as info:
+        integrate_reduced(field, theta0, config, paired=True)
+    assert str(info.value) == str(errors[0])
+    assert info.value.rows == errors[0].rows == (1,)
+
+
 def test_history_over_the_memory_cap_is_rejected_before_allocating():
     """N = 400 with 10 001 samples would store 12.8 GB of history: the run
     is a ContractError that names the bytes and the stride, raised before

@@ -327,8 +327,8 @@ def record_runs(monkeypatch):
     their grids' substeps, the full one first on each grid:
     ("full", epsilons, config, phases) for the full-system stack and
     ("reduced", epsilons, config, trajectory) for the reduced stack, whose
-    epsilon is 0 in the order-0 row.  A paired full call is recorded as the
-    two runs it carries, on config and on the grid of twice its steps."""
+    epsilon is 0 in the order-0 row.  A paired call is recorded as the two
+    runs it carries, on config and on the grid of twice its steps."""
     runs = []
     real_full = studies._exponential_stack
     real_reduced = studies.integrate_reduced
@@ -345,10 +345,11 @@ def record_runs(monkeypatch):
             log("full", list(epsilons), grid, run)
         return phases
 
-    def reduced(field, theta0, config):
-        traj = real_reduced(field, theta0, config)
-        log("reduced", field.epsilon.ravel().tolist(), config, traj)
-        return traj
+    def reduced(field, theta0, config, paired=False):
+        trajs = real_reduced(field, theta0, config, paired=paired)
+        for traj in trajs if paired else [trajs]:
+            log("reduced", field.epsilon.ravel().tolist(), traj.grid, traj)
+        return trajs
     monkeypatch.setattr(studies, "_exponential_stack", full)
     monkeypatch.setattr(studies, "integrate_reduced", reduced)
     return runs
@@ -668,41 +669,70 @@ def random_model(n, kind):
     ([0.02, 0.01, 0.005, 0.0025, 0.001, 0.0005, 0.00025, 0.000125], 16)])
 def test_reference_pair_rows_equal_their_own_runs(monkeypatch, n, kind,
                                                   epsilons, substeps):
-    """The study steps its reference's runs at s = 1 and 2 as one paired
-    stack and every later run alone; every one has the bytes of a run of
-    its own on its grid, for the difference-form slots, the (u, v) slots
-    and a phase-lag coupling."""
+    """The study steps the runs of its reference and of its reduced stack
+    at s = 1 and 2 as one paired stack each, and every later run alone;
+    every one has the bytes of a run of its own on its grid, for the
+    difference-form slots, the (u, v) slots and a phase-lag coupling."""
     params, coupling, theta0 = random_model(n, kind)
-    runs, calls = record_runs(monkeypatch), []
-    recorded = studies._exponential_stack
+    runs, calls, starts = record_runs(monkeypatch), {}, {}
 
-    def spy(*args, **kwargs):
-        calls.append((args[4].sample_every, kwargs.get("paired", False)))
-        return recorded(*args, **kwargs)
-    monkeypatch.setattr(studies, "_exponential_stack", spy)
+    def spy(name, at):  # logs (substeps, paired) and the last call's start
+        recorded = getattr(studies, name)
+
+        def call(*args, **kwargs):
+            calls.setdefault(name, []).append(
+                (args[at].sample_every, kwargs.get("paired", False)))
+            starts[name] = args[:2]
+            return recorded(*args, **kwargs)
+        monkeypatch.setattr(studies, name, call)
+    spy("_exponential_stack", 4)
+    spy("integrate_reduced", 2)
     report = convergence_study(params, coupling, theta0, epsilons, t_end=0.2)
     check_stacks(runs, epsilons, 0.2, report)
     assert report.substeps == substeps
-    assert calls == [(1, True)] + [(2 ** k, False) for k in range(
+    expected = [(1, True)] + [(2 ** k, False) for k in range(
         2, substeps.bit_length())]
-    for _, eps, grid, phases in runs[::2]:
+    assert calls == {"_exponential_stack": expected,
+                     "integrate_reduced": expected}
+    field, start = starts["integrate_reduced"]
+    for (_, eps, grid, phases), (_, _, _, traj) in zip(runs[::2],
+                                                       runs[1::2]):
         alone = integrate._exponential_stack(params, coupling, eps, theta0,
                                              grid)
         assert phases.tobytes() == alone.tobytes()
+        alone = integrate.integrate_reduced(field, start, grid)
+        assert traj.thetas.tobytes() == alone.thetas.tobytes()
 
 
 def test_reference_forcing_calls_on_shipped_converge(monkeypatch):
     """configs/converge.json stops at s = 2: its paired reference makes 10
     forcing calls per sample interval, 2 000 over its 200, and evaluates
-    the start once; two runs of their own made 3 000 and two."""
-    calls = {"start": 0, "forcing": 0}
+    the start once; two runs of their own made 3 000 and two.  Its paired
+    reduced stack makes 8 field calls and 2 rk4_step calls per interval,
+    1 600 and 400, and checks the start's shape in one call; two runs of
+    their own made 2 400 and 600, and two."""
+    calls = {"start": 0, "forcing": 0, "field": 0, "rk4_step": 0}
 
     class Counted(integrate._Core):
         def terms(self, theta, y=None):
             calls["start" if y is None else "forcing"] += 1
             return super().terms(theta, y)
+
+    class Field(studies._Core):
+        def __call__(self, theta):
+            calls["field"] += 1
+            return super().__call__(theta)
+
+    real_rk4_step = integrate.rk4_step
+
+    def rk4_step(*args):
+        calls["rk4_step"] += 1
+        return real_rk4_step(*args)
     monkeypatch.setattr(integrate, "_Core", Counted)
+    monkeypatch.setattr(studies, "_Core", Field)
+    monkeypatch.setattr(integrate, "rk4_step", rk4_step)
     params, epsilons, theta0, coupling = shipped_converge_model()
     report = convergence_study(params, coupling, theta0, epsilons)
     assert report.substeps == 2 and report.dt == 0.005
-    assert calls == {"start": 1, "forcing": 2000}
+    assert calls == {"start": 1, "forcing": 2000, "field": 1601,
+                     "rk4_step": 400}
