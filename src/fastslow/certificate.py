@@ -58,7 +58,8 @@ class CertificateReport:
     when the scanned field's coupling has a triplet harmonic table.
     ``noise_floor`` is the largest |FD value| of the pairwise companion over
     every triple at ``point`` (0 with no companion), and ``threshold`` is
-    max(10 * noise_floor, MIN_THRESHOLD).
+    max(10 * noise_floor, MIN_THRESHOLD).  ``noise_floor_source`` is
+    "companion" or, for a field without one, "none".
     """
 
     index_triple: tuple
@@ -69,6 +70,7 @@ class CertificateReport:
     fd_step: float
     threshold: float
     noise_floor: float
+    noise_floor_source: str
 
 
 def _stencil_scale(theta, step, pairs) -> float:
@@ -290,6 +292,7 @@ def certify_nonpairwise(field, points=None,
         fd_step=fd_step,
         threshold=threshold,
         noise_floor=noise_floor,
+        noise_floor_source="none" if reference is None else "companion",
     )
 
 

@@ -7,10 +7,10 @@ config so the emitted manifest is self-describing.
 
 Exit codes: 0 success, 2 config or contract error, 3 runtime or numerical
 failure.  Outputs per run: manifest.json (config echo, resolved seeds,
-versions, timestamp; converge's step and self-gap as ``diagnostics``),
-report.json, raw.csv.  The JSON files spell each float as its shortest
-round-trip repr, raw.csv with 17 significant digits; both spellings
-parse back to the same double.
+versions, timestamp; converge's step and self-gap and certify's margin
+as ``diagnostics``), report.json, raw.csv.  The JSON files spell each
+float as its shortest round-trip repr, raw.csv with 17 significant
+digits; both spellings parse back to the same double.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ DEFAULT_T_END = 2.0
 # e-foldings of the transient, short enough to stay above the distance
 # floor left by the neglected second-order surface terms
 DEFAULT_ATTRACT_FAST_HORIZON = 6.0
+# a certificate whose |fd| is under this many thresholds is named in its
+# manifest's diagnostics.warnings
+MIN_MARGIN = 100
 
 
 class ConfigError(ContractError):
@@ -408,6 +411,19 @@ def cmd_certify(raw_config, seeds: SeedBook):
         "grid_seed": grid_seed,
     }
 
+    n = params.n_nodes
+    margin = abs(result.fd_value) / result.threshold
+    diagnostics = {
+        "margin": margin,
+        "noise_floor_source": result.noise_floor_source,
+        "n_points": len(points),
+        "n_triples": n * (n - 1) * (n - 2),
+        "fd_analytic_gap": None if result.analytic_value is None else abs(
+            result.fd_value - result.analytic_value * params.epsilon / n ** 2),
+        "warnings": [] if margin >= MIN_MARGIN else [
+            f"margin |fd| / threshold = {margin!r} is under {MIN_MARGIN}"],
+    }
+
     def write_csv(stream):
         stream.write("# mixed-derivative scan over node triples and phase points\n")
         rows = scan_mixed_derivatives(field, points, fd_step)
@@ -418,11 +434,11 @@ def cmd_certify(raw_config, seeds: SeedBook):
             [(r // p, rows[::p, :3]),
              (r % p, np.column_stack([np.arange(p), points])), rows[:, 4]])
     if result.decision != DECISION_CERTIFIED:
-        return report, write_csv, "NO-EVIDENCE"
+        return report, write_csv, "NO-EVIDENCE", diagnostics
     theta_txt = "[" + ", ".join(f"{v:.6g}" for v in result.point) + "]"
     return report, write_csv, (
         f"NONPAIRWISE-CERTIFIED at (i,j,k)={result.index_triple} "
-        f"theta={theta_txt} value={result.fd_value!r}")
+        f"theta={theta_txt} value={result.fd_value!r}"), diagnostics
 
 
 def cmd_converge(raw_config, seeds: SeedBook):

@@ -17,7 +17,8 @@ core, ``_Core``, which forms phi_ij = theta_j - theta_i once per call and
 evaluates each slot it uses once; callers never write into what it returns.
 It alone holds the truncation order and, given both difference-form slots,
 evaluates the target at (u, v) = (theta_i, theta_j) as target_diff(phi),
-its d/du -target_diff_d1(phi) and its d/dv +target_diff_d1(phi).
+its d/du -target_diff_d1(phi, g) and its d/dv +target_diff_d1(phi, g), g
+the gamma(phi) of the same call.
 
 The model equations take phases of shape (..., N) and weights of shape
 (..., N, N) with the same leading axes, and give one result per leading
@@ -118,8 +119,7 @@ class _Core:
         if self.diff:
             w0 = c.target_diff(phi)
             if self.order:
-                dv = c.target_diff_d1(phi)
-                du = -dv
+                dv = c.target_diff_d1(phi, g)
         else:  # u = theta_i down the rows, v = theta_j along the columns
             u, v = theta[..., :, None], theta[..., None, :]
             w0 = c.target(u, v)
@@ -129,10 +129,14 @@ class _Core:
         if not self.order:
             return g, w0, None, None
         f = self.phase(w0 if y is None else w0 + y, g)
-        h1 = np.multiply(du, f[..., :, None],
+        # -(dv f_j - dv f_i): a - b is a + (-b) in IEEE arithmetic, so the
+        # bits of -(du f_i + dv f_j) at du = -dv, with no du array
+        h1 = np.multiply(dv, f[..., None, :],
                          out=np.empty(theta.shape + theta.shape[-1:]))
-        del du
-        h1 += dv * f[..., None, :]
+        if self.diff:
+            h1 -= dv * f[..., :, None]
+        else:
+            h1 += du * f[..., :, None]
         return g, w0, f, np.negative(h1, out=h1)
 
     def surface(self, theta):  # (g, h0 + epsilon * h1)

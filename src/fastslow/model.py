@@ -167,20 +167,23 @@ class Coupling:
     ``target`` is the adaptation target the weights relax toward.  Both must
     be 2*pi-periodic in every argument and broadcast elementwise over numpy
     arrays.  The other slots are optional: supply those ``DERIVATIVE_SLOTS``
-    lists for the intended operations (order 1, the derivatives, for the
-    corrected reduced field; order 2, the triplet harmonic table, for the
-    analytic certificate).  Any object with these callables as attributes
-    works alike; no other method is needed.  Derivatives may be closed form
-    or finite-difference backed; either way they must be consistent with
-    the function one order below.
+    lists for the intended operations (order 1, the target's partials, for
+    the corrected reduced field; order 2, the triplet harmonic table, for
+    the analytic certificate).  Any object with these callables as
+    attributes works alike; no other method is needed.  Derivatives may be
+    closed form or finite-difference backed; either way they must be
+    consistent with the function one order below.
 
-    Naming: ``gamma_d1`` is d gamma / d phi, ``target_du`` and ``target_dv``
-    are the partials in the first and second slot.  A target of phi = v - u
-    alone may add both target_diff(phi) = target(u, v) and target_diff_d1 =
-    d/dv = -d/du, which the fields then use in place of the (u, v) slots;
-    those stay required.  ``triplet_harmonics()`` returns integer rows m
-    (R, 3) and amplitudes a (R,): triplet_interaction(i, j, k) is the sum
-    of a * sin(m_i theta_i + m_j theta_j + m_k theta_k).
+    Naming: ``gamma_d1`` is d gamma / d phi, which no operation requires;
+    ``target_du`` and ``target_dv`` are the partials in the first and second
+    slot.  A target of phi = v - u alone may add both target_diff(phi) =
+    target(u, v) and target_diff_d1(phi, g) = d/dv = -d/du, where g is the
+    value gamma(phi) the caller has just evaluated, so a derivative that
+    shares gamma's transcendental may reuse it; the fields then use these
+    in place of the (u, v) slots, which stay required.
+    ``triplet_harmonics()`` returns integer rows m (R, 3) and amplitudes a
+    (R,): triplet_interaction(i, j, k) is the sum of
+    a * sin(m_i theta_i + m_j theta_j + m_k theta_k).
     """
 
     gamma: PhaseFn
@@ -195,7 +198,7 @@ class Coupling:
 
 # the slots an operation of each order needs: order 1 is the corrected
 # surface and field, order 2 the analytic certificate's harmonic table
-DERIVATIVE_SLOTS = {0: (), 1: ("gamma_d1", "target_du", "target_dv"),
+DERIVATIVE_SLOTS = {0: (), 1: ("target_du", "target_dv"),
                     2: ("triplet_harmonics",)}
 
 
@@ -250,8 +253,8 @@ class KuramotoCoupling:
     def target_diff(self, phi):
         return _cos_target(self.alpha, phi)
 
-    def target_diff_d1(self, phi):
-        return _cos_target_d1(phi)
+    def target_diff_d1(self, phi, g):  # g = sin(phi): _cos_target_d1's bits
+        return 0.0 - g
 
     def target(self, u, v):
         return _cos_target(self.alpha, v - u)

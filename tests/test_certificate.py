@@ -283,6 +283,7 @@ def test_noise_floor_is_the_companion_at_the_winning_point(monkeypatch, kind):
     rows = scan_mixed_derivatives(certificate._pairwise_reference(field),
                                   points)
     assert report.noise_floor == np.abs(rows[rows[:, 3] == g, 4]).max()
+    assert report.noise_floor_source == "companion"
     assert report.threshold == max(10.0 * report.noise_floor,
                                    certificate.MIN_THRESHOLD)
 
@@ -292,7 +293,7 @@ def test_a_field_without_companion_has_no_noise_floor():
                               shifts=(0.1, 0.2, 0.3))
     assert certificate._pairwise_reference(pushed) is None
     report = certify_nonpairwise(pushed)
-    assert report.noise_floor == 0.0
+    assert report.noise_floor == 0.0 and report.noise_floor_source == "none"
     assert report.threshold == certificate.MIN_THRESHOLD
 
 

@@ -452,6 +452,44 @@ def test_shipped_converge_manifest_records_its_step_and_self_gap(tmp_path):
     assert "self_gap" not in json.loads((out / "report.json").read_text())
 
 
+def test_shipped_certify_manifest_records_its_margin(tmp_path):
+    """The manifest's diagnostics hold the certificate's margin |fd| /
+    threshold (4453 on configs/certify.json), where its noise floor came
+    from, what the scan covered and the gap between the FD value and the
+    analytic value times epsilon / N^2; a margin over 100 warns of
+    nothing."""
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                         / "certify.json").read_text())
+    code, out = run(tmp_path, "certify", config, extra=["--quiet"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics == {
+        "margin": abs(report["fd_value"]) / report["threshold"],
+        "noise_floor_source": "companion", "n_points": 51, "n_triples": 6,
+        "fd_analytic_gap": abs(report["fd_value"]
+                               - report["analytic_value"] * 0.01 / 9),
+        "warnings": []}
+    assert 4452 < diagnostics["margin"] < 4453
+    assert diagnostics["fd_analytic_gap"] < 1e-8
+
+
+def test_certify_margin_under_100_is_a_warning(tmp_path):
+    """An order-0 field cannot certify itself: its margin is at most 1, so
+    the manifest warns of it, and with no triplet table in the order-0
+    field there is no analytic value to compare."""
+    config = copy.deepcopy(CERTIFY)
+    config["certify"]["order"] = 0
+    code, out = run(tmp_path, "certify", config, extra=["--quiet"])
+    assert code == 0
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["margin"] <= 1
+    assert diagnostics["fd_analytic_gap"] is None
+    assert diagnostics["noise_floor_source"] == "companion"
+    assert diagnostics["warnings"] == [
+        f"margin |fd| / threshold = {diagnostics['margin']!r} is under 100"]
+
+
 def test_attract_reports_rate(tmp_path, capsys):
     code, out = run(tmp_path, "attract", ATTRACT)
     assert code == 0

@@ -26,6 +26,7 @@ from fastslow import (
     weight_correction,
     weight_rhs,
 )
+from fastslow.fields import _Core
 
 TWO_PI = 2 * np.pi
 
@@ -335,16 +336,20 @@ def test_order1_equals_substitution():
         assert np.max(np.abs(direct - substituted)) < 1e-13 * scale
 
 
-def counting_coupling(base, counts, difference_slots=()):
+def counting_coupling(base, counts, difference_slots=(), seen=None):
     """A Coupling whose slots call those of ``base`` and tally each call,
     by slot name, in ``counts``; it also has the ``difference_slots`` of
-    the target's difference form, from ``base``, a KuramotoCoupling."""
+    the target's difference form, from ``base``, a KuramotoCoupling.  A
+    ``seen`` dict gets each slot's last (args, result) by name."""
     def counted(name):
         fn = getattr(base, name)
 
         def call(*args):
             counts[name] = counts.get(name, 0) + 1
-            return fn(*args)
+            out = fn(*args)
+            if seen is not None:
+                seen[name] = args, out
+            return out
         return call
     return Coupling(**{name: counted(name) for name in
                        ("gamma", "gamma_d1", "target", "target_du",
@@ -367,13 +372,14 @@ def test_one_coupling_evaluation_per_call(case, want):
     slot they need once per call: gamma and target are shared between the
     phase equation, the weight equation and the surface.  A coupling with
     a difference form is evaluated through it alone, both partials from
-    one target_diff_d1, and never through target(u, v) or its partials;
-    the two difference slots go together, so target_diff alone is unused."""
+    one target_diff_d1, which is handed the very array gamma returned, and
+    never through target(u, v) or its partials; the two difference slots
+    go together, so target_diff alone is unused."""
     params, base, theta, _ = random_setup(13, n=5)
-    counts = {}
+    counts, seen = {}, {}
     slots = ("target_diff", "target_diff_d1") if case.startswith("difference") \
         else ("target_diff",) if case.startswith("target_diff") else ()
-    coupling = counting_coupling(base, counts, slots)
+    coupling = counting_coupling(base, counts, slots, seen)
     if case.endswith("full"):
         state = FullState(theta=theta, weights=critical_weights(base, theta))
         # one RK4 step calls the rhs four times
@@ -386,6 +392,55 @@ def test_one_coupling_evaluation_per_call(case, want):
         field(theta)
         calls = 1
     assert {k: v / calls for k, v in counts.items()} == want
+    if "target_diff_d1" in want:
+        assert seen["target_diff_d1"][0][1] is seen["gamma"][1]
+
+
+def parent_terms(core, theta, y=None):
+    """_Core.terms at order 1 as it was written with a one-argument
+    target_diff_d1: the Kuramoto partial 0.0 - sin(phi) of its own sine,
+    du = -dv, and h1 = -(du f_i + dv f_j) through np.empty."""
+    c, phi = core.coupling, theta[..., None, :] - theta[..., :, None]
+    g = c.gamma(phi)
+    if core.diff:
+        w0 = c.target_diff(phi)
+        dv = 0.0 - np.sin(phi)
+        du = -dv
+    else:
+        u, v = theta[..., :, None], theta[..., None, :]
+        w0 = c.target(u, v)
+        du, dv = c.target_du(u, v), c.target_dv(u, v)
+    f = core.phase(w0 if y is None else w0 + y, g)
+    h1 = np.multiply(du, f[..., :, None],
+                     out=np.empty(theta.shape + theta.shape[-1:]))
+    h1 += dv * f[..., None, :]
+    return g, w0, f, np.negative(h1, out=h1)
+
+
+@pytest.mark.parametrize("kind", ["difference form", "uv slots"])
+@pytest.mark.parametrize("with_y", [False, True])
+def test_order1_terms_keep_the_bits_of_the_du_formula(kind, with_y):
+    """_Core.terms builds h1 as dv f_j, then minus dv f_i (difference form)
+    or plus du f_i, then negated: every one of its four outputs has the
+    bits of the du = -dv formula, on stacks with coincident phases (phi =
+    +0 and -0 on and off the diagonal), rows where f has exact zeros, and
+    random rows."""
+    rng = np.random.default_rng(31)
+    params = ModelParams(n_nodes=4, omega=np.array([0.0, -0.0, 0.4, -0.3]),
+                         epsilon=0.01)
+    coupling = make_kuramoto(0.7) if kind == "difference form" \
+        else skewed_coupling()
+    theta = np.vstack([
+        np.zeros(4), [0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+        [0.0, -0.0, np.pi, -np.pi], [1.3, 1.3, -0.0, 2.5],
+        rng.uniform(-TWO_PI, TWO_PI, (6, 4))])
+    y = rng.normal(size=theta.shape + (4,)) if with_y else None
+    core = _Core(params, coupling, 1)
+    got, want = core.terms(theta, y), parent_terms(core, theta, y)
+    if not with_y and kind == "difference form":
+        assert np.count_nonzero(want[2] == 0) >= 6
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("case, want", [

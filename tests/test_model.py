@@ -240,7 +240,7 @@ def test_difference_form_has_the_bits_of_the_uv_formulas():
         return alpha + np.cos(u - v), -np.sin(u - v), np.sin(u - v)
 
     def difference_form(u, v):
-        d = c.target_diff_d1(v - u)
+        d = c.target_diff_d1(v - u, c.gamma(v - u))
         return c.target_diff(v - u), -d, d
 
     def uv_slots(u, v):
@@ -257,6 +257,20 @@ def test_difference_form_has_the_bits_of_the_uv_formulas():
             same = got.view(np.int64) == want.view(np.int64)
             assert np.all(same[1:] | exempt)
             assert np.array_equal(got[1:, exempt], want[1:, exempt])
+
+
+def test_target_diff_d1_reuses_gamma_with_the_bits_of_its_own_sine():
+    """target_diff_d1(phi, sin(phi)) is 0.0 - sin(phi) bit for bit, signed
+    zeros included: +0 at phi = +0 and at phi = -0 alike, on arrays and on
+    numpy scalars."""
+    c = make_kuramoto(0.7)
+    phi = np.concatenate([[0.0, -0.0, np.pi, -np.pi],
+                          np.random.default_rng(29).uniform(-50.0, 50.0, 500)])
+    want = 0.0 - np.sin(phi)
+    assert c.target_diff_d1(phi, np.sin(phi)).tobytes() == want.tobytes()
+    assert np.array([c.target_diff_d1(p, np.sin(p)) for p in phi]).tobytes() \
+        == want.tobytes()
+    assert not np.signbit(want[:2]).any()
 
 
 @pytest.mark.parametrize("theta", [
@@ -312,10 +326,8 @@ def test_derivative_consistency_on_grid():
 def test_generic_coupling_capability_flags():
     bare = Coupling(gamma=np.sin, target=lambda u, v: np.cos(u - v))
     assert missing_derivatives(bare, 0) == []
-    assert missing_derivatives(bare, 1) == ["gamma_d1", "target_du",
-                                            "target_dv"]
+    assert missing_derivatives(bare, 1) == ["target_du", "target_dv"]
     first = Coupling(gamma=np.sin, target=lambda u, v: np.cos(u - v),
-                     gamma_d1=np.cos,
                      target_du=lambda u, v: -np.sin(u - v),
                      target_dv=lambda u, v: np.sin(u - v))
     assert missing_derivatives(first, 1) == []
@@ -406,19 +418,24 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry, slot", [
     (entry, slot) for entry, (order, _) in ENTRY_POINTS.items()
-    for slot in DERIVATIVE_SLOTS[order]])
+    for slot in DERIVATIVE_SLOTS[order] + ("gamma_d1",) * (order == 1)])
 def test_missing_slot_is_named_before_any_evaluation(entry, slot):
     """A slot counts as missing when the attribute is absent and when it
     holds None; either way the entry point raises CapabilityError naming
-    it before evaluating any slot of the coupling."""
-    _, call = ENTRY_POINTS[entry]
+    it before evaluating any slot of the coupling.  The optional gamma_d1
+    is required at no order: each order-1 entry point runs without it."""
+    order, call = ENTRY_POINTS[entry]
     params = ModelParams(n_nodes=3, omega=np.array([0.3, -0.2, 0.1]),
                          epsilon=0.01)
     theta = np.array([0.1, 1.2, 2.9])
     calls = []
     absent = callables_only(drop=(slot,), calls=calls)
     holds_none = Coupling(**{**vars(callables_only(calls=calls)), slot: None})
+    required = slot in DERIVATIVE_SLOTS[order]
     for coupling in (absent, holds_none):
-        with pytest.raises(CapabilityError, match=slot):
+        if required:
+            with pytest.raises(CapabilityError, match=slot):
+                call(params, coupling, theta)
+        else:
             call(params, coupling, theta)
-    assert calls == []
+    assert calls == [] if required else slot not in calls
